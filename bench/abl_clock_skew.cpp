@@ -25,7 +25,7 @@ int main() {
   print_csv_header("abl_clock_skew", {"sigma_ms", "mops", "block_prob",
                                       "avg_block_ms", "avg_resp_ms"});
   for (double sigma : sweep_us) {
-    auto cfg = paper_config(cluster::SystemKind::kPocc, scale.partitions(),
+    auto cfg = paper_config(SystemKind::kPocc, scale.partitions(),
                             /*seed=*/9200 + static_cast<std::uint64_t>(sigma));
     cfg.clock.offset_sigma_us = sigma;     // intra-DC (LAN) error
     cfg.clock.dc_offset_sigma_us = sigma;  // cross-DC (WAN) error

@@ -19,7 +19,7 @@ struct Timeline {
   std::uint64_t blocked_at_end = 0;
 };
 
-Timeline run_timeline(cluster::SystemKind system, const Scale& scale) {
+Timeline run_timeline(SystemKind system, const Scale& scale) {
   auto cfg = paper_config(system, scale.partitions(), /*seed=*/42);
   cfg.protocol.block_timeout_us = 150'000;
   cluster::SimCluster sim_cluster(cfg);
@@ -63,8 +63,8 @@ int main() {
   std::printf("partition injected at window 8 (DC0-DC1), healed at 16; "
               "100 ms windows\n\n");
 
-  const Timeline pocc = run_timeline(cluster::SystemKind::kPocc, scale);
-  const Timeline ha = run_timeline(cluster::SystemKind::kHaPocc, scale);
+  const Timeline pocc = run_timeline(SystemKind::kPocc, scale);
+  const Timeline ha = run_timeline(SystemKind::kHaPocc, scale);
 
   print_row({"window", "POCC ops", "HA-POCC ops", "phase"});
   print_csv_header("abl_ha_failover",

@@ -23,7 +23,7 @@ int main() {
   print_csv_header("abl_heartbeat",
                    {"delta_ms", "mops", "block_prob", "avg_block_ms"});
   for (Duration delta : sweep) {
-    auto cfg = paper_config(cluster::SystemKind::kPocc, scale.partitions(),
+    auto cfg = paper_config(SystemKind::kPocc, scale.partitions(),
                             /*seed=*/9000 + delta);
     cfg.protocol.heartbeat_interval_us = delta;
     // ...while the moderate client count keeps the CPUs un-saturated, so the

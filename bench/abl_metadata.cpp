@@ -21,8 +21,8 @@ int main() {
              "% old"});
   print_csv_header("abl_metadata", {"workload", "system", "mops",
                                     "stall_prob", "avg_block_ms", "pct_old"});
-  const cluster::SystemKind systems[] = {cluster::SystemKind::kPocc,
-                                         cluster::SystemKind::kScalarPocc};
+  const SystemKind systems[] = {SystemKind::kPocc,
+                                         SystemKind::kScalarPocc};
 
   // Read-dominated workload with a short think time: coarse dependencies
   // cause spurious GET stalls.
@@ -34,7 +34,7 @@ int main() {
         paper_config(system, scale.partitions(), /*seed=*/9400);
     const auto m = run_point(cfg, wl, 16, scale.warmup_us(),
                              scale.measure_us());
-    const char* name = cluster::system_name(system);
+    const char* name = system_name(system);
     print_row({"get-put", name, fmt_mops(m.throughput_ops_per_sec),
                fmt(m.blocking.blocking_probability(), 3),
                fmt(m.blocking.avg_blocking_time_us() / 1e3, 4),
@@ -56,7 +56,7 @@ int main() {
         paper_config(system, scale.partitions(), /*seed=*/9401);
     const auto m = run_point(cfg, wl, 32, scale.warmup_us(),
                              scale.measure_us());
-    const char* name = cluster::system_name(system);
+    const char* name = system_name(system);
     print_row({"tx-put", name, fmt_mops(m.throughput_ops_per_sec),
                fmt(m.blocking.blocking_probability(), 3),
                fmt(m.blocking.avg_blocking_time_us() / 1e3, 4),

@@ -26,7 +26,7 @@ int main() {
                                          "pct_old", "pct_unmerged",
                                          "stab_messages"});
   for (Duration period : sweep) {
-    auto cfg = paper_config(cluster::SystemKind::kCure, scale.partitions(),
+    auto cfg = paper_config(SystemKind::kCure, scale.partitions(),
                             /*seed=*/9100 + period);
     cfg.protocol.stabilization_interval_us = period;
     const auto m = run_point(cfg, wl, 96, scale.warmup_us(),
@@ -43,7 +43,7 @@ int main() {
                    std::to_string(m.network.stabilization_messages)});
   }
   {
-    const auto cfg = paper_config(cluster::SystemKind::kPocc,
+    const auto cfg = paper_config(SystemKind::kPocc,
                                   scale.partitions(), /*seed=*/9199);
     const auto m = run_point(cfg, wl, 96, scale.warmup_us(),
                              scale.measure_us());

@@ -23,7 +23,7 @@ int main() {
     workload::WorkloadConfig wl = paper_workload();
     wl.gets_per_put = 8;
     wl.think_time_us = think;
-    auto cfg = paper_config(cluster::SystemKind::kPocc, scale.partitions(),
+    auto cfg = paper_config(SystemKind::kPocc, scale.partitions(),
                             /*seed=*/9300 + think);
     const auto m = run_point(cfg, wl, 32, scale.warmup_us(),
                              scale.measure_us());

@@ -17,7 +17,7 @@ Scale scale_from_env() {
   return s;
 }
 
-cluster::SimClusterConfig paper_config(cluster::SystemKind system,
+cluster::SimClusterConfig paper_config(SystemKind system,
                                        std::uint32_t partitions,
                                        std::uint64_t seed) {
   cluster::SimClusterConfig cfg;

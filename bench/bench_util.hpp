@@ -57,7 +57,7 @@ Scale scale_from_env();
 /// Deployment configuration mirroring §V-A: 3 DCs (Oregon/Virginia/Ireland
 /// latencies), NTP-grade clock skew, calibrated CPU cost model, 1 ms
 /// heartbeats, 5 ms Cure* stabilization, LWW with the PUT dependency wait on.
-cluster::SimClusterConfig paper_config(cluster::SystemKind system,
+cluster::SimClusterConfig paper_config(SystemKind system,
                                        std::uint32_t partitions,
                                        std::uint64_t seed);
 

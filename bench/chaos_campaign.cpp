@@ -60,7 +60,7 @@ using namespace pocc;
 
 struct Options {
   std::uint64_t seed = 1;
-  rt::System system = rt::System::kPocc;
+  SystemKind system = SystemKind::kPocc;
   double duration_s = 8.0;
   double horizon_s = 4.0;
   int sessions_per_dc = 3;
@@ -82,7 +82,7 @@ int usage(const char* argv0) {
   return 4;
 }
 
-net::ClusterLayout chaos_layout(rt::System system) {
+net::ClusterLayout chaos_layout(SystemKind system) {
   net::ClusterLayout layout;
   layout.topology.num_dcs = 3;
   layout.topology.partitions_per_dc = 2;
@@ -165,7 +165,7 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--seed") == 0) {
       opt.seed = std::strtoull(value(), nullptr, 0);
     } else if (std::strcmp(argv[i], "--system") == 0) {
-      const auto system = net::parse_system(value());
+      const auto system = pocc::parse_system(value());
       if (!system.has_value()) return usage(argv[0]);
       opt.system = *system;
     } else if (std::strcmp(argv[i], "--duration-s") == 0) {
@@ -196,7 +196,7 @@ int main(int argc, char** argv) {
       static_cast<Duration>(opt.duration_s * 1e6));
   std::printf("chaos_campaign: system=%s seed=%llu plan=0x%llx "
               "duration=%.1fs crashes=%zu%s\n",
-              net::system_name(opt.system),
+              pocc::system_flag(opt.system),
               static_cast<unsigned long long>(opt.seed),
               static_cast<unsigned long long>(schedule->plan_hash()),
               opt.duration_s, schedule->crashes().size(),
@@ -428,7 +428,7 @@ int main(int argc, char** argv) {
   if (!ok) {
     std::printf("    REPRO: chaos_campaign --system %s --seed %llu "
                 "--duration-s %.1f --horizon-s %.1f --sessions %d%s\n",
-                net::system_name(opt.system),
+                pocc::system_flag(opt.system),
                 static_cast<unsigned long long>(opt.seed), opt.duration_s,
                 opt.horizon_s, opt.sessions_per_dc,
                 opt.crashes ? "" : " --no-crashes");
@@ -448,7 +448,7 @@ int main(int argc, char** argv) {
           "\"chaos_delayed\":%llu,\"chaos_duplicates\":%llu,"
           "\"chaos_resets\":%llu,\"batch_retries\":%llu,\"batch_drops\":%llu,"
           "\"checks\":%llu,\"violations\":%llu,\"complete\":%s,\"ok\":%s}\n",
-          net::system_name(opt.system),
+          pocc::system_flag(opt.system),
           static_cast<unsigned long long>(opt.seed),
           static_cast<unsigned long long>(schedule->plan_hash()),
           opt.duration_s, opt.sessions_per_dc,

@@ -23,8 +23,8 @@ int main() {
     wl.gets_per_put = parts;  // GET:PUT ratio p:1
 
     double mops[2] = {0.0, 0.0};
-    const cluster::SystemKind systems[2] = {cluster::SystemKind::kCure,
-                                            cluster::SystemKind::kPocc};
+    const SystemKind systems[2] = {SystemKind::kCure,
+                                            SystemKind::kPocc};
     for (int s = 0; s < 2; ++s) {
       const auto cfg = paper_config(systems[s], parts, /*seed=*/1000 + parts);
       const auto m = run_point(cfg, wl, scale.saturating_clients(),

@@ -22,7 +22,7 @@ int main() {
              "p99 (ms)", "cpu util"});
   print_csv_header("fig1b", {"clients_per_partition", "system", "mops",
                              "avg_resp_ms", "p99_resp_ms", "cpu_util"});
-  for (auto system : {cluster::SystemKind::kCure, cluster::SystemKind::kPocc}) {
+  for (auto system : {SystemKind::kCure, SystemKind::kPocc}) {
     for (std::uint32_t clients : scale.client_sweep()) {
       const auto cfg =
           paper_config(system, scale.partitions(), /*seed=*/2000 + clients);
@@ -34,7 +34,7 @@ int main() {
       all.merge(m.client_ops.put_latency_us);
       const double p99_ms =
           static_cast<double>(all.percentile(99)) / 1e3;
-      const char* name = cluster::system_name(system);
+      const char* name = system_name(system);
       print_row({std::to_string(clients), name,
                  fmt_mops(m.throughput_ops_per_sec), fmt(avg_ms, 4),
                  fmt(p99_ms, 4), fmt(m.avg_cpu_utilization, 3)});

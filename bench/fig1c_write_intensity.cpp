@@ -21,8 +21,8 @@ int main() {
     workload::WorkloadConfig wl = paper_workload();
     wl.gets_per_put = ratio;
     double mops[2] = {0.0, 0.0};
-    const cluster::SystemKind systems[2] = {cluster::SystemKind::kCure,
-                                            cluster::SystemKind::kPocc};
+    const SystemKind systems[2] = {SystemKind::kCure,
+                                            SystemKind::kPocc};
     for (int s = 0; s < 2; ++s) {
       const auto cfg =
           paper_config(systems[s], scale.partitions(), /*seed=*/3000 + ratio);

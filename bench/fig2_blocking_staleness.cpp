@@ -30,7 +30,7 @@ int main() {
   print_csv_header("fig2a", {"clients_per_partition", "mops", "block_prob",
                              "avg_block_ms", "p99_block_ms"});
   for (std::uint32_t clients : scale.client_sweep()) {
-    const auto cfg = paper_config(cluster::SystemKind::kPocc,
+    const auto cfg = paper_config(SystemKind::kPocc,
                                   scale.partitions(), /*seed=*/4000 + clients);
     const auto m =
         run_point(cfg, wl, clients, scale.warmup_us(), scale.measure_us());
@@ -53,7 +53,7 @@ int main() {
                              "pct_unmerged", "fresher_versions",
                              "unmerged_versions"});
   for (std::uint32_t clients : scale.client_sweep()) {
-    const auto cfg = paper_config(cluster::SystemKind::kCure,
+    const auto cfg = paper_config(SystemKind::kCure,
                                   scale.partitions(), /*seed=*/4100 + clients);
     const auto m =
         run_point(cfg, wl, clients, scale.warmup_us(), scale.measure_us());

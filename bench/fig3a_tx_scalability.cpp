@@ -23,8 +23,8 @@ int main() {
     wl.pattern = workload::Pattern::kTxPut;
     wl.tx_partitions = p;
     double mops[2] = {0.0, 0.0};
-    const cluster::SystemKind systems[2] = {cluster::SystemKind::kCure,
-                                            cluster::SystemKind::kPocc};
+    const SystemKind systems[2] = {SystemKind::kCure,
+                                            SystemKind::kPocc};
     for (int s = 0; s < 2; ++s) {
       const auto cfg =
           paper_config(systems[s], scale.partitions(), /*seed=*/5000 + p);

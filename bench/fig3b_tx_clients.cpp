@@ -23,7 +23,7 @@ int main() {
              "p99 tx (ms)"});
   print_csv_header("fig3b", {"clients_per_partition", "system", "mops",
                              "tx_resp_ms", "p99_tx_ms"});
-  for (auto system : {cluster::SystemKind::kCure, cluster::SystemKind::kPocc}) {
+  for (auto system : {SystemKind::kCure, SystemKind::kPocc}) {
     for (std::uint32_t clients : scale.client_sweep()) {
       const auto cfg =
           paper_config(system, scale.partitions(), /*seed=*/6000 + clients);
@@ -33,7 +33,7 @@ int main() {
       const double p99_ms =
           static_cast<double>(m.client_ops.tx_latency_us.percentile(99)) /
           1e3;
-      const char* name = cluster::system_name(system);
+      const char* name = system_name(system);
       print_row({std::to_string(clients), name,
                  fmt_mops(m.throughput_ops_per_sec), fmt(tx_ms, 4),
                  fmt(p99_ms, 4)});

@@ -25,7 +25,7 @@ int main() {
                              "macro_block_prob", "avg_block_ms",
                              "p99_block_ms"});
   for (std::uint32_t clients : scale.client_sweep()) {
-    const auto cfg = paper_config(cluster::SystemKind::kPocc,
+    const auto cfg = paper_config(SystemKind::kPocc,
                                   scale.partitions(), /*seed=*/7000 + clients);
     const auto m =
         run_point(cfg, wl, clients, scale.warmup_us(), scale.measure_us());

@@ -32,7 +32,7 @@ int main() {
     // are dominated by individual backlog episodes.
     constexpr std::uint64_t kSeeds = 2;
     for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
-      const auto cfg = paper_config(cluster::SystemKind::kPocc,
+      const auto cfg = paper_config(SystemKind::kPocc,
                                     scale.partitions(),
                                     /*seed=*/8000 + clients + seed * 91);
       const auto m =
@@ -40,7 +40,7 @@ int main() {
       pocc_old += m.staleness.pct_old() / kSeeds;
     }
     for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
-      const auto cfg = paper_config(cluster::SystemKind::kCure,
+      const auto cfg = paper_config(SystemKind::kCure,
                                     scale.partitions(),
                                     /*seed=*/8100 + clients + seed * 91);
       const auto m =

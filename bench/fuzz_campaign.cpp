@@ -35,7 +35,7 @@
 
 namespace {
 
-using pocc::cluster::SystemKind;
+using pocc::SystemKind;
 using pocc::fault::FuzzCase;
 using pocc::fault::FuzzOutcome;
 
@@ -83,12 +83,12 @@ bool parse_args(int argc, char** argv, Options& opt) {
       const char* v = need_value("--engine");
       if (v == nullptr) return false;
       if (std::string(v) == "all") continue;  // default set
-      SystemKind k;
-      if (!pocc::fault::parse_engine(v, k)) {
+      const auto k = pocc::parse_system(v);
+      if (!k.has_value()) {
         std::fprintf(stderr, "unknown engine '%s'\n", v);
         return false;
       }
-      opt.engines = {k};
+      opt.engines = {*k};
       opt.single_engine = true;
     } else if (a == "--durability") {
       const char* v = need_value("--durability");
@@ -144,7 +144,7 @@ void dump_failure(const Options& opt, const FuzzCase& c,
                   const FuzzOutcome& o) {
   if (opt.dump_dir.empty()) return;
   const std::string path = opt.dump_dir + "/fail_" +
-                           pocc::fault::engine_flag(c.system) + "_" +
+                           pocc::system_flag(c.system) + "_" +
                            pocc::fault::durability_flag(c.durability) +
                            "_seed" + std::to_string(c.seed) + ".txt";
   std::ofstream f(path);
@@ -180,7 +180,7 @@ int main(int argc, char** argv) {
       if (opt.list_only) {
         const pocc::fault::FaultPlan plan = pocc::fault::plan_for_case(c);
         std::printf("engine=%s seed=%llu plan=%s\n%s",
-                    pocc::fault::engine_flag(system),
+                    pocc::system_flag(system),
                     static_cast<unsigned long long>(seed),
                     pocc::fault::hex64(plan.hash()).c_str(),
                     plan.to_string().c_str());
@@ -211,7 +211,7 @@ int main(int argc, char** argv) {
           "[%s] engine=%-11s dur=%-9s seed=%-6llu plan=%s faults=%llu "
           "ops=%llu checks=%llu recovered=%llu dropped=%llu fallbacks=%llu "
           "digest=%s\n",
-          o.ok ? "ok" : "FAIL", pocc::fault::engine_flag(system),
+          o.ok ? "ok" : "FAIL", pocc::system_flag(system),
           pocc::fault::durability_flag(c.durability),
           static_cast<unsigned long long>(seed),
           pocc::fault::hex64(o.plan_hash).c_str(),
@@ -224,7 +224,7 @@ int main(int argc, char** argv) {
           pocc::fault::hex64(o.digest).c_str());
       if (out.is_open()) {
         out << "{\"ok\":" << (o.ok ? "true" : "false") << ",\"engine\":\""
-            << pocc::fault::engine_flag(system) << "\",\"durability\":\""
+            << pocc::system_flag(system) << "\",\"durability\":\""
             << pocc::fault::durability_flag(c.durability)
             << "\",\"seed\":" << seed
             << ",\"plan_hash\":\"" << pocc::fault::hex64(o.plan_hash)

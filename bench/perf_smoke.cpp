@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
   constexpr Duration kMeasureUs = 2'000'000;
 
   cluster::SimClusterConfig cfg =
-      bench::paper_config(cluster::SystemKind::kPocc, kPartitions, kSeed);
+      bench::paper_config(SystemKind::kPocc, kPartitions, kSeed);
   workload::WorkloadConfig wl = bench::paper_workload();
 
   const auto wall_start = std::chrono::steady_clock::now();

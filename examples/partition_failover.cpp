@@ -21,7 +21,7 @@ int main() {
   cfg.latency.inter_dc_base_us = {
       {0, 5'000, 5'000}, {5'000, 0, 5'000}, {5'000, 5'000, 0}};
   cfg.clock = ClockConfig::perfect();
-  cfg.system = cluster::SystemKind::kHaPocc;
+  cfg.system = SystemKind::kHaPocc;
   cfg.protocol.block_timeout_us = 100'000;  // partition suspected after 100 ms
   cfg.seed = 5;
 

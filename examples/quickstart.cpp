@@ -17,7 +17,7 @@ int main() {
   cfg.topology.num_dcs = 3;
   cfg.topology.partitions_per_dc = 4;
   cfg.latency = LatencyConfig::aws_three_dc();
-  cfg.system = cluster::SystemKind::kPocc;
+  cfg.system = SystemKind::kPocc;
   cfg.seed = 7;
 
   cluster::SimCluster cluster(cfg);
@@ -73,8 +73,9 @@ int main() {
                 store::key_name(item.key).c_str(),
                 item.found, item.value.c_str());
   }
-  std::printf("\nDone. See examples/social_network.cpp for the threaded "
-              "runtime,\nexamples/staleness_probe.cpp for POCC-vs-Cure* "
-              "freshness, and\nexamples/partition_failover.cpp for HA-POCC.\n");
+  std::printf("\nDone. See examples/social_network.cpp for a causal "
+              "anomaly demo,\nexamples/staleness_probe.cpp for POCC-vs-Cure* "
+              "freshness,\nexamples/partition_failover.cpp for HA-POCC, and\n"
+              "examples/tcp_quickstart.cpp for the TCP deployment.\n");
   return 0;
 }

@@ -1,5 +1,5 @@
-// Social-network scenario on the *threaded runtime* — the engines running as
-// a real in-process store with wall-clock time and per-node threads.
+// Social-network scenario on the simulated deployment, with a 30 ms WAN hop
+// between two data centers.
 //
 // The classic causal-consistency anomaly (Lloyd et al., COPS): Alice removes
 // her boss from an access list and then posts a photo. Under causal
@@ -10,37 +10,39 @@
 // The demo also shows the freshness difference between POCC and Cure*: the
 // same write becomes visible in a remote DC as soon as it arrives under POCC,
 // but only after a stabilization round under Cure*.
-#include <chrono>
 #include <cstdio>
-#include <thread>
 
-#include "runtime/rt_cluster.hpp"
+#include "cluster/sim_cluster.hpp"
 
 using namespace pocc;
 
 namespace {
 
-void sleep_ms(int ms) {
-  std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-}
-
-void run_acl_scenario(rt::System system, const char* name) {
-  rt::RtClusterConfig cfg;
+cluster::SimClusterConfig two_dc_config(SystemKind system,
+                                        Duration inter_dc_us,
+                                        Duration stabilization_us) {
+  cluster::SimClusterConfig cfg;
   cfg.topology.num_dcs = 2;
   cfg.topology.partitions_per_dc = 2;
+  cfg.topology.partition_scheme = PartitionScheme::kHash;
+  cfg.latency = LatencyConfig::uniform(/*one_way_us=*/200);
+  cfg.latency.default_inter_dc_us = inter_dc_us;  // the WAN hop
   cfg.system = system;
-  cfg.inter_dc_delay_us = 30'000;  // 30 ms WAN hop
   cfg.protocol.heartbeat_interval_us = 5'000;
-  cfg.protocol.stabilization_interval_us = 20'000;
-  rt::Cluster cluster(cfg);
+  cfg.protocol.stabilization_interval_us = stabilization_us;
+  cfg.seed = 11;
+  return cfg;
+}
 
-  rt::Session& alice = cluster.connect(0);
-  rt::Session& boss = cluster.connect(1);
+void run_acl_scenario(SystemKind system, const char* name) {
+  cluster::SimCluster cluster(two_dc_config(system, 30'000, 20'000));
+  auto& alice = cluster.create_manual_client(/*dc=*/0);
+  auto& boss = cluster.create_manual_client(/*dc=*/1);
 
   std::printf("--- %s ---\n", name);
   alice.put("acl:alice", "friends+boss");
   alice.put("photo:alice", "(none)");
-  sleep_ms(200);  // initial state replicates everywhere
+  cluster.run_for(200'000);  // initial state replicates everywhere
 
   // Alice removes her boss, *then* posts the party photo.
   alice.put("acl:alice", "friends-only");
@@ -60,36 +62,29 @@ void run_acl_scenario(rt::System system, const char* name) {
                                       : "**ANOMALY**");
       return;
     }
-    sleep_ms(20);
+    cluster.run_for(20'000);
   }
   std::printf("boss never saw the photo (still hidden by visibility rules)\n");
 }
 
-void run_freshness_probe(rt::System system, const char* name) {
-  rt::RtClusterConfig cfg;
-  cfg.topology.num_dcs = 2;
-  cfg.topology.partitions_per_dc = 2;
-  cfg.system = system;
-  cfg.inter_dc_delay_us = 20'000;
-  cfg.protocol.heartbeat_interval_us = 5'000;
-  cfg.protocol.stabilization_interval_us = 100'000;  // slow GSS on purpose
-  rt::Cluster cluster(cfg);
-  rt::Session& writer = cluster.connect(0);
-  rt::Session& reader = cluster.connect(1);
+void run_freshness_probe(SystemKind system, const char* name) {
+  // Slow GSS on purpose: Cure*'s stabilization runs every 100 ms.
+  cluster::SimCluster cluster(two_dc_config(system, 20'000, 100'000));
+  auto& writer = cluster.create_manual_client(/*dc=*/0);
+  auto& reader = cluster.create_manual_client(/*dc=*/1);
+  cluster.run_for(10'000);  // let clocks and heartbeats settle
 
   writer.put("breaking-news", "headline!");
-  const auto start = std::chrono::steady_clock::now();
+  const Timestamp start = cluster.simulator().now();
   for (int i = 0; i < 60; ++i) {
     const auto r = reader.get("breaking-news");
     if (r.ok && r.found) {
-      const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                          std::chrono::steady_clock::now() - start)
-                          .count();
       std::printf("%-6s: remote reader saw the update after ~%lld ms\n", name,
-                  static_cast<long long>(ms));
+                  static_cast<long long>(
+                      (cluster.simulator().now() - start) / 1'000));
       return;
     }
-    sleep_ms(10);
+    cluster.run_for(10'000);
   }
   std::printf("%-6s: update still not visible after 600 ms\n", name);
 }
@@ -97,13 +92,13 @@ void run_freshness_probe(rt::System system, const char* name) {
 }  // namespace
 
 int main() {
-  std::printf("Social-network demo on the threaded runtime\n\n");
-  run_acl_scenario(rt::System::kPocc, "ACL scenario under POCC");
-  run_acl_scenario(rt::System::kCure, "ACL scenario under Cure*");
+  std::printf("Social-network demo on the simulated deployment\n\n");
+  run_acl_scenario(SystemKind::kPocc, "ACL scenario under POCC");
+  run_acl_scenario(SystemKind::kCure, "ACL scenario under Cure*");
 
   std::printf("\nFreshness probe (20 ms WAN, Cure* stabilization 100 ms):\n");
-  run_freshness_probe(rt::System::kPocc, "POCC");
-  run_freshness_probe(rt::System::kCure, "Cure*");
+  run_freshness_probe(SystemKind::kPocc, "POCC");
+  run_freshness_probe(SystemKind::kCure, "Cure*");
   std::printf(
       "\nPOCC exposes the update one WAN hop after the write; Cure* waits\n"
       "for the next stabilization round on top of replication (§III-A).\n");

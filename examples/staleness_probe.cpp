@@ -15,7 +15,7 @@ struct Probe {
   net::NetworkStats net;
 };
 
-Probe run(cluster::SystemKind system, std::uint32_t clients_per_partition) {
+Probe run(SystemKind system, std::uint32_t clients_per_partition) {
   cluster::SimClusterConfig cfg;
   cfg.topology.num_dcs = 3;
   cfg.topology.partitions_per_dc = 8;
@@ -49,8 +49,8 @@ int main() {
   std::printf("(3 DCs x 8 partitions, 8:1 GET:PUT, zipf 0.99)\n\n");
 
   const std::uint32_t clients = 96;
-  const Probe pocc = run(cluster::SystemKind::kPocc, clients);
-  const Probe cure = run(cluster::SystemKind::kCure, clients);
+  const Probe pocc = run(SystemKind::kPocc, clients);
+  const Probe cure = run(SystemKind::kCure, clients);
 
   std::printf("%-34s %14s %14s\n", "metric", "POCC", "Cure*");
   auto row = [](const char* name, double a, double b, const char* unit) {

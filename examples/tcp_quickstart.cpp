@@ -19,7 +19,7 @@ int main() {
   net::ClusterLayout layout;
   layout.topology.num_dcs = 2;
   layout.topology.partitions_per_dc = 2;
-  layout.system = rt::System::kPocc;
+  layout.system = SystemKind::kPocc;
 
   // One host per DC on an ephemeral port, then tell everyone where everyone
   // else ended up (a poccd deployment reads the same layout from a file).

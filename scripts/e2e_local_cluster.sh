@@ -38,14 +38,8 @@
 # A high-connection leg (E2E_HIGHCONN_LEG=1, default) raises the fd soft
 # limit to the hard limit and drives a pipelined checked load over
 # E2E_HIGHCONN_CONNECTIONS connection pools per DC (each pool holds one
-# socket per partition) — the scale-push proof behind the io_uring backend:
-# thousands of concurrent sockets through the sharded loops with full
-# history checking, on whatever backend the run selects.
-#
-# E2E_EVENT_BACKEND (epoll|poll|uring, empty = platform default) selects the
-# readiness backend for servers AND clients: poccd gets an explicit
-# --event-backend flag, loadgen inherits it via POCC_EVENT_BACKEND. CI's
-# uring matrix leg sets it after probing kernel support.
+# socket per partition): thousands of concurrent sockets through the
+# sharded epoll loops with full history checking.
 #
 # usage: scripts/e2e_local_cluster.sh [BUILD_DIR] [OUT_DIR]
 # env:   E2E_BASE_PORT (7450)  E2E_SYSTEM (pocc)  E2E_DURATION_S (5)
@@ -54,7 +48,7 @@
 #        E2E_REQUIRE_SPEEDUP (0)  E2E_KILL_LEG (0)  E2E_KILL_DURATION_S (8)
 #        E2E_SIGNAL_LEG (1)  E2E_SIGNAL_DURATION_S (4)
 #        E2E_TAIL_LEG (1)  E2E_TAIL_DURATION_S (5)  E2E_TAIL_KEYS (1000000)
-#        E2E_TAIL_VMAX (1024)  E2E_EVENT_BACKEND ()
+#        E2E_TAIL_VMAX (1024)
 #        E2E_HIGHCONN_LEG (1)  E2E_HIGHCONN_CONNECTIONS (128)
 #        E2E_HIGHCONN_DURATION_S (4)
 set -euo pipefail
@@ -78,7 +72,6 @@ TAIL_LEG="${E2E_TAIL_LEG:-1}"
 TAIL_DURATION_S="${E2E_TAIL_DURATION_S:-5}"
 TAIL_KEYS="${E2E_TAIL_KEYS:-1000000}"
 TAIL_VMAX="${E2E_TAIL_VMAX:-1024}"
-EVENT_BACKEND="${E2E_EVENT_BACKEND:-}"
 HIGHCONN_LEG="${E2E_HIGHCONN_LEG:-1}"
 HIGHCONN_CONNECTIONS="${E2E_HIGHCONN_CONNECTIONS:-128}"
 HIGHCONN_DURATION_S="${E2E_HIGHCONN_DURATION_S:-4}"
@@ -94,17 +87,6 @@ if [[ "$HARD_FD" != "unlimited" ]]; then
   ulimit -n "$HARD_FD" 2>/dev/null || true
 fi
 echo "e2e: fd limit $(ulimit -n) (hard $HARD_FD)"
-
-# Backend selection: poccd takes the explicit flag; pocc_loadgen (and any
-# poccd launched without the flag) inherits the env override.
-BACKEND_ARGS=()
-if [[ -n "$EVENT_BACKEND" ]]; then
-  BACKEND_ARGS=(--event-backend "$EVENT_BACKEND")
-  export POCC_EVENT_BACKEND="$EVENT_BACKEND"
-  echo "e2e: event backend forced to $EVENT_BACKEND"
-else
-  echo "e2e: event backend: platform default"
-fi
 
 metrics_port() { echo $((METRICS_BASE + $1)); }
 
@@ -189,7 +171,6 @@ echo "e2e: launching $DCS poccd processes (one per DC, $PARTS partitions x $THRE
 for dc in $(seq 0 $((DCS - 1))); do
   data_args_for_dc "$dc"
   "$BUILD_DIR/poccd" --config "$CFG" --dc "$dc" ${DATA_ARGS[@]+"${DATA_ARGS[@]}"} \
-    ${BACKEND_ARGS[@]+"${BACKEND_ARGS[@]}"} \
     --metrics-addr "127.0.0.1:$(metrics_port "$dc")" \
     > "$OUT_DIR/poccd_dc${dc}.log" 2>&1 &
   PIDS+=($!)
@@ -199,8 +180,6 @@ echo "e2e: waiting for every DC to answer 200 on /readyz"
 for dc in $(seq 0 $((DCS - 1))); do
   ready_wait "$(metrics_port "$dc")" "dc$dc" || exit 4
 done
-echo "e2e: server-reported event backends:"
-grep -h "event backend" "$OUT_DIR"/poccd_dc*.log || true
 
 echo "e2e: causal smoke (read-your-writes + WC-DEP chain across DCs)"
 "$BUILD_DIR/pocc_loadgen" --config "$CFG" --mode smoke --client-base 100000
@@ -372,7 +351,6 @@ if [[ "$KILL_LEG" == "1" ]]; then
   echo "e2e: restarting dc$VICTIM_DC on its data dir (WAL replay + peer recovery)"
   data_args_for_dc "$VICTIM_DC"
   "$BUILD_DIR/poccd" --config "$CFG" --dc "$VICTIM_DC" "${DATA_ARGS[@]}" \
-    ${BACKEND_ARGS[@]+"${BACKEND_ARGS[@]}"} \
     --metrics-addr "127.0.0.1:$(metrics_port "$VICTIM_DC")" \
     >> "$OUT_DIR/poccd_dc${VICTIM_DC}.log" 2>&1 &
   PIDS[$VICTIM_DC]=$!

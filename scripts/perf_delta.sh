@@ -4,7 +4,6 @@
 #   * perf_smoke      (bench/baselines/BENCH_perf_smoke.json)   — simulator
 #   * tcp_loadgen     (bench/baselines/BENCH_tcp_loadgen.json)  — e2e cluster
 #   * recovery        (bench/baselines/BENCH_recovery.json)     — WAL replay
-#   * event_loop      (bench/baselines/BENCH_event_loop.json)   — readiness backends
 # Informational only — CI runs it non-gating so the perf trajectory is
 # visible on every push without flaking on runner noise.
 #
@@ -31,12 +30,6 @@ elif grep -q '"bench":"recovery"' "$CURRENT"; then
   BASELINE="${2:-bench/baselines/BENCH_recovery.json}"
   KEYS="replay_1k_ms replay_10k_ms replay_50k_ms replay_50k_snap_ms replay_mb_per_sec"
   NOTE="(positive % = larger than baseline; replay_*_ms lower is better, mb_per_sec higher)"
-elif grep -q '"bench":"event_loop"' "$CURRENT"; then
-  BASELINE="${2:-bench/baselines/BENCH_event_loop.json}"
-  # uring_* keys are absent when the kernel lacks io_uring — reported as
-  # missing, not an error (the bench only emits backends it could run).
-  KEYS="epoll_10k_wakeup_ns epoll_100k_wakeup_ns epoll_10k_scan_ns epoll_100k_scan_ns uring_10k_wakeup_ns uring_100k_wakeup_ns uring_10k_scan_ns uring_100k_scan_ns poll_10k_wakeup_ns"
-  NOTE="(positive % = larger than baseline; all keys are costs — lower is better)"
 else
   BASELINE="${2:-bench/baselines/BENCH_perf_smoke.json}"
   KEYS="sim_ops_per_sec events_per_sec wall_ms peak_rss_kb"

@@ -5,27 +5,10 @@
 
 #include "common/assert.hpp"
 #include "common/hash.hpp"
-#include "store/key_space.hpp"
-#include "cure/cure_server.hpp"
 #include "ha/ha_pocc_server.hpp"
-#include "pocc/pocc_server.hpp"
-#include "pocc/scalar_pocc_server.hpp"
+#include "store/key_space.hpp"
 
 namespace pocc::cluster {
-
-const char* system_name(SystemKind k) {
-  switch (k) {
-    case SystemKind::kPocc:
-      return "POCC";
-    case SystemKind::kCure:
-      return "Cure*";
-    case SystemKind::kHaPocc:
-      return "HA-POCC";
-    case SystemKind::kScalarPocc:
-      return "Scalar-OCC";
-  }
-  return "?";
-}
 
 SimCluster::SimCluster(SimClusterConfig cfg)
     : cfg_(std::move(cfg)), root_rng_(cfg_.seed) {
@@ -77,26 +60,8 @@ SimCluster::~SimCluster() = default;
 
 std::unique_ptr<server::ReplicaBase> SimCluster::make_engine(
     NodeId id, server::Context& ctx) {
-  const auto& topo = cfg_.topology;
-  std::unique_ptr<server::ReplicaBase> engine;
-  switch (cfg_.system) {
-    case SystemKind::kPocc:
-      engine = std::make_unique<PoccServer>(id, topo, cfg_.protocol,
-                                            cfg_.service, ctx);
-      break;
-    case SystemKind::kCure:
-      engine = std::make_unique<CureServer>(id, topo, cfg_.protocol,
-                                            cfg_.service, ctx);
-      break;
-    case SystemKind::kHaPocc:
-      engine = std::make_unique<HaPoccServer>(id, topo, cfg_.protocol,
-                                              cfg_.service, ctx);
-      break;
-    case SystemKind::kScalarPocc:
-      engine = std::make_unique<ScalarPoccServer>(id, topo, cfg_.protocol,
-                                                  cfg_.service, ctx);
-      break;
-  }
+  auto engine = pocc::make_engine(cfg_.system, id, cfg_.topology,
+                                  cfg_.protocol, cfg_.service, ctx);
   if (checker_ != nullptr) {
     engine->set_version_observer(
         [chk = checker_.get()](ClientId c, std::uint64_t op_id,

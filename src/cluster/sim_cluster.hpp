@@ -19,17 +19,12 @@
 #include "common/config.hpp"
 #include "common/rng.hpp"
 #include "net/sim_network.hpp"
+#include "server/engine_factory.hpp"
 #include "sim/simulator.hpp"
 #include "stats/metrics.hpp"
 #include "workload/workload.hpp"
 
 namespace pocc::cluster {
-
-/// Which protocol the cluster runs. kScalarPocc is the scalar-granularity
-/// ablation of POCC's dependency tracking (see pocc/scalar_pocc_server.hpp).
-enum class SystemKind { kPocc, kCure, kHaPocc, kScalarPocc };
-
-[[nodiscard]] const char* system_name(SystemKind k);
 
 /// How a crashed node's durable state is modeled (see SimNode::crash).
 /// kIdealized: the engine object survives the crash as an abstract durable

@@ -1,7 +1,7 @@
 // Power-of-two ring deque over contiguous storage.
 //
 // Extracted from sim::CpuQueue::JobRing (which is now an instantiation) so
-// the threaded runtime's per-worker inboxes reuse the same structure:
+// the NodeGroup's per-worker inboxes reuse the same structure:
 // std::deque allocates a 512-byte node per handful of elements, putting one
 // malloc/free on every busy producer/consumer path, while this ring grows
 // geometrically and then stays allocation-free. Elements emplace directly

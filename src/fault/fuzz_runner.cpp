@@ -121,35 +121,6 @@ FuzzOutcome run_fuzz_case(const FuzzCase& c) {
   return out;
 }
 
-const char* engine_flag(cluster::SystemKind k) {
-  switch (k) {
-    case cluster::SystemKind::kPocc:
-      return "pocc";
-    case cluster::SystemKind::kCure:
-      return "cure";
-    case cluster::SystemKind::kHaPocc:
-      return "ha_pocc";
-    case cluster::SystemKind::kScalarPocc:
-      return "scalar_pocc";
-  }
-  return "?";
-}
-
-bool parse_engine(const std::string& name, cluster::SystemKind& out) {
-  if (name == "pocc") {
-    out = cluster::SystemKind::kPocc;
-  } else if (name == "cure") {
-    out = cluster::SystemKind::kCure;
-  } else if (name == "ha_pocc") {
-    out = cluster::SystemKind::kHaPocc;
-  } else if (name == "scalar_pocc") {
-    out = cluster::SystemKind::kScalarPocc;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 const char* durability_flag(cluster::DurabilityMode m) {
   switch (m) {
     case cluster::DurabilityMode::kIdealized:
@@ -184,7 +155,7 @@ std::string repro_line(const FuzzCase& c, const FuzzOutcome& o) {
   // Durations are part of the case (the plan horizon derives from run_us),
   // so the repro carries them explicitly — a campaign run with non-default
   // lengths must replay with the same ones.
-  return std::string("fuzz_campaign --engine ") + engine_flag(c.system) +
+  return std::string("fuzz_campaign --engine ") + system_flag(c.system) +
          " --durability " + durability_flag(c.durability) + " --seed " +
          std::to_string(c.seed) + " --duration-us " +
          std::to_string(c.run_us) + " --drain-us " +

@@ -25,7 +25,7 @@
 namespace pocc::fault {
 
 struct FuzzCase {
-  cluster::SystemKind system = cluster::SystemKind::kPocc;
+  SystemKind system = SystemKind::kPocc;
   /// kWal runs fail-stop crashes through the real WAL recovery path
   /// (engine rebuild + log replay) instead of the idealized durable-store
   /// model. Digests are comparable within a mode, not across modes (a
@@ -63,11 +63,6 @@ struct FuzzOutcome {
 
 [[nodiscard]] FuzzOutcome run_fuzz_case(const FuzzCase& c);
 
-/// `--engine` spelling of a system (pocc / scalar_pocc / ha_pocc / cure).
-[[nodiscard]] const char* engine_flag(cluster::SystemKind k);
-/// Parse an `--engine` spelling; returns false on unknown names.
-[[nodiscard]] bool parse_engine(const std::string& name,
-                                cluster::SystemKind& out);
 /// `--durability` spelling of a mode (idealized / wal).
 [[nodiscard]] const char* durability_flag(cluster::DurabilityMode m);
 /// Parse a `--durability` spelling; returns false on unknown names.

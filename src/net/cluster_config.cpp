@@ -36,27 +36,6 @@ bool ClusterLayout::complete() const {
   return true;
 }
 
-const char* system_name(rt::System system) {
-  switch (system) {
-    case rt::System::kPocc:
-      return "pocc";
-    case rt::System::kCure:
-      return "cure";
-    case rt::System::kHaPocc:
-      return "ha";
-  }
-  return "?";
-}
-
-std::optional<rt::System> parse_system(const std::string& name) {
-  if (name == "pocc") return rt::System::kPocc;
-  if (name == "cure") return rt::System::kCure;
-  if (name == "ha" || name == "ha-pocc" || name == "hapocc") {
-    return rt::System::kHaPocc;
-  }
-  return std::nullopt;
-}
-
 namespace {
 
 bool fail(std::string* error, int line_no, const std::string& msg) {
@@ -283,27 +262,16 @@ std::optional<ClusterLayout> parse_cluster_config(std::istream& in,
         return std::nullopt;
       }
       ProcessSpec spec;
-      if (first.find('=') != std::string::npos) {
-        std::string why;
-        if (!parse_group_node(ls, first, &spec, &why)) {
-          fail(error, line_no, why);
-          return std::nullopt;
-        }
-      } else {
-        // Legacy positional form: node DC PART HOST:PORT.
-        std::uint64_t dc = 0;
-        std::uint64_t part = 0;
-        std::string addr;
-        if (!parse_u64(first, &dc) || !(ls >> part >> addr)) {
-          fail(error, line_no, "expected: node DC PART HOST:PORT");
-          return std::nullopt;
-        }
-        spec.dc = static_cast<DcId>(dc);
-        spec.parts = {static_cast<PartitionId>(part)};
-        if (!parse_host_port(addr, &spec.host, &spec.port)) {
-          fail(error, line_no, "bad address '" + addr + "'");
-          return std::nullopt;
-        }
+      if (first.find('=') == std::string::npos) {
+        fail(error, line_no,
+             "expected: node dc=N parts=P|P-Q|P,Q,... addr=HOST:PORT "
+             "[threads=T]");
+        return std::nullopt;
+      }
+      std::string why;
+      if (!parse_group_node(ls, first, &spec, &why)) {
+        fail(error, line_no, why);
+        return std::nullopt;
       }
       layout.processes.push_back(std::move(spec));
     } else {
@@ -351,7 +319,7 @@ std::string format_cluster_config(const ClusterLayout& layout) {
   std::ostringstream out;
   out << "dcs " << layout.topology.num_dcs << "\n";
   out << "partitions " << layout.topology.partitions_per_dc << "\n";
-  out << "system " << system_name(layout.system) << "\n";
+  out << "system " << system_flag(layout.system) << "\n";
   out << "scheme "
       << (layout.topology.partition_scheme == PartitionScheme::kHash
               ? "hash"
@@ -367,11 +335,6 @@ std::string format_cluster_config(const ClusterLayout& layout) {
   out << "put_dependency_wait "
       << (layout.protocol.put_dependency_wait ? 1 : 0) << "\n";
   for (const ProcessSpec& p : layout.processes) {
-    if (p.parts.size() == 1 && p.threads == 1) {
-      out << "node " << p.dc << " " << p.parts.front() << " " << p.host << ":"
-          << p.port << "\n";
-      continue;
-    }
     out << "node dc=" << p.dc << " parts=";
     // Contiguous runs render as a range, anything else as a list.
     bool contiguous = true;

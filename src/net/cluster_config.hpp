@@ -5,7 +5,7 @@
 //   # comment / blank lines ignored
 //   dcs 3
 //   partitions 2
-//   system pocc            # pocc | cure | ha
+//   system pocc            # pocc | cure | ha_pocc | scalar_pocc
 //   scheme hash            # hash | prefix (optional, default hash)
 //   heartbeat_us 1000      # optional ProtocolConfig overrides
 //   stabilization_us 5000
@@ -13,12 +13,11 @@
 //   block_timeout_us 500000
 //   ha_stabilization_us 100000
 //   put_dependency_wait 1
-//   # one line per PROCESS — either the multi-partition group form
+//   # one line per PROCESS: its DC, the partitions it hosts, its worker
+//   # threads (optional, default 1) and its listen address
 //   node dc=0 parts=0-1 threads=2 addr=127.0.0.1:7450
 //   node dc=1 parts=0-1 threads=2 addr=127.0.0.1:7451
 //   node dc=2 parts=0,1 threads=2 addr=127.0.0.1:7452
-//   # ... or the legacy one-partition-per-process form
-//   node 0 0 127.0.0.1:7450
 //
 // Every (dc, partition) pair must be hosted by exactly one process; a
 // process's partitions all belong to its one data center.
@@ -32,7 +31,7 @@
 
 #include "common/config.hpp"
 #include "common/types.hpp"
-#include "runtime/rt_cluster.hpp"
+#include "server/engine_factory.hpp"
 
 namespace pocc::net {
 
@@ -56,7 +55,7 @@ struct ProcessSpec {
 
 struct ClusterLayout {
   TopologyConfig topology;
-  rt::System system = rt::System::kPocc;
+  SystemKind system = SystemKind::kPocc;
   ProtocolConfig protocol;
   /// Per-node dial addresses (derived from `processes` when parsing; group
   /// members share their process's address). Kept because clients dial per
@@ -80,12 +79,7 @@ std::optional<ClusterLayout> load_cluster_config(const std::string& path,
                                                  std::string* error);
 
 /// Render `layout` in the config file format (used by tests and the e2e
-/// harness to generate deployments programmatically). Multi-partition or
-/// multi-threaded processes emit the group form, single-partition ones the
-/// legacy positional form.
+/// harness to generate deployments programmatically).
 std::string format_cluster_config(const ClusterLayout& layout);
-
-[[nodiscard]] const char* system_name(rt::System system);
-std::optional<rt::System> parse_system(const std::string& name);
 
 }  // namespace pocc::net

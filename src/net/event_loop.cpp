@@ -1,244 +1,35 @@
 #include "net/event_loop.hpp"
 
 #include <errno.h>
-#include <poll.h>
+#include <sys/epoll.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-
-#if defined(__linux__)
-#include <sys/epoll.h>
-#define POCC_HAVE_EPOLL 1
-#endif
-
-#if defined(__linux__) && __has_include(<linux/io_uring.h>)
-#include <linux/io_uring.h>
-#include <sys/mman.h>
-#include <sys/syscall.h>
-#if defined(__NR_io_uring_setup) && defined(__NR_io_uring_enter)
-#define POCC_HAVE_URING 1
-#endif
-#endif
 
 #include "common/assert.hpp"
-
-// Older uapi headers may predate the flags this backend relies on; the
-// values are kernel ABI, so defining them locally is exact.
-#if defined(POCC_HAVE_URING)
-#ifndef IORING_FEAT_SINGLE_MMAP
-#define IORING_FEAT_SINGLE_MMAP (1U << 0)
-#endif
-#ifndef IORING_FEAT_NODROP
-#define IORING_FEAT_NODROP (1U << 1)
-#endif
-#ifndef IORING_FEAT_EXT_ARG
-#define IORING_FEAT_EXT_ARG (1U << 8)
-#endif
-#ifndef IORING_FEAT_RSRC_TAGS
-#define IORING_FEAT_RSRC_TAGS (1U << 10)
-#endif
-#ifndef IORING_POLL_ADD_MULTI
-#define IORING_POLL_ADD_MULTI (1U << 0)
-#endif
-#ifndef IORING_CQE_F_MORE
-#define IORING_CQE_F_MORE (1U << 1)
-#endif
-#ifndef IORING_ENTER_EXT_ARG
-#define IORING_ENTER_EXT_ARG (1U << 3)
-#endif
-#ifndef IORING_SETUP_CQSIZE
-#define IORING_SETUP_CQSIZE (1U << 3)
-#endif
-#endif  // POCC_HAVE_URING
-
-#ifndef POLLRDHUP
-#define POLLRDHUP 0x2000
-#endif
 
 namespace pocc::net {
 
 namespace {
-
 constexpr std::size_t kMaxEventsPerWait = 256;
-
-// A process-wide override installed by set_default_backend() (CLI flags);
-// -1 = none. Read-mostly; relaxed is fine.
-std::atomic<int> g_backend_override{-1};
-
-EventLoop::Backend platform_default() {
-#if defined(POCC_HAVE_EPOLL)
-  return EventLoop::Backend::kEpoll;
-#else
-  return EventLoop::Backend::kPoll;
-#endif
-}
-
-#if defined(POCC_HAVE_URING)
-
-// Submission: (gen << 32) | fd tags every multishot POLL_ADD so a CQE from
-// a registration that was since canceled (fd recycled, interest changed)
-// is recognizably stale. POLL_REMOVE results carry kIgnoreUd and are
-// dropped on sight. fd is a nonnegative int, so the low word never reaches
-// 0xffffffff and the sentinel cannot collide.
-constexpr std::uint64_t kIgnoreUd = ~std::uint64_t{0};
-
-// Kernel ABI struct for IORING_ENTER_EXT_ARG waits (io_uring_getevents_arg);
-// defined locally so pre-5.11 uapi headers still compile this file.
-struct GetEventsArg {
-  std::uint64_t sigmask;
-  std::uint32_t sigmask_sz;
-  std::uint32_t pad;
-  std::uint64_t ts;
-};
-
-// EXT_ARG timeouts take a __kernel_timespec: 64-bit seconds AND nanoseconds
-// regardless of the libc timespec layout.
-struct KernelTimespec {
-  std::int64_t tv_sec;
-  std::int64_t tv_nsec;
-};
-
-int sys_io_uring_setup(unsigned entries, io_uring_params* p) {
-  return static_cast<int>(::syscall(__NR_io_uring_setup, entries, p));
-}
-
-long sys_io_uring_enter(int ring_fd, unsigned to_submit, unsigned min_complete,
-                        unsigned flags, const void* arg, std::size_t argsz) {
-  return ::syscall(__NR_io_uring_enter, ring_fd, to_submit, min_complete,
-                   flags, arg, argsz);
-}
-
-#endif  // POCC_HAVE_URING
-
 }  // namespace
 
-EventLoop::Backend EventLoop::default_backend() {
-  const int forced = g_backend_override.load(std::memory_order_relaxed);
-  if (forced >= 0) return static_cast<Backend>(forced);
-  // POCC_EVENT_BACKEND lets every existing harness (tests, e2e scripts,
-  // CI legs) exercise a backend without new plumbing. Parsed once.
-  static const Backend from_env = [] {
-    const char* e = std::getenv("POCC_EVENT_BACKEND");
-    if (e != nullptr) {
-      Backend b;
-      if (parse_backend(e, &b)) return b;
-      std::fprintf(stderr,
-                   "pocc: ignoring unknown POCC_EVENT_BACKEND '%s' "
-                   "(want epoll|poll|uring)\n",
-                   e);
-    }
-    return platform_default();
-  }();
-  return from_env;
+EventLoop::EventLoop() {
+  epoll_fd_ = ::epoll_create1(0);
+  POCC_ASSERT_MSG(epoll_fd_ >= 0, "epoll_create1 failed");
 }
 
-void EventLoop::set_default_backend(Backend backend) {
-  g_backend_override.store(static_cast<int>(backend),
-                           std::memory_order_relaxed);
-}
-
-bool EventLoop::parse_backend(const std::string& name, Backend* out) {
-  if (name == "epoll") {
-    *out = Backend::kEpoll;
-  } else if (name == "poll") {
-    *out = Backend::kPoll;
-  } else if (name == "uring") {
-    *out = Backend::kUring;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-const char* EventLoop::backend_name(Backend backend) {
-  switch (backend) {
-    case Backend::kEpoll:
-      return "epoll";
-    case Backend::kPoll:
-      return "poll";
-    case Backend::kUring:
-      return "uring";
-  }
-  return "?";
-}
-
-bool EventLoop::uring_available() {
-#if !defined(POCC_HAVE_URING)
-  return false;
-#else
-  // One throwaway ring per process answers both questions: does the
-  // kernel/seccomp profile accept the syscalls at all, and is it new
-  // enough for this backend's needs — EXT_ARG (5.11) for timed waits and
-  // multishot poll (5.13; no feature bit of its own, but RSRC_TAGS landed
-  // in the same release and works as a proxy).
-  static const bool available = [] {
-    io_uring_params p{};
-    const int fd = sys_io_uring_setup(4, &p);
-    if (fd < 0) return false;
-    ::close(fd);
-    return (p.features & IORING_FEAT_EXT_ARG) != 0 &&
-           (p.features & IORING_FEAT_RSRC_TAGS) != 0;
-  }();
-  return available;
-#endif
-}
-
-EventLoop::EventLoop(Backend backend) : backend_(backend) {
-  if (backend_ == Backend::kUring) {
-    if (uring_available() && uring_init(1024)) return;
-    // Graceful degradation, reported once: a kUring request on a kernel
-    // without it is a config choice, not a programming error.
-    static std::atomic<bool> warned{false};
-    if (!warned.exchange(true)) {
-      std::fprintf(stderr,
-                   "pocc: io_uring backend unavailable on this kernel, "
-                   "falling back to %s\n",
-                   backend_name(platform_default()));
-    }
-    backend_ = platform_default();
-  }
-#if defined(POCC_HAVE_EPOLL)
-  if (backend_ == Backend::kEpoll) {
-    epoll_fd_ = ::epoll_create1(0);
-    POCC_ASSERT_MSG(epoll_fd_ >= 0, "epoll_create1 failed");
-    return;
-  }
-#endif
-  // Platforms without epoll silently get the fallback even when kEpoll was
-  // requested — callers pick a backend for *testing*, not for semantics.
-  backend_ = Backend::kPoll;
-}
-
-EventLoop::~EventLoop() {
-  if (epoll_fd_ >= 0) ::close(epoll_fd_);
-  uring_teardown();
-}
-
-EventLoop::Interest& EventLoop::slot(int fd) {
-  const auto idx = static_cast<std::size_t>(fd);
-  if (idx >= interest_.size()) {
-    // Grow geometrically so a dial storm of ascending fds does not
-    // reallocate per connection; 100k fds is ~#fds * sizeof(Interest).
-    interest_.resize(std::max(idx + 1, interest_.size() * 2));
-  }
-  return interest_[idx];
-}
-
-const EventLoop::Interest* EventLoop::find_slot(int fd) const {
-  const auto idx = static_cast<std::size_t>(fd);
-  if (fd < 0 || idx >= interest_.size() || !interest_[idx].watched) {
-    return nullptr;
-  }
-  return &interest_[idx];
-}
+EventLoop::~EventLoop() { ::close(epoll_fd_); }
 
 void EventLoop::watch(int fd, bool read, bool write) {
   POCC_ASSERT(fd >= 0);
-  Interest& in = slot(fd);
+  const auto idx = static_cast<std::size_t>(fd);
+  if (idx >= interest_.size()) {
+    // Grow geometrically so a dial storm of ascending fds does not
+    // reallocate per connection.
+    interest_.resize(std::max(idx + 1, interest_.size() * 2));
+  }
+  Interest& in = interest_[idx];
   const bool known = in.watched;
   if (known && in.read == read && in.write == write) return;
   if (!known) {
@@ -247,444 +38,52 @@ void EventLoop::watch(int fd, bool read, bool write) {
   }
   in.read = read;
   in.write = write;
-#if defined(POCC_HAVE_EPOLL)
-  if (backend_ == Backend::kEpoll) {
-    epoll_event ev{};
-    ev.events = (read ? EPOLLIN : 0u) | (write ? EPOLLOUT : 0u) | EPOLLRDHUP;
-    ev.data.fd = fd;
-    int rc = ::epoll_ctl(epoll_fd_, known ? EPOLL_CTL_MOD : EPOLL_CTL_ADD, fd,
-                         &ev);
-    if (rc != 0 && errno == ENOENT) {
-      // The kernel dropped the registration behind our back (fd closed and
-      // the number recycled); re-add under the fresh identity.
-      rc = ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev);
-    } else if (rc != 0 && errno == EEXIST) {
-      rc = ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd, &ev);
-    }
-    POCC_ASSERT_MSG(rc == 0, "epoll_ctl failed");
-    return;
+  epoll_event ev{};
+  ev.events = (read ? EPOLLIN : 0u) | (write ? EPOLLOUT : 0u) | EPOLLRDHUP;
+  ev.data.fd = fd;
+  int rc =
+      ::epoll_ctl(epoll_fd_, known ? EPOLL_CTL_MOD : EPOLL_CTL_ADD, fd, &ev);
+  if (rc != 0 && errno == ENOENT) {
+    // The kernel dropped the registration behind our back (fd closed and
+    // the number recycled); re-add under the fresh identity.
+    rc = ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev);
+  } else if (rc != 0 && errno == EEXIST) {
+    rc = ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd, &ev);
   }
-#endif
-  if (backend_ == Backend::kUring) {
-    if (in.armed) {
-      // Interest changed under an armed multishot poll: cancel the old
-      // registration and rearm under a fresh generation so its in-flight
-      // CQEs are dropped as stale. armed goes false FIRST — the pushes can
-      // drain CQEs inline, and the drain handler must not rearm the old
-      // registration it is about to lose.
-      in.armed = false;
-      uring_push_poll_remove(fd, in);
-      ++in.gen;
-    }
-    uring_push_poll_add(fd, in);
-    in.armed = true;
-    return;
-  }
-  if (known) {
-    poll_update(fd, in);
-  } else {
-    poll_add(fd, in);
-  }
+  POCC_ASSERT_MSG(rc == 0, "epoll_ctl failed");
 }
 
 void EventLoop::unwatch(int fd) {
-  if (find_slot(fd) == nullptr) return;
-  Interest& in = interest_[static_cast<std::size_t>(fd)];
-  in.watched = false;
+  const auto idx = static_cast<std::size_t>(fd);
+  if (fd < 0 || idx >= interest_.size() || !interest_[idx].watched) return;
+  interest_[idx].watched = false;
   --watched_count_;
-#if defined(POCC_HAVE_EPOLL)
-  if (backend_ == Backend::kEpoll) {
-    epoll_event ev{};
-    // Failure is tolerated here (the caller may race a close), but the
-    // table stays exact either way.
-    (void)::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, &ev);
-    return;
-  }
-#endif
-  if (backend_ == Backend::kUring) {
-    if (in.armed) {
-      in.armed = false;
-      uring_push_poll_remove(fd, in);
-    }
-    // The generation bump outlives the slot: a recycled fd watched later
-    // must not resurrect CQEs from this registration.
-    ++in.gen;
-    return;
-  }
-  poll_remove(fd);
+  epoll_event ev{};
+  // Failure is tolerated here (the caller may race a close), but the table
+  // stays exact either way.
+  (void)::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, &ev);
 }
 
 std::size_t EventLoop::wait(int timeout_ms, std::vector<Event>& out) {
   out.clear();
-  ++wait_seq_;
-#if defined(POCC_HAVE_EPOLL)
-  if (backend_ == Backend::kEpoll) {
-    epoll_event evs[kMaxEventsPerWait];
-    const int n = ::epoll_wait(epoll_fd_, evs,
-                               static_cast<int>(kMaxEventsPerWait),
-                               timeout_ms);
-    if (n < 0) {
-      // EINTR: a signal landed mid-wait; the event set is unspecified, so
-      // report nothing and let the caller re-enter (satellite: never
-      // consume readiness state after an interrupted wait).
-      POCC_ASSERT_MSG(errno == EINTR, "epoll_wait failed");
-      return 0;
-    }
-    for (int i = 0; i < n; ++i) {
-      Event e;
-      e.fd = evs[i].data.fd;
-      e.readable = (evs[i].events & (EPOLLIN | EPOLLRDHUP)) != 0;
-      e.writable = (evs[i].events & EPOLLOUT) != 0;
-      e.error = (evs[i].events & (EPOLLERR | EPOLLHUP)) != 0;
-      out.push_back(e);
-    }
-    return out.size();
-  }
-#endif
-  if (backend_ == Backend::kUring) return wait_uring(timeout_ms, out);
-  return wait_poll(timeout_ms, out);
-}
-
-void EventLoop::emit_event(int fd, bool readable, bool writable, bool error,
-                           std::vector<Event>& out) {
-  const Interest* found = find_slot(fd);
-  if (found == nullptr) return;  // unwatched since the event was produced
-  auto& in = interest_[static_cast<std::size_t>(fd)];
-  // The fd check guards against a stamp that points into a *different*
-  // vector (an event deferred outside wait() vs the live `out`): merging is
-  // only valid when the indexed entry really is this fd's event.
-  if (in.seen_seq == wait_seq_ && in.out_index < out.size() &&
-      out[in.out_index].fd == fd) {
-    Event& ev = out[in.out_index];
-    ev.readable = ev.readable || readable;
-    ev.writable = ev.writable || writable;
-    ev.error = ev.error || error;
-    return;
-  }
-  in.seen_seq = wait_seq_;
-  in.out_index = static_cast<std::uint32_t>(out.size());
-  out.push_back(Event{fd, readable, writable, error});
-}
-
-// ---------------------------------------------------------------------------
-// kPoll: the pollfd array is maintained incrementally (swap-remove with an
-// index backlink in the interest slot) instead of being rebuilt from the
-// table on every wait — the kernel-side O(watched) scan is inherent to
-// poll(2), but the userspace one was not.
-
-void EventLoop::poll_add(int fd, const Interest& in) {
-  Interest& self = interest_[static_cast<std::size_t>(fd)];
-  self.pfd_index = static_cast<std::int32_t>(pfds_.size());
-  pfds_.push_back(pollfd{
-      fd,
-      static_cast<short>((in.read ? POLLIN : 0) | (in.write ? POLLOUT : 0)),
-      0});
-}
-
-void EventLoop::poll_update(int fd, const Interest& in) {
-  const Interest& self = interest_[static_cast<std::size_t>(fd)];
-  POCC_ASSERT(self.pfd_index >= 0 &&
-              static_cast<std::size_t>(self.pfd_index) < pfds_.size());
-  pfds_[static_cast<std::size_t>(self.pfd_index)].events =
-      static_cast<short>((in.read ? POLLIN : 0) | (in.write ? POLLOUT : 0));
-}
-
-void EventLoop::poll_remove(int fd) {
-  Interest& self = interest_[static_cast<std::size_t>(fd)];
-  POCC_ASSERT(self.pfd_index >= 0 &&
-              static_cast<std::size_t>(self.pfd_index) < pfds_.size());
-  const auto idx = static_cast<std::size_t>(self.pfd_index);
-  if (idx + 1 != pfds_.size()) {
-    pfds_[idx] = pfds_.back();
-    interest_[static_cast<std::size_t>(pfds_[idx].fd)].pfd_index =
-        static_cast<std::int32_t>(idx);
-  }
-  pfds_.pop_back();
-  self.pfd_index = -1;
-}
-
-std::size_t EventLoop::wait_poll(int timeout_ms, std::vector<Event>& out) {
-  const int n = ::poll(pfds_.data(), pfds_.size(), timeout_ms);
+  epoll_event evs[kMaxEventsPerWait];
+  const int n = ::epoll_wait(epoll_fd_, evs,
+                             static_cast<int>(kMaxEventsPerWait), timeout_ms);
   if (n < 0) {
-    // Same contract as the epoll path: on EINTR `revents` is unspecified
-    // and must not be consumed; anything else is a programming error.
-    POCC_ASSERT_MSG(errno == EINTR, "poll failed");
+    // EINTR: a signal landed mid-wait; the event set is unspecified, so
+    // report nothing and let the caller re-enter.
+    POCC_ASSERT_MSG(errno == EINTR, "epoll_wait failed");
     return 0;
   }
-  if (n == 0) return 0;
-  for (const pollfd& p : pfds_) {
-    if (p.revents == 0) continue;
+  for (int i = 0; i < n; ++i) {
     Event e;
-    e.fd = p.fd;
-    e.readable = (p.revents & POLLIN) != 0;
-    e.writable = (p.revents & POLLOUT) != 0;
-    e.error = (p.revents & (POLLERR | POLLHUP | POLLNVAL)) != 0;
+    e.fd = evs[i].data.fd;
+    e.readable = (evs[i].events & (EPOLLIN | EPOLLRDHUP)) != 0;
+    e.writable = (evs[i].events & EPOLLOUT) != 0;
+    e.error = (evs[i].events & (EPOLLERR | EPOLLHUP)) != 0;
     out.push_back(e);
   }
   return out.size();
 }
-
-// ---------------------------------------------------------------------------
-// kUring: readiness mode over raw syscalls. Each watched fd carries one
-// multishot IORING_OP_POLL_ADD; the kernel streams readiness into the
-// shared-memory CQ ring, so a wait() that finds CQEs posted consumes them
-// without entering the kernel at all.
-
-#if defined(POCC_HAVE_URING)
-
-bool EventLoop::uring_init(unsigned entries) {
-  io_uring_params p{};
-  // CQ sized well above SQ: multishot poll posts completions the kernel
-  // never waits for us to make room for, and NODROP handles the rest by
-  // backlogging (surfaced as EBUSY on submit, handled below).
-  p.flags = IORING_SETUP_CQSIZE;
-  p.cq_entries = entries * 8;
-  ring_fd_ = sys_io_uring_setup(entries, &p);
-  if (ring_fd_ < 0) return false;
-  sq_ring_bytes_ = p.sq_off.array + p.sq_entries * sizeof(unsigned);
-  cq_ring_bytes_ = p.cq_off.cqes + p.cq_entries * sizeof(io_uring_cqe);
-  const bool single_mmap = (p.features & IORING_FEAT_SINGLE_MMAP) != 0;
-  if (single_mmap) {
-    sq_ring_bytes_ = cq_ring_bytes_ = std::max(sq_ring_bytes_, cq_ring_bytes_);
-  }
-  sq_ring_ = ::mmap(nullptr, sq_ring_bytes_, PROT_READ | PROT_WRITE,
-                    MAP_SHARED | MAP_POPULATE, ring_fd_, IORING_OFF_SQ_RING);
-  if (sq_ring_ == MAP_FAILED) {
-    sq_ring_ = nullptr;
-    uring_teardown();
-    return false;
-  }
-  if (single_mmap) {
-    cq_ring_ = sq_ring_;
-  } else {
-    cq_ring_ = ::mmap(nullptr, cq_ring_bytes_, PROT_READ | PROT_WRITE,
-                      MAP_SHARED | MAP_POPULATE, ring_fd_, IORING_OFF_CQ_RING);
-    if (cq_ring_ == MAP_FAILED) {
-      cq_ring_ = nullptr;
-      uring_teardown();
-      return false;
-    }
-  }
-  sqes_bytes_ = p.sq_entries * sizeof(io_uring_sqe);
-  sqes_ = ::mmap(nullptr, sqes_bytes_, PROT_READ | PROT_WRITE,
-                 MAP_SHARED | MAP_POPULATE, ring_fd_, IORING_OFF_SQES);
-  if (sqes_ == MAP_FAILED) {
-    sqes_ = nullptr;
-    uring_teardown();
-    return false;
-  }
-  auto* sqb = static_cast<std::uint8_t*>(sq_ring_);
-  sq_head_ = reinterpret_cast<unsigned*>(sqb + p.sq_off.head);
-  sq_tail_ = reinterpret_cast<unsigned*>(sqb + p.sq_off.tail);
-  sq_mask_ = *reinterpret_cast<unsigned*>(sqb + p.sq_off.ring_mask);
-  sq_array_ = reinterpret_cast<unsigned*>(sqb + p.sq_off.array);
-  sq_entries_ = p.sq_entries;
-  auto* cqb = static_cast<std::uint8_t*>(cq_ring_);
-  cq_head_ = reinterpret_cast<unsigned*>(cqb + p.cq_off.head);
-  cq_tail_ = reinterpret_cast<unsigned*>(cqb + p.cq_off.tail);
-  cq_mask_ = *reinterpret_cast<unsigned*>(cqb + p.cq_off.ring_mask);
-  cqes_ = cqb + p.cq_off.cqes;
-  return true;
-}
-
-void EventLoop::uring_teardown() {
-  // Quiesce before closing: submit staged POLL_REMOVEs and reap their
-  // completions so ring exit has as little cancel work as possible — exit
-  // task-work lands on THIS task and would interrupt a later unrelated
-  // syscall with a spurious (contract-permitted, but noisy) EINTR.
-  if (ring_fd_ >= 0) {
-    uring_submit_pending();
-    std::vector<Event> discard;
-    uring_drain_cq(discard);
-  }
-  if (sqes_ != nullptr) ::munmap(sqes_, sqes_bytes_);
-  if (cq_ring_ != nullptr && cq_ring_ != sq_ring_) {
-    ::munmap(cq_ring_, cq_ring_bytes_);
-  }
-  if (sq_ring_ != nullptr) ::munmap(sq_ring_, sq_ring_bytes_);
-  if (ring_fd_ >= 0) ::close(ring_fd_);
-  sqes_ = nullptr;
-  cq_ring_ = nullptr;
-  sq_ring_ = nullptr;
-  ring_fd_ = -1;
-}
-
-void* EventLoop::uring_next_sqe() {
-  for (;;) {
-    const unsigned head = __atomic_load_n(sq_head_, __ATOMIC_ACQUIRE);
-    const unsigned tail = *sq_tail_;  // single producer: plain read
-    if (tail - head < sq_entries_) {
-      const unsigned idx = tail & sq_mask_;
-      auto* sqe = &static_cast<io_uring_sqe*>(sqes_)[idx];
-      std::memset(sqe, 0, sizeof(*sqe));
-      sq_array_[idx] = idx;
-      __atomic_store_n(sq_tail_, tail + 1, __ATOMIC_RELEASE);
-      ++to_submit_;
-      ++stats_.uring_sqes;
-      return sqe;
-    }
-    // SQ full mid-registration-storm: hand the backlog to the kernel. If
-    // it refuses with a CQ-overflow backlog (EBUSY), make room by draining
-    // completions into deferred_ — the next wait() delivers them — and
-    // nudge the overflow list back into the ring.
-    const unsigned before = to_submit_;
-    uring_submit_pending();
-    if (to_submit_ == before) {
-      uring_drain_cq(deferred_);
-      const long rc = sys_io_uring_enter(ring_fd_, 0, 0,
-                                         IORING_ENTER_GETEVENTS, nullptr, 0);
-      ++stats_.uring_enters;
-      POCC_ASSERT_MSG(rc >= 0 || errno == EINTR || errno == EBUSY ||
-                          errno == EAGAIN,
-                      "io_uring_enter(flush) failed");
-    }
-  }
-}
-
-void EventLoop::uring_push_poll_add(int fd, const Interest& in) {
-  const unsigned mask = (in.read ? (POLLIN | POLLRDHUP) : 0u) |
-                        (in.write ? POLLOUT : 0u);
-  auto* sqe = static_cast<io_uring_sqe*>(uring_next_sqe());
-  sqe->opcode = IORING_OP_POLL_ADD;
-  sqe->fd = fd;
-  sqe->poll32_events = mask;  // POLLERR/POLLHUP are always reported
-  sqe->len = IORING_POLL_ADD_MULTI;
-  sqe->user_data = (static_cast<std::uint64_t>(in.gen) << 32) |
-                   static_cast<std::uint32_t>(fd);
-}
-
-void EventLoop::uring_push_poll_remove(int fd, const Interest& in) {
-  auto* sqe = static_cast<io_uring_sqe*>(uring_next_sqe());
-  sqe->opcode = IORING_OP_POLL_REMOVE;
-  sqe->fd = -1;
-  sqe->addr = (static_cast<std::uint64_t>(in.gen) << 32) |
-              static_cast<std::uint32_t>(fd);
-  sqe->user_data = kIgnoreUd;
-}
-
-void EventLoop::uring_submit_pending() {
-  while (to_submit_ > 0) {
-    const long rc =
-        sys_io_uring_enter(ring_fd_, to_submit_, 0, 0, nullptr, 0);
-    ++stats_.uring_enters;
-    if (rc < 0) {
-      if (errno == EINTR) continue;  // submit-only: safe to retry
-      // EBUSY/EAGAIN: CQ overflow backlog — the staged SQEs stay in the
-      // ring (tail already advanced) and the next flush retries them.
-      POCC_ASSERT_MSG(errno == EBUSY || errno == EAGAIN,
-                      "io_uring_enter(submit) failed");
-      return;
-    }
-    to_submit_ -= std::min(to_submit_, static_cast<unsigned>(rc));
-    if (rc == 0) return;  // defensive: avoid spinning on a stuck ring
-  }
-}
-
-std::size_t EventLoop::uring_drain_cq(std::vector<Event>& out) {
-  std::size_t drained = 0;
-  for (;;) {
-    // cq_head_ is reloaded and republished PER ENTRY, and the CQE is
-    // copied out before processing: handling a completion can rearm (push
-    // an SQE), which on a full SQ reenters this drain — the ring indices
-    // must already be consistent at that point.
-    const unsigned head = *cq_head_;  // single consumer: plain read
-    const unsigned tail = __atomic_load_n(cq_tail_, __ATOMIC_ACQUIRE);
-    if (head == tail) break;
-    const io_uring_cqe cqe =
-        static_cast<const io_uring_cqe*>(cqes_)[head & cq_mask_];
-    __atomic_store_n(cq_head_, head + 1, __ATOMIC_RELEASE);
-    ++drained;
-    ++stats_.uring_cqes;
-    const std::uint64_t ud = cqe.user_data;
-    if (ud == kIgnoreUd) continue;  // POLL_REMOVE result
-    const int fd = static_cast<int>(ud & 0xffffffffu);
-    const auto gen = static_cast<std::uint32_t>(ud >> 32);
-    const Interest* in = find_slot(fd);
-    if (in == nullptr || in->gen != gen) continue;  // stale registration
-    if (cqe.res < 0) {
-      if (cqe.res == -ECANCELED) continue;
-      // e.g. -EBADF: surface as an error event; the caller closes and
-      // unwatches, so no rearm.
-      interest_[static_cast<std::size_t>(fd)].armed = false;
-      emit_event(fd, false, false, true, out);
-      continue;
-    }
-    const auto revents = static_cast<unsigned>(cqe.res);
-    emit_event(fd, (revents & (POLLIN | POLLRDHUP | POLLHUP)) != 0,
-               (revents & POLLOUT) != 0,
-               (revents & (POLLERR | POLLHUP)) != 0, out);
-    if ((cqe.flags & IORING_CQE_F_MORE) == 0 && in->armed) {
-      // Multishot terminated (kernel-side oneshot downgrade or POLLHUP
-      // finality); rearm under the same generation. `armed` is false only
-      // inside a watch/unwatch transition, which arms its own successor.
-      uring_push_poll_add(fd, *in);
-    }
-  }
-  return drained;
-}
-
-std::size_t EventLoop::wait_uring(int timeout_ms, std::vector<Event>& out) {
-  const std::uint64_t enters_before = stats_.uring_enters.load();
-  if (!deferred_.empty()) {
-    for (const Event& ev : deferred_) {
-      emit_event(ev.fd, ev.readable, ev.writable, ev.error, out);
-    }
-    deferred_.clear();
-  }
-  uring_drain_cq(out);
-  if (out.empty() && timeout_ms != 0) {
-    // Nothing buffered: one combined submit+wait enter. EXT_ARG carries
-    // the timeout so no userspace timerfd is needed.
-    KernelTimespec ts{};
-    GetEventsArg arg{};
-    unsigned flags = IORING_ENTER_GETEVENTS;
-    const void* argp = nullptr;
-    std::size_t argsz = 0;
-    if (timeout_ms > 0) {
-      ts.tv_sec = timeout_ms / 1000;
-      ts.tv_nsec = static_cast<std::int64_t>(timeout_ms % 1000) * 1'000'000;
-      arg.ts = reinterpret_cast<std::uintptr_t>(&ts);
-      flags |= IORING_ENTER_EXT_ARG;
-      argp = &arg;
-      argsz = sizeof(arg);
-    }
-    const long rc =
-        sys_io_uring_enter(ring_fd_, to_submit_, 1, flags, argp, argsz);
-    ++stats_.uring_enters;
-    if (rc < 0) {
-      // ETIME: the EXT_ARG timeout elapsed. EINTR: empty set, same
-      // contract as the other backends. EBUSY/EAGAIN: overflow backlog —
-      // the drain below consumes it.
-      POCC_ASSERT_MSG(errno == ETIME || errno == EINTR || errno == EBUSY ||
-                          errno == EAGAIN,
-                      "io_uring_enter(wait) failed");
-    } else {
-      // Interrupted-after-submit returns the consumed count instead of
-      // -EINTR; either way the wait phase may have been cut short.
-      to_submit_ -= std::min(to_submit_, static_cast<unsigned>(rc));
-    }
-    uring_drain_cq(out);
-  }
-  // Rearms staged by the drains (and poll-timeout==0 registrations) must
-  // reach the kernel before the caller blocks elsewhere.
-  if (to_submit_ > 0) uring_submit_pending();
-  if (!out.empty() && stats_.uring_enters.load() == enters_before) {
-    ++stats_.uring_no_syscall_waits;
-  }
-  return out.size();
-}
-
-#else  // !POCC_HAVE_URING — stubs; the constructor never selects kUring here.
-
-bool EventLoop::uring_init(unsigned) { return false; }
-void EventLoop::uring_teardown() {}
-void EventLoop::uring_push_poll_add(int, const Interest&) {}
-void EventLoop::uring_push_poll_remove(int, const Interest&) {}
-void* EventLoop::uring_next_sqe() { return nullptr; }
-void EventLoop::uring_submit_pending() {}
-std::size_t EventLoop::uring_drain_cq(std::vector<Event>&) { return 0; }
-std::size_t EventLoop::wait_uring(int, std::vector<Event>&) { return 0; }
-
-#endif  // POCC_HAVE_URING
 
 }  // namespace pocc::net

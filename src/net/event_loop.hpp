@@ -1,97 +1,36 @@
 // Readiness-notification seam of the TCP transport: one EventLoop per
-// transport shard, wrapping epoll(7) on Linux with a poll(2) fallback for
-// portability and an io_uring readiness backend (multishot poll) for the
-// high-connection path.
+// transport shard, a thin wrapper over epoll(7).
 //
 // The abstraction is deliberately thin — registration (watch/unwatch) plus
 // one blocking wait() — because the transport keeps its own per-connection
 // state and recomputes interest each loop pass; the EventLoop's job is to
-// turn that interest into O(ready) wakeups instead of the O(watched) scan
-// poll(2) does in the kernel on every call.
+// turn that interest into O(ready) wakeups, and to make re-watching an fd
+// with unchanged interest free (no syscall).
 //
-// Backend matrix:
-//   kEpoll — epoll(7); one epoll_wait syscall per pass, O(ready) wakeups.
-//   kPoll  — poll(2) over an incrementally-maintained pollfd array; the
-//            kernel still scans O(watched) per call, but userspace no
-//            longer rebuilds the array per wait.
-//   kUring — io_uring readiness mode: raw io_uring_setup/io_uring_enter
-//            syscalls (no liburing), IORING_OP_POLL_ADD with
-//            IORING_POLL_ADD_MULTI so each fd is armed once and the kernel
-//            streams readiness CQEs into the shared-memory completion
-//            ring. A wait() that finds CQEs already posted consumes them
-//            with ZERO syscalls — the wakeup-latency edge event_loop_bench
-//            measures. Runtime-detected (uring_available()); construction
-//            falls back to kEpoll when the kernel or seccomp denies it.
-//
-// Syscall discipline (scripts/check_syscalls.sh): every epoll_wait / poll /
-// io_uring_enter return value is checked here. EINTR yields an empty ready
-// set — the caller re-enters its loop and re-evaluates timers, which is
-// exactly what a spurious wakeup costs; any other failure asserts with the
-// errno, never consumes unspecified revents.
+// Syscall discipline (scripts/check_syscalls.sh): every epoll_wait return
+// value is checked here. EINTR yields an empty ready set — the caller
+// re-enters its loop and re-evaluates timers, which is exactly what a
+// spurious wakeup costs; any other failure asserts with the errno, never
+// consumes unspecified events.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <string>
 #include <vector>
-
-#include "stats/relaxed_counter.hpp"
-
-struct pollfd;  // <poll.h>; only the kPoll backend materializes these
 
 namespace pocc::net {
 
 class EventLoop {
  public:
-  enum class Backend {
-    kEpoll,  // Linux: epoll(7), O(ready) wakeups
-    kPoll,   // portable fallback: poll(2) over the registered set
-    kUring,  // io_uring multishot-poll readiness; falls back to kEpoll
-  };
-
-  /// Process default: the POCC_EVENT_BACKEND env override ("epoll" /
-  /// "poll" / "uring", parsed once) or a set_default_backend() call if
-  /// either names a usable backend, else kEpoll where the platform has it,
-  /// kPoll elsewhere.
-  [[nodiscard]] static Backend default_backend();
-
-  /// Override the process default (CLI flags). An unavailable kUring
-  /// request degrades to the platform default at construction, same as the
-  /// env override.
-  static void set_default_backend(Backend backend);
-
-  /// Parse "epoll" / "poll" / "uring" (case-sensitive). Returns false and
-  /// leaves `out` untouched on anything else.
-  static bool parse_backend(const std::string& name, Backend* out);
-
-  [[nodiscard]] static const char* backend_name(Backend backend);
-
-  /// True when this kernel accepts io_uring with multishot poll (probed
-  /// once per process with a throwaway ring; seccomp denials and pre-5.13
-  /// kernels report false).
-  [[nodiscard]] static bool uring_available();
-
   struct Event {
     int fd = -1;
     bool readable = false;
     bool writable = false;
-    /// POLLERR/POLLHUP-class condition. May accompany readable (pending
+    /// EPOLLERR/EPOLLHUP-class condition. May accompany readable (pending
     /// bytes are still delivered before EOF).
     bool error = false;
   };
 
-  /// Owner-thread counters, readable from the scrape thread (relaxed).
-  /// Only the kUring backend moves these; the transport sums them across
-  /// shards into TransportStats.
-  struct Stats {
-    stats::RelaxedU64 uring_enters;  // io_uring_enter syscalls issued
-    stats::RelaxedU64 uring_sqes;    // submission entries pushed
-    stats::RelaxedU64 uring_cqes;    // completion entries consumed
-    stats::RelaxedU64 uring_no_syscall_waits;  // waits served from the CQ
-                                               // ring without any syscall
-  };
-
-  explicit EventLoop(Backend backend = default_backend());
+  EventLoop();
   ~EventLoop();
 
   EventLoop(const EventLoop&) = delete;
@@ -102,89 +41,32 @@ class EventLoop {
   /// valid parked registration (error conditions still reported).
   void watch(int fd, bool read, bool write);
 
-  /// Drop `fd` from the set. Must be called before the fd is closed (a
-  /// closed fd's registration would otherwise go stale in the fallback
-  /// backend's table). No-op when the fd is not registered.
+  /// Drop `fd` from the set. Must be called before the fd is closed, so the
+  /// interest table never describes a recycled fd number. No-op when the fd
+  /// is not registered.
   void unwatch(int fd);
 
   /// Block up to `timeout_ms` (-1 = indefinitely, 0 = poll) and append the
-  /// ready fds to `out` (cleared first). Returns the number of events.
-  /// EINTR returns 0 — callers treat it as a timer-less spurious wakeup.
+  /// ready fds to `out` (cleared first), one event per fd. Returns the
+  /// number of events. EINTR returns 0 — callers treat it as a timer-less
+  /// spurious wakeup.
   std::size_t wait(int timeout_ms, std::vector<Event>& out);
 
-  [[nodiscard]] Backend backend() const { return backend_; }
   [[nodiscard]] std::size_t watched() const { return watched_count_; }
-  [[nodiscard]] const Stats& stats() const { return stats_; }
 
  private:
   // Flat fd-indexed interest table (grown lazily to the highest watched
-  // fd): the hot wait path at 100k connections does O(1) loads instead of
-  // hashing into an unordered_map per event.
+  // fd): the unchanged-interest check on the hot path is an O(1) load
+  // instead of a hash lookup.
   struct Interest {
     bool watched = false;
     bool read = false;
     bool write = false;
-    bool armed = false;        // kUring: a multishot POLL_ADD is in flight
-    std::int32_t pfd_index = -1;  // kPoll: slot in pfds_, -1 when absent
-    std::uint32_t gen = 0;     // kUring: stale-CQE guard across re-watch
-    std::uint64_t seen_seq = 0;   // wait()-local dedup stamp
-    std::uint32_t out_index = 0;  // index into `out` when seen_seq matches
   };
 
-  Interest& slot(int fd);
-  [[nodiscard]] const Interest* find_slot(int fd) const;
-
-  /// Append (or merge into) `out`, deduping by fd within one wait() pass —
-  /// multishot poll can post several CQEs for one fd between waits.
-  void emit_event(int fd, bool readable, bool writable, bool error,
-                  std::vector<Event>& out);
-
-  // kPoll: incremental pollfd maintenance (satellite: no per-wait rebuild).
-  void poll_add(int fd, const Interest& in);
-  void poll_update(int fd, const Interest& in);
-  void poll_remove(int fd);
-  std::size_t wait_poll(int timeout_ms, std::vector<Event>& out);
-
-  // kUring internals (no-ops unless backend_ == kUring).
-  bool uring_init(unsigned entries);
-  void uring_teardown();
-  void uring_push_poll_add(int fd, const Interest& in);
-  void uring_push_poll_remove(int fd, const Interest& in);
-  void* uring_next_sqe();  // flushes via io_uring_enter when the SQ is full
-  void uring_submit_pending();
-  std::size_t uring_drain_cq(std::vector<Event>& out);
-  std::size_t wait_uring(int timeout_ms, std::vector<Event>& out);
-
-  Backend backend_;
-  int epoll_fd_ = -1;  // kEpoll only
+  int epoll_fd_ = -1;
   std::vector<Interest> interest_;
   std::size_t watched_count_ = 0;
-  std::uint64_t wait_seq_ = 0;  // bumped per wait(); powers Event dedup
-  std::vector<pollfd> pfds_;    // kPoll: maintained by poll_add/update/remove
-
-  // kUring ring state. The SQ/CQ control blocks live in kernel-shared
-  // mmaps; these members cache the offsets resolved at setup time.
-  int ring_fd_ = -1;
-  void* sq_ring_ = nullptr;
-  std::size_t sq_ring_bytes_ = 0;
-  void* cq_ring_ = nullptr;  // == sq_ring_ under IORING_FEAT_SINGLE_MMAP
-  std::size_t cq_ring_bytes_ = 0;
-  void* sqes_ = nullptr;
-  std::size_t sqes_bytes_ = 0;
-  unsigned* sq_head_ = nullptr;
-  unsigned* sq_tail_ = nullptr;
-  unsigned sq_mask_ = 0;
-  unsigned sq_entries_ = 0;
-  unsigned* sq_array_ = nullptr;
-  unsigned* cq_head_ = nullptr;
-  unsigned* cq_tail_ = nullptr;
-  unsigned cq_mask_ = 0;
-  void* cqes_ = nullptr;
-  unsigned to_submit_ = 0;  // SQEs staged but not yet handed to the kernel
-  // Events surfaced while making SQ room outside wait() (registration
-  // storms); delivered at the head of the next wait().
-  std::vector<Event> deferred_;
-  Stats stats_;
 };
 
 }  // namespace pocc::net

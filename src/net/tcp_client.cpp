@@ -13,13 +13,13 @@ namespace pocc::net {
 
 TcpSession::TcpSession(ClientId id, DcId dc, TcpClientPool& pool)
     : engine_(id, dc, pool.layout().topology.num_dcs,
-              /*snapshot_rdv=*/pool.layout().system == rt::System::kCure),
+              /*snapshot_rdv=*/pool.layout().system == SystemKind::kCure),
       pool_(pool),
       res_(pool.resilience_),
       retry_rng_(0xc11e47ba0cf0ffULL ^ id) {
   history_.client = id;
   history_.dc = dc;
-  history_.snapshot_rdv = pool.layout().system == rt::System::kCure;
+  history_.snapshot_rdv = pool.layout().system == SystemKind::kCure;
 }
 
 void TcpSession::deliver(proto::Message m) {
@@ -34,125 +34,6 @@ void TcpSession::deliver(proto::Message m) {
   cv_.notify_all();
 }
 
-template <typename M>
-std::optional<M> TcpSession::await(std::uint64_t op_id, Duration timeout_us,
-                                   AwaitOutcome* outcome) {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::microseconds(timeout_us);
-  std::unique_lock lk(mu_);
-  while (true) {
-    if (closed_signal_) return std::nullopt;
-    if (reply_.has_value()) {
-      if (const M* m = std::get_if<M>(&*reply_); m != nullptr &&
-                                                 m->op_id == op_id &&
-                                                 m->client == id()) {
-        M out = std::move(*std::get_if<M>(&*reply_));
-        reply_.reset();
-        return out;
-      }
-      if (const auto* ov = std::get_if<proto::Overloaded>(&*reply_);
-          ov != nullptr && ov->op_id == op_id && outcome != nullptr) {
-        // The server refused this very attempt: end it now and let the
-        // retry loop pace itself by the server's hint.
-        outcome->overloaded = true;
-        outcome->retry_after_us = ov->retry_after_us;
-        reply_.reset();
-        return std::nullopt;
-      }
-      reply_.reset();  // stale answer to an abandoned operation
-    }
-    if (cv_.wait_until(lk, deadline) == std::cv_status::timeout &&
-        !reply_.has_value() && !closed_signal_) {
-      return std::nullopt;
-    }
-  }
-}
-
-template <typename Rep, typename Req>
-std::optional<Rep> TcpSession::run_op(const Req& req, PartitionId part,
-                                      Duration timeout_us) {
-  using Clock = std::chrono::steady_clock;
-  if (!res_.enabled) {
-    pool_.send_to_partition(part, proto::Message{req}, 0);
-    return await<Rep>(req.op_id, timeout_us);
-  }
-  // timeout_us is the op's DEADLINE: attempts, backoff and failover all
-  // happen inside it; past it the op fails (history keeps the unanswered
-  // request — acknowledged-writes accounting stays honest).
-  const auto deadline = Clock::now() + std::chrono::microseconds(timeout_us);
-  Duration ceiling = res_.backoff_min_us;
-  for (bool first = true;; first = false) {
-    auto now = Clock::now();
-    if (now >= deadline) {
-      ++rstats_.deadline_exhausted;
-      return std::nullopt;
-    }
-    if (breaker_open_until_[replica_] > now &&
-        breaker_open_until_[1 - replica_] <= now) {
-      // Breaker open on the preferred replica: fail over. When BOTH are
-      // open the send below acts as the half-open probe — the breaker
-      // bounds wasted work, it never blocks the only path forward.
-      replica_ = 1 - replica_;
-      ++rstats_.failovers;
-    }
-    if (!first) ++rstats_.retries;
-    const bool sent =
-        pool_.send_to_partition(part, proto::Message{req}, replica_);
-    AwaitOutcome oc;
-    std::optional<Rep> reply;
-    if (sent) {
-      const Duration remaining = static_cast<Duration>(
-          std::chrono::duration_cast<std::chrono::microseconds>(deadline - now)
-              .count());
-      reply = await<Rep>(req.op_id,
-                         std::min(res_.attempt_timeout_us, remaining), &oc);
-    }
-    if (reply.has_value()) {
-      consec_fail_[replica_] = 0;
-      return reply;
-    }
-    {
-      std::lock_guard lk(mu_);
-      if (closed_signal_) return std::nullopt;  // caller re-initializes
-    }
-    Duration floor = res_.backoff_min_us;
-    if (oc.overloaded) {
-      // Shed, not lost: the op never executed. Honor the server's pacing
-      // hint as the backoff floor; overload does not trip the breaker
-      // (the replica is alive and answering).
-      ++rstats_.overloaded;
-      floor = std::max(floor, oc.retry_after_us);
-    } else {
-      ++rstats_.timeouts;
-      if (++consec_fail_[replica_] >= res_.breaker_failures) {
-        breaker_open_until_[replica_] =
-            Clock::now() + std::chrono::microseconds(res_.breaker_open_us);
-        consec_fail_[replica_] = 0;
-        ++rstats_.breaker_opens;
-      }
-    }
-    // Full jitter: sleep uniform over [floor, max(floor, ceiling)], then
-    // double the ceiling. Capped by both the policy and the deadline.
-    const Duration span = std::max<Duration>(0, ceiling - floor);
-    Duration sleep_us =
-        floor + (span > 0
-                     ? static_cast<Duration>(retry_rng_.uniform(
-                           static_cast<std::uint64_t>(span) + 1))
-                     : 0);
-    ceiling = std::min(ceiling * 2, res_.backoff_max_us);
-    now = Clock::now();
-    const Duration left = static_cast<Duration>(
-        std::chrono::duration_cast<std::chrono::microseconds>(deadline - now)
-            .count());
-    if (left <= 0) {
-      ++rstats_.deadline_exhausted;
-      return std::nullopt;
-    }
-    std::this_thread::sleep_for(
-        std::chrono::microseconds(std::min(sleep_us, left)));
-  }
-}
-
 #if defined(__GNUC__) && !defined(__clang__)
 // GCC 12's -Wmaybe-uninitialized misfires on the variant move loop inside
 // vector reallocation when this function is fully inlined at -O2/-O3; the
@@ -161,7 +42,7 @@ std::optional<Rep> TcpSession::run_op(const Req& req, PartitionId part,
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #endif
 void TcpSession::record_session_closed() {
-  // §III-B client library behaviour, mirroring rt::Session / SimClient.
+  // §III-B client library behaviour, mirroring SimClient.
   {
     std::lock_guard lk(mu_);
     closed_signal_ = false;
@@ -174,36 +55,30 @@ void TcpSession::record_session_closed() {
 #pragma GCC diagnostic pop
 #endif
 
+void TcpSession::block_until_done() {
+  while (!pump()) {
+    auto until = async_.deadline;
+    if (async_.in_backoff) {
+      until = std::min(until, async_.backoff_until);
+    } else if (async_.sent) {
+      until = std::min(until, async_.attempt_deadline);
+    }
+    std::unique_lock lk(mu_);
+    cv_.wait_until(lk, until,
+                   [this] { return reply_.has_value() || closed_signal_; });
+  }
+}
+
 TcpSession::GetResult TcpSession::get(const std::string& key,
                                       Duration timeout_us) {
   return get_id(store::intern_key(key), timeout_us);
 }
 
 TcpSession::GetResult TcpSession::get_id(KeyId key, Duration timeout_us) {
-  proto::GetReq req = engine_.make_get(key);
-  req.op_id = ++op_seq_;
-  history_.events.push_back(req);
-  GetResult r;
-  auto reply =
-      run_op<proto::GetReply>(req, pool_.partition_of(key), timeout_us);
-  if (!reply.has_value()) {
-    std::unique_lock lk(mu_);
-    if (closed_signal_) {
-      lk.unlock();
-      record_session_closed();
-      r.session_closed = true;
-    }
-    return r;
-  }
-  history_.events.push_back(*reply);
-  engine_.absorb_get(*reply);
-  r.ok = true;
-  r.found = reply->item.found;
-  r.value = reply->item.value;
-  r.ut = reply->item.ut;
-  r.sr = reply->item.sr;
-  r.blocked_us = reply->blocked_us;
-  return r;
+  const bool started = start_get_id(key, timeout_us);
+  POCC_ASSERT_MSG(started, "blocking call while a pipelined op is in flight");
+  block_until_done();
+  return finish_get();
 }
 
 TcpSession::PutResult TcpSession::put(const std::string& key,
@@ -214,27 +89,10 @@ TcpSession::PutResult TcpSession::put(const std::string& key,
 
 TcpSession::PutResult TcpSession::put_id(KeyId key, std::string value,
                                          Duration timeout_us) {
-  proto::PutReq req = engine_.make_put(key, std::move(value));
-  req.op_id = ++op_seq_;
-  history_.events.push_back(req);
-  PutResult r;
-  auto reply =
-      run_op<proto::PutReply>(req, pool_.partition_of(key), timeout_us);
-  if (!reply.has_value()) {
-    std::unique_lock lk(mu_);
-    if (closed_signal_) {
-      lk.unlock();
-      record_session_closed();
-      r.session_closed = true;
-    }
-    return r;
-  }
-  history_.events.push_back(*reply);
-  engine_.absorb_put(*reply);
-  r.ok = true;
-  r.ut = reply->ut;
-  r.blocked_us = reply->blocked_us;
-  return r;
+  const bool started = start_put_id(key, std::move(value), timeout_us);
+  POCC_ASSERT_MSG(started, "blocking call while a pipelined op is in flight");
+  block_until_done();
+  return finish_put();
 }
 
 TcpSession::TxResult TcpSession::ro_tx(const std::vector<std::string>& keys,
@@ -247,27 +105,10 @@ TcpSession::TxResult TcpSession::ro_tx(const std::vector<std::string>& keys,
 
 TcpSession::TxResult TcpSession::ro_tx_ids(std::vector<KeyId> keys,
                                            Duration timeout_us) {
-  proto::RoTxReq req = engine_.make_ro_tx(std::move(keys));
-  req.op_id = ++op_seq_;
-  history_.events.push_back(req);
-  // The collocated server coordinates the transaction (§II-C): partition 0
-  // plays the role of the session's home node, as in rt::Session.
-  TxResult r;
-  auto reply = run_op<proto::RoTxReply>(req, 0, timeout_us);
-  if (!reply.has_value()) {
-    std::unique_lock lk(mu_);
-    if (closed_signal_) {
-      lk.unlock();
-      record_session_closed();
-      r.session_closed = true;
-    }
-    return r;
-  }
-  history_.events.push_back(*reply);
-  engine_.absorb_ro_tx(*reply);
-  r.ok = true;
-  r.items = std::move(reply->items);
-  return r;
+  const bool started = start_ro_tx_ids(std::move(keys), timeout_us);
+  POCC_ASSERT_MSG(started, "blocking call while a pipelined op is in flight");
+  block_until_done();
+  return finish_tx();
 }
 
 // ------------------------------------------- TcpSession (pipelined API) ----
@@ -290,9 +131,9 @@ std::optional<M> TcpSession::poll_reply(std::uint64_t op_id, bool* overloaded,
   }
   if (const auto* ov = std::get_if<proto::Overloaded>(&*reply_);
       ov != nullptr && ov->op_id == op_id && res_.enabled) {
-    // Same contract as the blocking await: the refusal ends this attempt
-    // and the server's hint paces the retry. (Ignored without resilience,
-    // matching the blocking single-attempt mode.)
+    // The refusal ends this attempt and the server's hint paces the retry.
+    // (Ignored without resilience: the single attempt waits out its
+    // timeout.)
     *overloaded = true;
     *retry_after_us = ov->retry_after_us;
   }
@@ -327,9 +168,8 @@ bool TcpSession::async_send_attempt() {
 }
 
 void TcpSession::async_schedule_backoff(Duration floor_us) {
-  // Full jitter over [floor, max(floor, ceiling)], ceiling doubling — the
-  // same policy as the blocking run_op, with the sleep replaced by a
-  // wall-clock gate the next pump() honors.
+  // Full jitter over [floor, max(floor, ceiling)], ceiling doubling; the
+  // sleep is a wall-clock gate the next pump() honors.
   const Duration span = std::max<Duration>(0, async_.ceiling - floor_us);
   const Duration sleep_us =
       floor_us + (span > 0 ? static_cast<Duration>(retry_rng_.uniform(
@@ -501,14 +341,14 @@ bool TcpSession::pump() {
   async_.first = false;
   if (!res_.enabled) {
     // Single attempt: wait out the full op timeout whether or not the
-    // transport took the frame (the blocking path behaves the same).
+    // transport took the frame.
     async_.attempt_deadline = async_.deadline;
     async_.sent = true;
     return false;
   }
   if (!sent) {
     // Transport refused (link down / over cap): count it as a failed
-    // attempt and back off, exactly like the blocking loop.
+    // attempt and back off.
     ++rstats_.timeouts;
     if (++consec_fail_[replica_] >= res_.breaker_failures) {
       breaker_open_until_[replica_] =

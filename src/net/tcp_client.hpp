@@ -1,14 +1,12 @@
 // Client-side endpoint of the TCP deployment: one pool per (process, data
 // center) holding a connection to every partition node of that DC, demuxing
-// replies to blocking sessions by client id. Used by pocc_loadgen and the
-// e2e tests.
+// replies to sessions by client id. Used by pocc_loadgen and the e2e tests.
 //
-// A Session mirrors rt::Session (client/client_engine.hpp drives the
-// protocol; requests go to the partition owning the key, RO-TXs to the
-// collocated partition-0 coordinator) and additionally records every
-// operation into a checker::SessionHistory, so a finished run can be
-// replayed through the HistoryChecker (checker/client_history.hpp) to verify
-// the deployment end to end.
+// A session drives the protocol through client/client_engine.hpp (requests
+// go to the partition owning the key, RO-TXs to the collocated partition-0
+// coordinator) and records every operation into a checker::SessionHistory,
+// so a finished run can be replayed through the HistoryChecker
+// (checker/client_history.hpp) to verify the deployment end to end.
 //
 // Client ids must be unique across the WHOLE deployment (all loadgen
 // processes), and each session must be driven by a single thread.
@@ -36,7 +34,7 @@ namespace pocc::net {
 class TcpClientPool;
 
 /// Client-side fault tolerance knobs. Disabled by default: an op makes one
-/// attempt and its timeout is simply the await bound (the pre-chaos
+/// attempt and its timeout is simply the reply wait bound (the pre-chaos
 /// behavior). Enabled, the op's timeout becomes a DEADLINE inside which the
 /// session retries the SAME op_id — with per-attempt timeouts, capped
 /// exponential backoff with full jitter, Overloaded-aware pacing, a
@@ -78,7 +76,8 @@ struct ClientResilienceStats {
   }
 };
 
-/// Blocking client session over TCP (sticky to the pool's DC).
+/// Client session over TCP (sticky to the pool's DC): blocking calls, and
+/// the pipelined start_*/pump/finish_* API they are built on.
 class TcpSession {
  public:
   struct GetResult {
@@ -102,6 +101,8 @@ class TcpSession {
     std::vector<proto::ReadItem> items;
   };
 
+  // --- Blocking API: start_*(), wait until pump() returns true, finish_*().
+  // Must not be called while a pipelined operation is in flight.
   GetResult get(const std::string& key, Duration timeout_us = 10'000'000);
   GetResult get_id(KeyId key, Duration timeout_us = 10'000'000);
   PutResult put(const std::string& key, const std::string& value,
@@ -123,10 +124,10 @@ class TcpSession {
   // outstanding ops (distinct sessions) at once.
   //
   // Sequence: start_*() once, then pump() until it returns true, then the
-  // matching finish_*(). pump() never blocks; it runs the same
-  // deadline/retry/backoff/breaker machinery as the blocking calls
-  // (including the non-resilient single-attempt mode). The driving thread
-  // must be the session's only one.
+  // matching finish_*(). pump() never blocks; it runs the session's
+  // deadline/retry/backoff/breaker machinery (including the non-resilient
+  // single-attempt mode). The driving thread must be the session's only
+  // one.
 
   /// False when an operation is already in flight.
   bool start_get(const std::string& key, Duration timeout_us = 10'000'000);
@@ -173,27 +174,14 @@ class TcpSession {
   TcpSession(ClientId id, DcId dc, TcpClientPool& pool);
 
   void deliver(proto::Message m);
-  /// Outcome flags of one await: an Overloaded reply for the awaited op
-  /// ends the attempt early with the server's pacing hint.
-  struct AwaitOutcome {
-    bool overloaded = false;
-    Duration retry_after_us = 0;
-  };
-  /// Wait for a reply matching `op_id` of message type M, discarding stale
-  /// replies. nullopt = timeout, session closed (closed_signal_ set), or
-  /// Overloaded (outcome->overloaded set).
-  template <typename M>
-  std::optional<M> await(std::uint64_t op_id, Duration timeout_us,
-                         AwaitOutcome* outcome = nullptr);
-  /// Send-and-await with the session's resilience policy (deadline, retry
-  /// of the same op_id, backoff, breaker, failover).
-  template <typename Rep, typename Req>
-  std::optional<Rep> run_op(const Req& req, PartitionId part,
-                            Duration timeout_us);
+  /// Block until pump() reports the in-flight op done: each wait is one
+  /// condition-variable wait, woken by a delivered reply or by the op's
+  /// next attempt, backoff or deadline instant.
+  void block_until_done();
   void record_session_closed();
 
-  // Pipelined-mode internals: the blocking run_op loop unrolled into a
-  // poll-driven state machine (one instance; sessions are serial).
+  // The operation state machine pump() drives (one instance; sessions are
+  // serial).
   enum class OpKind : std::uint8_t { kNone, kGet, kPut, kTx };
   struct AsyncOp {
     OpKind kind = OpKind::kNone;

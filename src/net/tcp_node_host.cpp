@@ -5,9 +5,6 @@
 #include <utility>
 
 #include "common/assert.hpp"
-#include "cure/cure_server.hpp"
-#include "ha/ha_pocc_server.hpp"
-#include "pocc/pocc_server.hpp"
 #include "store/key_space.hpp"
 
 namespace pocc::net {
@@ -38,7 +35,7 @@ TcpNodeHost::TcpNodeHost(ProcessSpec self, const ClusterLayout& layout,
               nullptr,
               [this](ConnId c) { on_disconnected(c); },
               [this] { on_tick(); },
-              // Driven mode: transport loop i IS worker i's thread — one
+              // Transport loop i IS worker i's thread — one
               // service pass per loop iteration, socket → decode → engine
               // with no cross-thread hop for pinned connections.
               [this](std::uint32_t loop) -> Timestamp {
@@ -48,7 +45,6 @@ TcpNodeHost::TcpNodeHost(ProcessSpec self, const ClusterLayout& layout,
           },
           [this] {
             TcpTransport::Options t;
-            t.backend = opt_.backend;
             t.tick_interval_us = opt_.batch.max_delay_us;
             // One event-loop shard per NodeGroup worker (same clamp the
             // group applies), so every worker has exactly one owning loop.
@@ -79,7 +75,6 @@ TcpNodeHost::TcpNodeHost(ProcessSpec self, const ClusterLayout& layout,
   group_opt.wal = wal_.get();
   group_opt.max_inbox_messages = opt_.max_inbox_messages;
   group_opt.registry = &registry_;
-  group_opt.driven = true;
   group_opt.wake = [this](std::uint32_t w) { transport_.wake_loop(w); };
   group_ = std::make_unique<rt::NodeGroup>(self_.dc, self_.parts, *this,
                                            group_opt);
@@ -87,24 +82,9 @@ TcpNodeHost::TcpNodeHost(ProcessSpec self, const ClusterLayout& layout,
                              ? 0
                              : group_->partitions().front();
 
-  group_->install_engines([this](NodeId id, server::Context& ctx)
-                              -> std::unique_ptr<server::ReplicaBase> {
-    switch (layout_.system) {
-      case rt::System::kPocc:
-        return std::make_unique<PoccServer>(id, layout_.topology,
-                                            layout_.protocol, ServiceConfig{},
-                                            ctx);
-      case rt::System::kCure:
-        return std::make_unique<CureServer>(id, layout_.topology,
-                                            layout_.protocol, ServiceConfig{},
-                                            ctx);
-      case rt::System::kHaPocc:
-        return std::make_unique<HaPoccServer>(id, layout_.topology,
-                                              layout_.protocol,
-                                              ServiceConfig{}, ctx);
-    }
-    POCC_ASSERT_MSG(false, "unknown system");
-    return nullptr;
+  group_->install_engines([this](NodeId id, server::Context& ctx) {
+    return make_engine(layout_.system, id, layout_.topology, layout_.protocol,
+                       ServiceConfig{}, ctx);
   });
 
   // Rebuild each engine from its durable image before anything can touch it
@@ -202,7 +182,7 @@ void TcpNodeHost::start(const std::vector<ProcessSpec>& peers) {
       log("metrics bind FAILED on " + opt_.metrics_addr);
     }
   }
-  group_->start();  // driven: marks started, spawns nothing
+  group_->start();  // marks started; the transport loops drive it
   transport_.start();
   log("serving " + std::to_string(self_.parts.size()) + " partitions on " +
       std::to_string(group_->threads()) + " workers, port " +
@@ -221,10 +201,9 @@ void TcpNodeHost::stop() {
   // Scrape endpoint first: its handlers read state the teardown below
   // dismantles.
   metrics_server_.stop();
-  // Driven mode inverts the old order: the transport loops ARE the worker
-  // threads, so they stop first (their exit pass drains the outboxes
-  // best-effort), then the group runs its final timer/durability pass on
-  // this thread.
+  // The transport loops ARE the worker threads, so they stop first (their
+  // exit pass drains the outboxes best-effort), then the group runs its
+  // final timer/durability pass on this thread.
   for (const auto& link : links_) link->batcher->flush();
   transport_.stop();
   group_->stop();
@@ -241,8 +220,7 @@ void TcpNodeHost::crash_stop() {
   // Deliberately NO batcher flush — staged replication frames die with the
   // process, exactly like kill -9. Same for the WAL tail: records past the
   // last group commit are discarded, not synced (no output depended on
-  // them; Slot held those back). Transport first: its loops own the workers
-  // in driven mode.
+  // them; Slot held those back). Transport first: its loops own the workers.
   transport_.stop();
   group_->stop();
   if (wal_ != nullptr) {
@@ -329,23 +307,11 @@ void TcpNodeHost::register_metrics() {
       {"pocc_transport_sendmsg_frames_total", &TransportStats::sendmsg_frames},
       {"pocc_transport_arena_hits_total", &TransportStats::arena_hits},
       {"pocc_transport_arena_misses_total", &TransportStats::arena_misses},
-      // io_uring backend accounting (all zero on kEpoll/kPoll):
-      // no_syscall_waits counts waits served straight from the CQ ring.
-      {"pocc_transport_uring_enters_total", &TransportStats::uring_enters},
-      {"pocc_transport_uring_sqes_total", &TransportStats::uring_sqes},
-      {"pocc_transport_uring_cqes_total", &TransportStats::uring_cqes},
-      {"pocc_transport_uring_no_syscall_waits_total",
-       &TransportStats::uring_no_syscall_waits},
   };
   for (const auto& f : kTransport) {
     r.counter_fn(f.name, {},
                  [this, field = f.field] { return transport_.stats().*field; });
   }
-  // Which readiness backend the transport shards run — the label carries the
-  // name, the value is a constant 1 (Prometheus *_info convention).
-  r.gauge_fn("pocc_transport_backend_info",
-             {{"backend", EventLoop::backend_name(opt_.backend)}},
-             [] { return 1; });
   // --- replication batching (summed over peer links) ---
   struct BatchField {
     const char* name;

@@ -1,17 +1,17 @@
-// One protocol PROCESS served over real TCP: since the multi-partition
-// runtime landed, a host carries every partition its ProcessSpec names —
-// all partitions of a data center in the standard 3-process deployment —
-// on an rt::NodeGroup worker pool. This is the building block of `poccd`
-// (one process per DC) and of the in-process e2e tests (several hosts, one
-// test process — same code path, real sockets either way).
+// One protocol PROCESS served over real TCP: a host carries every
+// partition its ProcessSpec names — all partitions of a data center in the
+// standard 3-process deployment — on an rt::NodeGroup. This is the
+// building block of `poccd` (one process per DC) and of the in-process e2e
+// tests (several hosts, one test process — same code path, real sockets
+// either way).
 //
 // Composition: a TcpTransport (sockets + framing + reconnect + flush tick)
-// feeding an rt::NodeGroup (partitions pinned to worker threads), with this
-// class as the rt::Router in between — where rt::Cluster moves a message
-// onto its in-memory delay line, this host stages it into the destination
-// link's LinkBatcher. The engines cannot tell the difference
-// (server::Context is identical), which is the point: the TCP deployment
-// runs the very same protocol code the simulator validates.
+// whose event loop i drives NodeGroup worker i, with this class as the
+// rt::Router in between: it stages each outbound message into the
+// destination link's LinkBatcher. The engines cannot tell the difference
+// from the simulator (server::Context is identical), which is the point:
+// the TCP deployment runs the very same protocol code the simulator
+// validates.
 //
 // Wire identity and addressing:
 //   * to each peer PROCESS this host keeps one persistent outbound
@@ -58,9 +58,6 @@ class TcpNodeHost final : public rt::Router {
     ClockConfig clock = ClockConfig::perfect();
     /// Replication coalescing thresholds (see BatchPolicy).
     BatchPolicy batch;
-    /// Readiness backend of the transport's event-loop shards (poccd
-    /// --event-backend; the default honors POCC_EVENT_BACKEND).
-    EventLoop::Backend backend = EventLoop::default_backend();
     /// Log connection events and dropped frames to stderr.
     bool verbose = false;
     /// Durable root: every hosted partition keeps its WAL + snapshots under

@@ -46,7 +46,7 @@ TcpTransport::TcpTransport(Callbacks callbacks, Options options)
   for (std::uint32_t i = 0; i < n; ++i) {
     auto s = std::make_unique<Shard>();
     s->index = i;
-    s->loop = std::make_unique<EventLoop>(opt_.backend);
+    s->loop = std::make_unique<EventLoop>();
     POCC_ASSERT(::pipe(s->wake_pipe) == 0);
     set_nonblocking(s->wake_pipe[0]);
     set_nonblocking(s->wake_pipe[1]);
@@ -357,18 +357,8 @@ bool TcpTransport::connected(ConnId conn) const {
 TransportStats TcpTransport::stats() const {
   TransportStats total;
   for (const auto& s : shards_) {
-    {
-      std::lock_guard lk(s->mu);
-      total += s->stats;
-    }
-    // EventLoop counters are relaxed atomics written by the loop thread;
-    // the loop outlives every scrape, so reading them outside the shard
-    // lock is safe and keeps the scrape off the hot path.
-    const EventLoop::Stats& ls = s->loop->stats();
-    total.uring_enters += ls.uring_enters.load();
-    total.uring_sqes += ls.uring_sqes.load();
-    total.uring_cqes += ls.uring_cqes.load();
-    total.uring_no_syscall_waits += ls.uring_no_syscall_waits.load();
+    std::lock_guard lk(s->mu);
+    total += s->stats;
   }
   return total;
 }
@@ -659,7 +649,7 @@ void TcpTransport::run(Shard& s) {
       }
     }
 
-    // Driven-host pass (outside the shard lock): service the NodeGroup
+    // NodeGroup pass (outside the shard lock): service the NodeGroup
     // worker this loop owns; its next engine timer bounds the sleep. Work
     // the pass produced (replies into this shard's outboxes) left a wake
     // in the pipe, so the wait below returns immediately.
@@ -752,11 +742,9 @@ void TcpTransport::run(Shard& s) {
       }
       if (accept_pending) accept_ready(s);
       // Optimistic flush: drain every queued outbox now instead of waiting
-      // for the next writable event. Multishot-poll readiness (kUring) is
-      // edge-like — a socket that stayed writable never re-posts a CQE — so
-      // write interest must mean "kernel buffer filled up", whose clearing
-      // IS a real edge; on epoll/poll this also saves one loop pass of
-      // latency per reply burst.
+      // for the next writable event, so write interest only ever means
+      // "kernel buffer filled up". This saves one loop pass of latency per
+      // reply burst.
       for (auto& [id, cp] : s.conns) {
         Conn& c = *cp;
         if (c.fd < 0 || !c.up || c.outbox_bytes == 0) continue;

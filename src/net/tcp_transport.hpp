@@ -3,9 +3,9 @@
 //
 // The transport runs Options::num_loops event-loop shards (default 1 — the
 // original single-threaded shape). Each shard owns one net::EventLoop
-// (epoll, poll(2) or io_uring — Options::backend), one wake pipe, one
-// SO_REUSEPORT listening socket, and a disjoint set of connections; a connection is
-// only ever touched by its shard's thread, other threads interact through
+// (epoll), one wake pipe, one SO_REUSEPORT listening socket, and a disjoint
+// set of connections; a connection is only ever touched by its shard's
+// thread, other threads interact through
 // the thread-safe send()/connect_peer() and the callbacks (invoked on the
 // owning shard's thread). Responsibilities:
 //
@@ -87,12 +87,6 @@ struct TransportStats {
   /// allocations (connection churn at 100k sockets lives or dies on this).
   std::uint64_t arena_hits = 0;
   std::uint64_t arena_misses = 0;
-  /// io_uring backend accounting, summed from the shard EventLoops (all
-  /// zero on kEpoll/kPoll).
-  std::uint64_t uring_enters = 0;
-  std::uint64_t uring_sqes = 0;
-  std::uint64_t uring_cqes = 0;
-  std::uint64_t uring_no_syscall_waits = 0;
   /// Chaos-injection accounting (zero unless set_chaos() armed a link).
   std::uint64_t chaos_delayed = 0;     // frames held before transmission
   std::uint64_t chaos_duplicates = 0;  // frames transmitted twice
@@ -113,10 +107,6 @@ struct TransportStats {
     sendmsg_frames += o.sendmsg_frames;
     arena_hits += o.arena_hits;
     arena_misses += o.arena_misses;
-    uring_enters += o.uring_enters;
-    uring_sqes += o.uring_sqes;
-    uring_cqes += o.uring_cqes;
-    uring_no_syscall_waits += o.uring_no_syscall_waits;
     chaos_delayed += o.chaos_delayed;
     chaos_duplicates += o.chaos_duplicates;
     chaos_resets += o.chaos_resets;
@@ -179,7 +169,7 @@ class TcpTransport {
   struct Callbacks {
     /// One decoded frame arrived on `conn`. Owning-shard-thread context:
     /// keep it short (enqueue and return) unless the host deliberately
-    /// drives engine work here (the driven NodeGroup mode).
+    /// drives engine work here (the NodeGroup seam).
     std::function<void(ConnId, proto::Frame)> on_frame;
     /// Outbound link established (first connect or reconnect), or inbound
     /// connection accepted.
@@ -192,7 +182,7 @@ class TcpTransport {
     /// message can wait for companions.
     std::function<void()> on_tick;
     /// Fired once per loop iteration on every shard, outside the shard
-    /// lock — the driven-NodeGroup seam: the host services the worker that
+    /// lock — the NodeGroup seam: the host services the worker that
     /// owns this loop (timers, inbox drain, durability) and returns the
     /// worker's next timer deadline (absolute steady µs; 0 = none), which
     /// bounds how long the loop may sleep.
@@ -207,9 +197,6 @@ class TcpTransport {
     /// Event-loop shards. 1 keeps the original single-threaded transport;
     /// poccd passes the NodeGroup worker count so loop i drives worker i.
     std::uint32_t num_loops = 1;
-    /// Readiness backend of every shard (tests exercise kPoll explicitly;
-    /// deployments keep the platform default).
-    EventLoop::Backend backend = EventLoop::default_backend();
     /// Per-connection cap on buffered unsent bytes (backpressure bound).
     std::size_t max_outbox_bytes = 64u << 20;
     /// Tighter cap applied while a link has no established socket: frames
@@ -309,7 +296,7 @@ class TcpTransport {
   [[nodiscard]] static std::uint32_t loop_of(ConnId conn) {
     return static_cast<std::uint32_t>(conn >> kShardShift);
   }
-  /// Interrupt shard `loop`'s wait (the driven NodeGroup's enqueue wake).
+  /// Interrupt shard `loop`'s wait (the NodeGroup's enqueue wake).
   void wake_loop(std::uint32_t loop);
   /// Native handles of the running loop threads (signal-storm tests aim
   /// pthread_kill at them). Valid between start() and stop().

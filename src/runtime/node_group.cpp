@@ -1,7 +1,6 @@
 #include "runtime/node_group.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -42,8 +41,7 @@ NodeGroup::NodeGroup(DcId dc, std::vector<PartitionId> parts, Router& router,
                                            {{"op", "ro_tx"}});
     }
   }
-  POCC_ASSERT_MSG(!opt_.driven || opt_.wake != nullptr,
-                  "driven mode needs a wake callback");
+  POCC_ASSERT_MSG(opt_.wake != nullptr, "a node group needs a wake callback");
 
   by_part_.assign(parts_.back() + 1, nullptr);
   for (std::size_t i = 0; i < parts_.size(); ++i) {
@@ -141,72 +139,43 @@ void NodeGroup::start() {
     POCC_ASSERT_MSG(slot->engine != nullptr,
                     "install_engines() must precede start()");
   }
-  started_ = true;
-  if (opt_.driven) return;  // the owning event loops call service()
-  for (auto& w : workers_) {
-    w->thread = std::thread([this, worker = w.get()] { run_worker(*worker); });
-  }
+  started_ = true;  // the driving threads call service()
 }
 
 void NodeGroup::stop() {
   if (!started_ || stopped_) return;
   stopped_ = true;
-  if (opt_.driven) {
-    // The owning loops have already been joined (the host stops the
-    // transport first), so this thread is now each worker's sole toucher.
-    // One final pass per worker drains what the loops left behind and
-    // flushes unsynced WAL tails — the same exit-time flush the
-    // thread-per-worker mode performs in run_worker.
-    for (auto& w : workers_) service(w->index);
-    return;
-  }
-  for (auto& w : workers_) {
-    {
-      std::lock_guard lk(w->mu);
-      w->stopping = true;
-    }
-    w->cv.notify_all();
-  }
-  for (auto& w : workers_) {
-    if (w->thread.joinable()) w->thread.join();
-  }
+  // The driving threads have already stopped (the host stops the transport
+  // first), so this thread is now each worker's sole toucher. One final
+  // pass per worker drains what they left behind and flushes unsynced WAL
+  // tails.
+  for (auto& w : workers_) service(w->index);
 }
 
-void NodeGroup::enqueue(NodeId from, NodeId to, proto::Message m) {
+bool NodeGroup::push(NodeId from, NodeId to, proto::Message& m,
+                     bool admission) {
   POCC_ASSERT_MSG(hosts(to),
                   "enqueue for a partition this group does not host");
   Slot* slot = by_part_[to.part];
   Worker& w = *slot->worker;
   {
     std::lock_guard lk(w.mu);
-    w.inbox.push_back(Incoming{from, slot, std::move(m)});
-  }
-  if (opt_.driven) {
-    opt_.wake(w.index);
-  } else {
-    w.cv.notify_one();
-  }
-}
-
-bool NodeGroup::try_enqueue(NodeId from, NodeId to, proto::Message m) {
-  POCC_ASSERT_MSG(hosts(to),
-                  "enqueue for a partition this group does not host");
-  Slot* slot = by_part_[to.part];
-  Worker& w = *slot->worker;
-  {
-    std::lock_guard lk(w.mu);
-    if (opt_.max_inbox_messages > 0 &&
+    if (admission && opt_.max_inbox_messages > 0 &&
         w.inbox.size() >= opt_.max_inbox_messages) {
       return false;
     }
     w.inbox.push_back(Incoming{from, slot, std::move(m)});
   }
-  if (opt_.driven) {
-    opt_.wake(w.index);
-  } else {
-    w.cv.notify_one();
-  }
+  opt_.wake(w.index);
   return true;
+}
+
+void NodeGroup::enqueue(NodeId from, NodeId to, proto::Message m) {
+  push(from, to, m, /*admission=*/false);
+}
+
+bool NodeGroup::try_enqueue(NodeId from, NodeId to, proto::Message m) {
+  return push(from, to, m, /*admission=*/true);
 }
 
 std::size_t NodeGroup::inbox_depth(PartitionId part) const {
@@ -244,7 +213,7 @@ Timestamp NodeGroup::service(std::uint32_t worker) {
   Worker& w = *workers_[worker];
   // Engine timer arming (start()) must run on the owner thread: it calls
   // set_timer, which touches this worker's heap. Lazily on the first pass
-  // so driven loops need no separate startup hook.
+  // so driving threads need no separate startup hook.
   if (!w.engines_started) {
     w.engines_started = true;
     for (Slot* slot : w.slots) slot->engine->start();
@@ -267,7 +236,6 @@ Timestamp NodeGroup::service(std::uint32_t worker) {
     bool drained = false;
     {
       std::lock_guard lk(w.mu);
-      if (w.stopping) break;
       if (!w.inbox.empty()) {
         // Swap-drain: take the whole backlog in ONE lock cycle instead of
         // a mutex round-trip per message — a 64-message Batch frame
@@ -306,23 +274,6 @@ Timestamp NodeGroup::service(std::uint32_t worker) {
     for (Slot* slot : w.slots) slot->flush_durability();
   }
   return w.timers.empty() ? 0 : w.timers.top().at;
-}
-
-void NodeGroup::run_worker(Worker& w) {
-  while (true) {
-    const Timestamp next = service(w.index);
-    std::unique_lock lk(w.mu);
-    if (w.stopping) break;
-    if (!w.inbox.empty()) continue;  // raced a producer; go again
-    if (next == 0) {
-      w.cv.wait(lk, [&w] { return w.stopping || !w.inbox.empty(); });
-    } else {
-      const auto deadline = std::chrono::steady_clock::now() +
-                            std::chrono::microseconds(next - steady_now_us());
-      w.cv.wait_until(lk, deadline,
-                      [&w] { return w.stopping || !w.inbox.empty(); });
-    }
-  }
 }
 
 }  // namespace pocc::rt

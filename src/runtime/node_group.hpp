@@ -1,38 +1,37 @@
-// Multi-partition, multi-threaded runtime host: every partition engine of
-// one data center lives in ONE process, pinned onto a pool of worker
-// threads. This is the DC-scale generalization of rt::RtNode (one thread =
-// one engine), and what a `poccd` process hosts since the 3-process
-// deployment (one process per DC) replaced the one-process-per-partition
-// layout.
+// Multi-partition runtime host: every partition engine of one data center
+// lives in ONE process, pinned onto a set of workers. This is what a
+// `poccd` process hosts (one process per DC).
 //
 // Threading model (docs/ARCHITECTURE.md, "Threading model"):
+//   * the group spawns NO threads. Each worker is driven by a thread its
+//     owner supplies, which calls service(w) whenever Options::wake(w)
+//     fires or the worker's next timer comes due (the sharded TCP
+//     transport runs worker w on event loop w: socket → decode → engine
+//     with zero cross-thread hops for pinned connections);
 //   * partitions are THREAD-AFFINE: partition p is served by worker
 //     p mod M forever — an engine's state (PartitionStore, VV, parking lot)
-//     is only ever touched by its worker, so the protocol hot path takes no
-//     locks beyond each worker's inbox mutex;
+//     is only ever touched by its worker's driving thread, so the protocol
+//     hot path takes no locks beyond each worker's inbox mutex;
 //   * each worker owns one MPSC inbox (common::Ring under a mutex — the same
-//     ring the simulator's CpuQueue uses) fed by the TCP transport thread
-//     and by sibling workers;
+//     ring the simulator's CpuQueue uses) fed by the transport threads and
+//     by sibling workers;
 //   * cross-partition messages between two partitions of the group never
 //     touch a socket: Slot::send() detects a locally-hosted destination and
 //     pushes straight into the target worker's inbox (the intra-DC
 //     SliceReq/GC/stabilization traffic of Alg. 2 becomes a queue push);
-//   * timers are per-worker (armed and fired only on the owning worker
-//     thread, like rt::RtNode).
+//   * timers are per-worker (armed and fired only on the driving thread).
 //
 // Everything leaving the group — messages to other processes and client
-// replies — flows through the rt::Router seam, exactly as with RtNode; the
-// TCP host batches those per peer link (net/tcp_node_host.hpp).
+// replies — flows through the rt::Router seam; the TCP host batches those
+// per peer link (net/tcp_node_host.hpp).
 #pragma once
 
-#include <condition_variable>
 #include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <queue>
-#include <thread>
 #include <vector>
 
 #include "clock/physical_clock.hpp"
@@ -62,8 +61,8 @@ struct NodeGroupStats {
 class NodeGroup {
  public:
   struct Options {
-    /// Worker threads the partitions are pinned onto (clamped to the number
-    /// of partitions; 0 means one worker per partition).
+    /// Workers the partitions are pinned onto (clamped to the number of
+    /// partitions; 0 means one worker per partition).
     std::uint32_t threads = 1;
     ClockConfig clock = ClockConfig::perfect();
     std::uint64_t seed = 1;
@@ -82,15 +81,8 @@ class NodeGroup {
     /// refused; enqueue() — server-to-server traffic whose loss would
     /// violate the lossless FIFO channel assumption — always delivers.
     std::size_t max_inbox_messages = 0;
-    /// Driven mode: the group spawns NO worker threads. An external event
-    /// loop owns each worker and calls service(w) from its thread (the
-    /// sharded TCP transport runs worker w on loop w: socket → decode →
-    /// engine with zero cross-thread hops for pinned connections). enqueue
-    /// from a foreign thread then signals readiness through `wake` instead
-    /// of a condition variable.
-    bool driven = false;
-    /// Driven mode only: called (possibly from any thread, including the
-    /// worker's own) when worker `w` gained inbox work and its loop must
+    /// Required: called (possibly from any thread, including the worker's
+    /// own) when worker `w` gained inbox work and its driving thread must
     /// schedule a service(w) pass.
     std::function<void(std::uint32_t)> wake;
     /// When set, each worker registers one shard of the server-side
@@ -117,6 +109,9 @@ class NodeGroup {
   void install_engines(const EngineFactory& make);
 
   void start();
+  /// Final drain: one last service pass per worker, flushing unsynced WAL
+  /// tails. Call after every driving thread has stopped — the caller
+  /// becomes each worker's sole toucher.
   void stop();
 
   [[nodiscard]] DcId dc() const { return dc_; }
@@ -132,7 +127,7 @@ class NodeGroup {
   }
 
   /// Deliver one message to a hosted partition (thread-safe; the TCP host
-  /// calls this from the transport thread, workers from each other).
+  /// calls this from the transport threads, workers from each other).
   void enqueue(NodeId from, NodeId to, proto::Message m);
 
   /// Admission-controlled variant for droppable work (client requests):
@@ -141,17 +136,16 @@ class NodeGroup {
   /// owns the refusal path (an Overloaded reply). Thread-safe.
   [[nodiscard]] bool try_enqueue(NodeId from, NodeId to, proto::Message m);
 
-  /// Driven mode: run one scheduling pass of worker `w` — fire due timers,
-  /// drain the inbox to empty (group-committing per drained batch), flush
-  /// durability — and return the earliest pending timer deadline (0 = none)
-  /// so the owning loop can bound its sleep. MUST always be called from the
+  /// Run one scheduling pass of worker `w` — fire due timers, drain the
+  /// inbox to empty (group-committing per drained batch), flush durability
+  /// — and return the earliest pending timer deadline (0 = none) so the
+  /// driving thread can bound its sleep. MUST always be called from the
   /// same thread per worker (that thread becomes the worker's owner; the
-  /// engines and timer heap are touched from it exclusively). Also the
-  /// internal core of the thread-per-worker mode.
+  /// engines and timer heap are touched from it exclusively).
   Timestamp service(std::uint32_t worker);
 
-  /// Index of the worker thread/loop that owns `part` (stable for the
-  /// group's lifetime — the pinning target for inbound client connections).
+  /// Index of the worker that owns `part` (stable for the group's lifetime
+  /// — the pinning target for inbound client connections).
   [[nodiscard]] std::uint32_t worker_of(PartitionId part) const;
 
   /// Current depth of the worker inbox serving `part` (thread-safe; a
@@ -163,7 +157,7 @@ class NodeGroup {
   server::ReplicaBase& engine(PartitionId part);
 
   /// Sum over all hosted engines. Only stable after stop() — engine counters
-  /// belong to their worker threads while running.
+  /// belong to their driving threads while running.
   [[nodiscard]] NodeGroupStats stats() const;
 
   /// Cross-partition messages delivered in-process so far (thread-safe).
@@ -230,9 +224,7 @@ class NodeGroup {
   struct Worker {
     std::uint32_t index = 0;
     std::mutex mu;
-    std::condition_variable cv;
     common::Ring<Incoming> inbox;  // MPSC: any thread pushes, owner pops
-    bool stopping = false;
     // Armed and fired exclusively on this worker's owner thread, as is
     // everything below (no lock).
     std::priority_queue<Timer, std::vector<Timer>, std::greater<>> timers;
@@ -245,10 +237,11 @@ class NodeGroup {
     stats::HistogramCell* lat_get = nullptr;
     stats::HistogramCell* lat_put = nullptr;
     stats::HistogramCell* lat_tx = nullptr;
-    std::thread thread;  // empty in driven mode
   };
 
-  void run_worker(Worker& w);
+  /// Push into the owning worker's inbox and wake it; false (message
+  /// untouched) when `admission` and the inbox is at the cap.
+  bool push(NodeId from, NodeId to, proto::Message& m, bool admission);
 
   DcId dc_;
   std::vector<PartitionId> parts_;

@@ -1,9 +1,6 @@
 #include "runtime/rt_node.hpp"
 
 #include <chrono>
-#include <utility>
-
-#include "common/assert.hpp"
 
 namespace pocc::rt {
 
@@ -16,88 +13,6 @@ Timestamp steady_now_us() {
   return std::chrono::duration_cast<std::chrono::microseconds>(
              std::chrono::steady_clock::now() - kEpoch)
       .count();
-}
-
-RtNode::RtNode(NodeId self, Router& router, const ClockConfig& clock_cfg,
-               Rng& seeder)
-    : self_(self), router_(router), clock_(clock_cfg, seeder) {}
-
-RtNode::~RtNode() { stop(); }
-
-void RtNode::install_engine(std::unique_ptr<server::ReplicaBase> engine) {
-  POCC_ASSERT(engine_ == nullptr);
-  engine_ = std::move(engine);
-}
-
-void RtNode::start() {
-  POCC_ASSERT(engine_ != nullptr);
-  thread_ = std::thread([this] { run(); });
-}
-
-void RtNode::stop() {
-  {
-    std::lock_guard lk(mu_);
-    if (stopping_) {
-      if (thread_.joinable()) thread_.join();
-      return;
-    }
-    stopping_ = true;
-  }
-  cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
-}
-
-void RtNode::enqueue(NodeId from, proto::Message m) {
-  {
-    std::lock_guard lk(mu_);
-    inbox_.push_back(Incoming{from, std::move(m)});
-  }
-  cv_.notify_all();
-}
-
-void RtNode::send(NodeId to, proto::Message m) {
-  router_.route(self_, to, std::move(m));
-}
-
-void RtNode::reply(ClientId client, proto::Message m) {
-  router_.route_to_client(self_, client, std::move(m));
-}
-
-void RtNode::set_timer(Duration delay, std::uint64_t timer_id) {
-  // Only ever called from the node thread (within a handler); no lock needed.
-  timers_.push(Timer{steady_now_us() + delay, timer_id});
-}
-
-void RtNode::run() {
-  engine_->start();
-  std::unique_lock lk(mu_);
-  while (true) {
-    // Fire due timers first (engine calls run unlocked; the engine is only
-    // ever touched from this thread).
-    while (!timers_.empty() && timers_.top().at <= steady_now_us()) {
-      const std::uint64_t id = timers_.top().id;
-      timers_.pop();
-      lk.unlock();
-      engine_->on_timer(id);
-      lk.lock();
-    }
-    if (stopping_) break;
-    if (!inbox_.empty()) {
-      Incoming in = std::move(inbox_.front());
-      inbox_.pop_front();
-      lk.unlock();
-      engine_->handle_message(in.from, std::move(in.msg));
-      lk.lock();
-      continue;
-    }
-    if (timers_.empty()) {
-      cv_.wait(lk, [this] { return stopping_ || !inbox_.empty(); });
-    } else {
-      const auto deadline = kEpoch + std::chrono::microseconds(timers_.top().at);
-      cv_.wait_until(lk, deadline,
-                     [this] { return stopping_ || !inbox_.empty(); });
-    }
-  }
 }
 
 }  // namespace pocc::rt

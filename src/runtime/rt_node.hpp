@@ -1,99 +1,25 @@
-// Threaded runtime host: one OS thread per server node, driving the very same
-// protocol engines as the discrete-event host. Used by the examples, the
-// wall-clock integration tests and — through the Router seam — the TCP
-// deployment (net/tcp_node_host.hpp): the node thread is identical whether
-// its messages cross a mutex (rt::Cluster) or a socket (poccd).
+// The wall-clock runtime's two shared seams: the process-wide monotonic
+// time base every engine clock, timer and transport backoff reads, and the
+// Router that carries a node's outbound messages out of its host
+// (net/tcp_node_host.hpp encodes them onto sockets).
 #pragma once
 
-#include <condition_variable>
-#include <cstdint>
-#include <deque>
-#include <memory>
-#include <mutex>
-#include <queue>
-#include <thread>
-#include <variant>
-
-#include "clock/physical_clock.hpp"
-#include "common/config.hpp"
 #include "common/types.hpp"
 #include "proto/messages.hpp"
-#include "server/context.hpp"
-#include "server/replica_base.hpp"
 
 namespace pocc::rt {
 
 /// Wall-clock microseconds on a monotonic clock, shared by every node.
 Timestamp steady_now_us();
 
-/// Where a node's outbound messages go. The in-process rt::Cluster routes
-/// them onto its delay line; the TCP host encodes them onto sockets. `from`
-/// is always the sending node (kept explicit so a router can serve several
-/// nodes).
+/// Where a node's outbound messages go. `from` is always the sending node
+/// (kept explicit so a router can serve several nodes).
 class Router {
  public:
   virtual ~Router() = default;
   virtual void route(NodeId from, NodeId to, proto::Message m) = 0;
   virtual void route_to_client(NodeId from, ClientId client,
                                proto::Message m) = 0;
-};
-
-class RtNode final : public server::Context {
- public:
-  RtNode(NodeId self, Router& router, const ClockConfig& clock_cfg,
-         Rng& seeder);
-  ~RtNode() override;
-
-  RtNode(const RtNode&) = delete;
-  RtNode& operator=(const RtNode&) = delete;
-
-  void install_engine(std::unique_ptr<server::ReplicaBase> engine);
-  void start();
-  void stop();
-
-  [[nodiscard]] NodeId id() const { return self_; }
-  /// Engine access for post-shutdown inspection (not thread-safe while
-  /// running).
-  server::ReplicaBase& engine() { return *engine_; }
-
-  /// Enqueue a message for this node's thread.
-  void enqueue(NodeId from, proto::Message m);
-
-  // --- server::Context (called only from this node's thread) ---
-  Timestamp clock_now() override { return clock_.read(steady_now_us()); }
-  Timestamp clock_peek() override { return clock_.peek(steady_now_us()); }
-  Timestamp time() override { return steady_now_us(); }
-  void send(NodeId to, proto::Message m) override;
-  void reply(ClientId client, proto::Message m) override;
-  void set_timer(Duration delay, std::uint64_t timer_id) override;
-
- private:
-  struct Incoming {
-    NodeId from;
-    proto::Message msg;
-  };
-  struct Timer {
-    Timestamp at;
-    std::uint64_t id;
-    bool operator>(const Timer& o) const { return at > o.at; }
-  };
-
-  void run();
-
-  NodeId self_;
-  Router& router_;
-  PhysicalClock clock_;
-  std::unique_ptr<server::ReplicaBase> engine_;
-
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<Incoming> inbox_;
-  bool stopping_ = false;
-
-  // Timers are armed and fired exclusively on the node thread.
-  std::priority_queue<Timer, std::vector<Timer>, std::greater<>> timers_;
-
-  std::thread thread_;
 };
 
 }  // namespace pocc::rt

@@ -5,7 +5,8 @@
 // environmental flows through this interface, implemented by
 //   * the discrete-event host (cluster/sim_node.*) — deterministic
 //     reproduction of the paper's figures, and
-//   * the threaded runtime host (runtime/*) — a real in-process store.
+//   * the TCP host (runtime/node_group.*, one Context per hosted
+//     partition, behind net/tcp_node_host.*) — the production deployment.
 #pragma once
 
 #include <cstdint>

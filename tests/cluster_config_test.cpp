@@ -13,10 +13,10 @@ dcs 2
 partitions 2
 system cure
 heartbeat_us 2500
-node 0 0 127.0.0.1:7000
-node 0 1 127.0.0.1:7001
-node 1 0 localhost:7002   # hostnames are fine too
-node 1 1 127.0.0.1:7003
+node dc=0 parts=0 addr=127.0.0.1:7000
+node dc=0 parts=1 addr=127.0.0.1:7001
+node dc=1 parts=0 addr=localhost:7002   # hostnames are fine too
+node dc=1 parts=1 addr=127.0.0.1:7003
 )";
 
 TEST(ClusterConfig, ParsesAValidFile) {
@@ -26,7 +26,7 @@ TEST(ClusterConfig, ParsesAValidFile) {
   ASSERT_TRUE(layout.has_value()) << error;
   EXPECT_EQ(layout->topology.num_dcs, 2u);
   EXPECT_EQ(layout->topology.partitions_per_dc, 2u);
-  EXPECT_EQ(layout->system, rt::System::kCure);
+  EXPECT_EQ(layout->system, SystemKind::kCure);
   EXPECT_EQ(layout->protocol.heartbeat_interval_us, 2'500);
   ASSERT_TRUE(layout->complete());
   const NodeAddress* addr = layout->find(NodeId{1, 0});
@@ -54,7 +54,7 @@ TEST(ClusterConfig, FormatRoundTrips) {
 }
 
 TEST(ClusterConfig, RejectsMissingNodes) {
-  std::istringstream in("dcs 2\npartitions 2\nnode 0 0 h:1\n");
+  std::istringstream in("dcs 2\npartitions 2\nnode dc=0 parts=0 addr=h:1\n");
   std::string error;
   EXPECT_FALSE(parse_cluster_config(in, &error).has_value());
   EXPECT_FALSE(error.empty());
@@ -62,7 +62,8 @@ TEST(ClusterConfig, RejectsMissingNodes) {
 
 TEST(ClusterConfig, RejectsNodeOutsideTopology) {
   std::istringstream in(
-      "dcs 1\npartitions 1\nnode 0 0 h:1\nnode 5 0 h:2\n");
+      "dcs 1\npartitions 1\nnode dc=0 parts=0 addr=h:1\n"
+      "node dc=5 parts=0 addr=h:2\n");
   std::string error;
   EXPECT_FALSE(parse_cluster_config(in, &error).has_value());
   EXPECT_NE(error.find("outside"), std::string::npos);
@@ -70,13 +71,15 @@ TEST(ClusterConfig, RejectsNodeOutsideTopology) {
 
 TEST(ClusterConfig, RejectsBadKeywordAndBadAddress) {
   {
-    std::istringstream in("dcs 1\npartitions 1\nbogus 3\nnode 0 0 h:1\n");
+    std::istringstream in(
+        "dcs 1\npartitions 1\nbogus 3\nnode dc=0 parts=0 addr=h:1\n");
     std::string error;
     EXPECT_FALSE(parse_cluster_config(in, &error).has_value());
     EXPECT_NE(error.find("unknown keyword"), std::string::npos);
   }
   {
-    std::istringstream in("dcs 1\npartitions 1\nnode 0 0 noport\n");
+    std::istringstream in(
+        "dcs 1\npartitions 1\nnode dc=0 parts=0 addr=noport\n");
     std::string error;
     EXPECT_FALSE(parse_cluster_config(in, &error).has_value());
     EXPECT_NE(error.find("bad address"), std::string::npos);
@@ -222,13 +225,33 @@ TEST(ClusterConfig, RejectsU64OverflowValues) {
   }
 }
 
+TEST(ClusterConfig, RejectsPositionalNodeLines) {
+  // A positional `node DC PART HOST:PORT` line is rejected, and the error
+  // names the key=value form to write instead.
+  std::istringstream in("dcs 1\npartitions 1\nnode 0 0 127.0.0.1:7000\n");
+  std::string error;
+  EXPECT_FALSE(parse_cluster_config(in, &error).has_value());
+  EXPECT_NE(error.find("line 3"), std::string::npos) << error;
+  EXPECT_NE(error.find("node dc="), std::string::npos) << error;
+  EXPECT_NE(error.find("parts="), std::string::npos) << error;
+  EXPECT_NE(error.find("addr="), std::string::npos) << error;
+}
+
 TEST(ClusterConfig, SystemNamesRoundTrip) {
-  for (const auto system :
-       {rt::System::kPocc, rt::System::kCure, rt::System::kHaPocc}) {
-    const auto parsed = parse_system(system_name(system));
+  for (const auto system : {SystemKind::kPocc, SystemKind::kCure,
+                            SystemKind::kHaPocc, SystemKind::kScalarPocc}) {
+    const auto parsed = parse_system(system_flag(system));
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(*parsed, system);
   }
+  // Every spelling configs, E2E_SYSTEM values and fuzz replay lines use.
+  EXPECT_EQ(parse_system("ha"), SystemKind::kHaPocc);
+  EXPECT_EQ(parse_system("ha-pocc"), SystemKind::kHaPocc);
+  EXPECT_EQ(parse_system("hapocc"), SystemKind::kHaPocc);
+  EXPECT_EQ(parse_system("ha_pocc"), SystemKind::kHaPocc);
+  EXPECT_EQ(parse_system("scalar_pocc"), SystemKind::kScalarPocc);
+  EXPECT_FALSE(parse_system("HA-POCC").has_value());
+  EXPECT_FALSE(parse_system("").has_value());
 }
 
 }  // namespace

@@ -18,7 +18,7 @@ namespace pocc::fault {
 namespace {
 
 class ClusterFuzzTest
-    : public ::testing::TestWithParam<std::pair<cluster::SystemKind,
+    : public ::testing::TestWithParam<std::pair<SystemKind,
                                                 std::uint64_t>> {};
 
 TEST_P(ClusterFuzzTest, SeededFaultPlanRunsClean) {
@@ -40,7 +40,7 @@ TEST_P(ClusterFuzzTest, SeededFaultPlanRunsClean) {
 
 std::string fuzz_case_name(
     const ::testing::TestParamInfo<ClusterFuzzTest::ParamType>& info) {
-  std::string n = engine_flag(info.param.first);
+  std::string n = system_flag(info.param.first);
   // ctest-safe identifier: engine + seed.
   for (char& ch : n) {
     if (ch == '_') ch = 'x';
@@ -51,9 +51,9 @@ std::string fuzz_case_name(
 std::vector<ClusterFuzzTest::ParamType> make_fuzz_cases() {
   // Two seeds per engine: one Get-Put (even) and one transactional (odd)
   // workload mix (see fuzz_runner), distinct plans per seed.
-  const cluster::SystemKind systems[] = {
-      cluster::SystemKind::kPocc, cluster::SystemKind::kScalarPocc,
-      cluster::SystemKind::kHaPocc, cluster::SystemKind::kCure};
+  const SystemKind systems[] = {
+      SystemKind::kPocc, SystemKind::kScalarPocc,
+      SystemKind::kHaPocc, SystemKind::kCure};
   std::vector<ClusterFuzzTest::ParamType> cases;
   for (const auto s : systems) {
     cases.emplace_back(s, 11);
@@ -71,7 +71,7 @@ INSTANTIATE_TEST_SUITE_P(Campaign, ClusterFuzzTest,
 // exactly, event for event.
 TEST(ClusterFuzzReplay, SameSeedReplaysBitIdentically) {
   FuzzCase c;
-  c.system = cluster::SystemKind::kHaPocc;  // exercises every fault hook
+  c.system = SystemKind::kHaPocc;  // exercises every fault hook
   c.seed = 11;
   const FuzzOutcome first = run_fuzz_case(c);
   const FuzzOutcome second = run_fuzz_case(c);

@@ -6,7 +6,8 @@
 // covers that in CI). Verifies read-your-writes, the cross-DC WC-DEP causal
 // chain, and a concurrent mixed load whose full client history replays
 // through the HistoryChecker with zero violations — all riding coalesced
-// Batch frames between the hosts and in-process queues within them.
+// Batch frames between the hosts and in-process queues within them — for
+// the POCC, Cure* and HA-POCC engines.
 //
 // Timing assertions are deliberately generous — this suite runs on loaded CI
 // machines.
@@ -34,7 +35,7 @@ namespace {
 /// Deployment-unique client ids across all tests in this binary.
 std::atomic<ClientId> g_next_client{1};
 
-ClusterLayout small_layout(rt::System system) {
+ClusterLayout small_layout(SystemKind system, Duration block_timeout_us) {
   ClusterLayout layout;
   layout.topology.num_dcs = 3;
   layout.topology.partitions_per_dc = 2;
@@ -43,7 +44,7 @@ ClusterLayout small_layout(rt::System system) {
   layout.protocol.heartbeat_interval_us = 5'000;  // gentle on single-core CI
   layout.protocol.stabilization_interval_us = 20'000;
   layout.protocol.gc_interval_us = 200'000;
-  layout.protocol.block_timeout_us = 2'000'000;
+  layout.protocol.block_timeout_us = block_timeout_us;
   // Addresses are filled in by Deployment once the ephemeral ports are known.
   return layout;
 }
@@ -52,9 +53,10 @@ ClusterLayout small_layout(rt::System system) {
 /// one multi-partition host per DC, all partitions on 2 worker threads.
 class Deployment {
  public:
-  explicit Deployment(rt::System system,
-                      const ClientResilience* resilience = nullptr)
-      : layout_(small_layout(system)) {
+  explicit Deployment(SystemKind system,
+                      const ClientResilience* resilience = nullptr,
+                      Duration block_timeout_us = 2'000'000)
+      : layout_(small_layout(system, block_timeout_us)) {
     const auto& topo = layout_.topology;
     std::uint64_t seed = 1;
     for (DcId dc = 0; dc < topo.num_dcs; ++dc) {
@@ -88,7 +90,10 @@ class Deployment {
     }
   }
 
-  ~Deployment() {
+  ~Deployment() { stop(); }
+
+  /// Stop every client pool, then every host. Idempotent.
+  void stop() {
     for (auto& pool : pools_) pool->stop();
     for (auto& host : hosts_) host->stop();
   }
@@ -164,6 +169,13 @@ class Deployment {
     }
   }
 
+  /// Arm the one replication link src -> dst with an unscheduled ChaosLink
+  /// (a slow or stalled WAN path between two DCs).
+  void arm_link(DcId src, DcId dst, const ChaosProfile& profile) {
+    hosts_[src]->arm_chaos(dst, std::make_shared<ChaosLink>(
+                                    0x5eed0000ULL + src * 16 + dst, profile));
+  }
+
   /// Arm every dialed client connection (both replicas when resilience
   /// dialed siblings) with an unscheduled ChaosLink — client links may
   /// carry dup/reset chaos because the op_id idempotency cache absorbs it.
@@ -211,7 +223,7 @@ void expect_clean_replay(const Deployment& cluster) {
 }
 
 TEST(E2eTcp, ReadYourWritesSingleDc) {
-  Deployment cluster(rt::System::kPocc);
+  Deployment cluster(SystemKind::kPocc);
   TcpSession& s = cluster.connect(0);
   const auto put = s.put("e2e:ryw", "v1");
   ASSERT_TRUE(put.ok);
@@ -234,7 +246,7 @@ TEST(E2eTcp, WcDepChainAcrossDcs) {
   // DC0; Bob in DC1 sees it and comments (y); Carol in DC2 who sees the
   // comment MUST see the photo — y's dependency vector forces the GET on x
   // to block until x's replication arrives.
-  Deployment cluster(rt::System::kPocc);
+  Deployment cluster(SystemKind::kPocc);
   TcpSession& alice = cluster.connect(0);
   TcpSession& bob = cluster.connect(1);
   TcpSession& carol = cluster.connect(2);
@@ -262,7 +274,7 @@ TEST(E2eTcp, WcDepChainAcrossDcs) {
 }
 
 TEST(E2eTcp, RoTxReturnsCompleteSnapshot) {
-  Deployment cluster(rt::System::kPocc);
+  Deployment cluster(SystemKind::kPocc);
   TcpSession& s = cluster.connect(0);
   ASSERT_TRUE(s.put("e2e:tx:a", "1").ok);
   ASSERT_TRUE(s.put("e2e:tx:b", "2").ok);
@@ -309,7 +321,7 @@ void run_load(Deployment& cluster, int sessions_per_dc, int ops_per_session) {
 }
 
 TEST(E2eTcp, ConcurrentLoadReplaysCleanlyPocc) {
-  Deployment cluster(rt::System::kPocc);
+  Deployment cluster(SystemKind::kPocc);
   run_load(cluster, /*sessions_per_dc=*/2, /*ops_per_session=*/120);
   EXPECT_EQ(cluster.dropped_frames(), 0u);
   // The multi-partition topology must actually exercise both transports:
@@ -323,7 +335,7 @@ TEST(E2eTcp, ConcurrentLoadReplaysCleanlyPocc) {
 }
 
 TEST(E2eTcp, ConcurrentLoadReplaysCleanlyCure) {
-  Deployment cluster(rt::System::kCure);
+  Deployment cluster(SystemKind::kCure);
   run_load(cluster, /*sessions_per_dc=*/2, /*ops_per_session=*/80);
   EXPECT_EQ(cluster.dropped_frames(), 0u);
   expect_clean_replay(cluster);
@@ -334,7 +346,7 @@ TEST(E2eTcp, ChaosOnReplicationLinksReplaysClean) {
   // every inter-DC link: replication gets late and bursty but stays a
   // lossless FIFO, so the full history must still replay with zero causal
   // violations — the core claim of the chaos model (net/chaos.hpp).
-  Deployment cluster(rt::System::kPocc);
+  Deployment cluster(SystemKind::kPocc);
   ChaosProfile profile;
   profile.base_delay_us = 1'000;
   profile.jitter_mean_us = 500;
@@ -354,7 +366,7 @@ TEST(E2eTcp, ResilientSessionsAbsorbDuplicatedClientFrames) {
   // history stays clean (no double-applied PUT).
   ClientResilience resilience;
   resilience.enabled = true;
-  Deployment cluster(rt::System::kPocc, &resilience);
+  Deployment cluster(SystemKind::kPocc, &resilience);
   ChaosProfile profile;
   profile.base_delay_us = 200;
   profile.jitter_mean_us = 200;
@@ -372,7 +384,7 @@ TEST(E2eTcp, PipelinedSessionsReplayCleanly) {
   // pool connection carries several in-flight ops at once (what
   // pocc_loadgen --pipeline does). Every session stays serial, so the full
   // history must still replay with zero causal violations.
-  Deployment cluster(rt::System::kPocc);
+  Deployment cluster(SystemKind::kPocc);
   constexpr int kSessionsPerDc = 8;
   constexpr int kOpsPerSession = 60;
   std::vector<std::thread> drivers;
@@ -450,7 +462,7 @@ TEST(E2eTcp, PipelinedSessionsReplayCleanly) {
 }
 
 TEST(E2eTcp, CrossDcVisibilityEventuallyConverges) {
-  Deployment cluster(rt::System::kPocc);
+  Deployment cluster(SystemKind::kPocc);
   TcpSession& writer = cluster.connect(0);
   ASSERT_TRUE(writer.put("e2e:geo", "hello").ok);
   for (DcId dc = 1; dc < 3; ++dc) {
@@ -461,6 +473,99 @@ TEST(E2eTcp, CrossDcVisibilityEventuallyConverges) {
     })) << "value never visible in DC " << dc;
   }
   expect_clean_replay(cluster);
+}
+
+TEST(E2eTcp, UnwrittenKeyIsNotFound) {
+  Deployment cluster(SystemKind::kPocc);
+  TcpSession& s = cluster.connect(0);
+  const auto get = s.get("e2e:missing");
+  ASSERT_TRUE(get.ok);
+  EXPECT_FALSE(get.found);
+  expect_clean_replay(cluster);
+}
+
+TEST(E2eTcp, SessionPutsGetMonotonicTimestamps) {
+  Deployment cluster(SystemKind::kPocc);
+  TcpSession& s = cluster.connect(0);
+  Timestamp prev = 0;
+  for (int i = 0; i < 5; ++i) {
+    const auto put = s.put("e2e:counter", std::to_string(i));
+    ASSERT_TRUE(put.ok);
+    EXPECT_GT(put.ut, prev);
+    prev = put.ut;
+  }
+  const auto get = s.get("e2e:counter");
+  ASSERT_TRUE(get.ok);
+  EXPECT_EQ(get.value, "4");
+  expect_clean_replay(cluster);
+}
+
+TEST(E2eTcp, CureRemoteReaderSeesStabilizedWrite) {
+  // Cure* exposes a remote write only once a stabilization round covers it;
+  // the value must still become visible in every other DC.
+  Deployment cluster(SystemKind::kCure);
+  TcpSession& writer = cluster.connect(0);
+  ASSERT_TRUE(writer.put("e2e:cure", "v").ok);
+  TcpSession& reader = cluster.connect(1);
+  EXPECT_TRUE(eventually(10'000'000, [&] {
+    const auto got = reader.get("e2e:cure");
+    return got.ok && got.found && got.value == "v";
+  })) << "stabilized write never visible in DC 1";
+  expect_clean_replay(cluster);
+}
+
+TEST(E2eTcp, HaPoccFallsBackWhileAWanLinkStallsAndRecovers) {
+  // HA-POCC over TCP (§III-B): DC0 -> DC1 replication stalls for 2 s.
+  // Carol (DC1) picks up a dependency on Alice's stalled write through Bob
+  // (DC2); her next read of that key blocks past the 150 ms block timeout,
+  // the server closes her session, and she continues pessimistically. Once
+  // the link delivers, she reads the new value.
+  Deployment cluster(SystemKind::kHaPocc, /*resilience=*/nullptr,
+                     /*block_timeout_us=*/150'000);
+  TcpSession& alice = cluster.connect(0);
+  TcpSession& carol = cluster.connect(1);
+  TcpSession& bob = cluster.connect(2);
+
+  ASSERT_TRUE(alice.put("e2e:ha:item", "v1").ok);
+  ASSERT_TRUE(eventually(10'000'000, [&] {
+    const auto got = carol.get("e2e:ha:item");
+    return got.ok && got.value == "v1";
+  })) << "v1 never replicated to DC1";
+
+  ChaosProfile stall;
+  stall.base_delay_us = 2'000'000;
+  cluster.arm_link(/*src=*/0, /*dst=*/1, stall);
+  ASSERT_TRUE(alice.put("e2e:ha:item", "v2").ok);
+
+  ASSERT_TRUE(eventually(10'000'000, [&] {
+    const auto got = bob.get("e2e:ha:item");
+    return got.ok && got.value == "v2";
+  })) << "v2 never replicated to DC2";
+  ASSERT_TRUE(bob.put("e2e:ha:reply", "saw v2").ok);
+  ASSERT_TRUE(eventually(10'000'000, [&] {
+    const auto got = carol.get("e2e:ha:reply");
+    return got.ok && got.found;
+  })) << "Bob's reply never replicated to DC1";
+
+  const auto during = carol.get("e2e:ha:item");
+  EXPECT_FALSE(during.ok);
+  EXPECT_TRUE(during.session_closed)
+      << "a read blocked past the timeout must close the session";
+  EXPECT_TRUE(carol.pessimistic());
+
+  EXPECT_TRUE(eventually(10'000'000, [&] {
+    const auto got = carol.get("e2e:ha:item");
+    return got.ok && got.value == "v2";
+  })) << "DC1 never caught up after the stall";
+  expect_clean_replay(cluster);
+}
+
+TEST(E2eTcp, StopIsIdempotent) {
+  Deployment cluster(SystemKind::kPocc);
+  TcpSession& s = cluster.connect(0);
+  ASSERT_TRUE(s.put("e2e:stop", "v").ok);
+  cluster.stop();
+  cluster.stop();  // second call is a no-op; the destructor makes a third
 }
 
 }  // namespace

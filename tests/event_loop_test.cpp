@@ -1,10 +1,8 @@
-// net::EventLoop unit tests — all backends (epoll where the platform has
-// it, the poll(2) fallback everywhere, io_uring multishot poll where the
-// kernel permits) run the same readiness contract:
+// net::EventLoop unit tests: the epoll readiness contract —
 // level-triggered readable/writable edges on pipes and socketpairs, timeout
 // behavior, idempotent watch/unwatch, and the EINTR discipline (an
 // interrupted wait returns an EMPTY ready set instead of acting on
-// unspecified revents — the regression behind this test file).
+// unspecified events — the regression behind this test file).
 #include <fcntl.h>
 #include <pthread.h>
 #include <signal.h>
@@ -22,20 +20,6 @@
 
 namespace pocc::net {
 namespace {
-
-std::vector<EventLoop::Backend> backends_under_test() {
-  std::vector<EventLoop::Backend> b{EventLoop::Backend::kPoll};
-  // The platform default is kEpoll everywhere we build; comparing against
-  // it keeps a hypothetical poll-only platform from instantiating a
-  // duplicate leg. The env override must not hide backends from the matrix.
-#if defined(__linux__)
-  b.push_back(EventLoop::Backend::kEpoll);
-#endif
-  if (EventLoop::uring_available()) {
-    b.push_back(EventLoop::Backend::kUring);
-  }
-  return b;
-}
 
 struct PipePair {
   int r = -1;
@@ -62,58 +46,8 @@ const EventLoop::Event* find_fd(const std::vector<EventLoop::Event>& evs,
   return nullptr;
 }
 
-// Surfaces the io_uring coverage decision in the test log: a green run
-// without Uring legs must say WHY they were absent (kernel/seccomp denial),
-// so CI summaries can distinguish "skipped" from "silently untested".
-TEST(EventLoopBackends, UringCoverageReported) {
-  if (!EventLoop::uring_available()) {
-    GTEST_SKIP() << "io_uring denied by kernel/seccomp — kUring legs not "
-                    "instantiated; kEpoll fallback covers the transport";
-  }
-  EventLoop loop(EventLoop::Backend::kUring);
-  EXPECT_EQ(loop.backend(), EventLoop::Backend::kUring);
-}
-
-// A kUring request on a kernel without io_uring must degrade to a working
-// backend, not crash — callers pick backends from flags/env.
-TEST(EventLoopBackends, UringRequestDegradesGracefully) {
-  EventLoop loop(EventLoop::Backend::kUring);
-  if (EventLoop::uring_available()) {
-    EXPECT_EQ(loop.backend(), EventLoop::Backend::kUring);
-  } else {
-    EXPECT_NE(loop.backend(), EventLoop::Backend::kUring);
-  }
-  // Whatever it degraded to must actually work.
-  PipePair p;
-  loop.watch(p.r, true, false);
-  ASSERT_EQ(::write(p.w, "x", 1), 1);
-  std::vector<EventLoop::Event> evs;
-  ASSERT_GT(loop.wait(1000, evs), 0u);
-}
-
-TEST(EventLoopBackends, ParseAndNameRoundTrip) {
-  EventLoop::Backend b{};
-  ASSERT_TRUE(EventLoop::parse_backend("epoll", &b));
-  EXPECT_EQ(b, EventLoop::Backend::kEpoll);
-  ASSERT_TRUE(EventLoop::parse_backend("poll", &b));
-  EXPECT_EQ(b, EventLoop::Backend::kPoll);
-  ASSERT_TRUE(EventLoop::parse_backend("uring", &b));
-  EXPECT_EQ(b, EventLoop::Backend::kUring);
-  EXPECT_FALSE(EventLoop::parse_backend("io_uring", &b));
-  EXPECT_FALSE(EventLoop::parse_backend("", &b));
-  for (auto x : {EventLoop::Backend::kEpoll, EventLoop::Backend::kPoll,
-                 EventLoop::Backend::kUring}) {
-    EventLoop::Backend parsed{};
-    ASSERT_TRUE(EventLoop::parse_backend(EventLoop::backend_name(x), &parsed));
-    EXPECT_EQ(parsed, x);
-  }
-}
-
-class EventLoopTest : public ::testing::TestWithParam<EventLoop::Backend> {};
-
-TEST_P(EventLoopTest, ReportsReadableWhenBytesArrive) {
-  EventLoop loop(GetParam());
-  ASSERT_EQ(loop.backend(), GetParam());
+TEST(EventLoop, ReportsReadableWhenBytesArrive) {
+  EventLoop loop;
   PipePair p;
   loop.watch(p.r, /*read=*/true, /*write=*/false);
   EXPECT_EQ(loop.watched(), 1u);
@@ -129,8 +63,8 @@ TEST_P(EventLoopTest, ReportsReadableWhenBytesArrive) {
   EXPECT_FALSE(e->writable);
 }
 
-TEST_P(EventLoopTest, ReportsWritableOnIdleSocketButNotPipeReadEnd) {
-  EventLoop loop(GetParam());
+TEST(EventLoop, ReportsWritableOnIdleSocketButNotPipeReadEnd) {
+  EventLoop loop;
   int sv[2] = {-1, -1};
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
   loop.watch(sv[0], /*read=*/true, /*write=*/true);
@@ -151,15 +85,15 @@ TEST_P(EventLoopTest, ReportsWritableOnIdleSocketButNotPipeReadEnd) {
   ::close(sv[1]);
 }
 
-TEST_P(EventLoopTest, PeerCloseReportsReadableEof) {
-  EventLoop loop(GetParam());
+TEST(EventLoop, PeerCloseReportsReadableEof) {
+  EventLoop loop;
   int sv[2] = {-1, -1};
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
   loop.watch(sv[0], /*read=*/true, /*write=*/false);
   ::close(sv[1]);
 
-  // EOF surfaces as readable (recv returning 0), whether the backend tags
-  // it EPOLLRDHUP/POLLHUP or plain IN — the transport just needs a wakeup.
+  // EOF surfaces as readable (recv returning 0), whether epoll tags it
+  // EPOLLRDHUP/EPOLLHUP or plain IN — the transport just needs a wakeup.
   std::vector<EventLoop::Event> evs;
   ASSERT_GT(loop.wait(1000, evs), 0u);
   const EventLoop::Event* e = find_fd(evs, sv[0]);
@@ -170,15 +104,14 @@ TEST_P(EventLoopTest, PeerCloseReportsReadableEof) {
   ::close(sv[0]);
 }
 
-TEST_P(EventLoopTest, WaitHonorsTimeout) {
-  EventLoop loop(GetParam());
+TEST(EventLoop, WaitHonorsTimeout) {
+  EventLoop loop;
   PipePair p;
   loop.watch(p.r, /*read=*/true, /*write=*/false);
 
   // The wait contract allows spurious early returns with zero events
-  // (EINTR-class interruptions — e.g. kernel task-work from an io_uring
-  // ring torn down by an earlier test leg interrupts this thread's next
-  // syscall). Callers re-enter for the remaining budget; so does the test.
+  // (EINTR-class interruptions). Callers re-enter for the remaining budget;
+  // so does the test.
   const auto start = std::chrono::steady_clock::now();
   std::vector<EventLoop::Event> evs;
   long elapsed_ms = 0;
@@ -192,8 +125,8 @@ TEST_P(EventLoopTest, WaitHonorsTimeout) {
   EXPECT_GE(elapsed_ms, 40);  // scheduler slop allowed, not a busy spin
 }
 
-TEST_P(EventLoopTest, UnwatchRemovesAndRewatchRestores) {
-  EventLoop loop(GetParam());
+TEST(EventLoop, UnwatchRemovesAndRewatchRestores) {
+  EventLoop loop;
   PipePair p;
   loop.watch(p.r, true, false);
   ASSERT_EQ(::write(p.w, "x", 1), 1);
@@ -222,7 +155,7 @@ TEST_P(EventLoopTest, UnwatchRemovesAndRewatchRestores) {
   EXPECT_EQ(hits, 1u);
 }
 
-TEST_P(EventLoopTest, InterruptedWaitReturnsEmptySetAndSurvives) {
+TEST(EventLoop, InterruptedWaitReturnsEmptySetAndSurvives) {
   // The EINTR contract: a signal landing inside wait() yields ZERO events
   // (never unspecified garbage), and the loop keeps working afterwards.
   struct sigaction sa{};
@@ -232,7 +165,7 @@ TEST_P(EventLoopTest, InterruptedWaitReturnsEmptySetAndSurvives) {
   struct sigaction old{};
   ASSERT_EQ(sigaction(SIGUSR1, &sa, &old), 0);
 
-  EventLoop loop(GetParam());
+  EventLoop loop;
   PipePair p;
   loop.watch(p.r, true, false);
 
@@ -264,19 +197,22 @@ TEST_P(EventLoopTest, InterruptedWaitReturnsEmptySetAndSurvives) {
   EXPECT_TRUE(saw);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Backends, EventLoopTest, ::testing::ValuesIn(backends_under_test()),
-    [](const ::testing::TestParamInfo<EventLoop::Backend>& param) {
-      switch (param.param) {
-        case EventLoop::Backend::kEpoll:
-          return "Epoll";
-        case EventLoop::Backend::kUring:
-          return "Uring";
-        case EventLoop::Backend::kPoll:
-          break;
-      }
-      return "Poll";
-    });
+TEST(EventLoop, RewatchWithUnchangedInterestMakesNoSyscall) {
+  // The transport re-asserts every connection's interest on each loop pass;
+  // an unchanged interest must stay in userspace. Closing the fd behind the
+  // loop's back makes any epoll_ctl on it fail (and assert), so surviving
+  // the re-watch proves none was issued.
+  EventLoop loop;
+  int fds[2] = {-1, -1};
+  ASSERT_EQ(::pipe(fds), 0);
+  loop.watch(fds[0], /*read=*/true, /*write=*/false);
+  ::close(fds[0]);
+  ::close(fds[1]);
+  loop.watch(fds[0], /*read=*/true, /*write=*/false);
+  EXPECT_EQ(loop.watched(), 1u);
+  loop.unwatch(fds[0]);  // a failed EPOLL_CTL_DEL is tolerated
+  EXPECT_EQ(loop.watched(), 0u);
+}
 
 }  // namespace
 }  // namespace pocc::net

@@ -14,7 +14,6 @@ namespace {
 
 using cluster::SimCluster;
 using cluster::SimClusterConfig;
-using cluster::SystemKind;
 
 SimClusterConfig small_cluster(SystemKind system, std::uint64_t seed = 7) {
   SimClusterConfig cfg;

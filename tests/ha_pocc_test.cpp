@@ -234,7 +234,7 @@ cluster::SimClusterConfig ha_cluster_config() {
   cfg.clock = ClockConfig::perfect();
   cfg.protocol.block_timeout_us = 30'000;
   cfg.protocol.ha_stabilization_interval_us = 20'000;
-  cfg.system = cluster::SystemKind::kHaPocc;
+  cfg.system = SystemKind::kHaPocc;
   cfg.seed = 5;
   cfg.enable_checker = true;
   return cfg;

@@ -82,7 +82,7 @@ class MetricsDeployment {
     layout_.topology.num_dcs = 2;
     layout_.topology.partitions_per_dc = 2;
     layout_.topology.partition_scheme = PartitionScheme::kHash;
-    layout_.system = rt::System::kPocc;
+    layout_.system = SystemKind::kPocc;
     layout_.protocol.heartbeat_interval_us = 5'000;
     layout_.protocol.stabilization_interval_us = 20'000;
     std::uint64_t seed = 1;

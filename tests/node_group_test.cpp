@@ -1,6 +1,8 @@
-// rt::NodeGroup: several partition engines of one DC pinned onto a worker
-// pool behind per-worker MPSC inboxes (ctest label `concurrency`; runs under
-// ThreadSanitizer in CI).
+// rt::NodeGroup: several partition engines of one DC pinned onto workers
+// behind per-worker MPSC inboxes (ctest label `concurrency`; runs under
+// ThreadSanitizer in CI). The group spawns no threads: a WorkerDriver below
+// plays the TCP transport's part, one test-owned thread per worker calling
+// service(w) on every wake and timer deadline.
 //
 // A single-DC topology makes the routing seam fully observable: with no
 // remote replicas, NOTHING may leave the group through Router::route — every
@@ -62,16 +64,88 @@ class RecordingRouter final : public Router {
   std::atomic<std::uint64_t> external_routes_{0};
 };
 
+/// Drives every worker of a started group from its own thread, the way the
+/// transport's event loops do: service(w) whenever wake(w) fired, else at
+/// the worker's next timer deadline.
+class WorkerDriver {
+ public:
+  ~WorkerDriver() { stop(); }
+
+  /// The NodeGroup::Options::wake callback feeding this driver.
+  std::function<void(std::uint32_t)> wake() {
+    return [this](std::uint32_t w) {
+      {
+        std::lock_guard lk(mu_);
+        if (w >= pending_.size()) pending_.resize(w + 1, false);
+        pending_[w] = true;
+      }
+      cv_.notify_all();
+    };
+  }
+
+  void start(NodeGroup& group) {
+    {
+      std::lock_guard lk(mu_);
+      if (pending_.size() < group.threads()) {
+        pending_.resize(group.threads(), false);
+      }
+    }
+    for (std::uint32_t w = 0; w < group.threads(); ++w) {
+      threads_.emplace_back([this, &group, w] { run(group, w); });
+    }
+  }
+
+  /// Join every driving thread; the caller then owns the workers (and
+  /// calls NodeGroup::stop() for the final drain).
+  void stop() {
+    {
+      std::lock_guard lk(mu_);
+      stopping_ = true;
+    }
+    cv_.notify_all();
+    for (auto& t : threads_) t.join();
+    threads_.clear();
+  }
+
+ private:
+  void run(NodeGroup& group, std::uint32_t w) {
+    std::unique_lock lk(mu_);
+    while (!stopping_) {
+      pending_[w] = false;
+      lk.unlock();
+      const Timestamp next = group.service(w);
+      lk.lock();
+      const auto ready = [&] { return stopping_ || pending_[w]; };
+      if (next == 0) {
+        cv_.wait(lk, ready);
+      } else {
+        cv_.wait_until(lk,
+                       std::chrono::steady_clock::now() +
+                           std::chrono::microseconds(next - steady_now_us()),
+                       ready);
+      }
+    }
+  }
+
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::vector<bool> pending_;
+  bool stopping_ = false;
+  std::vector<std::thread> threads_;
+};
+
 constexpr std::uint32_t kParts = 4;
 
 TopologyConfig one_dc_topology() {
   return TopologyConfig{1, kParts, PartitionScheme::kHash};
 }
 
-std::unique_ptr<NodeGroup> make_group(Router& router, std::uint32_t threads) {
+std::unique_ptr<NodeGroup> make_group(Router& router, WorkerDriver& driver,
+                                      std::uint32_t threads) {
   NodeGroup::Options opt;
   opt.threads = threads;
   opt.seed = 7;
+  opt.wake = driver.wake();
   auto group = std::make_unique<NodeGroup>(
       /*dc=*/0, std::vector<PartitionId>{0, 1, 2, 3}, router, opt);
   group->install_engines([](NodeId id, server::Context& ctx) {
@@ -100,12 +174,14 @@ proto::PutReq put_req(ClientId client, KeyId key, const std::string& value,
 
 TEST(NodeGroup, ServesEveryPartitionAcrossFewerWorkers) {
   RecordingRouter router;
-  auto group = make_group(router, /*threads=*/2);
+  WorkerDriver driver;
+  auto group = make_group(router, driver, /*threads=*/2);
   EXPECT_EQ(group->threads(), 2u);
   EXPECT_TRUE(group->hosts(NodeId{0, 3}));
   EXPECT_FALSE(group->hosts(NodeId{0, kParts}));
   EXPECT_FALSE(group->hosts(NodeId{1, 0}));
   group->start();
+  driver.start(*group);
 
   // One PUT per partition; every engine must answer through the router.
   std::uint64_t op = 0;
@@ -122,6 +198,7 @@ TEST(NodeGroup, ServesEveryPartitionAcrossFewerWorkers) {
                    proto::Message{put_req(100 + p, key, "v", ++op)});
   }
   ASSERT_TRUE(router.wait_replies(kParts));
+  driver.stop();
   group->stop();
 
   const auto replies = router.replies();
@@ -137,8 +214,10 @@ TEST(NodeGroup, ServesEveryPartitionAcrossFewerWorkers) {
 
 TEST(NodeGroup, CrossPartitionTxIsAnInProcessQueuePush) {
   RecordingRouter router;
-  auto group = make_group(router, /*threads=*/2);
+  WorkerDriver driver;
+  auto group = make_group(router, driver, /*threads=*/2);
   group->start();
+  driver.start(*group);
 
   // Two keys on two different partitions, then an RO-TX spanning both,
   // coordinated by partition 0 (the collocated coordinator, §II-C). The
@@ -166,6 +245,7 @@ TEST(NodeGroup, CrossPartitionTxIsAnInProcessQueuePush) {
   tx.op_id = ++op;
   group->enqueue(coord, coord, proto::Message{std::move(tx)});
   ASSERT_TRUE(router.wait_replies(3));
+  driver.stop();
   group->stop();
 
   const auto replies = router.replies();
@@ -186,6 +266,7 @@ TEST(NodeGroup, WorkerCountClampsToPartitions) {
   RecordingRouter router;
   NodeGroup::Options opt;
   opt.threads = 64;
+  opt.wake = [](std::uint32_t) {};
   NodeGroup group(/*dc=*/2, std::vector<PartitionId>{1, 3}, router, opt);
   EXPECT_EQ(group.threads(), 2u);
   EXPECT_TRUE(group.hosts(NodeId{2, 1}));
@@ -195,6 +276,7 @@ TEST(NodeGroup, WorkerCountClampsToPartitions) {
 
   NodeGroup::Options one;
   one.threads = 0;  // 0 = one worker per partition
+  one.wake = [](std::uint32_t) {};
   NodeGroup per_part(/*dc=*/0, std::vector<PartitionId>{0, 1, 2}, router,
                      one);
   EXPECT_EQ(per_part.threads(), 3u);
@@ -206,8 +288,10 @@ TEST(NodeGroup, TimersFirePerPartition) {
   // exchange reaches the partition-0 aggregator and returns GcVectors, all
   // in-process).
   RecordingRouter router;
-  auto group = make_group(router, /*threads=*/1);
+  WorkerDriver driver;
+  auto group = make_group(router, driver, /*threads=*/1);
   group->start();
+  driver.start(*group);
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
   // ProtocolConfig defaults arm GC on a short interval; wait until the
@@ -216,6 +300,7 @@ TEST(NodeGroup, TimersFirePerPartition) {
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
+  driver.stop();
   group->stop();
   EXPECT_GT(group->local_deliveries(), 0u)
       << "periodic GC reports never reached the aggregator in-process";
@@ -224,10 +309,12 @@ TEST(NodeGroup, TimersFirePerPartition) {
 
 TEST(NodeGroup, BoundedAdmissionRefusesOnlyDroppableWork) {
   RecordingRouter router;
+  WorkerDriver driver;
   NodeGroup::Options opt;
   opt.threads = 1;
   opt.seed = 7;
   opt.max_inbox_messages = 4;
+  opt.wake = driver.wake();
   NodeGroup group(/*dc=*/0, std::vector<PartitionId>{0, 1, 2, 3}, router,
                   opt);
   group.install_engines([](NodeId id, server::Context& ctx) {
@@ -235,7 +322,8 @@ TEST(NodeGroup, BoundedAdmissionRefusesOnlyDroppableWork) {
                                         ProtocolConfig{}, ServiceConfig{},
                                         ctx);
   });
-  // Workers not started: nothing drains, so the cap is hit deterministically.
+  // Workers not driven yet: nothing drains, so the cap is hit
+  // deterministically.
   KeyId key = 0;
   for (std::uint64_t i = 0;; ++i) {
     key = store::intern_key("adm:" + std::to_string(i));
@@ -257,24 +345,25 @@ TEST(NodeGroup, BoundedAdmissionRefusesOnlyDroppableWork) {
   EXPECT_EQ(group.inbox_depth(0), 5u);
   // Draining reopens admission.
   group.start();
+  driver.start(group);
   ASSERT_TRUE(router.wait_replies(5));
   EXPECT_TRUE(
       group.try_enqueue(to, to, proto::Message{put_req(3, key, "v", ++op)}));
   ASSERT_TRUE(router.wait_replies(6));
+  driver.stop();
   group.stop();
 }
 
-TEST(NodeGroup, DrivenModeServicesWorkersOnCallerThreads) {
-  // Driven mode is the sharded-transport integration seam: the group spawns
-  // NO threads; whoever owns each worker's event loop calls service() and
-  // gets woken through Options::wake when work lands in the inbox.
+TEST(NodeGroup, ServiceRunsWorkersOnlyOnTheCallersThread) {
+  // The sharded-transport integration seam: the group spawns NO threads;
+  // whoever owns each worker's event loop calls service() and gets woken
+  // through Options::wake when work lands in the inbox.
   RecordingRouter router;
   std::mutex wake_mu;
   std::vector<std::uint32_t> wakes;
   NodeGroup::Options opt;
   opt.threads = 2;
   opt.seed = 7;
-  opt.driven = true;
   opt.wake = [&](std::uint32_t w) {
     std::lock_guard lk(wake_mu);
     wakes.push_back(w);
@@ -288,7 +377,7 @@ TEST(NodeGroup, DrivenModeServicesWorkersOnCallerThreads) {
   });
   group.start();  // must not spawn workers
 
-  // Every partition maps onto one of the two driven workers.
+  // Every partition maps onto one of the two workers.
   std::vector<std::uint32_t> hosted(group.threads(), 0);
   for (PartitionId p = 0; p < kParts; ++p) {
     const std::uint32_t w = group.worker_of(p);

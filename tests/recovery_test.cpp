@@ -253,7 +253,7 @@ TEST(TcpRecovery, CrashStopRestartReplaysWalAndRebuildsFromPeer) {
   layout.topology.num_dcs = 2;
   layout.topology.partitions_per_dc = 1;
   layout.topology.partition_scheme = PartitionScheme::kHash;
-  layout.system = rt::System::kPocc;
+  layout.system = SystemKind::kPocc;
   layout.protocol.heartbeat_interval_us = 5'000;
   layout.protocol.stabilization_interval_us = 20'000;
   layout.protocol.gc_interval_us = 200'000;

@@ -200,7 +200,7 @@ TEST_F(ReplicaEdgeTest, CureGetOnEmptyChainCountsNoStaleness) {
 // asserting the engine-visible consequences (parked requests, VV catch-up,
 // replication continuity) rather than end metrics only.
 
-cluster::SimClusterConfig edge_cluster(cluster::SystemKind system) {
+cluster::SimClusterConfig edge_cluster(SystemKind system) {
   cluster::SimClusterConfig cfg;
   cfg.topology.num_dcs = 3;
   cfg.topology.partitions_per_dc = 2;
@@ -219,7 +219,7 @@ TEST(ReplicaFaultEdgeTest, AsymmetricPartitionStallsExactlyOneDirection) {
   // One-way cut dc1->dc0: dc1 keeps serving (its own writes and dc0's
   // inbound replication), dc0 serves stale reads of dc1 data until the heal
   // flush delivers the buffered stream — in order, with a clean history.
-  cluster::SimCluster cluster(edge_cluster(cluster::SystemKind::kPocc));
+  cluster::SimCluster cluster(edge_cluster(SystemKind::kPocc));
   auto& writer = cluster.create_manual_client(1, 0);
   auto& reader = cluster.create_manual_client(0, 0);
   ASSERT_TRUE(writer.put("0:dep", "v").ok);
@@ -243,7 +243,7 @@ TEST(ReplicaFaultEdgeTest, AsymmetricPartitionStallsExactlyOneDirection) {
 TEST(ReplicaFaultEdgeTest, CrashDuringReplicationThenRestartConverges) {
   // Writes land at two DCs while the third's replica is dead; the restart
   // backlog replay must bring its store and VV level with the others.
-  cluster::SimCluster cluster(edge_cluster(cluster::SystemKind::kPocc));
+  cluster::SimCluster cluster(edge_cluster(SystemKind::kPocc));
   const NodeId victim{2, 0};
   auto& c0 = cluster.create_manual_client(0, 0);
   auto& c1 = cluster.create_manual_client(1, 0);
@@ -273,7 +273,7 @@ TEST(ReplicaFaultEdgeTest, CrashDuringReplicationThenRestartConverges) {
 TEST(ReplicaFaultEdgeTest, CrashClearsParkedRequestsWithoutReplies) {
   // Requests parked on the victim die with its RAM: no stray replies after
   // restart, and the parking lot is empty.
-  cluster::SimCluster cluster(edge_cluster(cluster::SystemKind::kPocc));
+  cluster::SimCluster cluster(edge_cluster(SystemKind::kPocc));
   const NodeId victim{0, 0};
   cluster.run_for(5'000);
   // Park a GET whose RDV names a future remote timestamp.
@@ -295,7 +295,7 @@ TEST(ReplicaFaultEdgeTest, CrashInsideAsymmetricPartitionInterleaving) {
   // Crash overlapping a one-way partition: buffered traffic toward the
   // victim flushes into its backlog (link heals first), then the restart
   // replays it — the ordering the fault injector produces routinely.
-  cluster::SimCluster cluster(edge_cluster(cluster::SystemKind::kCure));
+  cluster::SimCluster cluster(edge_cluster(SystemKind::kCure));
   const NodeId victim{0, 0};
   auto& writer = cluster.create_manual_client(1, 0);
   cluster.run_for(5'000);

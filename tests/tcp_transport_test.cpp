@@ -533,159 +533,6 @@ TEST(TcpTransport, MigrateRehomesInboundConnectionPreservingFifo) {
   server.stop();
 }
 
-TEST(TcpTransport, PollBackendCarriesTrafficAcrossShards) {
-  // The poll(2) fallback must behave identically to epoll — run a sharded
-  // transfer on it explicitly (CI otherwise only exercises the default).
-  FrameSink server_sink;
-  TcpTransport::Options sopt;
-  sopt.num_loops = 2;
-  sopt.backend = EventLoop::Backend::kPoll;
-  TcpTransport server(server_sink.callbacks(), sopt);
-  const std::uint16_t port = server.listen(0);
-  server.start();
-
-  FrameSink client_sink;
-  TcpTransport::Options copt;
-  copt.backend = EventLoop::Backend::kPoll;
-  TcpTransport client(client_sink.callbacks(), copt);
-  const ConnId conn = client.connect_peer("127.0.0.1", port);
-  client.start();
-
-  for (int i = 0; i < 50; ++i) {
-    ASSERT_TRUE(client.send(conn, heartbeat_frame(0, 1'000 + i)));
-  }
-  ASSERT_TRUE(server_sink.wait_for_frames(50));
-  for (int i = 0; i < 50; ++i) {
-    const auto m = server_sink.message_at(i);
-    ASSERT_TRUE(m.has_value());
-    EXPECT_EQ(std::get<proto::Heartbeat>(*m).ts, 1'000 + i);
-  }
-  client.stop();
-  server.stop();
-}
-
-TEST(TcpTransport, UringBackendCarriesTrafficAcrossShards) {
-  // Same sharded transfer on the io_uring backend: multishot-poll readiness
-  // must be indistinguishable from epoll at the framing layer, and the
-  // backend's counters must show up in the aggregated transport stats.
-  if (!EventLoop::uring_available()) {
-    GTEST_SKIP() << "io_uring denied by kernel/seccomp — kUring transport "
-                    "leg not runnable here";
-  }
-  FrameSink server_sink;
-  TcpTransport::Options sopt;
-  sopt.num_loops = 2;
-  sopt.backend = EventLoop::Backend::kUring;
-  TcpTransport server(server_sink.callbacks(), sopt);
-  const std::uint16_t port = server.listen(0);
-  server.start();
-
-  FrameSink client_sink;
-  TcpTransport::Options copt;
-  copt.backend = EventLoop::Backend::kUring;
-  TcpTransport client(client_sink.callbacks(), copt);
-  const ConnId conn = client.connect_peer("127.0.0.1", port);
-  client.start();
-
-  for (int i = 0; i < 50; ++i) {
-    ASSERT_TRUE(client.send(conn, heartbeat_frame(0, 1'000 + i)));
-  }
-  ASSERT_TRUE(server_sink.wait_for_frames(50));
-  for (int i = 0; i < 50; ++i) {
-    const auto m = server_sink.message_at(i);
-    ASSERT_TRUE(m.has_value());
-    EXPECT_EQ(std::get<proto::Heartbeat>(*m).ts, 1'000 + i);
-  }
-  const TransportStats st = server.stats();
-  EXPECT_GT(st.uring_enters, 0u);
-  EXPECT_GT(st.uring_sqes, 0u);
-  EXPECT_GT(st.uring_cqes, 0u);
-  client.stop();
-  server.stop();
-}
-
-TEST(TcpTransport, UringBackendMigratesInboundConnection) {
-  // Connection pinning across shards on kUring: the unwatch on the source
-  // loop must cancel the armed multishot poll (no stale CQE can touch the
-  // recycled fd slot) and the target loop re-arms it — FIFO holds.
-  if (!EventLoop::uring_available()) {
-    GTEST_SKIP() << "io_uring denied by kernel/seccomp — kUring migrate "
-                    "leg not runnable here";
-  }
-  std::mutex mu;
-  std::vector<Timestamp> received;
-  std::vector<std::pair<ConnId, ConnId>> renames;
-  TcpTransport* server_ptr = nullptr;
-  TcpTransport::Callbacks cb{
-      [&](ConnId conn, proto::Frame f) {
-        const auto* m = std::get_if<proto::Message>(&f);
-        ASSERT_NE(m, nullptr);
-        const auto& hb = std::get<proto::Heartbeat>(*m);
-        {
-          std::lock_guard lk(mu);
-          received.push_back(hb.ts);
-        }
-        if (hb.ts == 1) {
-          const std::uint32_t target = 1 - TcpTransport::loop_of(conn);
-          EXPECT_TRUE(server_ptr->migrate(conn, target));
-        }
-      },
-      nullptr,
-      nullptr,
-      nullptr,
-      nullptr,
-      [&](ConnId from, ConnId to) {
-        std::lock_guard lk(mu);
-        renames.emplace_back(from, to);
-      },
-  };
-  TcpTransport::Options sopt;
-  sopt.num_loops = 2;
-  sopt.backend = EventLoop::Backend::kUring;
-  TcpTransport server(std::move(cb), sopt);
-  server_ptr = &server;
-  const std::uint16_t port = server.listen(0);
-  server.start();
-
-  FrameSink client_sink;
-  TcpTransport::Options copt;
-  copt.backend = EventLoop::Backend::kUring;
-  TcpTransport client(client_sink.callbacks(), copt);
-  const ConnId conn = client.connect_peer("127.0.0.1", port);
-  client.start();
-
-  constexpr int kFrames = 50;
-  ASSERT_TRUE(client.send(conn, heartbeat_frame(0, 1)));
-  const auto rename_deadline = std::chrono::steady_clock::now() + 10s;
-  while (std::chrono::steady_clock::now() < rename_deadline) {
-    {
-      std::lock_guard lk(mu);
-      if (!renames.empty()) break;
-    }
-    std::this_thread::sleep_for(1ms);
-  }
-  for (int i = 2; i <= kFrames; ++i) {
-    ASSERT_TRUE(client.send(conn, heartbeat_frame(0, i)));
-  }
-  const auto deadline = std::chrono::steady_clock::now() + 10s;
-  while (std::chrono::steady_clock::now() < deadline) {
-    {
-      std::lock_guard lk(mu);
-      if (received.size() >= static_cast<std::size_t>(kFrames)) break;
-    }
-    std::this_thread::sleep_for(1ms);
-  }
-  std::lock_guard lk(mu);
-  ASSERT_EQ(received.size(), static_cast<std::size_t>(kFrames));
-  for (int i = 0; i < kFrames; ++i) {
-    EXPECT_EQ(received[i], i + 1) << "FIFO broke across the uring handoff";
-  }
-  ASSERT_EQ(renames.size(), 1u);
-  EXPECT_EQ(server.stats().migrations, 1u);
-  client.stop();
-  server.stop();
-}
-
 // ------------------------------------------------------------ LinkBatcher --
 
 /// Extracts the heartbeat timestamps of every frame in arrival order,

@@ -98,9 +98,6 @@ struct Args {
   /// Fail the run (exit 3) when more than this fraction of attempted ops
   /// missed their deadline. Negative = no budget gate.
   double deadline_budget = -1.0;
-  /// Event-loop backend of every client pool transport ("" = process
-  /// default, which honors POCC_EVENT_BACKEND).
-  std::string event_backend;
 };
 
 int usage(const char* argv0) {
@@ -115,8 +112,7 @@ int usage(const char* argv0) {
       "          [--key-dist zipfian|uniform] [--zipf T | --theta T]\n"
       "          [--seed N] [--client-base N] [--out FILE] [--no-check]\n"
       "          [--expect-disruption] [--resilient]\n"
-      "          [--op-deadline-us N] [--deadline-budget F]\n"
-      "          [--event-backend epoll|poll|uring]\n",
+      "          [--op-deadline-us N] [--deadline-budget F]\n",
       argv0);
   return 4;
 }
@@ -193,20 +189,9 @@ bool parse_args(int argc, char** argv, Args* args) {
       args->op_deadline_us = std::strtol(value(), nullptr, 10);
     } else if (std::strcmp(argv[i], "--deadline-budget") == 0) {
       args->deadline_budget = std::strtod(value(), nullptr);
-    } else if (std::strcmp(argv[i], "--event-backend") == 0) {
-      args->event_backend = value();
     } else {
       return false;
     }
-  }
-  if (!args->event_backend.empty()) {
-    net::EventLoop::Backend backend;
-    if (!net::EventLoop::parse_backend(args->event_backend, &backend)) {
-      std::fprintf(stderr, "loadgen: unknown --event-backend '%s'\n",
-                   args->event_backend.c_str());
-      return false;
-    }
-    net::EventLoop::set_default_backend(backend);
   }
   if (args->key_dist == "uniform") {
     args->zipf_theta = 0.0;  // uniform = zipf with no skew
@@ -527,7 +512,6 @@ int run_load(const Args& args, const net::ClusterLayout& layout) {
   std::snprintf(
       json, sizeof(json),
       "{\"bench\":\"tcp_loadgen\",\"mode\":\"load\",\"system\":\"%s\","
-      "\"event_backend\":\"%s\","
       "\"dcs\":%u,\"partitions\":%u,\"clients_per_dc\":%u,"
       "\"connections_per_dc\":%u,\"pipeline\":%u,\"pattern\":\"%s\","
       "\"key_dist\":\"%s\",\"zipf_theta\":%.3f,\"keys_per_partition\":%llu,"
@@ -541,8 +525,7 @@ int run_load(const Args& args, const net::ClusterLayout& layout) {
       "\"op_overloaded\":%llu,\"breaker_opens\":%llu,"
       "\"deadline_exhausted\":%llu,\"reconnects\":%llu,"
       "\"failure_rate\":%.6f}",
-      net::system_name(layout.system),
-      net::EventLoop::backend_name(net::EventLoop::default_backend()),
+      system_flag(layout.system),
       topo.num_dcs, topo.partitions_per_dc,
       args.clients_per_dc, args.connections_per_dc, args.pipeline,
       args.pattern.c_str(), args.key_dist.c_str(), args.zipf_theta,
@@ -698,7 +681,7 @@ int run_smoke(const Args& args, const net::ClusterLayout& layout) {
       "{\"bench\":\"tcp_loadgen\",\"mode\":\"smoke\",\"system\":\"%s\","
       "\"dcs\":%u,\"partitions\":%u,\"checks\":%llu,\"violations\":0,"
       "\"result\":\"pass\"}\n",
-      net::system_name(layout.system), topo.num_dcs, topo.partitions_per_dc,
+      system_flag(layout.system), topo.num_dcs, topo.partitions_per_dc,
       static_cast<unsigned long long>(verdict.checks));
   return 0;
 }

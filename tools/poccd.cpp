@@ -3,14 +3,15 @@
 // runs one of these per DC (the config's group `node` lines), all reading
 // the same cluster config file:
 //
-//   poccd --config cluster.cfg --dc 0 [--part N] [--threads N]
-//         [--system pocc|cure|ha] [--seed N] [--verbose]
+//   poccd --config cluster.cfg --dc 0 [--threads N]
+//         [--system pocc|cure|ha_pocc|scalar_pocc] [--seed N] [--verbose]
 //         [--data-dir DIR] [--no-durability] [--max-inbox N]
-//         [--metrics-addr HOST:PORT] [--event-backend epoll|poll|uring]
+//         [--metrics-addr HOST:PORT] [--event-backend epoll]
 //
-// --part selects a process in legacy one-partition-per-process configs (one
-// `node DC PART HOST:PORT` line each); group configs need only --dc.
+// --dc selects the config's one `node dc=N ...` line this process serves.
 // --threads overrides the config's worker count for this process.
+// --event-backend accepts only epoll, the one readiness backend; the flag
+// stays so existing launch scripts keep working.
 // --data-dir enables the per-partition WAL + checkpoints under DIR (the
 // process recovers from it after a crash — kill -9 included — rebuilding the
 // lost replication suffix from peer DCs before admitting clients);
@@ -61,11 +62,11 @@ pocc::Timestamp realtime_us() {
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s --config FILE --dc N [--part N] [--threads N]\n"
-               "          [--system pocc|cure|ha] [--seed N] [--verbose]\n"
-               "          [--data-dir DIR] [--no-durability] [--max-inbox N]\n"
-               "          [--metrics-addr HOST:PORT]\n"
-               "          [--event-backend epoll|poll|uring]\n",
+               "usage: %s --config FILE --dc N [--threads N]\n"
+               "          [--system pocc|cure|ha_pocc|scalar_pocc] [--seed N]\n"
+               "          [--verbose] [--data-dir DIR] [--no-durability]\n"
+               "          [--max-inbox N] [--metrics-addr HOST:PORT]\n"
+               "          [--event-backend epoll]\n",
                argv0);
   return 3;
 }
@@ -99,7 +100,6 @@ int main(int argc, char** argv) {
 
   const char* config_path = nullptr;
   long dc = -1;
-  long part = -1;
   long threads_override = -1;
   const char* system_override = nullptr;
   const char* data_dir = nullptr;
@@ -123,8 +123,6 @@ int main(int argc, char** argv) {
     if (arg_with_value("--config", &config_path)) {
     } else if (arg_with_value("--dc", &value)) {
       dc = std::strtol(value, nullptr, 10);
-    } else if (arg_with_value("--part", &value)) {
-      part = std::strtol(value, nullptr, 10);
     } else if (arg_with_value("--threads", &value)) {
       threads_override = std::strtol(value, nullptr, 10);
     } else if (arg_with_value("--system", &system_override)) {
@@ -152,7 +150,7 @@ int main(int argc, char** argv) {
     return 3;
   }
   if (system_override != nullptr) {
-    const auto system = net::parse_system(system_override);
+    const auto system = parse_system(system_override);
     if (!system.has_value()) {
       std::fprintf(stderr, "poccd: unknown system '%s'\n", system_override);
       return 3;
@@ -160,30 +158,22 @@ int main(int argc, char** argv) {
     layout->system = *system;
   }
 
-  // Pick the ProcessSpec this invocation serves: by --dc alone for group
-  // configs (one process per DC), disambiguated by --part for legacy
-  // one-partition-per-process configs.
+  // The ProcessSpec this invocation serves: the config's one process for
+  // --dc.
   const net::ProcessSpec* self = nullptr;
   int matches = 0;
   for (const net::ProcessSpec& p : layout->processes) {
     if (p.dc != static_cast<DcId>(dc)) continue;
-    if (part >= 0 && !p.hosts(NodeId{static_cast<DcId>(dc),
-                                     static_cast<PartitionId>(part)})) {
-      continue;
-    }
     self = &p;
     ++matches;
   }
   if (self == nullptr) {
-    const std::string suffix =
-        part >= 0 ? " part " + std::to_string(part) : std::string();
-    std::fprintf(stderr, "poccd: no process for dc %ld%s in the config\n", dc,
-                 suffix.c_str());
+    std::fprintf(stderr, "poccd: no process for dc %ld in the config\n", dc);
     return 3;
   }
   if (matches > 1) {
     std::fprintf(stderr,
-                 "poccd: %d processes host dc %ld — pass --part to pick one\n",
+                 "poccd: %d processes host dc %ld — one per DC expected\n",
                  matches, dc);
     return 3;
   }
@@ -214,17 +204,12 @@ int main(int argc, char** argv) {
     opt.data_dir = data_dir;
   }
   if (metrics_addr != nullptr) opt.metrics_addr = metrics_addr;
-  if (event_backend != nullptr) {
-    net::EventLoop::Backend backend;
-    if (!net::EventLoop::parse_backend(event_backend, &backend)) {
-      std::fprintf(stderr, "poccd: unknown --event-backend '%s'\n",
-                   event_backend);
-      return 3;
-    }
-    // The process default too: any auxiliary transport (tests, tools built
-    // on this main) follows the flag, exactly like POCC_EVENT_BACKEND.
-    net::EventLoop::set_default_backend(backend);
-    opt.backend = backend;
+  if (event_backend != nullptr && std::strcmp(event_backend, "epoll") != 0) {
+    std::fprintf(stderr,
+                 "poccd: unknown --event-backend '%s' (epoll is the only "
+                 "backend)\n",
+                 event_backend);
+    return 3;
   }
   // Map the engine clock onto wall time: steady_now_us() is process-relative,
   // so without this bias every process would carry a clock skew equal to its
@@ -268,10 +253,9 @@ int main(int argc, char** argv) {
   }
   std::fprintf(stderr,
                "poccd dc%ld: %s engine, %zu partitions on %u workers, "
-               "port %u, %s event backend\n",
-               dc, net::system_name(layout->system), spec.parts.size(),
-               host.group().threads(), host.port(),
-               net::EventLoop::backend_name(opt.backend));
+               "port %u\n",
+               dc, system_flag(layout->system), spec.parts.size(),
+               host.group().threads(), host.port());
   if (data_dir != nullptr) {
     // One line per partition so crash drills can assert the WAL replay
     // actually ran (scripts grep for "recovered part").
