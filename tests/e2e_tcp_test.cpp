@@ -6,8 +6,9 @@
 // covers that in CI). Verifies read-your-writes, the cross-DC WC-DEP causal
 // chain, and a concurrent mixed load whose full client history replays
 // through the HistoryChecker with zero violations — all riding coalesced
-// Batch frames between the hosts and in-process queues within them — for
-// the POCC, Cure* and HA-POCC engines.
+// Batch frames between the hosts and in-process queues within them.
+// The fixture lives in tcp_deployment.hpp; runtime_test drives the same
+// fixture per engine (HA-POCC fallback, Cure* stabilization).
 //
 // Timing assertions are deliberately generous — this suite runs on loaded CI
 // machines.
@@ -26,201 +27,15 @@
 #include "net/chaos.hpp"
 #include "net/tcp_client.hpp"
 #include "net/tcp_node_host.hpp"
-#include "runtime/rt_node.hpp"
 #include "store/key_space.hpp"
+#include "tcp_deployment.hpp"
 
 namespace pocc::net {
 namespace {
 
-/// Deployment-unique client ids across all tests in this binary.
-std::atomic<ClientId> g_next_client{1};
-
-ClusterLayout small_layout(SystemKind system, Duration block_timeout_us) {
-  ClusterLayout layout;
-  layout.topology.num_dcs = 3;
-  layout.topology.partitions_per_dc = 2;
-  layout.topology.partition_scheme = PartitionScheme::kHash;
-  layout.system = system;
-  layout.protocol.heartbeat_interval_us = 5'000;  // gentle on single-core CI
-  layout.protocol.stabilization_interval_us = 20'000;
-  layout.protocol.gc_interval_us = 200'000;
-  layout.protocol.block_timeout_us = block_timeout_us;
-  // Addresses are filled in by Deployment once the ephemeral ports are known.
-  return layout;
-}
-
-/// A whole cluster + per-DC client pools, in one process over real TCP:
-/// one multi-partition host per DC, all partitions on 2 worker threads.
-class Deployment {
- public:
-  explicit Deployment(SystemKind system,
-                      const ClientResilience* resilience = nullptr,
-                      Duration block_timeout_us = 2'000'000)
-      : layout_(small_layout(system, block_timeout_us)) {
-    const auto& topo = layout_.topology;
-    std::uint64_t seed = 1;
-    for (DcId dc = 0; dc < topo.num_dcs; ++dc) {
-      ProcessSpec spec;
-      spec.dc = dc;
-      for (PartitionId p = 0; p < topo.partitions_per_dc; ++p) {
-        spec.parts.push_back(p);
-      }
-      spec.threads = 2;
-      spec.host = "127.0.0.1";
-      TcpNodeHost::Options opt;
-      opt.listen_port = 0;  // ephemeral
-      opt.seed = seed++;
-      hosts_.push_back(std::make_unique<TcpNodeHost>(spec, layout_, opt));
-      spec.port = hosts_.back()->port();
-      layout_.processes.push_back(spec);
-      for (PartitionId p = 0; p < topo.partitions_per_dc; ++p) {
-        layout_.nodes.push_back(
-            NodeAddress{NodeId{dc, p}, "127.0.0.1", spec.port});
-      }
-    }
-    for (auto& host : hosts_) host->start(layout_.processes);
-    for (DcId dc = 0; dc < topo.num_dcs; ++dc) {
-      pools_.push_back(std::make_unique<TcpClientPool>(layout_, dc));
-      if (resilience != nullptr) pools_.back()->set_resilience(*resilience);
-      pools_.back()->start();
-    }
-    for (auto& pool : pools_) {
-      EXPECT_TRUE(pool->wait_connected(10'000'000))
-          << "client pool failed to reach all partitions";
-    }
-  }
-
-  ~Deployment() { stop(); }
-
-  /// Stop every client pool, then every host. Idempotent.
-  void stop() {
-    for (auto& pool : pools_) pool->stop();
-    for (auto& host : hosts_) host->stop();
-  }
-
-  TcpSession& connect(DcId dc) {
-    return pools_[dc]->connect(g_next_client.fetch_add(1));
-  }
-
-  std::vector<checker::SessionHistory> histories() const {
-    std::vector<checker::SessionHistory> all;
-    for (const auto& pool : pools_) {
-      auto h = pool->histories();
-      all.insert(all.end(), h.begin(), h.end());
-    }
-    return all;
-  }
-
-  const ClusterLayout& layout() const { return layout_; }
-
-  std::uint64_t dropped_frames() const {
-    std::uint64_t n = 0;
-    for (const auto& host : hosts_) n += host->dropped_frames();
-    return n;
-  }
-
-  std::uint64_t local_deliveries() const {
-    std::uint64_t n = 0;
-    for (const auto& host : hosts_) n += host->group().local_deliveries();
-    return n;
-  }
-
-  std::uint64_t batched_messages() const {
-    std::uint64_t n = 0;
-    for (const auto& host : hosts_) n += host->batch_stats().messages;
-    return n;
-  }
-
-  std::uint64_t batch_send_failures() const {
-    std::uint64_t n = 0;
-    for (const auto& host : hosts_) n += host->batch_stats().send_failures;
-    return n;
-  }
-
-  std::uint64_t deduped_requests() const {
-    std::uint64_t n = 0;
-    for (const auto& host : hosts_) n += host->deduped_requests();
-    return n;
-  }
-
-  ClientResilienceStats resilience_stats() const {
-    ClientResilienceStats s;
-    for (const auto& pool : pools_) s += pool->resilience_stats();
-    return s;
-  }
-
-  /// Arm every inter-DC replication link with a schedule-bound ChaosLink:
-  /// the profile's delay/jitter plus the seed's timed partition and degrade
-  /// windows, exactly as chaos_campaign does.
-  void arm_server_chaos(std::uint64_t seed, const ChaosProfile& profile) {
-    schedule_ = std::make_shared<ChaosSchedule>(
-        seed, layout_.topology, /*horizon_us=*/2'000'000,
-        /*duration_us=*/60'000'000);
-    const Timestamp start = rt::steady_now_us();
-    std::uint64_t n = 0;
-    for (DcId src = 0; src < layout_.topology.num_dcs; ++src) {
-      for (DcId dst = 0; dst < layout_.topology.num_dcs; ++dst) {
-        if (src == dst) continue;
-        auto link = std::make_shared<ChaosLink>(
-            seed ^ (0x9e3779b97f4a7c15ULL * ++n), profile);
-        link->bind_schedule(schedule_, src, dst, start);
-        hosts_[src]->arm_chaos(dst, link);
-      }
-    }
-  }
-
-  /// Arm the one replication link src -> dst with an unscheduled ChaosLink
-  /// (a slow or stalled WAN path between two DCs).
-  void arm_link(DcId src, DcId dst, const ChaosProfile& profile) {
-    hosts_[src]->arm_chaos(dst, std::make_shared<ChaosLink>(
-                                    0x5eed0000ULL + src * 16 + dst, profile));
-  }
-
-  /// Arm every dialed client connection (both replicas when resilience
-  /// dialed siblings) with an unscheduled ChaosLink — client links may
-  /// carry dup/reset chaos because the op_id idempotency cache absorbs it.
-  void arm_client_chaos(std::uint64_t seed, const ChaosProfile& profile) {
-    std::uint64_t n = 0;
-    for (auto& pool : pools_) {
-      for (PartitionId p = 0; p < layout_.topology.partitions_per_dc; ++p) {
-        for (unsigned replica = 0; replica < 2; ++replica) {
-          const ConnId conn = pool->conn_of(p, replica);
-          if (conn == kInvalidConn) continue;
-          pool->transport().set_chaos(
-              conn, std::make_shared<ChaosLink>(
-                        seed ^ (0x9e3779b97f4a7c15ULL * ++n), profile));
-        }
-      }
-    }
-  }
-
- private:
-  ClusterLayout layout_;
-  std::vector<std::unique_ptr<TcpNodeHost>> hosts_;
-  std::vector<std::unique_ptr<TcpClientPool>> pools_;
-  std::shared_ptr<ChaosSchedule> schedule_;
-};
-
-/// Poll `fn` until it returns true or the deadline passes.
-bool eventually(Duration timeout_us, const std::function<bool()>& fn) {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::microseconds(timeout_us);
-  while (std::chrono::steady_clock::now() < deadline) {
-    if (fn()) return true;
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  return fn();
-}
-
-void expect_clean_replay(const Deployment& cluster) {
-  checker::HistoryChecker checker(cluster.layout().topology.num_dcs);
-  const auto result = checker::replay_history(cluster.histories(), checker);
-  EXPECT_TRUE(result.complete) << result.error;
-  EXPECT_TRUE(checker.violations().empty())
-      << checker.violations().size() << " violations, first: "
-      << checker.violations().front();
-  EXPECT_GT(checker.checks_performed(), 0u);
-}
+using testutil::Deployment;
+using testutil::eventually;
+using testutil::expect_clean_replay;
 
 TEST(E2eTcp, ReadYourWritesSingleDc) {
   Deployment cluster(SystemKind::kPocc);
@@ -473,99 +288,6 @@ TEST(E2eTcp, CrossDcVisibilityEventuallyConverges) {
     })) << "value never visible in DC " << dc;
   }
   expect_clean_replay(cluster);
-}
-
-TEST(E2eTcp, UnwrittenKeyIsNotFound) {
-  Deployment cluster(SystemKind::kPocc);
-  TcpSession& s = cluster.connect(0);
-  const auto get = s.get("e2e:missing");
-  ASSERT_TRUE(get.ok);
-  EXPECT_FALSE(get.found);
-  expect_clean_replay(cluster);
-}
-
-TEST(E2eTcp, SessionPutsGetMonotonicTimestamps) {
-  Deployment cluster(SystemKind::kPocc);
-  TcpSession& s = cluster.connect(0);
-  Timestamp prev = 0;
-  for (int i = 0; i < 5; ++i) {
-    const auto put = s.put("e2e:counter", std::to_string(i));
-    ASSERT_TRUE(put.ok);
-    EXPECT_GT(put.ut, prev);
-    prev = put.ut;
-  }
-  const auto get = s.get("e2e:counter");
-  ASSERT_TRUE(get.ok);
-  EXPECT_EQ(get.value, "4");
-  expect_clean_replay(cluster);
-}
-
-TEST(E2eTcp, CureRemoteReaderSeesStabilizedWrite) {
-  // Cure* exposes a remote write only once a stabilization round covers it;
-  // the value must still become visible in every other DC.
-  Deployment cluster(SystemKind::kCure);
-  TcpSession& writer = cluster.connect(0);
-  ASSERT_TRUE(writer.put("e2e:cure", "v").ok);
-  TcpSession& reader = cluster.connect(1);
-  EXPECT_TRUE(eventually(10'000'000, [&] {
-    const auto got = reader.get("e2e:cure");
-    return got.ok && got.found && got.value == "v";
-  })) << "stabilized write never visible in DC 1";
-  expect_clean_replay(cluster);
-}
-
-TEST(E2eTcp, HaPoccFallsBackWhileAWanLinkStallsAndRecovers) {
-  // HA-POCC over TCP (§III-B): DC0 -> DC1 replication stalls for 2 s.
-  // Carol (DC1) picks up a dependency on Alice's stalled write through Bob
-  // (DC2); her next read of that key blocks past the 150 ms block timeout,
-  // the server closes her session, and she continues pessimistically. Once
-  // the link delivers, she reads the new value.
-  Deployment cluster(SystemKind::kHaPocc, /*resilience=*/nullptr,
-                     /*block_timeout_us=*/150'000);
-  TcpSession& alice = cluster.connect(0);
-  TcpSession& carol = cluster.connect(1);
-  TcpSession& bob = cluster.connect(2);
-
-  ASSERT_TRUE(alice.put("e2e:ha:item", "v1").ok);
-  ASSERT_TRUE(eventually(10'000'000, [&] {
-    const auto got = carol.get("e2e:ha:item");
-    return got.ok && got.value == "v1";
-  })) << "v1 never replicated to DC1";
-
-  ChaosProfile stall;
-  stall.base_delay_us = 2'000'000;
-  cluster.arm_link(/*src=*/0, /*dst=*/1, stall);
-  ASSERT_TRUE(alice.put("e2e:ha:item", "v2").ok);
-
-  ASSERT_TRUE(eventually(10'000'000, [&] {
-    const auto got = bob.get("e2e:ha:item");
-    return got.ok && got.value == "v2";
-  })) << "v2 never replicated to DC2";
-  ASSERT_TRUE(bob.put("e2e:ha:reply", "saw v2").ok);
-  ASSERT_TRUE(eventually(10'000'000, [&] {
-    const auto got = carol.get("e2e:ha:reply");
-    return got.ok && got.found;
-  })) << "Bob's reply never replicated to DC1";
-
-  const auto during = carol.get("e2e:ha:item");
-  EXPECT_FALSE(during.ok);
-  EXPECT_TRUE(during.session_closed)
-      << "a read blocked past the timeout must close the session";
-  EXPECT_TRUE(carol.pessimistic());
-
-  EXPECT_TRUE(eventually(10'000'000, [&] {
-    const auto got = carol.get("e2e:ha:item");
-    return got.ok && got.value == "v2";
-  })) << "DC1 never caught up after the stall";
-  expect_clean_replay(cluster);
-}
-
-TEST(E2eTcp, StopIsIdempotent) {
-  Deployment cluster(SystemKind::kPocc);
-  TcpSession& s = cluster.connect(0);
-  ASSERT_TRUE(s.put("e2e:stop", "v").ok);
-  cluster.stop();
-  cluster.stop();  // second call is a no-op; the destructor makes a third
 }
 
 }  // namespace
