@@ -1,427 +1,358 @@
 #include "proto/codec.hpp"
 
-#include <cstring>
-#include <limits>
+#include <array>
 #include <type_traits>
 #include <utility>
 
 #include "common/assert.hpp"
-#include "store/key_space.hpp"
+#include "proto/wire.hpp"
 
 namespace pocc::proto {
 
 namespace {
 
-// The 0..14 wire ids must track the Message variant order: SimNetwork's
-// accounting and SimNode's priority classing switch on index(), and the codec
-// reuses it as the on-the-wire type tag.
-template <WireType W, typename T>
-constexpr bool kMatches =
-    std::is_same_v<std::variant_alternative_t<static_cast<std::size_t>(W),
-                                              Message>,
-                   T>;
-static_assert(kMatches<WireType::kGetReq, GetReq> &&
-                  kMatches<WireType::kPutReq, PutReq> &&
-                  kMatches<WireType::kRoTxReq, RoTxReq> &&
-                  kMatches<WireType::kGetReply, GetReply> &&
-                  kMatches<WireType::kPutReply, PutReply> &&
-                  kMatches<WireType::kRoTxReply, RoTxReply> &&
-                  kMatches<WireType::kSessionClosed, SessionClosed> &&
-                  kMatches<WireType::kReplicate, Replicate> &&
-                  kMatches<WireType::kHeartbeat, Heartbeat> &&
-                  kMatches<WireType::kSliceReq, SliceReq> &&
-                  kMatches<WireType::kSliceReply, SliceReply> &&
-                  kMatches<WireType::kGcReport, GcReport> &&
-                  kMatches<WireType::kGcVector, GcVector> &&
-                  kMatches<WireType::kStabReport, StabReport> &&
-                  kMatches<WireType::kGssBroadcast, GssBroadcast> &&
-                  kMatches<WireType::kRecoveryReq, RecoveryReq> &&
-                  kMatches<WireType::kRecoveryVersion, RecoveryVersion> &&
-                  kMatches<WireType::kRecoveryDone, RecoveryDone> &&
-                  kMatches<WireType::kOverloaded, Overloaded>,
-              "wire ids must match the Message variant order");
+using wire::key;
+using wire::kFraming;
+using wire::kMeta;
+using wire::list;
+using wire::Of;
+using wire::Seq;
+using wire::text;
 
-/// Whether a write counts toward wire_size() (protocol metadata) or is
-/// transport framing / measurement-only (see messages.hpp charging rule).
-enum class Charge : bool { kNo = false, kYes = true };
+// A message's wire id is its Message variant index (SimNetwork's accounting
+// and SimNode's priority classing switch on index() too), so the entries
+// below need no id table. RouteProbe sits last and is never encoded.
+static_assert(kMaxProtocolWireType + 2 == std::variant_size_v<Message>,
+              "every Message alternative but RouteProbe needs a wire id");
 
-class Writer {
- public:
-  explicit Writer(std::vector<std::uint8_t>& out) : out_(out) {}
+// Each key costs >= 2 bytes on the wire, each read item >= ~20.
+constexpr Seq kKeys{2, "key"};
+constexpr Seq kTxKeys{2, "key", kMaxTxKeys};
+constexpr Seq kItems{20, "item"};
 
-  void u8(std::uint8_t v, Charge c) { raw(&v, 1, c); }
-  void u16(std::uint16_t v, Charge c) { put_le(v, c); }
-  void u32(std::uint32_t v, Charge c) { put_le(v, c); }
-  void u64(std::uint64_t v, Charge c) { put_le(v, c); }
-  void i64(std::int64_t v, Charge c) {
-    put_le(static_cast<std::uint64_t>(v), c);
-  }
-  void raw(const void* p, std::size_t n, Charge c) {
-    const auto* b = static_cast<const std::uint8_t*>(p);
-    out_.insert(out_.end(), b, b + n);
-    if (c == Charge::kYes) charged_ += n;
-  }
-
-  [[nodiscard]] std::size_t charged() const { return charged_; }
-
- private:
-  template <typename T>
-  void put_le(T v, Charge c) {
-    std::uint8_t buf[sizeof(T)];
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      buf[i] = static_cast<std::uint8_t>(v >> (8 * i));
-    }
-    raw(buf, sizeof(T), c);
-  }
-
-  std::vector<std::uint8_t>& out_;
-  std::size_t charged_ = 0;
-};
-
-void put_header(Writer& w, WireType type) {
-  w.u8(kWireVersion, Charge::kYes);
-  w.u8(static_cast<std::uint8_t>(type), Charge::kYes);
+/// The version byte and type byte opening every body (charged: the §V model
+/// counts them once per message).
+template <typename Io>
+void header(Io& io, std::uint8_t type) {
+  io.num(kWireVersion, kMeta);
+  io.num(type, kMeta);
 }
 
-void put_vv(Writer& w, const VersionVector& vv) {
-  w.u8(static_cast<std::uint8_t>(vv.size()), Charge::kYes);
-  for (std::uint32_t i = 0; i < vv.size(); ++i) w.i64(vv[i], Charge::kYes);
+template <typename Io, typename L>
+void keys(Io& io, L& ks, const Seq& seq = kKeys) {
+  list<std::uint32_t>(io, ks, seq, kMeta, [&](auto& k) { key(io, k); });
 }
 
-/// Keys cross process boundaries as their original strings (KeyIds are
-/// per-process); charged at original length + 2-byte marker.
-void put_key(Writer& w, KeyId key) {
-  const std::string_view name = store::KeySpace::global().name(key);
-  POCC_ASSERT_MSG(name.size() <= std::numeric_limits<std::uint16_t>::max(),
-                  "key longer than the wire format's 64 KiB limit");
-  w.u16(static_cast<std::uint16_t>(name.size()), Charge::kYes);
-  w.raw(name.data(), name.size(), Charge::kYes);
-}
-
-void put_string(Writer& w, const std::string& s, Charge c) {
-  w.u32(static_cast<std::uint32_t>(s.size()), c);
-  w.raw(s.data(), s.size(), c);
-}
-
-void put_node(Writer& w, NodeId n) {
-  w.u32(n.dc, Charge::kYes);
-  w.u32(n.part, Charge::kYes);
-}
-
-void put_key_list(Writer& w, const std::vector<KeyId>& keys) {
-  w.u32(static_cast<std::uint32_t>(keys.size()), Charge::kYes);
-  for (const KeyId k : keys) put_key(w, k);
-}
-
-void put_item(Writer& w, const ReadItem& it) {
-  put_key(w, it.key);
-  w.u8(it.found ? 1 : 0, Charge::kYes);
-  put_string(w, it.value, Charge::kYes);
-  w.u32(it.sr, Charge::kYes);
-  w.i64(it.ut, Charge::kYes);
-  put_vv(w, it.dv);
+template <typename Io, Of<ReadItem> R>
+void fields(Io& io, R& it) {
+  key(io, it.key);
+  io.num(it.found, kMeta);
+  text(io, it.value, kMeta);
+  io.num(it.sr, kMeta);
+  io.num(it.ut, kMeta);
+  fields(io, it.dv);
   // Measurement-only fields ride along uncharged so decode round-trips
   // exactly (the checker and tests compare full structs).
-  w.u32(it.fresher_versions, Charge::kNo);
-  w.u32(it.unmerged_versions, Charge::kNo);
+  io.num(it.fresher_versions, kFraming);
+  io.num(it.unmerged_versions, kFraming);
 }
 
-void put_item_list(Writer& w, const std::vector<ReadItem>& items) {
-  w.u32(static_cast<std::uint32_t>(items.size()), Charge::kYes);
-  for (const ReadItem& it : items) put_item(w, it);
+template <typename Io, typename L>
+void items(Io& io, L& its) {
+  list<std::uint32_t>(io, its, kItems, kMeta,
+                      [&](auto& it) { fields(io, it); });
 }
 
-struct EncodeVisitor {
-  Writer& w;
+// ------------------------------------------------- the protocol messages ----
+//
+// One entry per message, in wire-id order: its name and its field list.
+// Charging rule (messages.hpp): op_id, blocked_us and the ReadItem
+// measurement fields are kFraming, everything else is kMeta.
 
-  void operator()(const GetReq& m) const {
-    put_header(w, WireType::kGetReq);
-    w.u64(m.client, Charge::kYes);
-    put_key(w, m.key);
-    put_vv(w, m.rdv);
-    w.u8(m.pessimistic ? 1 : 0, Charge::kYes);
-    w.u64(m.op_id, Charge::kNo);
-  }
-  void operator()(const PutReq& m) const {
-    put_header(w, WireType::kPutReq);
-    w.u64(m.client, Charge::kYes);
-    put_key(w, m.key);
-    put_string(w, m.value, Charge::kYes);
-    put_vv(w, m.dv);
-    w.u8(m.pessimistic ? 1 : 0, Charge::kYes);
-    w.u64(m.op_id, Charge::kNo);
-  }
-  void operator()(const RoTxReq& m) const {
-    put_header(w, WireType::kRoTxReq);
-    w.u64(m.client, Charge::kYes);
-    put_key_list(w, m.keys);
-    put_vv(w, m.rdv);
-    w.u8(m.pessimistic ? 1 : 0, Charge::kYes);
-    w.u64(m.op_id, Charge::kNo);
-  }
-  void operator()(const GetReply& m) const {
-    put_header(w, WireType::kGetReply);
-    w.u64(m.client, Charge::kYes);
-    put_item(w, m.item);
-    w.i64(m.blocked_us, Charge::kNo);
-    w.u64(m.op_id, Charge::kNo);
-  }
-  void operator()(const PutReply& m) const {
-    put_header(w, WireType::kPutReply);
-    w.u64(m.client, Charge::kYes);
-    put_key(w, m.key);
-    w.i64(m.ut, Charge::kYes);
-    w.u32(m.sr, Charge::kYes);
-    w.i64(m.blocked_us, Charge::kNo);
-    w.u64(m.op_id, Charge::kNo);
-  }
-  void operator()(const RoTxReply& m) const {
-    put_header(w, WireType::kRoTxReply);
-    w.u64(m.client, Charge::kYes);
-    put_item_list(w, m.items);
-    put_vv(w, m.tv);
-    w.i64(m.blocked_us, Charge::kNo);
-    w.u64(m.op_id, Charge::kNo);
-  }
-  void operator()(const SessionClosed& m) const {
-    put_header(w, WireType::kSessionClosed);
-    w.u64(m.client, Charge::kYes);
-    put_string(w, m.reason, Charge::kYes);
-  }
-  void operator()(const Replicate& m) const {
-    put_header(w, WireType::kReplicate);
-    put_key(w, m.version.key);
-    put_string(w, m.version.value, Charge::kYes);
-    w.u32(m.version.sr, Charge::kYes);
-    w.i64(m.version.ut, Charge::kYes);
-    put_vv(w, m.version.dv);
-    w.u8(m.version.opt_origin ? 1 : 0, Charge::kYes);
-  }
-  void operator()(const Heartbeat& m) const {
-    put_header(w, WireType::kHeartbeat);
-    w.u32(m.src_dc, Charge::kYes);
-    w.i64(m.ts, Charge::kYes);
-  }
-  void operator()(const SliceReq& m) const {
-    put_header(w, WireType::kSliceReq);
-    w.u64(m.tx_id, Charge::kYes);
-    put_node(w, m.coordinator);
-    put_key_list(w, m.keys);
-    put_vv(w, m.tv);
-    w.u8(m.pessimistic ? 1 : 0, Charge::kYes);
-  }
-  void operator()(const SliceReply& m) const {
-    put_header(w, WireType::kSliceReply);
-    w.u64(m.tx_id, Charge::kYes);
-    put_item_list(w, m.items);
-    w.u8(m.aborted ? 1 : 0, Charge::kYes);
-    w.i64(m.blocked_us, Charge::kNo);
-  }
-  void operator()(const GcReport& m) const {
-    put_header(w, WireType::kGcReport);
-    put_node(w, m.from);
-    put_vv(w, m.low_watermark);
-  }
-  void operator()(const GcVector& m) const {
-    put_header(w, WireType::kGcVector);
-    put_vv(w, m.gv);
-  }
-  void operator()(const StabReport& m) const {
-    put_header(w, WireType::kStabReport);
-    put_node(w, m.from);
-    put_vv(w, m.vv);
-  }
-  void operator()(const GssBroadcast& m) const {
-    put_header(w, WireType::kGssBroadcast);
-    put_vv(w, m.gss);
-  }
-  void operator()(const RecoveryReq& m) const {
-    put_header(w, WireType::kRecoveryReq);
-    put_node(w, m.from);
-    put_vv(w, m.durable_vv);
-  }
-  void operator()(const RecoveryVersion& m) const {
-    put_header(w, WireType::kRecoveryVersion);
-    put_key(w, m.version.key);
-    put_string(w, m.version.value, Charge::kYes);
-    w.u32(m.version.sr, Charge::kYes);
-    w.i64(m.version.ut, Charge::kYes);
-    put_vv(w, m.version.dv);
-    w.u8(m.version.opt_origin ? 1 : 0, Charge::kYes);
-  }
-  void operator()(const RecoveryDone& m) const {
-    put_header(w, WireType::kRecoveryDone);
-    put_node(w, m.from);
-    put_vv(w, m.vv);
-  }
-  void operator()(const Overloaded& m) const {
-    put_header(w, WireType::kOverloaded);
-    w.u64(m.client, Charge::kYes);
-    w.i64(m.retry_after_us, Charge::kYes);
-    w.u64(m.op_id, Charge::kNo);
-  }
-  void operator()(const RouteProbe&) const {
-    POCC_ASSERT_MSG(false, "RouteProbe is test-only and never encoded");
-  }
-};
+template <typename M>
+constexpr const char* kName = nullptr;
 
-// ------------------------------------------------------------- decoding ----
+template <>
+constexpr const char* kName<GetReq> = "GetReq";
+template <typename Io, Of<GetReq> M>
+void fields(Io& io, M& m) {
+  io.num(m.client, kMeta);
+  key(io, m.key);
+  fields(io, m.rdv);
+  io.num(m.pessimistic, kMeta);
+  io.num(m.op_id, kFraming);
+}
 
-class Reader {
- public:
-  Reader(const std::uint8_t* p, std::size_t n) : p_(p), end_(p + n) {}
+template <>
+constexpr const char* kName<PutReq> = "PutReq";
+template <typename Io, Of<PutReq> M>
+void fields(Io& io, M& m) {
+  io.num(m.client, kMeta);
+  key(io, m.key);
+  text(io, m.value, kMeta, kMaxValueBytes);
+  fields(io, m.dv);
+  io.num(m.pessimistic, kMeta);
+  io.num(m.op_id, kFraming);
+}
 
-  [[nodiscard]] bool ok() const { return ok_; }
-  [[nodiscard]] const std::string& error() const { return error_; }
-  [[nodiscard]] std::size_t remaining() const {
-    return static_cast<std::size_t>(end_ - p_);
+template <>
+constexpr const char* kName<RoTxReq> = "RoTxReq";
+template <typename Io, Of<RoTxReq> M>
+void fields(Io& io, M& m) {
+  io.num(m.client, kMeta);
+  keys(io, m.keys, kTxKeys);
+  fields(io, m.rdv);
+  io.num(m.pessimistic, kMeta);
+  io.num(m.op_id, kFraming);
+}
+
+template <>
+constexpr const char* kName<GetReply> = "GetReply";
+template <typename Io, Of<GetReply> M>
+void fields(Io& io, M& m) {
+  io.num(m.client, kMeta);
+  fields(io, m.item);
+  io.num(m.blocked_us, kFraming);
+  io.num(m.op_id, kFraming);
+}
+
+template <>
+constexpr const char* kName<PutReply> = "PutReply";
+template <typename Io, Of<PutReply> M>
+void fields(Io& io, M& m) {
+  io.num(m.client, kMeta);
+  key(io, m.key);
+  io.num(m.ut, kMeta);
+  io.num(m.sr, kMeta);
+  io.num(m.blocked_us, kFraming);
+  io.num(m.op_id, kFraming);
+}
+
+template <>
+constexpr const char* kName<RoTxReply> = "RoTxReply";
+template <typename Io, Of<RoTxReply> M>
+void fields(Io& io, M& m) {
+  io.num(m.client, kMeta);
+  items(io, m.items);
+  fields(io, m.tv);
+  io.num(m.blocked_us, kFraming);
+  io.num(m.op_id, kFraming);
+}
+
+template <>
+constexpr const char* kName<SessionClosed> = "SessionClosed";
+template <typename Io, Of<SessionClosed> M>
+void fields(Io& io, M& m) {
+  io.num(m.client, kMeta);
+  text(io, m.reason, kMeta);
+}
+
+template <>
+constexpr const char* kName<Replicate> = "Replicate";
+template <typename Io, Of<Replicate> M>
+void fields(Io& io, M& m) {
+  fields(io, m.version);
+}
+
+template <>
+constexpr const char* kName<Heartbeat> = "Heartbeat";
+template <typename Io, Of<Heartbeat> M>
+void fields(Io& io, M& m) {
+  io.num(m.src_dc, kMeta);
+  io.num(m.ts, kMeta);
+}
+
+template <>
+constexpr const char* kName<SliceReq> = "SliceReq";
+template <typename Io, Of<SliceReq> M>
+void fields(Io& io, M& m) {
+  io.num(m.tx_id, kMeta);
+  fields(io, m.coordinator);
+  keys(io, m.keys);
+  fields(io, m.tv);
+  io.num(m.pessimistic, kMeta);
+}
+
+template <>
+constexpr const char* kName<SliceReply> = "SliceReply";
+template <typename Io, Of<SliceReply> M>
+void fields(Io& io, M& m) {
+  io.num(m.tx_id, kMeta);
+  items(io, m.items);
+  io.num(m.aborted, kMeta);
+  io.num(m.blocked_us, kFraming);
+}
+
+template <>
+constexpr const char* kName<GcReport> = "GcReport";
+template <typename Io, Of<GcReport> M>
+void fields(Io& io, M& m) {
+  fields(io, m.from);
+  fields(io, m.low_watermark);
+}
+
+template <>
+constexpr const char* kName<GcVector> = "GcVector";
+template <typename Io, Of<GcVector> M>
+void fields(Io& io, M& m) {
+  fields(io, m.gv);
+}
+
+template <>
+constexpr const char* kName<StabReport> = "StabReport";
+template <typename Io, Of<StabReport> M>
+void fields(Io& io, M& m) {
+  fields(io, m.from);
+  fields(io, m.vv);
+}
+
+template <>
+constexpr const char* kName<GssBroadcast> = "GssBroadcast";
+template <typename Io, Of<GssBroadcast> M>
+void fields(Io& io, M& m) {
+  fields(io, m.gss);
+}
+
+template <>
+constexpr const char* kName<RecoveryReq> = "RecoveryReq";
+template <typename Io, Of<RecoveryReq> M>
+void fields(Io& io, M& m) {
+  fields(io, m.from);
+  fields(io, m.durable_vv);
+}
+
+template <>
+constexpr const char* kName<RecoveryVersion> = "RecoveryVersion";
+template <typename Io, Of<RecoveryVersion> M>
+void fields(Io& io, M& m) {
+  fields(io, m.version);
+}
+
+template <>
+constexpr const char* kName<RecoveryDone> = "RecoveryDone";
+template <typename Io, Of<RecoveryDone> M>
+void fields(Io& io, M& m) {
+  fields(io, m.from);
+  fields(io, m.vv);
+}
+
+template <>
+constexpr const char* kName<Overloaded> = "Overloaded";
+template <typename Io, Of<Overloaded> M>
+void fields(Io& io, M& m) {
+  io.num(m.client, kMeta);
+  io.num(m.retry_after_us, kMeta);
+  io.num(m.op_id, kFraming);
+}
+
+template <>
+constexpr const char* kName<RouteProbe> = "RouteProbe";
+
+// ------------------------------------------------------ control frames ----
+
+template <typename Io, Of<NodeHello> H>
+void fields(Io& io, H& h) {
+  fields(io, h.node);
+}
+
+template <typename Io, Of<ClientHello> H>
+void fields(Io& io, H& h) {
+  io.num(h.client, kMeta);
+  io.num(h.preferred_part, kMeta);
+}
+
+/// Routing envelope of one Batch item: from, to, then the sub-body length.
+/// All of it is batching overhead, never §V protocol bytes.
+template <typename Io, typename N, typename Len>
+void envelope(Io& io, N& from, N& to, Len& len) {
+  io.num(from.dc, kFraming);
+  io.num(from.part, kFraming);
+  io.num(to.dc, kFraming);
+  io.num(to.part, kFraming);
+  io.num(len, kFraming);
+}
+
+// ------------------------------------------------------------ dispatch ----
+
+/// Header + fields of `m`: one message body, written or sized.
+template <typename Io>
+void body(Io& io, const Message& m) {
+  std::visit(
+      [&](const auto& msg) {
+        if constexpr (std::is_same_v<std::decay_t<decltype(msg)>,
+                                     RouteProbe>) {
+          POCC_ASSERT_MSG(false, "RouteProbe is test-only and never encoded");
+        } else {
+          header(io, static_cast<std::uint8_t>(m.index()));
+          fields(io, msg);
+        }
+      },
+      m);
+}
+
+template <std::size_t I>
+Message decode_as(wire::Reader& r) {
+  std::variant_alternative_t<I, Message> m;
+  fields(r, m);
+  return Message{std::in_place_index<I>, std::move(m)};
+}
+
+template <std::size_t... I>
+constexpr auto make_decoders(std::index_sequence<I...>) {
+  return std::array<Message (*)(wire::Reader&), sizeof...(I)>{
+      &decode_as<I>...};
+}
+
+/// Decoder of each protocol message, indexed by wire id.
+constexpr auto kDecoders =
+    make_decoders(std::make_index_sequence<kMaxProtocolWireType + 1>{});
+
+void patch_u32(std::vector<std::uint8_t>& buf, std::size_t at,
+               std::size_t v) {
+  for (std::size_t i = 0; i < 4; ++i) {
+    buf[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
   }
-  /// Raw read position (batch decoding carves sub-readers out of the body).
-  [[nodiscard]] const std::uint8_t* cursor() const { return p_; }
-  /// Advance past `n` bytes the caller consumed through a sub-reader.
-  void skip(std::size_t n) {
-    if (need(n, "skipped bytes")) p_ += n;
-  }
+}
 
-  void fail(std::string msg) {
-    if (ok_) {
-      ok_ = false;
-      error_ = std::move(msg);
-    }
-  }
+/// Reserve the length prefix, encode via `fn`, then patch the prefix.
+template <typename Fn>
+std::size_t encode_with_prefix(std::vector<std::uint8_t>& out, Fn&& fn) {
+  static_assert(kFrameHeaderBytes == 4);
+  const std::size_t prefix_at = out.size();
+  out.insert(out.end(), kFrameHeaderBytes, 0);
+  wire::Writer w(out);
+  fn(w);
+  const std::size_t body = out.size() - prefix_at - kFrameHeaderBytes;
+  POCC_ASSERT_MSG(body <= kMaxFrameBytes, "frame exceeds kMaxFrameBytes");
+  patch_u32(out, prefix_at, body);
+  return body;
+}
 
-  std::uint8_t u8() { return get_le<std::uint8_t>(); }
-  std::uint16_t u16() { return get_le<std::uint16_t>(); }
-  std::uint32_t u32() { return get_le<std::uint32_t>(); }
-  std::uint64_t u64() { return get_le<std::uint64_t>(); }
-  std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-
-  VersionVector vv() {
-    const std::uint8_t n = u8();
-    if (!ok_) return {};
-    if (n == 0) return {};  // default-constructed (size 0) vector
-    if (n > kMaxDcs) {
-      fail("version vector wider than kMaxDcs");
-      return {};
-    }
-    VersionVector v(n);
-    for (std::uint8_t i = 0; i < n && ok_; ++i) v.set(i, i64());
-    return v;
-  }
-
-  /// Key string off the wire, re-interned into this process's KeySpace.
-  KeyId key() {
-    const std::uint16_t n = u16();
-    if (!ok_ || !need(n, "key bytes")) return 0;
-    const auto* s = reinterpret_cast<const char*>(p_);
-    p_ += n;
-    return store::KeySpace::global().intern(std::string_view(s, n));
-  }
-
-  std::string str() {
-    const std::uint32_t n = u32();
-    if (!ok_ || !need(n, "string bytes")) return {};
-    std::string s(reinterpret_cast<const char*>(p_), n);
-    p_ += n;
-    return s;
-  }
-
-  NodeId node() {
-    NodeId n;
-    n.dc = u32();
-    n.part = u32();
-    return n;
-  }
-
-  std::vector<KeyId> key_list() {
-    const std::uint32_t n = u32();
-    std::vector<KeyId> keys;
-    // Each key costs >= 2 bytes on the wire; an implausible count is
-    // corruption, not a reason to pre-allocate gigabytes.
-    if (!ok_ || n > remaining() / 2 + 1) {
-      fail("implausible key count");
-      return keys;
-    }
-    keys.reserve(n);
-    for (std::uint32_t i = 0; i < n && ok_; ++i) keys.push_back(key());
-    return keys;
-  }
-
-  ReadItem item() {
-    ReadItem it;
-    it.key = key();
-    it.found = u8() != 0;
-    it.value = str();
-    it.sr = u32();
-    it.ut = i64();
-    it.dv = vv();
-    it.fresher_versions = u32();
-    it.unmerged_versions = u32();
-    return it;
-  }
-
-  std::vector<ReadItem> item_list() {
-    const std::uint32_t n = u32();
-    std::vector<ReadItem> items;
-    if (!ok_ || n > remaining() / 20 + 1) {  // >= ~20 bytes per item
-      fail("implausible item count");
-      return items;
-    }
-    items.reserve(n);
-    for (std::uint32_t i = 0; i < n && ok_; ++i) items.push_back(item());
-    return items;
-  }
-
- private:
-  bool need(std::size_t n, const char* what) {
-    if (remaining() >= n) return true;
-    fail(std::string("truncated frame: ") + what);
-    return false;
-  }
-
-  template <typename T>
-  T get_le() {
-    if (!need(sizeof(T), "fixed field")) return T{};
-    T v{};
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      v = static_cast<T>(v | (static_cast<std::uint64_t>(p_[i]) << (8 * i)));
-    }
-    p_ += sizeof(T);
-    return v;
-  }
-
-  const std::uint8_t* p_;
-  const std::uint8_t* end_;
-  bool ok_ = true;
-  std::string error_;
-};
-
-Frame decode_body(Reader& r, WireType type);
-
-/// One routed sub-message of a Batch body: envelope, sub-length, then a full
+/// One routed sub-message of a Batch body: envelope, then a full
 /// (version + type + payload) message body. Only protocol messages are legal
 /// — control frames and nested batches are corruption.
-bool decode_batch_item(Reader& r, RoutedMessage* out) {
-  out->from = r.node();
-  out->to = r.node();
-  const std::uint32_t len = r.u32();
+bool decode_batch_item(wire::Reader& r, RoutedMessage* out) {
+  std::uint32_t len = 0;
+  envelope(r, out->from, out->to, len);
   if (!r.ok()) return false;
   if (len < 2 || len > r.remaining()) {
     r.fail("truncated batch item");
     return false;
   }
-  Reader sub(r.cursor(), len);
-  const std::uint8_t version = sub.u8();
+  wire::Reader sub(r.cursor(), len);
+  std::uint8_t version = 0;
+  sub.num(version, kMeta);
   if (version != kWireVersion) {
     r.fail("unsupported wire version inside batch");
     return false;
   }
-  const std::uint8_t type = sub.u8();
+  std::uint8_t type = 0;
+  sub.num(type, kMeta);
   if (type > kMaxProtocolWireType) {
     r.fail("batch item is not a protocol message");
     return false;
   }
-  Frame f = decode_body(sub, static_cast<WireType>(type));
+  out->msg = kDecoders[type](sub);
   if (!sub.ok()) {
     r.fail(sub.error());
     return false;
@@ -431,247 +362,71 @@ bool decode_batch_item(Reader& r, RoutedMessage* out) {
     return false;
   }
   r.skip(len);
-  out->msg = std::move(std::get<Message>(f));
   return true;
 }
 
-Frame decode_body(Reader& r, WireType type) {
-  switch (type) {
-    case WireType::kGetReq: {
-      GetReq m;
-      m.client = r.u64();
-      m.key = r.key();
-      m.rdv = r.vv();
-      m.pessimistic = r.u8() != 0;
-      m.op_id = r.u64();
-      return Frame{Message{std::move(m)}};
-    }
-    case WireType::kPutReq: {
-      PutReq m;
-      m.client = r.u64();
-      m.key = r.key();
-      m.value = r.str();
-      m.dv = r.vv();
-      m.pessimistic = r.u8() != 0;
-      m.op_id = r.u64();
-      return Frame{Message{std::move(m)}};
-    }
-    case WireType::kRoTxReq: {
-      RoTxReq m;
-      m.client = r.u64();
-      m.keys = r.key_list();
-      m.rdv = r.vv();
-      m.pessimistic = r.u8() != 0;
-      m.op_id = r.u64();
-      return Frame{Message{std::move(m)}};
-    }
-    case WireType::kGetReply: {
-      GetReply m;
-      m.client = r.u64();
-      m.item = r.item();
-      m.blocked_us = r.i64();
-      m.op_id = r.u64();
-      return Frame{Message{std::move(m)}};
-    }
-    case WireType::kPutReply: {
-      PutReply m;
-      m.client = r.u64();
-      m.key = r.key();
-      m.ut = r.i64();
-      m.sr = r.u32();
-      m.blocked_us = r.i64();
-      m.op_id = r.u64();
-      return Frame{Message{std::move(m)}};
-    }
-    case WireType::kRoTxReply: {
-      RoTxReply m;
-      m.client = r.u64();
-      m.items = r.item_list();
-      m.tv = r.vv();
-      m.blocked_us = r.i64();
-      m.op_id = r.u64();
-      return Frame{Message{std::move(m)}};
-    }
-    case WireType::kSessionClosed: {
-      SessionClosed m;
-      m.client = r.u64();
-      m.reason = r.str();
-      return Frame{Message{std::move(m)}};
-    }
-    case WireType::kReplicate: {
-      Replicate m;
-      m.version.key = r.key();
-      m.version.value = r.str();
-      m.version.sr = r.u32();
-      m.version.ut = r.i64();
-      m.version.dv = r.vv();
-      m.version.opt_origin = r.u8() != 0;
-      return Frame{Message{std::move(m)}};
-    }
-    case WireType::kHeartbeat: {
-      Heartbeat m;
-      m.src_dc = r.u32();
-      m.ts = r.i64();
-      return Frame{Message{m}};
-    }
-    case WireType::kSliceReq: {
-      SliceReq m;
-      m.tx_id = r.u64();
-      m.coordinator = r.node();
-      m.keys = r.key_list();
-      m.tv = r.vv();
-      m.pessimistic = r.u8() != 0;
-      return Frame{Message{std::move(m)}};
-    }
-    case WireType::kSliceReply: {
-      SliceReply m;
-      m.tx_id = r.u64();
-      m.items = r.item_list();
-      m.aborted = r.u8() != 0;
-      m.blocked_us = r.i64();
-      return Frame{Message{std::move(m)}};
-    }
-    case WireType::kGcReport: {
-      GcReport m;
-      m.from = r.node();
-      m.low_watermark = r.vv();
-      return Frame{Message{std::move(m)}};
-    }
-    case WireType::kGcVector: {
-      GcVector m;
-      m.gv = r.vv();
-      return Frame{Message{std::move(m)}};
-    }
-    case WireType::kStabReport: {
-      StabReport m;
-      m.from = r.node();
-      m.vv = r.vv();
-      return Frame{Message{std::move(m)}};
-    }
-    case WireType::kGssBroadcast: {
-      GssBroadcast m;
-      m.gss = r.vv();
-      return Frame{Message{std::move(m)}};
-    }
-    case WireType::kRecoveryReq: {
-      RecoveryReq m;
-      m.from = r.node();
-      m.durable_vv = r.vv();
-      return Frame{Message{std::move(m)}};
-    }
-    case WireType::kRecoveryVersion: {
-      RecoveryVersion m;
-      m.version.key = r.key();
-      m.version.value = r.str();
-      m.version.sr = r.u32();
-      m.version.ut = r.i64();
-      m.version.dv = r.vv();
-      m.version.opt_origin = r.u8() != 0;
-      return Frame{Message{std::move(m)}};
-    }
-    case WireType::kRecoveryDone: {
-      RecoveryDone m;
-      m.from = r.node();
-      m.vv = r.vv();
-      return Frame{Message{std::move(m)}};
-    }
-    case WireType::kOverloaded: {
-      Overloaded m;
-      m.client = r.u64();
-      m.retry_after_us = r.i64();
-      m.op_id = r.u64();
-      return Frame{Message{m}};
-    }
-    case WireType::kNodeHello: {
-      NodeHello h;
-      h.node = r.node();
-      return Frame{h};
-    }
-    case WireType::kClientHello: {
-      ClientHello h;
-      h.client = r.u64();
-      h.preferred_part = r.u32();
-      return Frame{h};
-    }
-    case WireType::kBatch: {
-      const std::uint32_t n = r.u32();
-      BatchFrame batch;
-      if (!r.ok()) return Frame{};
-      if (n == 0) {
-        r.fail("empty batch");
-        return Frame{};
-      }
-      // Each item costs at least its envelope + a 2-byte sub-body.
-      if (n > r.remaining() / (kBatchItemOverheadBytes + 2) + 1) {
-        r.fail("implausible batch count");
-        return Frame{};
-      }
-      batch.items.reserve(n);
-      for (std::uint32_t i = 0; i < n; ++i) {
-        RoutedMessage item;
-        if (!decode_batch_item(r, &item)) return Frame{};
-        batch.items.push_back(std::move(item));
-      }
-      return Frame{std::move(batch)};
-    }
+Frame decode_batch(wire::Reader& r) {
+  std::uint32_t n = 0;
+  r.num(n, kFraming);
+  if (!r.ok()) return Frame{};
+  if (n == 0) {
+    r.fail("empty batch");
+    return Frame{};
   }
-  r.fail("unknown message type " + std::to_string(static_cast<int>(type)));
-  return Frame{};
+  // Each item costs at least its envelope + a 2-byte sub-body.
+  if (!r.admit(n, Seq{kBatchItemOverheadBytes + 2, "batch"})) return Frame{};
+  BatchFrame batch;
+  batch.items.reserve(n);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    RoutedMessage item;
+    if (!decode_batch_item(r, &item)) return Frame{};
+    batch.items.push_back(std::move(item));
+  }
+  return Frame{std::move(batch)};
 }
 
-bool known_type(std::uint8_t t) {
-  return t <= kMaxProtocolWireType ||
-         t == static_cast<std::uint8_t>(WireType::kNodeHello) ||
-         t == static_cast<std::uint8_t>(WireType::kClientHello) ||
-         t == static_cast<std::uint8_t>(WireType::kBatch);
-}
-
-/// Reserve the length prefix, encode via `fn`, then patch the prefix.
-template <typename Fn>
-std::size_t encode_with_prefix(std::vector<std::uint8_t>& out, Fn&& fn) {
-  const std::size_t prefix_at = out.size();
-  out.insert(out.end(), kFrameHeaderBytes, 0);
-  Writer w(out);
-  std::size_t charged = fn(w);
-  const std::size_t body = out.size() - prefix_at - kFrameHeaderBytes;
-  POCC_ASSERT_MSG(body <= kMaxFrameBytes, "frame exceeds kMaxFrameBytes");
-  for (std::size_t i = 0; i < kFrameHeaderBytes; ++i) {
-    out[prefix_at + i] = static_cast<std::uint8_t>(body >> (8 * i));
-  }
-  (void)charged;
-  return body;
+template <typename T>
+Frame decode_control(wire::Reader& r) {
+  T frame;
+  fields(r, frame);
+  return Frame{frame};
 }
 
 }  // namespace
 
+const char* message_name(const Message& m) {
+  return std::visit(
+      [](const auto& msg) {
+        constexpr const char* name = kName<std::decay_t<decltype(msg)>>;
+        static_assert(name != nullptr, "every Message alternative is named");
+        return name;
+      },
+      m);
+}
+
+std::size_t wire_size(const Message& m) {
+  // Test-only, never encoded; nominal size kept for the routing tests.
+  if (std::holds_alternative<RouteProbe>(m)) return 8;
+  wire::Sizer s;
+  body(s, m);
+  return s.charged();
+}
+
 std::size_t encode(const Message& m, std::vector<std::uint8_t>& out) {
-  std::size_t charged = 0;
-  const std::size_t body = encode_with_prefix(out, [&](Writer& w) {
-    std::visit(EncodeVisitor{w}, m);
-    charged = w.charged();
-    return charged;
-  });
-  // The §V accounting model and the real wire format must agree exactly
-  // (messages.hpp charging rule); any new or resized field shows up here.
-  POCC_ASSERT_MSG(charged == wire_size(m),
-                  "encoded protocol bytes diverged from wire_size()");
-  return body;
+  return encode_with_prefix(out, [&](wire::Writer& w) { body(w, m); });
 }
 
 std::size_t encode(const NodeHello& h, std::vector<std::uint8_t>& out) {
-  return encode_with_prefix(out, [&](Writer& w) {
-    put_header(w, WireType::kNodeHello);
-    put_node(w, h.node);
-    return w.charged();
+  return encode_with_prefix(out, [&](wire::Writer& w) {
+    header(w, static_cast<std::uint8_t>(WireType::kNodeHello));
+    fields(w, h);
   });
 }
 
 std::size_t encode(const ClientHello& h, std::vector<std::uint8_t>& out) {
-  return encode_with_prefix(out, [&](Writer& w) {
-    put_header(w, WireType::kClientHello);
-    w.u64(h.client, Charge::kYes);
-    w.u32(h.preferred_part, Charge::kYes);
-    return w.charged();
+  return encode_with_prefix(out, [&](wire::Writer& w) {
+    header(w, static_cast<std::uint8_t>(WireType::kClientHello));
+    fields(w, h);
   });
 }
 
@@ -680,49 +435,34 @@ std::size_t encode(const ClientHello& h, std::vector<std::uint8_t>& out) {
 BatchWriter::BatchWriter() = default;
 
 void BatchWriter::add(NodeId from, NodeId to, const Message& m) {
+  wire::Writer w(buf_);
   if (buf_.empty()) {
     // Lazily start the staged body: outer version + type + count placeholder
     // (patched by flush_to). All of it is batching overhead, never §V
     // protocol bytes — the per-message version/type live in the sub-bodies.
-    buf_.push_back(kWireVersion);
-    buf_.push_back(static_cast<std::uint8_t>(WireType::kBatch));
-    buf_.insert(buf_.end(), 4, 0);
+    header(w, static_cast<std::uint8_t>(WireType::kBatch));
+    w.num(std::uint32_t{0}, kFraming);
     stats_.overhead_bytes += kBatchHeaderOverheadBytes;
   }
-  Writer w(buf_);
-  w.u32(from.dc, Charge::kNo);
-  w.u32(from.part, Charge::kNo);
-  w.u32(to.dc, Charge::kNo);
-  w.u32(to.part, Charge::kNo);
-  const std::size_t len_at = buf_.size();
-  w.u32(0, Charge::kNo);  // sub-body length, patched below
+  const std::size_t charged_before = w.charged();
+  std::uint32_t len = 0;  // sub-body length, patched below
+  envelope(w, from, to, len);
   const std::size_t sub_start = buf_.size();
-  std::visit(EncodeVisitor{w}, m);
-  const std::size_t sub_len = buf_.size() - sub_start;
-  for (std::size_t i = 0; i < 4; ++i) {
-    buf_[len_at + i] = static_cast<std::uint8_t>(sub_len >> (8 * i));
-  }
-  // Same honesty rule as standalone frames: the charged bytes of every
-  // batched message must equal its wire_size().
-  POCC_ASSERT_MSG(w.charged() == wire_size(m),
-                  "batched protocol bytes diverged from wire_size()");
-  stats_.protocol_bytes += w.charged();
+  body(w, m);
+  patch_u32(buf_, sub_start - sizeof(len), buf_.size() - sub_start);
+  stats_.protocol_bytes += w.charged() - charged_before;
   stats_.overhead_bytes += kBatchItemOverheadBytes;
   ++count_;
 }
 
 std::size_t BatchWriter::flush_to(std::vector<std::uint8_t>& out) {
   POCC_ASSERT_MSG(count_ > 0, "flushing an empty batch");
-  const std::size_t count = count_;
-  for (std::size_t i = 0; i < 4; ++i) {
-    buf_[2 + i] = static_cast<std::uint8_t>(count >> (8 * i));
-  }
+  patch_u32(buf_, 2, count_);
   const std::size_t body = buf_.size();
   POCC_ASSERT_MSG(body <= kMaxFrameBytes, "batch exceeds kMaxFrameBytes");
   out.reserve(out.size() + kFrameHeaderBytes + body);
-  for (std::size_t i = 0; i < kFrameHeaderBytes; ++i) {
-    out.push_back(static_cast<std::uint8_t>(body >> (8 * i)));
-  }
+  out.insert(out.end(), kFrameHeaderBytes, 0);
+  patch_u32(out, out.size() - kFrameHeaderBytes, body);
   out.insert(out.end(), buf_.begin(), buf_.end());
   buf_.clear();
   count_ = 0;
@@ -746,10 +486,8 @@ std::size_t encode(const BatchFrame& batch, std::vector<std::uint8_t>& out,
 DecodeResult decode_frame(const std::uint8_t* data, std::size_t len) {
   DecodeResult res;
   if (len < kFrameHeaderBytes) return res;  // kNeedMore
-  std::size_t body = 0;
-  for (std::size_t i = 0; i < kFrameHeaderBytes; ++i) {
-    body |= static_cast<std::size_t>(data[i]) << (8 * i);
-  }
+  std::uint32_t body = 0;
+  wire::Reader(data, kFrameHeaderBytes).num(body, kFraming);
   if (body > kMaxFrameBytes) {
     res.status = DecodeResult::Status::kError;
     res.error = "frame length " + std::to_string(body) + " exceeds limit";
@@ -758,32 +496,38 @@ DecodeResult decode_frame(const std::uint8_t* data, std::size_t len) {
   if (len < kFrameHeaderBytes + body) return res;  // kNeedMore
   res.consumed = kFrameHeaderBytes + body;
 
-  Reader r(data + kFrameHeaderBytes, body);
+  res.status = DecodeResult::Status::kError;
+  wire::Reader r(data + kFrameHeaderBytes, body);
   if (body < 2) {
-    res.status = DecodeResult::Status::kError;
     res.error = "frame too short for version + type";
     return res;
   }
-  const std::uint8_t version = r.u8();
+  std::uint8_t version = 0;
+  r.num(version, kMeta);
   if (version != kWireVersion) {
-    res.status = DecodeResult::Status::kError;
     res.error = "unsupported wire version " + std::to_string(version);
     return res;
   }
-  const std::uint8_t type = r.u8();
-  if (!known_type(type)) {
-    res.status = DecodeResult::Status::kError;
+  std::uint8_t type = 0;
+  r.num(type, kMeta);
+  Frame frame;
+  if (type <= kMaxProtocolWireType) {
+    frame = kDecoders[type](r);
+  } else if (type == static_cast<std::uint8_t>(WireType::kNodeHello)) {
+    frame = decode_control<NodeHello>(r);
+  } else if (type == static_cast<std::uint8_t>(WireType::kClientHello)) {
+    frame = decode_control<ClientHello>(r);
+  } else if (type == static_cast<std::uint8_t>(WireType::kBatch)) {
+    frame = decode_batch(r);
+  } else {
     res.error = "unknown message type " + std::to_string(type);
     return res;
   }
-  Frame frame = decode_body(r, static_cast<WireType>(type));
   if (!r.ok()) {
-    res.status = DecodeResult::Status::kError;
     res.error = r.error();
     return res;
   }
   if (r.remaining() != 0) {
-    res.status = DecodeResult::Status::kError;
     res.error = std::to_string(r.remaining()) + " trailing bytes in frame";
     return res;
   }

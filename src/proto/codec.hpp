@@ -16,14 +16,17 @@
 // ids while the wire carries — and wire_size() charges — full key strings
 // (docs/DESIGN.md, "Wire format").
 //
-// Byte-accounting honesty: encode() tallies the bytes belonging to protocol
-// metadata (everything except op_id, the measurement-only fields and the
-// frame length prefix) and asserts that the tally equals wire_size(m). The
-// §V accounting model and the real wire format therefore cannot drift apart.
+// Byte-accounting honesty: each message's fields are listed once
+// (proto/wire.hpp, proto/codec.cpp), each with its charge, and encode(),
+// decode_frame() and wire_size() all run that one list. wire_size(m) is
+// therefore the charged part of the bytes encode() writes by construction:
+// the §V accounting model cannot drift from the real wire format.
 //
 // decode_frame() is defensive: truncated, corrupted or absurd input yields a
 // DecodeResult error (never a crash or an allocation bomb) — it is fuzzed by
-// tests/codec_fuzz_test.cpp.
+// tests/codec_fuzz_test.cpp. Client requests are also bounded (kMaxValueBytes,
+// kMaxTxKeys) so that no request a server accepts can make it build a frame
+// over kMaxFrameBytes.
 #pragma once
 
 #include <cstdint>
@@ -54,8 +57,8 @@ inline constexpr std::size_t kFrameHeaderBytes = 4;
 /// Upper bound on one frame's body; larger lengths are treated as corruption.
 inline constexpr std::size_t kMaxFrameBytes = 16u << 20;
 
-/// Stable on-the-wire message-type ids. Values 0..17 deliberately mirror the
-/// Message variant indices (static_asserted in codec.cpp); the 200+ range is
+/// Stable on-the-wire message-type ids. Values 0..18 are the Message variant
+/// indices (the codec writes index() as the type byte); the 200+ range is
 /// transport control traffic that never reaches a protocol engine.
 enum class WireType : std::uint8_t {
   kGetReq = 0,
@@ -85,6 +88,24 @@ enum class WireType : std::uint8_t {
 /// Highest wire id that is a protocol message (legal inside a Batch frame).
 inline constexpr std::uint8_t kMaxProtocolWireType =
     static_cast<std::uint8_t>(WireType::kOverloaded);
+
+/// Largest PutReq value a server decodes; a longer one is a decode error and
+/// the connection is closed, as for any corrupt frame.
+inline constexpr std::size_t kMaxValueBytes = 128u << 10;
+
+/// Most keys one RoTxReq may name; a wider request is a decode error.
+inline constexpr std::size_t kMaxTxKeys = 64;
+
+// The worst RoTxReply a server can build for an admitted request must fit in
+// one frame: kMaxTxKeys items, each with a 64 KiB key (u16 length + bytes), a
+// kMaxValueBytes value (u32 length + bytes), found + sr + ut, a kMaxDcs-wide
+// dependency vector and the two measurement fields; plus the reply's own
+// version, type, client, item count, kMaxDcs-wide tv, blocked_us and op_id.
+static_assert(kMaxTxKeys * ((2 + 0xffff) + (4 + kMaxValueBytes) + 1 + 4 + 8 +
+                            (1 + 8 * kMaxDcs) + 4 + 4) +
+                      (1 + 1 + 8 + 4 + (1 + 8 * kMaxDcs) + 8 + 8) <=
+                  kMaxFrameBytes,
+              "an admitted RO-TX request can overflow its reply frame");
 
 /// First frame on a server-to-server connection: who is dialing in. Lets the
 /// receiver attribute subsequent frames on the connection to a NodeId.
@@ -136,8 +157,7 @@ inline constexpr std::size_t kBatchHeaderOverheadBytes = 1 + 1 + 4;
 using Frame = std::variant<Message, NodeHello, ClientHello, BatchFrame>;
 
 /// Append one frame (length prefix + body) carrying `m` to `out`. Returns the
-/// body size in bytes. Asserts that the charged protocol bytes equal
-/// wire_size(m). RouteProbe (test-only) is not encodable and asserts.
+/// body size in bytes. RouteProbe (test-only) is not encodable and asserts.
 std::size_t encode(const Message& m, std::vector<std::uint8_t>& out);
 
 std::size_t encode(const NodeHello& h, std::vector<std::uint8_t>& out);

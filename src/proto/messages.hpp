@@ -248,7 +248,8 @@ using Message =
                  GcReport, GcVector, StabReport, GssBroadcast, RecoveryReq,
                  RecoveryVersion, RecoveryDone, Overloaded, RouteProbe>;
 
-/// Human-readable message-type name (logging / tests).
+/// Human-readable message-type name (logging / tests). Defined in
+/// proto/codec.cpp, next to each message's field list.
 const char* message_name(const Message& m);
 
 /// Exact serialized size in bytes of the message's *protocol* content (used
@@ -260,10 +261,13 @@ const char* message_name(const Message& m);
 /// Charging rule: wire_size(m) == encoded frame body size (proto/codec.hpp)
 /// minus the transport-framing fields the codec additionally carries — op_id
 /// on requests/replies, the measurement-only blocked_us / fresher_versions /
-/// unmerged_versions fields, and the 4-byte frame length prefix. The codec
-/// asserts this equality on every encode, so the §V accounting can never
-/// drift from the real wire format. (RouteProbe is test-only, never encoded;
-/// its nominal 8 bytes are kept for the zero-copy routing tests.)
+/// unmerged_versions fields, and the 4-byte frame length prefix. Each field
+/// of a message is listed once, with its charge, and the codec's writer,
+/// reader and wire_size() all run that list (proto/wire.hpp), so the §V
+/// accounting cannot drift from the real wire format. tests/codec_test.cpp
+/// cross-checks it against an independent model of the framing fields.
+/// (RouteProbe is test-only, never encoded; its nominal 8 bytes are kept for
+/// the zero-copy routing tests.) Defined in proto/codec.cpp.
 std::size_t wire_size(const Message& m);
 
 }  // namespace pocc::proto

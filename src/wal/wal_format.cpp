@@ -1,161 +1,64 @@
 #include "wal/wal_format.hpp"
 
-#include <cstring>
-#include <limits>
 #include <string_view>
 
-#include "common/assert.hpp"
 #include "common/crc32.hpp"
-#include "store/key_space.hpp"
+#include "proto/wire.hpp"
 
 namespace pocc::wal {
 
 namespace {
 
-constexpr char kSnapshotMagic[8] = {'P', 'O', 'C', 'C', 'S', 'N', 'P', '1'};
+using proto::wire::kMeta;
 
-// Minimal little-endian writer/reader. The proto codec's equivalents are
-// file-local to codec.cpp on purpose (different framing, different charging
-// rules); the WAL needs no byte accounting.
-void put_u8(std::vector<std::uint8_t>& out, std::uint8_t v) {
-  out.push_back(v);
+constexpr std::string_view kSnapshotMagic("POCCSNP1", 8);
+
+// Every byte below goes through the proto codec's wire sinks
+// (proto/wire.hpp), and versions and vectors use the very field lists the
+// Replicate and RecoveryVersion messages use. The WAL needs no byte
+// accounting, so every field is simply charged.
+
+/// u32 length + u32 CRC-32 framing `payload`, then the payload itself.
+void frame(std::vector<std::uint8_t>& out,
+           const std::vector<std::uint8_t>& payload) {
+  proto::wire::Writer w(out);
+  w.num(static_cast<std::uint32_t>(payload.size()), kMeta);
+  w.num(crc32(payload.data(), payload.size()), kMeta);
+  w.chars(std::string_view(reinterpret_cast<const char*>(payload.data()),
+                           payload.size()),
+          payload.size(), kMeta, nullptr);
 }
 
-template <typename T>
-void put_le(std::vector<std::uint8_t>& out, T v) {
-  for (std::size_t i = 0; i < sizeof(T); ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
+/// Reads the u32 length + u32 CRC framing at `data` (at least 8 bytes).
+void read_frame_header(const std::uint8_t* data, std::uint32_t* len,
+                       std::uint32_t* crc) {
+  proto::wire::Reader r(data, 8);
+  r.num(*len, kMeta);
+  r.num(*crc, kMeta);
 }
 
-void put_bytes(std::vector<std::uint8_t>& out, const void* p, std::size_t n) {
-  const auto* b = static_cast<const std::uint8_t*>(p);
-  out.insert(out.end(), b, b + n);
-}
-
-void put_vv(std::vector<std::uint8_t>& out, const VersionVector& vv) {
-  put_u8(out, static_cast<std::uint8_t>(vv.size()));
-  for (std::uint32_t i = 0; i < vv.size(); ++i) {
-    put_le<std::uint64_t>(out, static_cast<std::uint64_t>(vv[i]));
-  }
-}
-
-/// Version fields, shared between kVersion records and snapshot bodies. The
-/// key travels as its original string: ids are per-process.
-void put_version(std::vector<std::uint8_t>& out, const store::Version& v) {
-  const std::string_view name = store::KeySpace::global().name(v.key);
-  POCC_ASSERT_MSG(name.size() <= std::numeric_limits<std::uint16_t>::max(),
-                  "key longer than the WAL format's 64 KiB limit");
-  put_le<std::uint16_t>(out, static_cast<std::uint16_t>(name.size()));
-  put_bytes(out, name.data(), name.size());
-  put_le<std::uint32_t>(out, static_cast<std::uint32_t>(v.value.size()));
-  put_bytes(out, v.value.data(), v.value.size());
-  put_le<std::uint32_t>(out, v.sr);
-  put_le<std::uint64_t>(out, static_cast<std::uint64_t>(v.ut));
-  put_vv(out, v.dv);
-  put_u8(out, v.opt_origin ? 1 : 0);
-}
-
-class Reader {
- public:
-  Reader(const std::uint8_t* p, std::size_t n) : p_(p), end_(p + n) {}
-
-  [[nodiscard]] bool ok() const { return ok_; }
-  [[nodiscard]] std::size_t remaining() const {
-    return static_cast<std::size_t>(end_ - p_);
-  }
-
-  std::uint8_t u8() { return get_le<std::uint8_t>(); }
-  std::uint16_t u16() { return get_le<std::uint16_t>(); }
-  std::uint32_t u32() { return get_le<std::uint32_t>(); }
-  std::uint64_t u64() { return get_le<std::uint64_t>(); }
-
-  VersionVector vv() {
-    const std::uint8_t n = u8();
-    if (!ok_) return {};
-    if (n == 0 || n > kMaxDcs) {  // engines never log empty vectors
-      ok_ = false;
-      return {};
-    }
-    VersionVector v(n);
-    for (std::uint8_t i = 0; i < n && ok_; ++i) {
-      v.set(i, static_cast<Timestamp>(u64()));
-    }
-    return v;
-  }
-
-  bool version(store::Version* out) {
-    const std::uint16_t key_len = u16();
-    if (!ok_ || remaining() < key_len) return fail();
-    const auto* key_bytes = reinterpret_cast<const char*>(p_);
-    p_ += key_len;
-    const std::uint32_t value_len = u32();
-    if (!ok_ || remaining() < value_len) return fail();
-    const auto* value_bytes = reinterpret_cast<const char*>(p_);
-    p_ += value_len;
-    out->sr = u32();
-    out->ut = static_cast<Timestamp>(u64());
-    out->dv = vv();
-    const std::uint8_t opt = u8();
-    if (!ok_ || out->dv.size() == 0) return fail();
-    out->key = store::KeySpace::global().intern(
-        std::string_view(key_bytes, key_len));
-    out->value.assign(value_bytes, value_len);
-    out->opt_origin = opt != 0;
-    return true;
-  }
-
- private:
-  bool fail() {
-    ok_ = false;
-    return false;
-  }
-
-  template <typename T>
-  T get_le() {
-    if (remaining() < sizeof(T)) {
-      ok_ = false;
-      return T{};
-    }
-    T v{};
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      v = static_cast<T>(v | (static_cast<std::uint64_t>(p_[i]) << (8 * i)));
-    }
-    p_ += sizeof(T);
-    return v;
-  }
-
-  const std::uint8_t* p_;
-  const std::uint8_t* end_;
-  bool ok_ = true;
-};
-
-void frame_payload(std::vector<std::uint8_t>& out,
-                   const std::vector<std::uint8_t>& payload) {
-  put_le<std::uint32_t>(out, static_cast<std::uint32_t>(payload.size()));
-  put_le<std::uint32_t>(out, crc32(payload.data(), payload.size()));
-  put_bytes(out, payload.data(), payload.size());
-}
-
-/// Decode one payload (kind + fields). False on any malformation.
+/// Decode one payload (kind + fields). False on any malformation; an empty
+/// version vector is one too, since engines never log one.
 bool decode_payload(const std::uint8_t* data, std::size_t len, Record* out) {
-  Reader r(data, len);
-  const std::uint8_t kind = r.u8();
+  proto::wire::Reader r(data, len);
+  std::uint8_t kind = 0;
+  r.num(kind, kMeta);
   if (!r.ok()) return false;
   switch (static_cast<RecordKind>(kind)) {
     case RecordKind::kVersion:
       out->kind = RecordKind::kVersion;
-      if (!r.version(&out->version)) return false;
+      fields(r, out->version);
+      if (out->version.dv.size() == 0) return false;
       break;
     case RecordKind::kVv:
       out->kind = RecordKind::kVv;
-      out->vv = r.vv();
-      if (!r.ok() || out->vv.size() == 0) return false;
+      fields(r, out->vv);
+      if (out->vv.size() == 0) return false;
       break;
     default:
       return false;
   }
-  return r.remaining() == 0;
+  return r.ok() && r.remaining() == 0;
 }
 
 }  // namespace
@@ -164,18 +67,20 @@ void append_version_record(std::vector<std::uint8_t>& out,
                            const store::Version& v) {
   std::vector<std::uint8_t> payload;
   payload.reserve(64 + v.value.size());
-  put_u8(payload, static_cast<std::uint8_t>(RecordKind::kVersion));
-  put_version(payload, v);
-  frame_payload(out, payload);
+  proto::wire::Writer w(payload);
+  w.num(static_cast<std::uint8_t>(RecordKind::kVersion), kMeta);
+  fields(w, v);
+  frame(out, payload);
 }
 
 void append_vv_record(std::vector<std::uint8_t>& out,
                       const VersionVector& vv) {
   std::vector<std::uint8_t> payload;
   payload.reserve(2 + static_cast<std::size_t>(vv.size()) * 8);
-  put_u8(payload, static_cast<std::uint8_t>(RecordKind::kVv));
-  put_vv(payload, vv);
-  frame_payload(out, payload);
+  proto::wire::Writer w(payload);
+  w.num(static_cast<std::uint8_t>(RecordKind::kVv), kMeta);
+  fields(w, vv);
+  frame(out, payload);
 }
 
 ScanResult scan_records(const std::uint8_t* data, std::size_t len,
@@ -185,10 +90,7 @@ ScanResult scan_records(const std::uint8_t* data, std::size_t len,
   while (off + 8 <= len) {
     std::uint32_t payload_len = 0;
     std::uint32_t stored_crc = 0;
-    for (std::size_t i = 0; i < 4; ++i) {
-      payload_len |= static_cast<std::uint32_t>(data[off + i]) << (8 * i);
-      stored_crc |= static_cast<std::uint32_t>(data[off + 4 + i]) << (8 * i);
-    }
+    read_frame_header(data + off, &payload_len, &stored_crc);
     if (payload_len == 0 || payload_len > len - off - 8) break;  // torn
     const std::uint8_t* payload = data + off + 8;
     if (crc32(payload, payload_len) != stored_crc) break;  // corrupted
@@ -206,62 +108,54 @@ ScanResult scan_records(const std::uint8_t* data, std::size_t len,
 std::vector<std::uint8_t> encode_snapshot(const store::PartitionStore& store,
                                           const VersionVector& vv) {
   std::vector<std::uint8_t> body;
-  put_vv(body, vv);
+  proto::wire::Writer w(body);
+  fields(w, vv);
   std::uint64_t count = 0;
   for (const auto& [key, chain] : store.chains()) {
     (void)key;
     count += chain.versions().size();
   }
-  put_le<std::uint64_t>(body, count);
+  w.num(count, kMeta);
   for (const auto& [key, chain] : store.chains()) {
     (void)key;
-    for (const store::Version& v : chain.versions()) put_version(body, v);
+    for (const store::Version& v : chain.versions()) fields(w, v);
   }
 
   std::vector<std::uint8_t> out;
-  out.reserve(sizeof(kSnapshotMagic) + 8 + body.size());
-  put_bytes(out, kSnapshotMagic, sizeof(kSnapshotMagic));
-  put_le<std::uint32_t>(out, static_cast<std::uint32_t>(body.size()));
-  put_le<std::uint32_t>(out, crc32(body.data(), body.size()));
-  put_bytes(out, body.data(), body.size());
+  out.reserve(kSnapshotMagic.size() + 8 + body.size());
+  proto::wire::Writer(out).chars(kSnapshotMagic, kSnapshotMagic.size(),
+                                 kMeta, nullptr);
+  frame(out, body);
   return out;
 }
 
 std::optional<SnapshotData> decode_snapshot(const std::uint8_t* data,
                                             std::size_t len) {
-  if (len < sizeof(kSnapshotMagic) + 8) return std::nullopt;
-  if (std::memcmp(data, kSnapshotMagic, sizeof(kSnapshotMagic)) != 0) {
+  if (len < kSnapshotMagic.size() + 8) return std::nullopt;
+  if (std::string_view(reinterpret_cast<const char*>(data),
+                       kSnapshotMagic.size()) != kSnapshotMagic) {
     return std::nullopt;
   }
   std::uint32_t body_len = 0;
   std::uint32_t stored_crc = 0;
-  const std::uint8_t* p = data + sizeof(kSnapshotMagic);
-  for (std::size_t i = 0; i < 4; ++i) {
-    body_len |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-    stored_crc |= static_cast<std::uint32_t>(p[4 + i]) << (8 * i);
-  }
-  const std::uint8_t* body = p + 8;
-  if (body_len != len - sizeof(kSnapshotMagic) - 8) return std::nullopt;
+  read_frame_header(data + kSnapshotMagic.size(), &body_len, &stored_crc);
+  const std::uint8_t* body = data + kSnapshotMagic.size() + 8;
+  if (body_len != len - kSnapshotMagic.size() - 8) return std::nullopt;
   if (crc32(body, body_len) != stored_crc) return std::nullopt;
 
-  Reader r(body, body_len);
+  proto::wire::Reader r(body, body_len);
   SnapshotData snap;
-  snap.vv = r.vv();
+  fields(r, snap.vv);
   if (!r.ok() || snap.vv.size() == 0) return std::nullopt;
-  const std::uint64_t count = r.u64();
-  if (!r.ok()) return std::nullopt;
   // Each version costs >= ~30 bytes; an implausible count is corruption, not
   // a reason to pre-allocate gigabytes (same defense as the proto codec).
-  if (count > static_cast<std::uint64_t>(r.remaining()) / 30 + 1) {
-    return std::nullopt;
-  }
-  snap.versions.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    store::Version v;
-    if (!r.version(&v)) return std::nullopt;
-    snap.versions.push_back(std::move(v));
-  }
-  if (r.remaining() != 0) return std::nullopt;
+  proto::wire::list<std::uint64_t>(
+      r, snap.versions, proto::wire::Seq{30, "version"}, kMeta,
+      [&](store::Version& v) {
+        fields(r, v);
+        if (v.dv.size() == 0) r.fail("empty dependency vector");
+      });
+  if (!r.ok() || r.remaining() != 0) return std::nullopt;
   return snap;
 }
 

@@ -1,7 +1,11 @@
 // On-disk encoding of the per-partition write-ahead log and snapshots.
 //
-// WAL record framing (little-endian, mirroring the proto codec's layout
-// discipline — length-prefixed, checksummed, defensively decoded):
+// Every field is written and read through the proto codec's field lists
+// (proto/wire.hpp): a kVersion payload after its kind byte is byte-identical
+// to a Replicate message's payload, and a vector is laid out as on the wire.
+//
+// WAL record framing (little-endian, length-prefixed, checksummed,
+// defensively decoded):
 //
 //   u32  payload length
 //   u32  CRC-32 of the payload (common/crc32.hpp)
@@ -14,6 +18,9 @@
 //              version and raises VV[sr] to ut.
 //   kVv      — a full version vector (heartbeat-driven raises that no
 //              version record implies). Replay merge-maxes.
+//
+// A record or snapshot entry whose vector is empty is rejected as corrupt:
+// engines never log one.
 //
 // Snapshot file layout:
 //
