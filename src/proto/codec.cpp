@@ -40,14 +40,14 @@ void header(Io& io, std::uint8_t type) {
 
 template <typename Io, typename L>
 void keys(Io& io, L& ks, const Seq& seq = kKeys) {
-  list<std::uint32_t>(io, ks, seq, kMeta, [&](auto& k) { key(io, k); });
+  list<std::uint32_t>(io, ks, seq, [&](auto& k) { key(io, k); });
 }
 
 template <typename Io, Of<ReadItem> R>
 void fields(Io& io, R& it) {
   key(io, it.key);
   io.num(it.found, kMeta);
-  text(io, it.value, kMeta);
+  text(io, it.value);
   io.num(it.sr, kMeta);
   io.num(it.ut, kMeta);
   fields(io, it.dv);
@@ -59,8 +59,7 @@ void fields(Io& io, R& it) {
 
 template <typename Io, typename L>
 void items(Io& io, L& its) {
-  list<std::uint32_t>(io, its, kItems, kMeta,
-                      [&](auto& it) { fields(io, it); });
+  list<std::uint32_t>(io, its, kItems, [&](auto& it) { fields(io, it); });
 }
 
 // ------------------------------------------------- the protocol messages ----
@@ -89,7 +88,7 @@ template <typename Io, Of<PutReq> M>
 void fields(Io& io, M& m) {
   io.num(m.client, kMeta);
   key(io, m.key);
-  text(io, m.value, kMeta, kMaxValueBytes);
+  text(io, m.value, kMaxValueBytes);
   fields(io, m.dv);
   io.num(m.pessimistic, kMeta);
   io.num(m.op_id, kFraming);
@@ -144,7 +143,7 @@ constexpr const char* kName<SessionClosed> = "SessionClosed";
 template <typename Io, Of<SessionClosed> M>
 void fields(Io& io, M& m) {
   io.num(m.client, kMeta);
-  text(io, m.reason, kMeta);
+  text(io, m.reason);
 }
 
 template <>

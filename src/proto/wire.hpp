@@ -49,6 +49,7 @@ struct Seq {
   std::size_t max = std::numeric_limits<std::size_t>::max();
 };
 
+/// How an integer field travels: as its unsigned twin, a bool as one byte.
 template <typename T>
 using Unsigned = std::make_unsigned_t<std::conditional_t<
     std::is_same_v<T, bool>, std::uint8_t, T>>;
@@ -72,13 +73,12 @@ class Writer {
     raw(buf, sizeof(U), c);
   }
 
-  /// The bytes of `s`, whose length the field list already wrote.
-  void chars(std::string_view s, std::size_t /*n*/, Charge c,
-             const char* /*what*/) {
-    raw(s.data(), s.size(), c);
+  /// The bytes of `s`, whose length the field list already wrote. Byte
+  /// strings (values, reasons, keys) are always protocol metadata.
+  void chars(std::string_view s, std::size_t /*n*/, const char* /*what*/) {
+    raw(s.data(), s.size(), kMeta);
   }
 
-  [[nodiscard]] static constexpr bool ok() { return true; }
   [[nodiscard]] std::size_t charged() const { return charged_; }
 
  private:
@@ -102,12 +102,10 @@ class Sizer {
     if (c == kMeta) charged_ += sizeof(Unsigned<T>);
   }
 
-  void chars(std::string_view /*s*/, std::size_t n, Charge c,
-             const char* /*what*/) {
-    if (c == kMeta) charged_ += n;
+  void chars(std::string_view /*s*/, std::size_t n, const char* /*what*/) {
+    charged_ += n;
   }
 
-  [[nodiscard]] static constexpr bool ok() { return true; }
   [[nodiscard]] std::size_t charged() const { return charged_; }
 
  private:
@@ -158,14 +156,13 @@ class Reader {
     }
   }
 
-  void chars(std::string& s, std::size_t n, Charge c, const char* what) {
+  void chars(std::string& s, std::size_t n, const char* what) {
     std::string_view view;
-    chars(view, n, c, what);
+    chars(view, n, what);
     s.assign(view);
   }
   /// The view points into the input buffer.
-  void chars(std::string_view& s, std::size_t n, Charge /*c*/,
-             const char* what) {
+  void chars(std::string_view& s, std::size_t n, const char* what) {
     if (!ok_ || !need(n, what)) return;
     s = std::string_view(reinterpret_cast<const char*>(p_), n);
     p_ += n;
@@ -204,10 +201,10 @@ class Reader {
 /// A byte string: u32 length, then the bytes. A decoded length above `max`
 /// is refused.
 template <typename Io, typename S>
-void text(Io& io, S& s, Charge c,
+void text(Io& io, S& s,
           std::uint32_t max = std::numeric_limits<std::uint32_t>::max()) {
   auto n = static_cast<std::uint32_t>(s.size());
-  io.num(n, c);
+  io.num(n, kMeta);
   if constexpr (Io::kDecodes) {
     if (n > max) {
       io.fail("string of " + std::to_string(n) + " bytes exceeds the " +
@@ -215,7 +212,7 @@ void text(Io& io, S& s, Charge c,
       return;
     }
   }
-  io.chars(s, n, c, "string bytes");
+  io.chars(s, n, "string bytes");
 }
 
 /// A key crosses process boundaries as its original string (KeyIds are
@@ -231,7 +228,7 @@ void key(Io& io, K& k) {
   }
   auto n = static_cast<std::uint16_t>(name.size());
   io.num(n, kMeta);
-  io.chars(name, n, kMeta, "key bytes");
+  io.chars(name, n, "key bytes");
   if constexpr (Io::kDecodes) {
     if (io.ok()) k = store::KeySpace::global().intern(name);
   }
@@ -239,9 +236,9 @@ void key(Io& io, K& k) {
 
 /// A `Len`-count-prefixed sequence whose elements are laid out by `each`.
 template <typename Len, typename Io, typename C, typename Each>
-void list(Io& io, C& c, const Seq& seq, Charge charge, Each&& each) {
+void list(Io& io, C& c, const Seq& seq, Each&& each) {
   auto n = static_cast<Len>(c.size());
-  io.num(n, charge);
+  io.num(n, kMeta);
   if constexpr (Io::kDecodes) {
     if (!io.admit(n, seq)) return;
     c.reserve(n);
@@ -278,7 +275,7 @@ void fields(Io& io, N& n) {
 template <typename Io, Of<store::Version> V>
 void fields(Io& io, V& v) {
   key(io, v.key);
-  text(io, v.value, kMeta);
+  text(io, v.value);
   io.num(v.sr, kMeta);
   io.num(v.ut, kMeta);
   fields(io, v.dv);

@@ -24,9 +24,7 @@ void frame(std::vector<std::uint8_t>& out,
   proto::wire::Writer w(out);
   w.num(static_cast<std::uint32_t>(payload.size()), kMeta);
   w.num(crc32(payload.data(), payload.size()), kMeta);
-  w.chars(std::string_view(reinterpret_cast<const char*>(payload.data()),
-                           payload.size()),
-          payload.size(), kMeta, nullptr);
+  out.insert(out.end(), payload.begin(), payload.end());
 }
 
 /// Reads the u32 length + u32 CRC framing at `data` (at least 8 bytes).
@@ -124,7 +122,7 @@ std::vector<std::uint8_t> encode_snapshot(const store::PartitionStore& store,
   std::vector<std::uint8_t> out;
   out.reserve(kSnapshotMagic.size() + 8 + body.size());
   proto::wire::Writer(out).chars(kSnapshotMagic, kSnapshotMagic.size(),
-                                 kMeta, nullptr);
+                                 "snapshot magic");
   frame(out, body);
   return out;
 }
@@ -150,7 +148,7 @@ std::optional<SnapshotData> decode_snapshot(const std::uint8_t* data,
   // Each version costs >= ~30 bytes; an implausible count is corruption, not
   // a reason to pre-allocate gigabytes (same defense as the proto codec).
   proto::wire::list<std::uint64_t>(
-      r, snap.versions, proto::wire::Seq{30, "version"}, kMeta,
+      r, snap.versions, proto::wire::Seq{30, "version"},
       [&](store::Version& v) {
         fields(r, v);
         if (v.dv.size() == 0) r.fail("empty dependency vector");

@@ -442,6 +442,39 @@ TEST(Codec, RejectsImplausibleKeyCount) {
   EXPECT_EQ(res.status, DecodeResult::Status::kError);
 }
 
+TEST(Codec, ClientRequestsAreBounded) {
+  // A PutReq value over kMaxValueBytes and a RoTxReq over kMaxTxKeys keys are
+  // decode errors; at the bound they decode. Versions carry no such bound:
+  // replication and recovery must accept whatever was admitted or logged.
+  const auto decodes = [](const Message& m) {
+    std::vector<std::uint8_t> buf;
+    encode(m, buf);
+    return decode_frame(buf.data(), buf.size()).status ==
+           DecodeResult::Status::kOk;
+  };
+  PutReq put;
+  put.key = K("bound:put");
+  put.value.assign(kMaxValueBytes, 'v');
+  EXPECT_TRUE(decodes(Message{put}));
+  put.value.push_back('v');
+  EXPECT_FALSE(decodes(Message{put}));
+
+  RoTxReq tx;
+  tx.keys.assign(kMaxTxKeys, K("bound:tx"));
+  EXPECT_TRUE(decodes(Message{tx}));
+  tx.keys.push_back(K("bound:tx"));
+  EXPECT_FALSE(decodes(Message{tx}));
+
+  Replicate repl;
+  repl.version.key = K("bound:repl");
+  repl.version.value.assign(kMaxValueBytes + 1, 'v');
+  repl.version.dv = vv3();
+  EXPECT_TRUE(decodes(Message{repl}));
+  SliceReq slice;
+  slice.keys.assign(kMaxTxKeys + 1, K("bound:slice"));
+  EXPECT_TRUE(decodes(Message{slice}));
+}
+
 // ------------------------------------------------------------ Batch frames --
 
 bool messages_equivalent(const Message& a, const Message& b) {

@@ -12,7 +12,12 @@
 //
 // Timing assertions are deliberately generous — this suite runs on loaded CI
 // machines.
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -27,6 +32,7 @@
 #include "net/chaos.hpp"
 #include "net/tcp_client.hpp"
 #include "net/tcp_node_host.hpp"
+#include "proto/codec.hpp"
 #include "store/key_space.hpp"
 #include "tcp_deployment.hpp"
 
@@ -288,6 +294,67 @@ TEST(E2eTcp, CrossDcVisibilityEventuallyConverges) {
     })) << "value never visible in DC " << dc;
   }
   expect_clean_replay(cluster);
+}
+
+/// Sends `frame` on a fresh raw client connection to 127.0.0.1:`port` and
+/// returns whether the server then closed the connection.
+bool server_closes_after(std::uint16_t port,
+                         const std::vector<std::uint8_t>& frame) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return false;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  bool closed = false;
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) ==
+      0) {
+    std::size_t sent = 0;
+    while (sent < frame.size()) {
+      const ssize_t n = ::send(fd, frame.data() + sent, frame.size() - sent,
+                               MSG_NOSIGNAL);
+      if (n <= 0) break;
+      sent += static_cast<std::size_t>(n);
+    }
+    pollfd pfd{fd, POLLIN, 0};
+    char byte = 0;
+    closed = ::poll(&pfd, 1, 10'000) == 1 && ::recv(fd, &byte, 1, 0) <= 0;
+  }
+  ::close(fd);
+  return closed;
+}
+
+TEST(E2eTcp, OversizedClientRequestsAreRefused) {
+  // Each request decodes as a frame, but serving it would make the server
+  // build a frame over kMaxFrameBytes: the Replicate of a near-16 MiB value,
+  // the reply to a 400k-key RO-TX. The decoder refuses both, closing the
+  // connection as for any corrupt frame, and the server keeps serving.
+  Deployment cluster(SystemKind::kPocc);
+  const std::uint16_t port = cluster.layout().processes[0].port;
+
+  proto::PutReq put;
+  put.client = testutil::g_next_client.fetch_add(1);
+  put.key = store::intern_key("e2e:big");
+  put.value.assign(proto::kMaxFrameBytes - 64, 'v');
+  put.dv = VersionVector(3);
+  std::vector<std::uint8_t> frame;
+  proto::encode(proto::Message{std::move(put)}, frame);
+  EXPECT_TRUE(server_closes_after(port, frame));
+
+  proto::RoTxReq tx;
+  tx.client = testutil::g_next_client.fetch_add(1);
+  tx.keys.assign(400'000, store::intern_key("e2e:wide"));
+  tx.rdv = VersionVector(3);
+  frame.clear();
+  proto::encode(proto::Message{std::move(tx)}, frame);
+  EXPECT_TRUE(server_closes_after(port, frame));
+
+  TcpSession& s = cluster.connect(0);
+  ASSERT_TRUE(s.put("e2e:after-oversized", "ok").ok);
+  const auto got = s.get("e2e:after-oversized");
+  ASSERT_TRUE(got.ok);
+  EXPECT_TRUE(got.found);
+  EXPECT_EQ(got.value, "ok");
 }
 
 }  // namespace

@@ -44,6 +44,7 @@
 #include "checker/history_checker.hpp"
 #include "net/event_loop.hpp"
 #include "net/tcp_client.hpp"
+#include "proto/codec.hpp"
 #include "runtime/rt_node.hpp"
 #include "stats/histogram.hpp"
 #include "store/key_space.hpp"
@@ -117,6 +118,19 @@ int usage(const char* argv0) {
   return 4;
 }
 
+/// A payload size no larger than the servers accept: they refuse a PUT whose
+/// value exceeds proto::kMaxValueBytes.
+bool parse_value_size(const char* flag, const char* text, std::uint32_t* out) {
+  const unsigned long long v = std::strtoull(text, nullptr, 10);
+  if (v > proto::kMaxValueBytes) {
+    std::fprintf(stderr, "loadgen: %s %s exceeds the %zu-byte value limit\n",
+                 flag, text, proto::kMaxValueBytes);
+    return false;
+  }
+  *out = static_cast<std::uint32_t>(v);
+  return true;
+}
+
 bool parse_args(int argc, char** argv, Args* args) {
   for (int i = 1; i < argc; ++i) {
     const auto value = [&]() -> const char* {
@@ -159,11 +173,14 @@ bool parse_args(int argc, char** argv, Args* args) {
     } else if (std::strcmp(argv[i], "--think-us") == 0) {
       args->think_us = std::strtol(value(), nullptr, 10);
     } else if (std::strcmp(argv[i], "--value-size") == 0) {
-      args->value_size =
-          static_cast<std::uint32_t>(std::strtoul(value(), nullptr, 10));
+      if (!parse_value_size("--value-size", value(), &args->value_size)) {
+        return false;
+      }
     } else if (std::strcmp(argv[i], "--value-size-max") == 0) {
-      args->value_size_max =
-          static_cast<std::uint32_t>(std::strtoul(value(), nullptr, 10));
+      if (!parse_value_size("--value-size-max", value(),
+                            &args->value_size_max)) {
+        return false;
+      }
     } else if (std::strcmp(argv[i], "--keys-per-partition") == 0) {
       args->keys_per_partition = std::strtoull(value(), nullptr, 10);
     } else if (std::strcmp(argv[i], "--key-offset") == 0) {
