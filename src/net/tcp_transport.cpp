@@ -187,10 +187,16 @@ bool TcpTransport::try_send(ConnId conn, std::vector<std::uint8_t>& frame) {
   Shard* sp = shard_of(conn);
   if (sp == nullptr) return false;
   Shard& s = *sp;
-  std::lock_guard lk(s.mu);
-  auto it = s.conns.find(conn);
-  if (it == s.conns.end()) return false;
-  Conn& c = *it->second;
+  std::unique_lock lk(s.mu);
+  Conn* cp = s.find(conn);
+  if (cp == nullptr) {
+    auto moved = s.moved.find(conn);
+    if (moved == s.moved.end()) return false;
+    const ConnId to = moved->second;
+    lk.unlock();
+    return try_send(to, frame);
+  }
+  Conn& c = *cp;
   if (!c.outbound && !c.up) return false;
   const std::size_t pending = c.outbox_bytes + c.chaos_held_bytes;
   // While the socket is down the tighter reconnect-buffer cap applies: a
@@ -302,44 +308,45 @@ bool TcpTransport::migrate(ConnId conn, std::uint32_t target_loop) {
   Conn& c = *it->second;
   // Only live accepted connections move: an outbound link's id is a stable
   // handle held by its LinkBatcher, and its shard is its designated owner.
-  if (c.outbound || !c.up || c.fd < 0) return false;
+  // A connection moves at most once (its one ClientHello pins it), which
+  // bounds the forwarding entries to one per live connection.
+  if (c.outbound || !c.up || c.fd < 0 || c.moved_from != kInvalidConn) {
+    return false;
+  }
   c.migrate_to = static_cast<std::int32_t>(target_loop);
   return true;
 }
 
 std::vector<std::pair<ConnId, ConnId>> TcpTransport::hand_over_migrations(
     Shard& s) {
-  std::vector<std::unique_ptr<Conn>> moving;
-  std::vector<std::pair<ConnId, ConnId>> renames;
+  std::vector<std::pair<ConnId, std::int32_t>> marked;
   {
     std::lock_guard lk(s.mu);
-    for (auto it = s.conns.begin(); it != s.conns.end();) {
+    for (const auto& [id, cp] : s.conns) {
+      if (cp->migrate_to >= 0) marked.emplace_back(id, cp->migrate_to);
+    }
+  }
+  std::vector<std::pair<ConnId, ConnId>> renames;
+  for (const auto& [old_id, target] : marked) {
+    Shard& t = *shards_[static_cast<std::size_t>(target)];
+    {
+      // Both shards at once: at every instant the connection is reachable
+      // under its old id here or, through `moved`, under its new id there.
+      std::scoped_lock lk(s.mu, t.mu);
+      auto it = s.conns.find(old_id);
+      if (it == s.conns.end()) continue;
       Conn& c = *it->second;
-      if (c.migrate_to < 0) {
-        ++it;
-        continue;
-      }
-      if (!c.up || c.fd < 0) {  // died before the handoff; reaped normally
-        c.migrate_to = -1;
-        ++it;
-        continue;
-      }
+      c.migrate_to = -1;
+      if (!c.up || c.fd < 0) continue;  // died before the handoff; reaped
       s.loop->unwatch(c.fd);
       s.unmap_fd(c.fd);
       ++s.stats.migrations;
-      moving.push_back(std::move(it->second));
-      it = s.conns.erase(it);
-    }
-  }
-  for (auto& cp : moving) {
-    Shard& t = *shards_[static_cast<std::size_t>(cp->migrate_to)];
-    cp->migrate_to = -1;
-    const ConnId old_id = cp->id;
-    {
-      std::lock_guard lk(t.mu);
-      cp->id = (static_cast<ConnId>(t.index) << kShardShift) | t.next_seq++;
-      renames.emplace_back(old_id, cp->id);
-      t.adopted.push_back(std::move(cp));
+      c.id = (static_cast<ConnId>(t.index) << kShardShift) | t.next_seq++;
+      c.moved_from = old_id;
+      s.moved.emplace(old_id, c.id);
+      renames.emplace_back(old_id, c.id);
+      t.adopted.push_back(std::move(it->second));
+      s.conns.erase(it);
     }
     wake(t);
   }
@@ -582,6 +589,7 @@ void TcpTransport::run(Shard& s) {
   std::vector<ConnId> went_down;
   std::vector<Delivery> deliveries;
   std::vector<ConnId> to_erase;
+  std::vector<ConnId> forget;
 
   // Batch-flush tick: shard 0 owns the host tick; the wait timeout is
   // clamped to the next tick so staged batches never wait longer than one
@@ -671,6 +679,7 @@ void TcpTransport::run(Shard& s) {
     went_down.clear();
     deliveries.clear();
     to_erase.clear();
+    forget.clear();
     {
       std::lock_guard lk(s.mu);
       if (s.stopping) break;
@@ -766,9 +775,17 @@ void TcpTransport::run(Shard& s) {
       for (const ConnId id : to_erase) {
         auto dead = s.conns.find(id);
         if (dead == s.conns.end()) continue;
+        if (dead->second->moved_from != kInvalidConn) {
+          forget.push_back(dead->second->moved_from);
+        }
         recycle_conn(s, *dead->second);
         s.conns.erase(dead);
       }
+    }
+    for (const ConnId old_id : forget) {  // its Shard::moved entry
+      Shard& src = *shard_of(old_id);
+      std::lock_guard lk(src.mu);
+      src.moved.erase(old_id);
     }
 
     for (const ConnId id : went_up) {

@@ -187,9 +187,11 @@ class TcpTransport {
     /// worker's next timer deadline (absolute steady µs; 0 = none), which
     /// bounds how long the loop may sleep.
     std::function<Timestamp(std::uint32_t loop)> on_loop_pass;
-    /// An inbound connection finished migrate(): `from` is dead, the same
-    /// socket now lives on as `to` on the target shard. Delivered on the
-    /// *source* shard's thread, after the connection's final frames there.
+    /// An inbound connection finished migrate(): the same socket now lives
+    /// on as `to` on the target shard. Delivered on the *source* shard's
+    /// thread, after the connection's final frames there. Sends to `from`
+    /// still reach the socket until it closes (a sender may have read the
+    /// old id before the host applied the rename).
     std::function<void(ConnId from, ConnId to)> on_migrated;
   };
 
@@ -279,7 +281,8 @@ class TcpTransport {
   /// pass delivers the connection's remaining decoded frames, so frame
   /// order is preserved across the move; the connection then answers to a
   /// new ConnId, announced via Callbacks::on_migrated. Returns false for
-  /// unknown/outbound connections or an out-of-range target.
+  /// unknown/outbound connections, an out-of-range target, or a connection
+  /// that already migrated once.
   bool migrate(ConnId conn, std::uint32_t target_loop);
 
   /// True when the connection currently has an established socket.
@@ -314,6 +317,7 @@ class TcpTransport {
     bool up = false;             // socket established
     bool announced = false;      // on_connected delivered for this socket
     std::int32_t migrate_to = -1;  // pending migrate() target shard
+    ConnId moved_from = kInvalidConn;  // id before its (single) migration
     std::string host;            // outbound only
     std::uint16_t port = 0;      // outbound only
     Timestamp retry_at = 0;      // next dial attempt (steady us)
@@ -382,6 +386,20 @@ class TcpTransport {
     /// Connections handed over by migrate(), adopted at the top of the
     /// next loop pass (guarded by mu).
     std::vector<std::unique_ptr<Conn>> adopted;
+    /// Old id -> new id of each live connection migrated away from this
+    /// shard (guarded by mu), so a send that read the old id before the
+    /// host's rename still reaches the socket. Erased when it closes.
+    std::unordered_map<ConnId, ConnId> moved;
+
+    /// The connection `id` owns here, adopted or not; null if none.
+    Conn* find(ConnId id) {
+      auto it = conns.find(id);
+      if (it != conns.end()) return it->second.get();
+      for (auto& cp : adopted) {
+        if (cp->id == id) return cp.get();
+      }
+      return nullptr;
+    }
     std::thread thread;
   };
 

@@ -15,6 +15,7 @@
 
 #include <atomic>
 #include <cerrno>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
@@ -110,6 +111,16 @@ class MetricsDeployment {
     pool_ = std::make_unique<TcpClientPool>(layout_, 0);
     pool_->start();
     EXPECT_TRUE(pool_->wait_connected(10'000'000));
+    // The hosts' own links dial concurrently with the pool; wait until every
+    // host reports ready, as the launch scripts wait on /readyz.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    for (auto& host : hosts_) {
+      while (!host->ready() && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      EXPECT_TRUE(host->ready()) << "host never became ready";
+    }
   }
 
   ~MetricsDeployment() {

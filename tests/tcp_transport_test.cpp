@@ -529,6 +529,16 @@ TEST(TcpTransport, MigrateRehomesInboundConnectionPreservingFifo) {
   EXPECT_EQ(server.stats().migrations, 1u);
   EXPECT_EQ(connects.load(), 1) << "migration must not re-announce";
   EXPECT_EQ(disconnects.load(), 0) << "migration must not announce a loss";
+
+  // A reply sent to the old id (by a thread that read it before the host's
+  // rename) still reaches the socket, in order with the new id's traffic.
+  ASSERT_TRUE(server.send(from, heartbeat_frame(1, 1)));
+  ASSERT_TRUE(server.send(to, heartbeat_frame(1, 2)));
+  ASSERT_TRUE(client_sink.wait_for_frames(2));
+  EXPECT_EQ(std::get<proto::Heartbeat>(*client_sink.message_at(0)).ts, 1);
+  EXPECT_EQ(std::get<proto::Heartbeat>(*client_sink.message_at(1)).ts, 2);
+  // A connection is pinned once.
+  EXPECT_FALSE(server.migrate(to, TcpTransport::loop_of(from)));
   client.stop();
   server.stop();
 }
