@@ -1,239 +1,56 @@
 #!/usr/bin/env bash
-# Chaos soak across real process boundaries: a 3-DC poccd cluster whose
-# inter-DC replication links all pass through pocc_chaosproxy — one proxy
-# route per DIRECTED DC pair, so the seed-deterministic fault schedule
-# (delay/jitter/loss-stalls/reorder + timed full/asymmetric partitions) hits
-# the actual wire between processes. Servers run durable (--data-dir) with
-# bounded admission (--max-inbox); a kill -9 + restart leg runs mid-load;
-# the load itself runs through pocc_loadgen --resilient, so every op has a
-# deadline, idempotent retries, backoff and failover — and the run is gated
-# on ZERO causal-consistency violations plus a deadline-failure budget.
-#
-# Route plumbing: each poccd gets its OWN config file in which every peer
-# DC's address points at the proxy port for the (self -> peer) direction,
-# while its own line keeps the real listen address. Clients (loadgen) use
-# the undoctored config — client resilience is exercised by the kill leg
-# and the server-side admission bounds, not by the proxy.
-#
-# Each poccd also serves /metrics + /readyz on SOAK_METRICS_BASE_PORT+dc;
-# startup and post-restart waits poll /readyz (WAL recovery complete AND all
-# peer links up — through the proxies) instead of probing listen sockets.
+# Chaos soak across real process boundaries: a 3-DC poccd cluster
+# (scripts/cluster.sh) whose inter-DC replication links all pass through
+# pocc_chaosproxy — one route per DIRECTED DC pair, so the seed-deterministic
+# fault schedule (2 ms delay, 1 ms jitter, 1% loss-stalls, reorder, timed
+# full/asymmetric partitions) hits the actual wire between processes. Each
+# poccd reads its own config, in which every peer's address is the proxy
+# route (self -> peer); clients use the real addresses, so client resilience
+# is exercised by the kill leg and the servers' bounded admission, not by the
+# proxy. Servers run durable with --max-inbox 4096. The load runs through
+# pocc_loadgen --resilient (every op has a 15 s deadline, idempotent retries,
+# backoff and failover); 3 s in, one DC is kill -9'd and restarted on its data
+# dir. Pass = zero causal violations, a clean replay, at most 5% of the ops
+# past their deadline, and every process alive at the end.
 #
 # usage: scripts/chaos_soak.sh [BUILD_DIR] [OUT_DIR]
-# env:   SOAK_SEED (1)  SOAK_SYSTEM (pocc)  SOAK_DURATION_S (20)
-#        SOAK_BASE_PORT (7550)  SOAK_PROXY_BASE_PORT (7560)
-#        SOAK_METRICS_BASE_PORT (7590)
-#        SOAK_CLIENTS (8)  SOAK_THREADS (2)  SOAK_KILL (1)
-#        SOAK_DEADLINE_BUDGET (0.05)  SOAK_OP_DEADLINE_US (15000000)
-#        SOAK_DELAY_US (2000)  SOAK_JITTER_US (1000)  SOAK_LOSS (0.01)
+# env:   SOAK_SEED (1)  SOAK_DURATION_S (20)
+# exit:  0 pass; 3 binary missing; 4 a DC or the proxy never came up;
+#        5 a process died; 7 restart not ready or no WAL replay; 8 the load
+#        failed (its loadgen status is printed)
 set -euo pipefail
 
+NAME=chaos_soak
 BUILD_DIR="${1:-build}"
 OUT_DIR="${2:-chaos-out}"
+source "$(dirname "$0")/cluster.sh"
 SEED="${SOAK_SEED:-1}"
-SYSTEM="${SOAK_SYSTEM:-pocc}"
 DURATION_S="${SOAK_DURATION_S:-20}"
-BASE_PORT="${SOAK_BASE_PORT:-7550}"
-PROXY_BASE_PORT="${SOAK_PROXY_BASE_PORT:-7560}"
-CLIENTS="${SOAK_CLIENTS:-8}"
-THREADS="${SOAK_THREADS:-2}"
-KILL="${SOAK_KILL:-1}"
-DEADLINE_BUDGET="${SOAK_DEADLINE_BUDGET:-0.05}"
-OP_DEADLINE_US="${SOAK_OP_DEADLINE_US:-15000000}"
-DELAY_US="${SOAK_DELAY_US:-2000}"
-JITTER_US="${SOAK_JITTER_US:-1000}"
-LOSS="${SOAK_LOSS:-0.01}"
-METRICS_BASE_PORT="${SOAK_METRICS_BASE_PORT:-7590}"
-DCS=3
-PARTS=2
+SYSTEM=pocc
+BASE_PORT=7550
+DURABLE=1
+SERVER_ARGS=(--max-inbox 4096)
+# One proxy carries all 6 routes; its fault schedule spans the whole soak so
+# partitions recur seed-deterministically.
+PROXY_ARGS=(--seed "$SEED" --duration-s "$DURATION_S"
+  --delay-us 2000 --jitter-us 1000 --loss 0.01)
 
-for bin in poccd pocc_loadgen pocc_chaosproxy; do
-  if [[ ! -x "$BUILD_DIR/$bin" ]]; then
-    echo "chaos_soak: $BUILD_DIR/$bin not built" >&2
-    exit 3
-  fi
-done
-
-mkdir -p "$OUT_DIR"
-
-# Real node addresses (the client view).
-real_port() { echo $((BASE_PORT + $1)); }
-# Proxy listen port for the directed pair src -> dst.
-proxy_port() { echo $((PROXY_BASE_PORT + $1 * DCS + $2)); }
-# Embedded observability endpoint of each poccd.
-metrics_port() { echo $((METRICS_BASE_PORT + $1)); }
-
-# GET http://127.0.0.1:PORT/PATH over /dev/tcp; prints the full response.
-# Subshell-scoped so a refused connect survives `set -e`.
-http_get() {
-  local port=$1 path=$2
-  (
-    exec 3<>"/dev/tcp/127.0.0.1/$port" || exit 1
-    printf 'GET %s HTTP/1.0\r\n\r\n' "$path" >&3
-    cat <&3
-  ) 2>/dev/null
-}
-
-# Poll /readyz until 200: recovery complete, client gate open, peer links up.
-# Generous attempt budget — an active chaos partition can legitimately hold
-# a replication link (and thus readiness) down for a fault window.
-ready_wait() {
-  local port=$1 name=$2 attempts=${3:-200}
-  for attempt in $(seq 1 "$attempts"); do
-    if http_get "$port" /readyz | head -n 1 | grep -q ' 200 '; then
-      return 0
-    fi
-    sleep 0.1
-  done
-  echo "chaos_soak: $name never answered 200 on /readyz" >&2
-  return 1
-}
-
-config_header() {
-  echo "dcs $DCS"
-  echo "partitions $PARTS"
-  echo "system $SYSTEM"
-  echo "heartbeat_us 2000"
-  echo "stabilization_us 10000"
-}
-
-# Client config: real addresses everywhere.
-CFG="$OUT_DIR/cluster.cfg"
-{
-  config_header
-  for dc in $(seq 0 $((DCS - 1))); do
-    echo "node dc=$dc parts=0-$((PARTS - 1)) threads=$THREADS addr=127.0.0.1:$(real_port "$dc")"
-  done
-} > "$CFG"
-
-# Per-DC server configs: peers behind the (self -> peer) proxy route.
-for self in $(seq 0 $((DCS - 1))); do
-  {
-    config_header
-    for dc in $(seq 0 $((DCS - 1))); do
-      if [[ "$dc" == "$self" ]]; then
-        addr="127.0.0.1:$(real_port "$dc")"
-      else
-        addr="127.0.0.1:$(proxy_port "$self" "$dc")"
-      fi
-      echo "node dc=$dc parts=0-$((PARTS - 1)) threads=$THREADS addr=$addr"
-    done
-  } > "$OUT_DIR/cluster_dc${self}.cfg"
-done
-echo "chaos_soak: client config:" && cat "$CFG"
-
-PIDS=()
-PROXY_PID=""
-cleanup() {
-  local status=$?
-  for pid in "${PIDS[@]}"; do kill "$pid" 2>/dev/null || true; done
-  [[ -n "$PROXY_PID" ]] && kill "$PROXY_PID" 2>/dev/null || true
-  wait 2>/dev/null || true
-  if [[ $status -ne 0 ]]; then
-    echo "chaos_soak: FAILED (exit $status) — logs:" >&2
-    tail -n 20 "$OUT_DIR"/poccd_*.log "$OUT_DIR"/chaosproxy.log >&2 || true
-  fi
-  exit "$status"
-}
-trap cleanup EXIT
-
-# One proxy process carries all 6 directed routes; its fault schedule spans
-# the whole soak so partitions recur seed-deterministically.
-ROUTE_ARGS=()
-for src in $(seq 0 $((DCS - 1))); do
-  for dst in $(seq 0 $((DCS - 1))); do
-    [[ "$src" == "$dst" ]] && continue
-    ROUTE_ARGS+=(--route "$(proxy_port "$src" "$dst"):127.0.0.1:$(real_port "$dst"):$src:$dst")
-  done
-done
-echo "chaos_soak: launching chaosproxy (seed $SEED, ${#ROUTE_ARGS[@]} args)"
-"$BUILD_DIR/pocc_chaosproxy" --seed "$SEED" --dcs "$DCS" --parts "$PARTS" \
-  --duration-s "$DURATION_S" \
-  --delay-us "$DELAY_US" --jitter-us "$JITTER_US" --loss "$LOSS" \
-  "${ROUTE_ARGS[@]}" > "$OUT_DIR/chaosproxy.log" 2>&1 &
-PROXY_PID=$!
-
-echo "chaos_soak: launching $DCS durable poccd processes (bounded admission)"
-for dc in $(seq 0 $((DCS - 1))); do
-  "$BUILD_DIR/poccd" --config "$OUT_DIR/cluster_dc${dc}.cfg" --dc "$dc" \
-    --data-dir "$OUT_DIR/data_dc$dc" --max-inbox 4096 \
-    --metrics-addr "127.0.0.1:$(metrics_port "$dc")" \
-    > "$OUT_DIR/poccd_dc${dc}.log" 2>&1 &
-  PIDS+=($!)
-done
-
-echo "chaos_soak: waiting for every DC to answer 200 on /readyz"
-for dc in $(seq 0 $((DCS - 1))); do
-  ready_wait "$(metrics_port "$dc")" "dc$dc" || exit 4
-done
-
-if ! kill -0 "$PROXY_PID" 2>/dev/null; then
-  echo "chaos_soak: chaosproxy died at startup" >&2
-  exit 4
-fi
-grep "plan_hash" "$OUT_DIR/chaosproxy.log" || true
+require_bins poccd pocc_loadgen pocc_chaosproxy
+cluster_start
 
 echo "chaos_soak: resilient checked load for ${DURATION_S}s under wire chaos"
-"$BUILD_DIR/pocc_loadgen" --config "$CFG" --mode load \
-  --threads "$CLIENTS" --connections 2 \
-  --duration-s "$DURATION_S" --resilient --expect-disruption \
-  --op-deadline-us "$OP_DEADLINE_US" --deadline-budget "$DEADLINE_BUDGET" \
-  --out "$OUT_DIR/BENCH_chaos_soak.json" --client-base 1 \
-  > "$OUT_DIR/loadgen_soak.log" 2>&1 &
-LOAD_PID=$!
-
-if [[ "$KILL" == "1" ]]; then
-  VICTIM_DC=$((DCS - 1))
-  sleep 3
-  VICTIM_PID="${PIDS[$VICTIM_DC]}"
-  echo "chaos_soak: kill -9 poccd dc$VICTIM_DC (pid $VICTIM_PID) mid-soak"
-  kill -9 "$VICTIM_PID" 2>/dev/null || true
-  wait "$VICTIM_PID" 2>/dev/null || true
-  sleep 1
-  echo "chaos_soak: restarting dc$VICTIM_DC on its data dir"
-  "$BUILD_DIR/poccd" --config "$OUT_DIR/cluster_dc${VICTIM_DC}.cfg" \
-    --dc "$VICTIM_DC" --data-dir "$OUT_DIR/data_dc$VICTIM_DC" \
-    --max-inbox 4096 \
-    --metrics-addr "127.0.0.1:$(metrics_port "$VICTIM_DC")" \
-    >> "$OUT_DIR/poccd_dc${VICTIM_DC}.log" 2>&1 &
-  PIDS[$VICTIM_DC]=$!
-  ready_wait "$(metrics_port "$VICTIM_DC")" "restarted dc$VICTIM_DC" 300 || exit 7
-  # Second batch of "recovered part" lines proves the WAL replay ran.
-  for attempt in $(seq 1 50); do
-    lines="$(grep -c "recovered part" "$OUT_DIR/poccd_dc${VICTIM_DC}.log" || true)"
-    [[ "$lines" -ge $((2 * PARTS)) ]] && break
-    if [[ $attempt -eq 50 ]]; then
-      echo "chaos_soak: restarted dc$VICTIM_DC never reported a WAL replay" >&2
-      exit 7
-    fi
-    sleep 0.1
-  done
-fi
-
-if ! wait "$LOAD_PID"; then
-  status=$?
-  echo "chaos_soak: FAIL — resilient load exited $status (1=violation, 3=deadline budget)" >&2
-  tail -n 30 "$OUT_DIR/loadgen_soak.log" >&2 || true
-  exit 8
-fi
+start_load "$OUT_DIR/loadgen_soak.log" \
+  --threads 8 --connections 2 --duration-s "$DURATION_S" \
+  --resilient --expect-disruption \
+  --op-deadline-us 15000000 --deadline-budget 0.05 \
+  --client-base 1 --out "$OUT_DIR/BENCH_chaos_soak.json"
+sleep 3
+kill_restart $((DCS - 1))
+wait_load "resilient load under wire chaos" 8
 cat "$OUT_DIR/BENCH_chaos_soak.json"
 
-echo "chaos_soak: verifying every process survived"
-for pid in "${PIDS[@]}" "$PROXY_PID"; do
-  if ! kill -0 "$pid" 2>/dev/null; then
-    echo "chaos_soak: a process died during the soak" >&2
-    exit 5
-  fi
-done
-
-echo "chaos_soak: graceful shutdown"
-for pid in "${PIDS[@]}"; do kill -TERM "$pid" 2>/dev/null || true; done
-kill -TERM "$PROXY_PID" 2>/dev/null || true
-for pid in "${PIDS[@]}"; do wait "$pid" || true; done
-wait "$PROXY_PID" 2>/dev/null || true
-PIDS=(); PROXY_PID=""
-echo "chaos_soak: per-process exit stats:"
-grep -h "exiting" "$OUT_DIR"/poccd_dc*.log || true
+check_alive
+cluster_stop
 echo "chaos_soak: retry/dedupe accounting must show the resilience layer worked:"
 grep -hoE "host_overloaded_replies=[0-9]+ host_deduped_requests=[0-9]+" \
   "$OUT_DIR"/poccd_dc*.log || true

@@ -1,11 +1,34 @@
 #include "checker/history_checker.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/assert.hpp"
 #include "store/key_space.hpp"
 
 namespace pocc::checker {
+
+namespace {
+
+std::uint32_t at(const std::vector<std::uint32_t>& clock, std::uint32_t w) {
+  return w < clock.size() ? clock[w] : 0;
+}
+
+void raise(std::vector<std::uint32_t>& clock, std::uint32_t w,
+           std::uint32_t n) {
+  if (clock.size() <= w) clock.resize(w + 1, 0);
+  clock[w] = std::max(clock[w], n);
+}
+
+void merge(std::vector<std::uint32_t>& clock,
+           const std::vector<std::uint32_t>& other) {
+  if (clock.size() < other.size()) clock.resize(other.size(), 0);
+  for (std::size_t w = 0; w < other.size(); ++w) {
+    clock[w] = std::max(clock[w], other[w]);
+  }
+}
+
+}  // namespace
 
 void HistoryChecker::register_client(ClientId c, DcId dc, bool snapshot_rdv) {
   Session s;
@@ -28,19 +51,32 @@ void HistoryChecker::on_version_created(ClientId c, std::uint64_t op_id,
          "' ut=" + std::to_string(ut) +
          " <= max(dv)=" + std::to_string(dv.max_entry()));
   }
+  VersionRecord rec;
+  rec.id = VersionId{ut, sr};
   auto s = sessions_.find(c);
-  PastMapPtr past;
   if (s != sessions_.end()) {
-    auto pending = s->second.pending_put_pasts.find(op_id);
-    if (pending != s->second.pending_put_pasts.end()) {
-      past = pending->second;
-      s->second.pending_put_pasts.erase(pending);
+    auto pending = s->second.pending_puts.find(op_id);
+    if (pending != s->second.pending_puts.end()) {
+      rec.writer = pending->second.writer;
+      rec.seq = pending->second.seq;
+      rec.past = std::move(pending->second.past);
+      s->second.pending_puts.erase(pending);
     }
+  }
+  if (rec.past == nullptr) {
     // No snapshot (request issued before a session reset, or a test driving
     // the registry directly): register with an empty past — sound, merely
-    // weaker (fewer causal edges to enforce on readers).
+    // weaker (fewer causal edges to enforce on readers) — as the only
+    // version of a writer of its own.
+    rec.writer = writers_++;
+    rec.seq = 1;
   }
-  registry_[key].push_back(VersionRecord{VersionId{ut, sr}, dv, past});
+  std::vector<VersionRecord>& records = registry_[key];
+  records.insert(std::upper_bound(records.begin(), records.end(), rec.id,
+                                  [](VersionId id, const VersionRecord& r) {
+                                    return r.id.fresher_than(id);
+                                  }),
+                 std::move(rec));
 }
 
 void HistoryChecker::on_get_issued(ClientId c, const proto::GetReq& req) {
@@ -78,8 +114,15 @@ void HistoryChecker::on_put_issued(ClientId c, const proto::PutReq& req) {
     fail("Alg1 violated: PUT carries DV " + req.dv.to_string() +
          ", expected " + s.dv.to_string());
   }
+  // The PUT continues the session's run of PUTs only if the run's every
+  // earlier version is in the past (an abandoned PUT breaks the run).
+  if (s.writer == kNoWriter || at(s.past, s.writer) != s.seq) {
+    s.writer = writers_++;
+    s.seq = 0;
+  }
   // Snapshot the writer's causal past: it becomes the new version's past.
-  s.pending_put_pasts[req.op_id] = std::make_shared<PastMap>(s.past);
+  s.pending_puts[req.op_id] =
+      PendingPut{s.writer, ++s.seq, std::make_shared<const Clock>(s.past)};
 }
 
 void HistoryChecker::on_put_reply(ClientId c, const proto::PutReply& reply) {
@@ -89,20 +132,77 @@ void HistoryChecker::on_put_reply(ClientId c, const proto::PutReply& reply) {
   // Alg. 1 line 12.
   s.dv.raise(s.dc, reply.ut);
   // The client's own write joins its causal past (thread-of-execution edge).
-  const VersionId id{reply.ut, reply.sr};
-  auto& slot = s.past[reply.key];
-  if (id.fresher_than(slot)) slot = id;
-  s.pending_put_pasts.erase(reply.op_id);
+  add_version(s.past, record_for(reply.key, VersionId{reply.ut, reply.sr}));
+  s.pending_puts.erase(reply.op_id);
 }
 
-const HistoryChecker::VersionRecord* HistoryChecker::find_version(
-    KeyId key, VersionId id) const {
+std::vector<HistoryChecker::VersionRecord>::iterator
+HistoryChecker::first_record(std::vector<VersionRecord>& records,
+                             VersionId id) {
+  return std::lower_bound(records.begin(), records.end(), id,
+                          [](const VersionRecord& r, VersionId v) {
+                            return v.fresher_than(r.id);
+                          });
+}
+
+HistoryChecker::VersionRecord* HistoryChecker::find_version(KeyId key,
+                                                            VersionId id) {
   auto it = registry_.find(key);
   if (it == registry_.end()) return nullptr;
-  for (const VersionRecord& r : it->second) {
-    if (r.id == id) return &r;
+  for (auto r = first_record(it->second, id);
+       r != it->second.end() && r->id == id; ++r) {
+    if (r->registered) return &*r;
   }
   return nullptr;
+}
+
+HistoryChecker::VersionRecord& HistoryChecker::record_for(KeyId key,
+                                                          VersionId id) {
+  std::vector<VersionRecord>& records = registry_[key];
+  auto r = first_record(records, id);
+  if (r != records.end() && r->id == id) return *r;
+  r = records.emplace(r);
+  r->id = id;
+  r->writer = writers_++;
+  r->seq = 1;
+  r->registered = false;
+  return *r;
+}
+
+bool HistoryChecker::holds(const Clock& past, const VersionRecord& r) {
+  return at(past, r.writer) >= r.seq ||
+         (r.alias != kNoWriter && at(past, r.alias) >= 1);
+}
+
+std::optional<VersionId> HistoryChecker::fresher_in_past(
+    const Clock& past, KeyId key, VersionId than) const {
+  auto it = registry_.find(key);
+  if (it == registry_.end()) return std::nullopt;
+  const std::vector<VersionRecord>& records = it->second;
+  for (auto r = records.rbegin();
+       r != records.rend() && r->id.fresher_than(than); ++r) {
+    if (r->id.ut > 0 && holds(past, *r)) return r->id;
+  }
+  // No held version with ut > 0 is fresher than `than`. Once the past holds
+  // any version of the key, the initial (0,0) counts as held too, and it is
+  // fresher than `than` exactly when `than` is (0, sr > 0).
+  if (than.ut != 0 || than.sr == 0) return std::nullopt;
+  for (const VersionRecord& r : records) {
+    if (holds(past, r)) return VersionId{};
+  }
+  return std::nullopt;
+}
+
+void HistoryChecker::add_version(Clock& past, VersionRecord& r) {
+  if (holds(past, r)) return;
+  if (at(past, r.writer) + 1 == r.seq) {
+    raise(past, r.writer, r.seq);
+    return;
+  }
+  // The past lacks an earlier version of r's run (a late reply after a
+  // session reset, say): r joins under a one-version writer of its own.
+  if (r.alias == kNoWriter) r.alias = writers_++;
+  raise(past, r.alias, 1);
 }
 
 void HistoryChecker::check_read_item(ClientId c, Session& s,
@@ -114,8 +214,9 @@ void HistoryChecker::check_read_item(ClientId c, Session& s,
   // causal past must not be fresher than the returned version. This subsumes
   // read-your-writes and monotonic reads for sticky sessions.
   ++checks_;
-  auto past_it = s.past.find(item.key);
-  if (past_it != s.past.end() && past_it->second.fresher_than(returned)) {
+  const std::optional<VersionId> in_past =
+      fresher_in_past(s.past, item.key, returned);
+  if (in_past) {
     fail(std::string("causal GET rule violated for client ") +
          std::to_string(c) + " (" + op +
          (s.pessimistic ? ", pessimistic" : ", optimistic") + " session, dc " +
@@ -123,8 +224,7 @@ void HistoryChecker::check_read_item(ClientId c, Session& s,
          "' returned (ut=" + std::to_string(returned.ut) +
          ",sr=" + std::to_string(returned.sr) +
          ") dv=" + item.dv.to_string() + " but causal past holds (ut=" +
-         std::to_string(past_it->second.ut) +
-         ",sr=" + std::to_string(past_it->second.sr) +
+         std::to_string(in_past->ut) + ",sr=" + std::to_string(in_past->sr) +
          "); session rdv=" + s.rdv.to_string());
   }
 }
@@ -141,18 +241,15 @@ void HistoryChecker::absorb_read(Session& s, const proto::ReadItem& item) {
   s.dv.raise(item.sr, item.ut);
   // Extend the causal past with the read version and its past.
   const VersionId id{item.ut, item.sr};
-  const VersionRecord* rec = find_version(item.key, id);
+  VersionRecord* rec = find_version(item.key, id);
   if (rec == nullptr) {
     fail("internal: read returned unregistered version of '" +
          store::key_name(item.key) + "'");
+    rec = &record_for(item.key, id);
   } else if (rec->past != nullptr) {
-    for (const auto& [key, vid] : *rec->past) {
-      auto& slot = s.past[key];
-      if (vid.fresher_than(slot)) slot = vid;
-    }
+    merge(s.past, *rec->past);
   }
-  auto& slot = s.past[item.key];
-  if (id.fresher_than(slot)) slot = id;
+  add_version(s.past, *rec);
 }
 
 void HistoryChecker::on_get_reply(ClientId c, const proto::GetReply& reply) {
@@ -184,15 +281,15 @@ void HistoryChecker::on_tx_reply(ClientId c, const proto::RoTxReply& reply) {
       ++checks_;
       const VersionId returned_x =
           x.found ? VersionId{x.ut, x.sr} : VersionId{0, 0};
-      auto in_past = yrec->past->find(x.key);
-      if (in_past != yrec->past->end() &&
-          in_past->second.fresher_than(returned_x)) {
+      const std::optional<VersionId> in_past =
+          fresher_in_past(*yrec->past, x.key, returned_x);
+      if (in_past) {
         fail("RO-TX snapshot violated for client " + std::to_string(c) +
              ": returned '" + store::key_name(x.key) +
              "'@(ut=" + std::to_string(returned_x.ut) + ") together with '" +
              store::key_name(y.key) + "'@(ut=" + std::to_string(y.ut) +
              ") whose past holds '" + store::key_name(x.key) + "'@(ut=" +
-             std::to_string(in_past->second.ut) + ")");
+             std::to_string(in_past->ut) + ")");
       }
     }
   }
@@ -211,7 +308,9 @@ void HistoryChecker::on_session_reset(ClientId c) {
   s.rdv = VersionVector(num_dcs_);
   s.rdv_at_issue = VersionVector(num_dcs_);
   s.past.clear();
-  s.pending_put_pasts.clear();
+  s.writer = kNoWriter;
+  s.seq = 0;
+  s.pending_puts.clear();
   s.pessimistic = true;
 }
 

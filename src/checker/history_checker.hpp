@@ -16,15 +16,23 @@
 //   * Algorithm 1 conformance: the DV/RDV a client puts on the wire must
 //     match an independent mirror of the client protocol.
 //
-// The causal past is tracked *exactly* (item granularity): every version
-// records a snapshot of its writer's per-key causal-past map, and sessions
-// merge the past of each version they read. This avoids the
-// false positives a vector-granularity check would produce (dependency
-// vectors deliberately over-approximate, §IV) while remaining sound.
+// The causal past is tracked *exactly* (version granularity), which avoids the
+// false positives a dependency-vector check would produce (dependency vectors
+// deliberately over-approximate, §IV) while remaining sound. A past is a set
+// of versions, kept as a vector clock over *writers*: a writer is one run of
+// a session's PUTs in which each PUT was issued with all earlier PUTs of the
+// run already in the session's past, and each version carries the dot
+// (writer, seq) of its PUT. Every past then holds a prefix of each writer's
+// run, so clock[w] = n names exactly the first n versions of writer w. A
+// version records its writer's clock at issue — memory per PUT grows with
+// the number of writers, not with the number of keys in the writer's past —
+// and a key's versions are kept in LWW order, so "is a version of k fresher
+// than the one returned in this past" scans only the fresher versions.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -93,14 +101,27 @@ class HistoryChecker {
   }
 
  private:
-  /// Freshest version of each key in some causal past (keyed by interned id).
-  using PastMap = std::unordered_map<KeyId, VersionId>;
-  using PastMapPtr = std::shared_ptr<const PastMap>;
+  using WriterId = std::uint32_t;
+  static constexpr WriterId kNoWriter = ~WriterId{0};
+  /// A causal past: clock[w] = n holds the first n versions of writer w.
+  using Clock = std::vector<std::uint32_t>;
+  using ClockPtr = std::shared_ptr<const Clock>;
 
   struct VersionRecord {
     VersionId id;
-    VersionVector dv;
-    PastMapPtr past;  // writer's causal past at write time
+    WriterId writer = kNoWriter;  // the version's dot: (writer, seq)
+    std::uint32_t seq = 0;
+    /// One-version writer under which the version joins a past that lacks
+    /// one of its run's earlier versions (see add_version); set on demand.
+    WriterId alias = kNoWriter;
+    /// False for a version some past holds but no PUT registered.
+    bool registered = true;
+    ClockPtr past;  // writer's causal past at issue; null when none was taken
+  };
+  struct PendingPut {
+    WriterId writer = kNoWriter;
+    std::uint32_t seq = 0;
+    ClockPtr past;
   };
   struct Session {
     DcId dc = 0;
@@ -109,15 +130,30 @@ class HistoryChecker {
     VersionVector dv;            // mirror of Alg. 1 DV_c
     VersionVector rdv;           // mirror of Alg. 1 RDV_c
     VersionVector rdv_at_issue;  // snapshot when the in-flight read left
-    PastMap past;                // exact causal past, freshest per key
-    /// Past snapshots of in-flight PUTs, keyed by the request's op_id (a
-    /// request abandoned by its client can still execute much later).
-    std::unordered_map<std::uint64_t, PastMapPtr> pending_put_pasts;
+    Clock past;                  // exact causal past
+    WriterId writer = kNoWriter;  // the session's current run of PUTs
+    std::uint32_t seq = 0;        // dots issued in that run
+    /// Dots and past snapshots of in-flight PUTs, keyed by the request's
+    /// op_id (a request abandoned by its client can still execute much later).
+    std::unordered_map<std::uint64_t, PendingPut> pending_puts;
   };
 
   void fail(std::string msg) { violations_.push_back(std::move(msg)); }
-  [[nodiscard]] const VersionRecord* find_version(KeyId key,
-                                                  VersionId id) const;
+  /// First record of `id` in `records`, which are kept staler-first (equal
+  /// ids in registration order), or where one would be inserted.
+  static std::vector<VersionRecord>::iterator first_record(
+      std::vector<VersionRecord>& records, VersionId id);
+  [[nodiscard]] VersionRecord* find_version(KeyId key, VersionId id);
+  /// The version's record, registered or not; creates an unregistered one
+  /// (with a one-version writer) when the registry has none.
+  VersionRecord& record_for(KeyId key, VersionId id);
+  [[nodiscard]] static bool holds(const Clock& past, const VersionRecord& r);
+  /// The freshest version of `key` in `past` if it is fresher than `than`.
+  [[nodiscard]] std::optional<VersionId> fresher_in_past(const Clock& past,
+                                                         KeyId key,
+                                                         VersionId than) const;
+  /// Adds the single version `r` (not its past) to `past`.
+  void add_version(Clock& past, VersionRecord& r);
   void absorb_read(Session& s, const proto::ReadItem& item);
   void check_read_item(ClientId c, Session& s, const proto::ReadItem& item,
                        const char* op);
@@ -128,6 +164,7 @@ class HistoryChecker {
   std::vector<std::string> violations_;
   std::uint64_t checks_ = 0;
   std::uint64_t versions_registered_ = 0;
+  WriterId writers_ = 0;
 };
 
 }  // namespace pocc::checker

@@ -4,7 +4,14 @@
 #include "checker/history_checker.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cstdio>
+#include <optional>
+#include <random>
+#include <vector>
+
+#include "client/client_engine.hpp"
 #include "store/key_space.hpp"
 
 namespace pocc::checker {
@@ -226,6 +233,96 @@ TEST_F(CheckerTest, ConcurrentWritesAreNotViolations) {
   do_get(2, "k", VersionVector(3),
          make_get_reply(2, "k", 100, 1, VersionVector(3)));
   EXPECT_TRUE(chk_.violations().empty());
+}
+
+/// Resident set size in bytes (second field of /proc/self/statm, in pages).
+std::size_t resident_bytes() {
+  std::FILE* f = std::fopen("/proc/self/statm", "r");
+  if (f == nullptr) return 0;
+  unsigned long size = 0;
+  unsigned long resident = 0;
+  const int n = std::fscanf(f, "%lu %lu", &size, &resident);
+  std::fclose(f);
+  return n == 2 ? resident * static_cast<std::size_t>(sysconf(_SC_PAGESIZE))
+                : 0;
+}
+
+TEST(CheckerMemoryTest, PutsDoNotCopyTheWritersPast) {
+  // A generated history over one linearizable store: a few sessions spread
+  // over the DCs, a few thousand keys, tens of thousands of PUTs and reads
+  // of each other's writes, so every session's causal past soon spans most
+  // keys. What the checker keeps per PUT must not grow with that past.
+  constexpr std::uint32_t kDcs = 3;
+  constexpr ClientId kSessions = 6;
+  constexpr std::uint32_t kKeys = 4000;
+  constexpr int kPuts = 40'000;
+  constexpr std::size_t kMaxGrowth = std::size_t{64} << 20;
+
+  HistoryChecker chk(kDcs);
+  std::vector<client::ClientEngine> engines;
+  for (ClientId c = 0; c < kSessions; ++c) {
+    engines.emplace_back(c, c % kDcs, kDcs);
+    chk.register_client(c, c % kDcs);
+  }
+  std::vector<KeyId> keys;
+  for (std::uint32_t k = 0; k < kKeys; ++k) {
+    keys.push_back(K("mem-" + std::to_string(k)));
+  }
+  struct Latest {
+    Timestamp ut = 0;
+    DcId sr = 0;
+    VersionVector dv;
+  };
+  std::vector<std::optional<Latest>> latest(kKeys);
+
+  std::mt19937_64 rng(7);
+  Timestamp clock = 0;
+  std::uint64_t op_id = 0;
+  const std::size_t rss_before = resident_bytes();
+  for (int puts = 0; puts < kPuts;) {
+    const ClientId c = rng() % kSessions;
+    client::ClientEngine& e = engines[c];
+    const std::uint32_t k = rng() % kKeys;
+    if (rng() % 3 == 0) {
+      proto::PutReq req = e.make_put(keys[k], "v");
+      req.op_id = ++op_id;
+      chk.on_put_issued(c, req);
+      const Timestamp ut = ++clock;  // exceeds every dependency so far
+      chk.on_version_created(c, req.op_id, keys[k], ut, e.dc(), req.dv);
+      proto::PutReply reply;
+      reply.client = c;
+      reply.op_id = req.op_id;
+      reply.key = keys[k];
+      reply.ut = ut;
+      reply.sr = e.dc();
+      chk.on_put_reply(c, reply);
+      e.absorb_put(reply);
+      latest[k] = Latest{ut, e.dc(), req.dv};
+      if (++puts % 1000 == 0) {
+        const std::size_t grown = resident_bytes() - rss_before;
+        ASSERT_LT(grown, kMaxGrowth) << "resident set grew " << (grown >> 20)
+                                     << " MB after " << puts << " PUTs";
+      }
+    } else {
+      proto::GetReq req = e.make_get(keys[k]);
+      req.op_id = ++op_id;
+      chk.on_get_issued(c, req);
+      proto::GetReply reply;
+      reply.client = c;
+      reply.op_id = req.op_id;
+      reply.item.key = keys[k];
+      if (latest[k]) {
+        reply.item.found = true;
+        reply.item.ut = latest[k]->ut;
+        reply.item.sr = latest[k]->sr;
+        reply.item.dv = latest[k]->dv;
+      }
+      chk.on_get_reply(c, reply);
+      e.absorb_get(reply);
+    }
+  }
+  EXPECT_TRUE(chk.violations().empty()) << chk.violations().front();
+  EXPECT_EQ(chk.versions_registered(), static_cast<std::uint64_t>(kPuts));
 }
 
 }  // namespace

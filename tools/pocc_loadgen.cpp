@@ -10,7 +10,8 @@
 //   load  — N closed-loop client sessions per DC run the Get-Put (or Tx-Put)
 //           workload for --duration-s, then the merged per-session histories
 //           are replayed through the HistoryChecker. Emits one JSON line
-//           (throughput + latency percentiles + checker verdict).
+//           (throughput + latency percentiles + checker verdict, plus the
+//           checker's cost: check_s replay time and peak_rss_mb).
 //   smoke — deterministic causal scenarios: read-your-writes in one DC and
 //           the cross-DC WC-DEP chain (photo/comment, §II-A), plus eventual
 //           cross-DC convergence; every session history checked afterwards.
@@ -31,6 +32,8 @@
 // a PUT can be applied and replicated while its reply died with the killed
 // process — no longer fail the run. Consistency VIOLATIONS still exit 1;
 // that is the whole point of the drill.
+#include <sys/resource.h>
+
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -368,19 +371,29 @@ void run_pipelined(std::vector<PipelinedClient>& clients,
   }
 }
 
+/// Peak resident set size of this process so far (VmHWM), in MB.
+double peak_rss_mb() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;  // ru_maxrss is KB
+}
+
 /// Replays all histories; returns checker verdict (violations printed).
 struct CheckOutcome {
   bool complete = true;
   std::uint64_t checks = 0;
   std::uint64_t violations = 0;
+  double check_s = 0.0;  // wall time of the replay
 };
 
 CheckOutcome check_histories(
     const net::ClusterLayout& layout,
     const std::vector<checker::SessionHistory>& histories) {
+  const Duration start = now_us();
   checker::HistoryChecker checker(layout.topology.num_dcs);
   const auto result = checker::replay_history(histories, checker);
   CheckOutcome outcome;
+  outcome.check_s = static_cast<double>(now_us() - start) / 1e6;
   outcome.complete = result.complete;
   outcome.checks = checker.checks_performed();
   outcome.violations = checker.violations().size();
@@ -537,6 +550,7 @@ int run_load(const Args& args, const net::ClusterLayout& layout) {
       "\"gets\":%llu,\"puts\":%llu,\"ro_txs\":%llu,\"failures\":%llu,"
       "%s,"
       "\"history_events\":%zu,\"checks\":%llu,\"violations\":%llu,"
+      "\"check_s\":%.3f,\"peak_rss_mb\":%.1f,"
       "\"resilient\":%s,\"op_deadline_us\":%lld,"
       "\"op_timeouts\":%llu,\"op_retries\":%llu,\"op_failovers\":%llu,"
       "\"op_overloaded\":%llu,\"breaker_opens\":%llu,"
@@ -557,8 +571,8 @@ int run_load(const Args& args, const net::ClusterLayout& layout) {
       static_cast<unsigned long long>(ops.failures.load()),
       lat_json.c_str(), history_events,
       static_cast<unsigned long long>(verdict.checks),
-      static_cast<unsigned long long>(verdict.violations),
-      args.resilient ? "true" : "false",
+      static_cast<unsigned long long>(verdict.violations), verdict.check_s,
+      peak_rss_mb(), args.resilient ? "true" : "false",
       static_cast<long long>(args.op_deadline_us),
       static_cast<unsigned long long>(rstats.timeouts),
       static_cast<unsigned long long>(rstats.retries),

@@ -257,8 +257,8 @@ int main(int argc, char** argv) {
                dc, system_flag(layout->system), spec.parts.size(),
                host.group().threads(), host.port());
   if (data_dir != nullptr) {
-    // One line per partition so crash drills can assert the WAL replay
-    // actually ran (scripts grep for "recovered part").
+    // One line per partition recording what the WAL replay restored (crash
+    // drills read the same numbers from the pocc_wal_replay_* gauges).
     const auto& replays = host.replay_stats();
     for (std::size_t i = 0; i < spec.parts.size(); ++i) {
       const wal::PartitionWal::ReplayStats& rs = replays[i];
