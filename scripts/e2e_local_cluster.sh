@@ -14,10 +14,12 @@
 #               partition each), pipelined; zero op failures
 #   tail        zipfian theta 0.99 over 1M keys per partition, 8..1024 B
 #               values; BENCH_tail_latency.json
-#   signal      SIGUSR1 storm on every poccd (its handler lacks SA_RESTART,
-#               so loop syscalls take EINTR) during a pipelined load,
-#               bracketed by SIGUSR2 stats dumps: zero new reconnects,
-#               server or client — EINTR must never tear a connection
+#   signal      SIGUSR1 storm on every poccd (its handler lacks SA_RESTART
+#               and the main thread masks it, so event-loop syscalls take
+#               EINTR) during a pipelined load: zero new reconnects, server
+#               or client — EINTR must never tear a connection. SIGUSR2
+#               stats dumps bracket the storm, since the exit line alone
+#               cannot tell storm reconnects from startup dial races.
 #   kill        only with E2E_KILL_LEG=1, which makes every poccd durable:
 #               a disrupted load while one DC is kill -9'd and restarted on
 #               its data dir; it must replay its WAL and rejoin
@@ -125,9 +127,9 @@ echo "e2e: tail-latency delta vs the committed baseline (non-gating)"
 scripts/perf_delta.sh "$OUT_DIR/BENCH_tail_latency.json" \
   bench/baselines/BENCH_tail_latency.json || true
 
-# reconnects=N from DC's latest stats dump.
+# reconnects=N from DC's latest stats dump; empty when it dumped none.
 last_reconnects() {
-  grep "dc$1: stats" "$OUT_DIR/poccd_dc$1.log" | tail -n 1 \
+  { grep "dc$1: stats" "$OUT_DIR/poccd_dc$1.log" || true; } | tail -n 1 \
     | sed -n 's/.*reconnects=\([0-9]*\).*/\1/p'
 }
 echo "e2e: signal leg — SIGUSR1 storm on every poccd during a pipelined load (4s)"
