@@ -10,15 +10,14 @@
 //
 // Usage:
 //   fuzz_campaign [--plans N] [--seed BASE] [--engine pocc|scalar_pocc|
-//                 ha_pocc|cure|all] [--durability idealized|wal]
-//                 [--plan-hash 0xH] [--verify-replay] [--list]
-//                 [--duration-us D] [--drain-us D] [--out FILE]
+//                 ha_pocc|cure|all] [--plan-hash 0xH] [--verify-replay]
+//                 [--list] [--duration-us D] [--drain-us D] [--out FILE]
 //                 [--dump-failures DIR]
 //
 // Without --engine, each of BASE..BASE+N-1 seeds runs on every engine.
-// --durability wal routes fail-stop crashes through the real WAL recovery
-// path (engine rebuild + log replay) instead of the idealized durable-store
-// model; seed replay stays bit-identical within a mode.
+// Fail-stop crashes restart a fresh engine from the crashed one's snapshot
+// image (wal::encode_snapshot / decode_snapshot, the poccd checkpoint
+// codec), then replay the peers' backlogged streams.
 // --plan-hash makes a single-seed replay fail loudly if the regenerated plan
 // does not match the repro (generator drift). --verify-replay runs every
 // case twice and requires bit-identical end-state digests. CI runs this
@@ -46,8 +45,6 @@ struct Options {
                                      SystemKind::kScalarPocc,
                                      SystemKind::kHaPocc, SystemKind::kCure};
   bool single_engine = false;
-  pocc::cluster::DurabilityMode durability =
-      pocc::cluster::DurabilityMode::kIdealized;
   bool verify_replay = false;
   bool list_only = false;
   std::uint64_t expect_plan_hash = 0;  // 0 = not checked
@@ -90,13 +87,6 @@ bool parse_args(int argc, char** argv, Options& opt) {
       }
       opt.engines = {*k};
       opt.single_engine = true;
-    } else if (a == "--durability") {
-      const char* v = need_value("--durability");
-      if (v == nullptr) return false;
-      if (!pocc::fault::parse_durability(v, opt.durability)) {
-        std::fprintf(stderr, "unknown durability mode '%s'\n", v);
-        return false;
-      }
     } else if (a == "--plan-hash") {
       const char* v = need_value("--plan-hash");
       if (v == nullptr) return false;
@@ -133,7 +123,6 @@ FuzzCase make_case(const Options& opt, SystemKind system,
                    std::uint64_t seed) {
   FuzzCase c;
   c.system = system;
-  c.durability = opt.durability;
   c.seed = seed;
   c.run_us = opt.duration_us;
   c.drain_us = opt.drain_us;
@@ -144,9 +133,8 @@ void dump_failure(const Options& opt, const FuzzCase& c,
                   const FuzzOutcome& o) {
   if (opt.dump_dir.empty()) return;
   const std::string path = opt.dump_dir + "/fail_" +
-                           pocc::system_flag(c.system) + "_" +
-                           pocc::fault::durability_flag(c.durability) +
-                           "_seed" + std::to_string(c.seed) + ".txt";
+                           pocc::system_flag(c.system) + "_seed" +
+                           std::to_string(c.seed) + ".txt";
   std::ofstream f(path);
   if (!f) return;
   f << "REPRO: " << pocc::fault::repro_line(c, o) << "\n\n";
@@ -208,11 +196,10 @@ int main(int argc, char** argv) {
         }
       }
       std::printf(
-          "[%s] engine=%-11s dur=%-9s seed=%-6llu plan=%s faults=%llu "
+          "[%s] engine=%-11s seed=%-6llu plan=%s faults=%llu "
           "ops=%llu checks=%llu recovered=%llu dropped=%llu fallbacks=%llu "
           "digest=%s\n",
           o.ok ? "ok" : "FAIL", pocc::system_flag(system),
-          pocc::fault::durability_flag(c.durability),
           static_cast<unsigned long long>(seed),
           pocc::fault::hex64(o.plan_hash).c_str(),
           static_cast<unsigned long long>(o.faults_injected),
@@ -224,9 +211,7 @@ int main(int argc, char** argv) {
           pocc::fault::hex64(o.digest).c_str());
       if (out.is_open()) {
         out << "{\"ok\":" << (o.ok ? "true" : "false") << ",\"engine\":\""
-            << pocc::system_flag(system) << "\",\"durability\":\""
-            << pocc::fault::durability_flag(c.durability)
-            << "\",\"seed\":" << seed
+            << pocc::system_flag(system) << "\",\"seed\":" << seed
             << ",\"plan_hash\":\"" << pocc::fault::hex64(o.plan_hash)
             << "\",\"ops\":" << o.completed_ops
             << ",\"checks\":" << o.checks_performed

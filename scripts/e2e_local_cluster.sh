@@ -8,7 +8,8 @@
 #   pipelined   8 sessions x pipeline 4 over 8 connections per DC — the
 #               benchmark of record, BENCH_tcp_loadgen.json. A mid-load
 #               /metrics scrape of every DC is saved as metrics_dc*.prom and
-#               must carry the op-latency histograms and transport counters.
+#               must carry the op-latency histograms and transport counters,
+#               with connections placed across its two event loops.
 #   serial      8 client threads x 2 connections per DC
 #   highconn    fd limit raised, 128 connection pools per DC (one socket per
 #               partition each), pipelined; zero op failures
@@ -73,19 +74,28 @@ start_load "$OUT_DIR/loadgen_pipelined.log" \
   --duration-s "$DURATION_S" --client-base 200000 \
   --out "$OUT_DIR/BENCH_tcp_loadgen.json"
 sleep 2
+# Every DC's scrape must carry the op-latency and transport series, and show
+# client connections placed on another event loop than the one that
+# accepted them: 16 pipelined-leg sockets per DC over 2 loops all staying
+# put has odds of about 2^-16, so a zero count means placement is broken.
 for dc in $(seq 0 $((DCS - 1))); do
-  http_get "$(metrics_port "$dc")" /metrics | http_body \
-    > "$OUT_DIR/metrics_dc${dc}.prom" || true
+  prom="$OUT_DIR/metrics_dc${dc}.prom"
+  http_get "$(metrics_port "$dc")" /metrics | http_body > "$prom" || true
+  if ! grep -q '^pocc_server_op_us_bucket{op="get",le="' "$prom"; then
+    echo "e2e: FAIL — dc$dc mid-load /metrics scrape is missing pocc_server_op_us" >&2
+    exit 10
+  fi
+  if ! grep -q '^pocc_transport_frames_in_total ' "$prom"; then
+    echo "e2e: FAIL — dc$dc mid-load /metrics scrape is missing transport counters" >&2
+    exit 10
+  fi
+  moves="$(awk '$1 == "pocc_transport_migrations_total" { print $2 }' "$prom")"
+  if [[ -z "$moves" ]] || ! awk -v m="$moves" 'BEGIN { exit !(m > 0) }'; then
+    echo "e2e: FAIL — dc$dc placed no connection on another loop (pocc_transport_migrations_total=${moves:-missing})" >&2
+    exit 10
+  fi
+  echo "e2e: dc$dc mid-load /metrics scrape OK ($(wc -l < "$prom") series lines, $moves connections placed on another loop)"
 done
-if ! grep -q '^pocc_server_op_us_bucket{op="get",le="' "$OUT_DIR/metrics_dc0.prom"; then
-  echo "e2e: FAIL — mid-load /metrics scrape is missing pocc_server_op_us" >&2
-  exit 10
-fi
-if ! grep -q '^pocc_transport_frames_in_total ' "$OUT_DIR/metrics_dc0.prom"; then
-  echo "e2e: FAIL — mid-load /metrics scrape is missing transport counters" >&2
-  exit 10
-fi
-echo "e2e: mid-load /metrics scrape OK ($(wc -l < "$OUT_DIR/metrics_dc0.prom") series lines from dc0)"
 wait_load "pipelined checked load" 10
 cat "$OUT_DIR/BENCH_tcp_loadgen.json"
 echo "e2e: pipelined delta vs the committed baseline (non-gating)"

@@ -33,18 +33,14 @@ SimCluster::SimCluster(SimClusterConfig cfg)
       const NodeId id{dc, p};
       ClockConfig node_clock = cfg_.clock;
       node_clock.offset_bias_us += dc_bias[dc];
-      auto node = std::make_unique<SimNode>(id, cfg_.service, node_clock,
-                                            sim_, *net_, root_rng_);
-      if (cfg_.durability == DurabilityMode::kWal) {
-        // The same factory that builds the engine here rebuilds it after a
-        // crash, so the recovered incarnation gets its checker observer
-        // re-wired exactly like the original.
-        node->enable_wal_mode([this](NodeId nid, server::Context& ctx) {
-          return make_engine(nid, ctx);
-        });
-      }
-      node->install_engine(make_engine(id, *node));
-      nodes_.push_back(std::move(node));
+      // The factory also rebuilds the engine after a crash, so the
+      // recovered incarnation gets its checker observer re-wired exactly
+      // like the original.
+      nodes_.push_back(std::make_unique<SimNode>(
+          id, cfg_.service, node_clock, sim_, *net_, root_rng_,
+          [this](NodeId nid, server::Context& ctx) {
+            return make_engine(nid, ctx);
+          }));
     }
   }
   // Start nodes with a per-node phase so periodic timers do not fire in

@@ -26,13 +26,6 @@
 
 namespace pocc::cluster {
 
-/// How a crashed node's durable state is modeled (see SimNode::crash).
-/// kIdealized: the engine object survives the crash as an abstract durable
-/// store. kWal: every durable mutation is logged to an in-memory WAL and a
-/// restart rebuilds a fresh engine by replaying it — the sim twin of the real
-/// PartitionWal recovery path, still bit-identical under seed replay.
-enum class DurabilityMode { kIdealized, kWal };
-
 struct SimClusterConfig {
   TopologyConfig topology{3, 8, PartitionScheme::kPrefix};
   LatencyConfig latency = LatencyConfig::aws_three_dc();
@@ -40,7 +33,6 @@ struct SimClusterConfig {
   ServiceConfig service;
   ProtocolConfig protocol;
   SystemKind system = SystemKind::kPocc;
-  DurabilityMode durability = DurabilityMode::kIdealized;
   std::uint64_t seed = 1;
   /// Attach the causal-consistency checker (tests; costs memory and time).
   bool enable_checker = false;
@@ -104,12 +96,13 @@ class SimCluster {
 
   /// Fail-stop crash of one node (fault layer, src/fault/). The process
   /// dies: its RAM state (parked requests, pending transactions) is lost and
-  /// client requests bounce; the multiversion store and checkpointed
-  /// metadata survive (durable storage), and peer replication streams are
-  /// held by the peers' durable logs (see SimNode::crash).
+  /// client requests bounce; the multiversion store and version vector
+  /// survive as a checkpoint image, and peer replication streams are held
+  /// by the peers' durable logs (see SimNode::crash).
   void crash_node(NodeId id);
-  /// Reboot a crashed node: volatile state cleared, timers re-armed, replica
-  /// state rebuilt from the peers' backlogged streams in FIFO order.
+  /// Reboot a crashed node: a fresh engine restored from the checkpoint
+  /// image, timers re-armed, replica state rebuilt from the peers'
+  /// backlogged streams in FIFO order.
   /// Returns the number of replicated versions recovered.
   std::uint64_t restart_node(NodeId id);
   [[nodiscard]] bool node_down(NodeId id);
@@ -150,8 +143,8 @@ class SimCluster {
   SimNode& node_at(NodeId id);
   [[nodiscard]] NodeId node_for_key(DcId dc, KeyId key) const;
   /// Builds a protocol engine for the configured system, checker observer
-  /// wired. Used at construction and, in DurabilityMode::kWal, by
-  /// SimNode::restart to rebuild a crashed node's engine.
+  /// wired. Used at construction and by SimNode::restart to rebuild a
+  /// crashed node's engine.
   std::unique_ptr<server::ReplicaBase> make_engine(NodeId id,
                                                    server::Context& ctx);
 

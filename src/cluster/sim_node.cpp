@@ -5,30 +5,22 @@
 #include <vector>
 
 #include "common/assert.hpp"
+#include "wal/wal_format.hpp"
 
 namespace pocc::cluster {
 
 SimNode::SimNode(NodeId self, const ServiceConfig& service,
                  const ClockConfig& clock_cfg, sim::Simulator& simulator,
-                 net::SimNetwork& network, Rng& seeder)
+                 net::SimNetwork& network, Rng& seeder,
+                 EngineFactory make_engine)
     : self_(self),
       sim_(simulator),
       net_(network),
       cpu_(simulator, service.cores, service.background_share_den),
-      clock_(clock_cfg, seeder) {
+      clock_(clock_cfg, seeder),
+      make_engine_(std::move(make_engine)) {
+  engine_ = make_engine_(self_, *this);
   net_.register_node(self_, this);
-}
-
-void SimNode::install_engine(std::unique_ptr<server::ReplicaBase> engine) {
-  POCC_ASSERT(engine_ == nullptr);
-  engine_ = std::move(engine);
-}
-
-void SimNode::enable_wal_mode(EngineFactory rebuild) {
-  POCC_ASSERT_MSG(rebuild != nullptr, "WAL mode needs an engine factory");
-  POCC_ASSERT_MSG(wal_log_ == nullptr, "WAL mode enabled twice");
-  rebuild_ = std::move(rebuild);
-  wal_log_ = std::make_unique<wal::MemoryLog>();
 }
 
 namespace {
@@ -60,14 +52,13 @@ bool is_client_request(const proto::Message& m) {
 }
 }  // namespace
 
-void SimNode::start() {
-  POCC_ASSERT(engine_ != nullptr);
-  engine_->start();
-}
+void SimNode::start() { engine_->start(); }
 
 void SimNode::crash() {
   POCC_ASSERT_MSG(!down_, "node crashed twice without restart");
   down_ = true;
+  crash_image_ = wal::encode_snapshot(engine_->partition_store(),
+                                      engine_->version_vector());
   // Invalidate every pending CPU job and timer: the process they belonged to
   // is gone. Parked message slots are recycled when the dead jobs drain.
   ++epoch_;
@@ -99,23 +90,16 @@ void SimNode::crash() {
 std::uint64_t SimNode::restart() {
   POCC_ASSERT_MSG(down_, "restart of a node that is up");
   down_ = false;
-  if (wal_log_ != nullptr) {
-    // WAL mode: the process image — engine object included — is gone.
-    // Rebuild the engine from scratch and replay the logged mutations
-    // through the same restore calls the real disk recovery path drives
-    // (TcpNodeHost + PartitionWal::replay). Restored state equals the
-    // pre-crash durable state: MemoryLog is lossless, so the restored VV
-    // matches the pre-crash VV and the FIFO backlog replayed below still
-    // lands in timestamp order (no fifo_tolerant_ needed).
-    engine_ = rebuild_(self_, *this);
-    wal_log_->replay(
-        [this](const store::Version& v) { engine_->restore_version(v); },
-        [this](const VersionVector& vv) { engine_->restore_vv(vv); });
-  } else {
-    // Idealized mode: RAM is gone; the engine object models the durable
-    // store + checkpointed metadata and survives.
-    engine_->recover();
-  }
+  // The process image — engine object included — is gone: rebuild the
+  // engine and restore the durable image the way poccd restores a
+  // checkpoint. The restored VV equals the pre-crash VV, so the FIFO backlog
+  // replayed below still lands in timestamp order.
+  const std::vector<std::uint8_t> bytes = std::exchange(crash_image_, {});
+  const auto image = wal::decode_snapshot(bytes.data(), bytes.size());
+  POCC_ASSERT_MSG(image.has_value(), "crash image failed to decode");
+  engine_ = make_engine_(self_, *this);
+  for (const store::Version& v : image->versions) engine_->restore_version(v);
+  engine_->restore_vv(image->vv);
   // Timers armed before the crash carry the old epoch and are dead; re-arm.
   engine_->start();
   // Rebuild from peers: replay the backlogged replication/maintenance

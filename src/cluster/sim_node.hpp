@@ -15,54 +15,46 @@
 #include "server/replica_base.hpp"
 #include "sim/cpu_queue.hpp"
 #include "sim/simulator.hpp"
-#include "wal/memory_log.hpp"
 
 namespace pocc::cluster {
 
 class SimNode final : public net::Endpoint, public server::Context {
  public:
-  /// `engine_factory` builds the protocol engine against this node's Context.
-  SimNode(NodeId self, const ServiceConfig& service,
-          const ClockConfig& clock_cfg, sim::Simulator& simulator,
-          net::SimNetwork& network, Rng& seeder);
-
-  void install_engine(std::unique_ptr<server::ReplicaBase> engine);
-  void start();
-
   /// Builds a fresh protocol engine against a node's Context (same signature
   /// as rt::NodeGroup::EngineFactory — one factory serves both substrates).
   using EngineFactory = std::function<std::unique_ptr<server::ReplicaBase>(
       NodeId, server::Context&)>;
 
-  /// Switch this node from the idealized durable-store crash model to WAL
-  /// mode: the engine logs every durable mutation to an in-memory WAL
-  /// (wal::MemoryLog — the sim stand-in for PartitionWal, lossless and
-  /// filesystem-free so seed replay stays bit-identical), and restart()
-  /// discards the engine object entirely, rebuilding it through `rebuild`
-  /// and replaying the log through restore_version/restore_vv — the same
-  /// restore calls the real recovery path drives from disk. Call before the
-  /// engine starts.
-  void enable_wal_mode(EngineFactory rebuild);
+  /// Builds the node's engine through `make_engine`, which also rebuilds it
+  /// on every restart().
+  SimNode(NodeId self, const ServiceConfig& service,
+          const ClockConfig& clock_cfg, sim::Simulator& simulator,
+          net::SimNetwork& network, Rng& seeder, EngineFactory make_engine);
+
+  void start();
 
   // --- fault injection: fail-stop crash with durable storage ---
   /// Kill the process: pending CPU jobs and timers become no-ops (epoch
-  /// guard) and RAM state is lost on restart. The engine object (modelling
-  /// the durable store + checkpointed metadata) survives. While down,
-  /// incoming client requests are dropped (connection refused — the client
-  /// library reconnects), while server-to-server traffic is backlogged in
-  /// arrival order: those streams ride the peers' durable replication logs
-  /// (paper §II-C lossless FIFO channels), so a process crash delays them
-  /// but never tears a hole into them. Rebuilding replica state from a
-  /// peer's *store* instead would be unsound: each DC garbage-collects with
-  /// its own stability floor, so a peer's store may lack exactly the
-  /// versions this DC's snapshots still need.
+  /// guard) and the engine's durable image — its multiversion store and
+  /// version vector, encoded by wal::encode_snapshot exactly as a poccd
+  /// checkpoint writes them — is kept for restart(). The dead engine object
+  /// stays inspectable but receives nothing. While down, incoming client
+  /// requests are dropped (connection refused — the client library
+  /// reconnects), while server-to-server traffic is backlogged in arrival
+  /// order: those streams ride the peers' durable replication logs (paper
+  /// §II-C lossless FIFO channels), so a process crash delays them but never
+  /// tears a hole into them. Rebuilding replica state from a peer's *store*
+  /// instead would be unsound: each DC garbage-collects with its own
+  /// stability floor, so a peer's store may lack exactly the versions this
+  /// DC's snapshots still need.
   void crash();
-  /// Reboot. Idealized mode: clears the engine's volatile state
-  /// (ReplicaBase::recover). WAL mode: rebuilds a fresh engine and replays
-  /// the in-memory WAL through the restore_* calls (see enable_wal_mode).
-  /// Either way timers are then re-armed and the backlogged peer streams
-  /// replayed in FIFO order through the normal delivery path. Returns the
-  /// number of replicated versions recovered from peers this way.
+  /// Reboot: build a fresh engine through the factory and restore the crash
+  /// image through wal::decode_snapshot and restore_version/restore_vv —
+  /// the calls poccd's disk recovery drives — so every piece of RAM state
+  /// (parked requests, pending transactions, aggregation rounds) is gone.
+  /// Timers are then re-armed and the backlogged peer streams replayed in
+  /// FIFO order through the normal delivery path. Returns the number of
+  /// replicated versions recovered from peers this way.
   std::uint64_t restart();
   [[nodiscard]] bool down() const { return down_; }
 
@@ -86,7 +78,6 @@ class SimNode final : public net::Endpoint, public server::Context {
     net_.send_to_client(self_, client, std::move(m));
   }
   void set_timer(Duration delay, std::uint64_t timer_id) override;
-  server::DurabilityLog* durability() override { return wal_log_.get(); }
 
  private:
   /// A delivered message awaiting its CPU job. `from` and the arrival
@@ -110,11 +101,10 @@ class SimNode final : public net::Endpoint, public server::Context {
   net::SimNetwork& net_;
   sim::CpuQueue cpu_;
   PhysicalClock clock_;
+  EngineFactory make_engine_;
   std::unique_ptr<server::ReplicaBase> engine_;
-  /// WAL mode (enable_wal_mode): the in-memory WAL and the factory restart()
-  /// rebuilds the engine with. Null in idealized mode.
-  std::unique_ptr<wal::MemoryLog> wal_log_;
-  EngineFactory rebuild_;
+  /// wal::encode_snapshot of the engine taken at crash(); empty while up.
+  std::vector<std::uint8_t> crash_image_;
   bool down_ = false;
   /// Bumped on crash: CPU jobs and timer events capture the epoch they were
   /// created under and turn into no-ops when it no longer matches.

@@ -26,10 +26,6 @@ class CureServer : public server::ReplicaBase {
              server::Context& ctx);
 
   void start() override;
-  void recover() override {
-    ReplicaBase::recover();
-    stab_reports_.clear();  // per-round aggregation is RAM; GSS survives
-  }
   Duration on_timer(std::uint64_t timer_id) override;
 
   [[nodiscard]] const VersionVector& gss() const { return gss_; }

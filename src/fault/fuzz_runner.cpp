@@ -36,7 +36,6 @@ cluster::SimClusterConfig case_cluster_config(const FuzzCase& c) {
   cfg.protocol.block_timeout_us = 60'000;
   cfg.protocol.ha_stabilization_interval_us = 30'000;
   cfg.system = c.system;
-  cfg.durability = c.durability;
   cfg.seed = c.seed;
   cfg.enable_checker = true;
   return cfg;
@@ -121,27 +120,6 @@ FuzzOutcome run_fuzz_case(const FuzzCase& c) {
   return out;
 }
 
-const char* durability_flag(cluster::DurabilityMode m) {
-  switch (m) {
-    case cluster::DurabilityMode::kIdealized:
-      return "idealized";
-    case cluster::DurabilityMode::kWal:
-      return "wal";
-  }
-  return "?";
-}
-
-bool parse_durability(const std::string& name, cluster::DurabilityMode& out) {
-  if (name == "idealized") {
-    out = cluster::DurabilityMode::kIdealized;
-  } else if (name == "wal") {
-    out = cluster::DurabilityMode::kWal;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 std::string hex64(std::uint64_t v) {
   static const char* digits = "0123456789abcdef";
   std::string s = "0x";
@@ -156,8 +134,7 @@ std::string repro_line(const FuzzCase& c, const FuzzOutcome& o) {
   // so the repro carries them explicitly — a campaign run with non-default
   // lengths must replay with the same ones.
   return std::string("fuzz_campaign --engine ") + system_flag(c.system) +
-         " --durability " + durability_flag(c.durability) + " --seed " +
-         std::to_string(c.seed) + " --duration-us " +
+         " --seed " + std::to_string(c.seed) + " --duration-us " +
          std::to_string(c.run_us) + " --drain-us " +
          std::to_string(c.drain_us) + " --plan-hash " + hex64(o.plan_hash);
 }

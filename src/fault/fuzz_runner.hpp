@@ -4,7 +4,10 @@
 // fault plan, the workload streams, the clock skews and the network jitter,
 // so `run_fuzz_case` is a pure function: re-running the same case replays the
 // run bit for bit (verified by comparing SimCluster::state_digest across
-// runs). A case passes when, after every injected fault has cleared and the
+// runs). Fail-stop crashes go through the one crash model SimNode has: the
+// engine's store and version vector are checkpointed with the real snapshot
+// codec and a restart rebuilds a fresh engine from them (SimNode::crash).
+// A case passes when, after every injected fault has cleared and the
 // workload drained:
 //   * the online HistoryChecker observed zero causal-consistency violations,
 //   * all replicas converged (no divergent keys),
@@ -26,11 +29,6 @@ namespace pocc::fault {
 
 struct FuzzCase {
   SystemKind system = SystemKind::kPocc;
-  /// kWal runs fail-stop crashes through the real WAL recovery path
-  /// (engine rebuild + log replay) instead of the idealized durable-store
-  /// model. Digests are comparable within a mode, not across modes (a
-  /// rebuilt engine's stat counters restart from zero).
-  cluster::DurabilityMode durability = cluster::DurabilityMode::kIdealized;
   std::uint64_t seed = 1;
   std::uint32_t num_dcs = 3;
   std::uint32_t partitions = 2;
@@ -62,12 +60,6 @@ struct FuzzOutcome {
 [[nodiscard]] FaultPlan plan_for_case(const FuzzCase& c);
 
 [[nodiscard]] FuzzOutcome run_fuzz_case(const FuzzCase& c);
-
-/// `--durability` spelling of a mode (idealized / wal).
-[[nodiscard]] const char* durability_flag(cluster::DurabilityMode m);
-/// Parse a `--durability` spelling; returns false on unknown names.
-[[nodiscard]] bool parse_durability(const std::string& name,
-                                    cluster::DurabilityMode& out);
 
 /// The one-line repro printed on failure: replaying it reruns the identical
 /// case (the plan hash lets the replayer prove it rebuilt the same plan).

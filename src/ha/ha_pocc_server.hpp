@@ -29,10 +29,6 @@ class HaPoccServer : public PoccServer {
                server::Context& ctx);
 
   void start() override;
-  void recover() override {
-    PoccServer::recover();
-    stab_reports_.clear();  // per-round aggregation is RAM; GSS survives
-  }
   Duration on_timer(std::uint64_t timer_id) override;
 
   [[nodiscard]] const VersionVector& gss() const { return gss_; }

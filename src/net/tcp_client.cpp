@@ -130,10 +130,9 @@ std::optional<M> TcpSession::poll_reply(std::uint64_t op_id, bool* overloaded,
     return out;
   }
   if (const auto* ov = std::get_if<proto::Overloaded>(&*reply_);
-      ov != nullptr && ov->op_id == op_id && res_.enabled) {
-    // The refusal ends this attempt and the server's hint paces the retry.
-    // (Ignored without resilience: the single attempt waits out its
-    // timeout.)
+      ov != nullptr && ov->op_id == op_id) {
+    // The refusal ends this attempt (the server did not run the op) and
+    // its hint paces the retry.
     *overloaded = true;
     *retry_after_us = ov->retry_after_us;
   }
@@ -302,6 +301,12 @@ bool TcpSession::pump() {
   auto now = Clock::now();
   if (overloaded) {
     ++rstats_.overloaded;
+    // Without resilience the attempt IS the op: it failed, and waiting out
+    // the deadline would only stall the session.
+    if (!res_.enabled) {
+      async_.done = true;
+      return true;
+    }
     async_schedule_backoff(std::max(res_.backoff_min_us, retry_after));
   }
   if (now >= async_.deadline) {
@@ -436,7 +441,7 @@ void TcpClientPool::start() {
     // the pool speaks for many sessions), so a sharded server can pin the
     // socket to the event loop owning that partition's worker. The
     // transport replays the greeting on every reconnect — a fresh socket
-    // lands on an arbitrary accept loop and re-pins.
+    // lands on an arbitrary accept loop and is placed again.
     std::vector<std::uint8_t> hello;
     proto::encode(proto::ClientHello{0, p}, hello);
     conn_by_part_[0][p] = transport_.connect_peer(addr->host, addr->port);

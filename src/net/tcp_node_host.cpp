@@ -41,7 +41,7 @@ TcpNodeHost::TcpNodeHost(ProcessSpec self, const ClusterLayout& layout,
               [this](std::uint32_t loop) -> Timestamp {
                 return group_ == nullptr ? 0 : group_->service(loop);
               },
-              [this](ConnId from, ConnId to) { on_migrated(from, to); },
+              [this](const proto::Frame& first) { return place(first); },
           },
           [this] {
             TcpTransport::Options t;
@@ -643,18 +643,6 @@ void TcpNodeHost::on_frame(ConnId conn, proto::Frame frame) {
       std::lock_guard lk(mu_);
       client_conn_[hello->client] = conn;
     }
-    // Pinning: re-home the socket onto the event loop owning the preferred
-    // partition's worker, so its requests run socket → decode → engine on
-    // one thread. The client pool greets each connection with the
-    // partition it dialed it for; re-sent on every reconnect, so the fresh
-    // socket re-pins too.
-    if (hello->preferred_part != proto::kNoPreferredPart &&
-        group_->hosts(NodeId{self_.dc, hello->preferred_part})) {
-      const std::uint32_t target = group_->worker_of(hello->preferred_part);
-      if (target != TcpTransport::loop_of(conn)) {
-        transport_.migrate(conn, target);
-      }
-    }
     return;
   }
   if (auto* batch = std::get_if<proto::BatchFrame>(&frame)) {
@@ -712,22 +700,17 @@ void TcpNodeHost::on_frame(ConnId conn, proto::Frame frame) {
       " from a peer connection");
 }
 
-void TcpNodeHost::on_migrated(ConnId from, ConnId to) {
-  // The socket kept its byte streams; only its transport identity changed.
-  // Rewrite every binding that names the old id (delivered on the source
-  // shard's thread, after that shard's last frame for the connection).
-  std::lock_guard lk(mu_);
-  auto it = conn_peer_.find(from);
-  if (it != conn_peer_.end()) {
-    conn_peer_.emplace(to, it->second);
-    conn_peer_.erase(it);
+std::int32_t TcpNodeHost::place(const proto::Frame& first) const {
+  // Pinning: the client pool greets each connection with the partition it
+  // dialed it for (re-sent on every reconnect), and the socket lives on the
+  // event loop driving that partition's worker, so its requests run
+  // socket → decode → engine on one thread. Loop i drives worker i.
+  const auto* hello = std::get_if<proto::ClientHello>(&first);
+  if (hello == nullptr || hello->preferred_part == proto::kNoPreferredPart ||
+      !group_->hosts(NodeId{self_.dc, hello->preferred_part})) {
+    return -1;
   }
-  for (auto& [client, conn] : client_conn_) {
-    if (conn == from) conn = to;
-  }
-  for (auto& [conn, m] : parked_clients_) {
-    if (conn == from) conn = to;
-  }
+  return static_cast<std::int32_t>(group_->worker_of(hello->preferred_part));
 }
 
 void TcpNodeHost::on_disconnected(ConnId conn) {

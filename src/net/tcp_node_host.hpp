@@ -182,7 +182,10 @@ class TcpNodeHost final : public rt::Router {
   };
 
   void on_frame(ConnId conn, proto::Frame frame);
-  void on_migrated(ConnId from, ConnId to);
+  /// TcpTransport::Callbacks::place: the shard an accepted connection
+  /// belongs on, from its first frame. Reads only group_'s immutable
+  /// placement (it runs under a transport shard lock).
+  [[nodiscard]] std::int32_t place(const proto::Frame& first) const;
   void on_disconnected(ConnId conn);
   void on_tick();
   /// `replayed` marks re-dispatch of a request parked by the recovery gate:

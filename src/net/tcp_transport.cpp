@@ -187,16 +187,10 @@ bool TcpTransport::try_send(ConnId conn, std::vector<std::uint8_t>& frame) {
   Shard* sp = shard_of(conn);
   if (sp == nullptr) return false;
   Shard& s = *sp;
-  std::unique_lock lk(s.mu);
-  Conn* cp = s.find(conn);
-  if (cp == nullptr) {
-    auto moved = s.moved.find(conn);
-    if (moved == s.moved.end()) return false;
-    const ConnId to = moved->second;
-    lk.unlock();
-    return try_send(to, frame);
-  }
-  Conn& c = *cp;
+  std::lock_guard lk(s.mu);
+  auto it = s.conns.find(conn);
+  if (it == s.conns.end()) return false;
+  Conn& c = *it->second;
   if (!c.outbound && !c.up) return false;
   const std::size_t pending = c.outbox_bytes + c.chaos_held_bytes;
   // While the socket is down the tighter reconnect-buffer cap applies: a
@@ -296,61 +290,6 @@ void TcpTransport::set_greeting(ConnId conn, std::vector<std::uint8_t> frame) {
   auto it = sp->conns.find(conn);
   if (it == sp->conns.end()) return;
   it->second->greeting = std::move(frame);
-}
-
-bool TcpTransport::migrate(ConnId conn, std::uint32_t target_loop) {
-  Shard* sp = shard_of(conn);
-  if (sp == nullptr || target_loop >= shards_.size()) return false;
-  if (target_loop == sp->index) return false;
-  std::lock_guard lk(sp->mu);
-  auto it = sp->conns.find(conn);
-  if (it == sp->conns.end()) return false;
-  Conn& c = *it->second;
-  // Only live accepted connections move: an outbound link's id is a stable
-  // handle held by its LinkBatcher, and its shard is its designated owner.
-  // A connection moves at most once (its one ClientHello pins it), which
-  // bounds the forwarding entries to one per live connection.
-  if (c.outbound || !c.up || c.fd < 0 || c.moved_from != kInvalidConn) {
-    return false;
-  }
-  c.migrate_to = static_cast<std::int32_t>(target_loop);
-  return true;
-}
-
-std::vector<std::pair<ConnId, ConnId>> TcpTransport::hand_over_migrations(
-    Shard& s) {
-  std::vector<std::pair<ConnId, std::int32_t>> marked;
-  {
-    std::lock_guard lk(s.mu);
-    for (const auto& [id, cp] : s.conns) {
-      if (cp->migrate_to >= 0) marked.emplace_back(id, cp->migrate_to);
-    }
-  }
-  std::vector<std::pair<ConnId, ConnId>> renames;
-  for (const auto& [old_id, target] : marked) {
-    Shard& t = *shards_[static_cast<std::size_t>(target)];
-    {
-      // Both shards at once: at every instant the connection is reachable
-      // under its old id here or, through `moved`, under its new id there.
-      std::scoped_lock lk(s.mu, t.mu);
-      auto it = s.conns.find(old_id);
-      if (it == s.conns.end()) continue;
-      Conn& c = *it->second;
-      c.migrate_to = -1;
-      if (!c.up || c.fd < 0) continue;  // died before the handoff; reaped
-      s.loop->unwatch(c.fd);
-      s.unmap_fd(c.fd);
-      ++s.stats.migrations;
-      c.id = (static_cast<ConnId>(t.index) << kShardShift) | t.next_seq++;
-      c.moved_from = old_id;
-      s.moved.emplace(old_id, c.id);
-      renames.emplace_back(old_id, c.id);
-      t.adopted.push_back(std::move(it->second));
-      s.conns.erase(it);
-    }
-    wake(t);
-  }
-  return renames;
 }
 
 bool TcpTransport::connected(ConnId conn) const {
@@ -563,6 +502,7 @@ void TcpTransport::accept_ready(Shard& s) {
     conn->id = (static_cast<ConnId>(s.index) << kShardShift) | s.next_seq++;
     conn->fd = fd;
     conn->up = true;
+    conn->placed = !cb_.place;
     bool hit = false;
     conn->inbox = s.arena.acquire(&hit);  // accept churn reuses capacity
     if (hit) {
@@ -580,7 +520,7 @@ void TcpTransport::run(Shard& s) {
   std::vector<EventLoop::Event> events;
 
   // Deferred callback work collected under the lock, invoked outside it so
-  // handlers may call back into send()/connect_peer()/migrate().
+  // handlers may call back into send()/connect_peer().
   struct Delivery {
     ConnId conn;
     proto::Frame frame;
@@ -589,7 +529,48 @@ void TcpTransport::run(Shard& s) {
   std::vector<ConnId> went_down;
   std::vector<Delivery> deliveries;
   std::vector<ConnId> to_erase;
-  std::vector<ConnId> forget;
+  // Accepted connections placed on another shard: (target, conn).
+  std::vector<std::pair<std::uint32_t, ConnId>> to_place;
+  std::vector<std::pair<std::uint32_t, std::unique_ptr<Conn>>> leaving;
+
+  // Cut a connection's inbox into decoded frames (under s.mu). A connection
+  // awaiting placement hands its first frame to Callbacks::place; placed on
+  // another shard, it stops here with its inbox untouched and is queued in
+  // to_place. No frame is delivered before its connection is announced.
+  auto decode_inbox = [&](Conn& c) {
+    std::size_t off = 0;
+    while (c.up && off < c.inbox.size()) {
+      proto::DecodeResult res =
+          proto::decode_frame(c.inbox.data() + off, c.inbox.size() - off);
+      if (res.status == proto::DecodeResult::Status::kOk) {
+        if (!c.placed) {
+          c.placed = true;
+          const std::int32_t target = cb_.place(res.frame);
+          if (target >= 0 && static_cast<std::size_t>(target) < shards_.size() &&
+              static_cast<std::uint32_t>(target) != s.index) {
+            to_place.emplace_back(static_cast<std::uint32_t>(target), c.id);
+            break;
+          }
+        }
+        if (!c.announced) {
+          c.announced = true;
+          went_up.push_back(c.id);
+        }
+        ++s.stats.frames_in;
+        deliveries.push_back(Delivery{c.id, std::move(res.frame)});
+        off += res.consumed;
+        continue;
+      }
+      if (res.status == proto::DecodeResult::Status::kNeedMore) break;
+      ++s.stats.decode_errors;
+      close_socket(s, c);
+      break;
+    }
+    if (off > 0 && c.fd >= 0) {
+      c.inbox.erase(c.inbox.begin(),
+                    c.inbox.begin() + static_cast<std::ptrdiff_t>(off));
+    }
+  };
 
   // Batch-flush tick: shard 0 owns the host tick; the wait timeout is
   // clamped to the next tick so staged batches never wait longer than one
@@ -605,13 +586,6 @@ void TcpTransport::run(Shard& s) {
     {
       std::lock_guard lk(s.mu);
       if (s.stopping) break;
-      // Adopt connections migrated here by other shards (pinning): they
-      // arrive up-and-announced, carrying any undecoded inbox remainder.
-      for (auto& cp : s.adopted) {
-        s.map_fd(cp->fd, cp->id);
-        s.conns.emplace(cp->id, std::move(cp));
-      }
-      s.adopted.clear();
       const Timestamp now = now_us();
       Timestamp next_timer = 0;
       for (auto& [id, cp] : s.conns) {
@@ -650,7 +624,7 @@ void TcpTransport::run(Shard& s) {
       // A dial that completed synchronously still needs its on_connected
       // announcement (made in the post-wait section): don't block for it.
       for (auto& [id, cp] : s.conns) {
-        if (cp->up && !cp->announced) {
+        if (cp->up && cp->placed && !cp->announced) {
           timeout_ms = 0;
           break;
         }
@@ -679,7 +653,7 @@ void TcpTransport::run(Shard& s) {
     went_down.clear();
     deliveries.clear();
     to_erase.clear();
-    forget.clear();
+    to_place.clear();
     {
       std::lock_guard lk(s.mu);
       if (s.stopping) break;
@@ -727,28 +701,31 @@ void TcpTransport::run(Shard& s) {
           if (c.up && ev.writable) drain_outbox(s, c);
         }
 
-        // Cut the inbox into decoded frames.
-        std::size_t off = 0;
-        while (c.up && off < c.inbox.size()) {
-          proto::DecodeResult res =
-              proto::decode_frame(c.inbox.data() + off, c.inbox.size() - off);
-          if (res.status == proto::DecodeResult::Status::kOk) {
-            ++s.stats.frames_in;
-            deliveries.push_back(Delivery{c.id, std::move(res.frame)});
-            off += res.consumed;
-            continue;
-          }
-          if (res.status == proto::DecodeResult::Status::kNeedMore) break;
-          ++s.stats.decode_errors;
-          close_socket(s, c);
-          break;
-        }
-        if (off > 0 && c.fd >= 0) {
-          c.inbox.erase(c.inbox.begin(),
-                        c.inbox.begin() + static_cast<std::ptrdiff_t>(off));
-        }
-        if (was_up && !c.up) went_down.push_back(c.id);
+        decode_inbox(c);
+        // A connection that died unplaced was never announced.
+        if (was_up && !c.up && c.placed) went_down.push_back(c.id);
       }
+      // Hand placed connections over: off this shard's loop, to their
+      // target's adoption queue once s.mu is released.
+      for (const auto& [target, id] : to_place) {
+        auto it = s.conns.find(id);
+        Conn& c = *it->second;
+        s.loop->unwatch(c.fd);
+        s.unmap_fd(c.fd);
+        ++s.stats.migrations;
+        leaving.emplace_back(target, std::move(it->second));
+        s.conns.erase(it);
+      }
+      // Adopt connections other shards placed here. Their carried bytes
+      // are decoded now: no readable event may ever come for them.
+      for (auto& cp : s.adopted) {
+        Conn& c = *cp;
+        s.map_fd(c.fd, c.id);
+        s.conns.emplace(c.id, std::move(cp));
+        decode_inbox(c);
+        if (!c.up) went_down.push_back(c.id);
+      }
+      s.adopted.clear();
       if (accept_pending) accept_ready(s);
       // Optimistic flush: drain every queued outbox now instead of waiting
       // for the next writable event, so write interest only ever means
@@ -766,7 +743,7 @@ void TcpTransport::run(Shard& s) {
       // inbound connections (the remote owns their recovery).
       for (auto& [id, cp] : s.conns) {
         Conn& c = *cp;
-        if (c.up && !c.announced) {
+        if (c.up && c.placed && !c.announced) {
           c.announced = true;
           went_up.push_back(c.id);
         }
@@ -775,18 +752,21 @@ void TcpTransport::run(Shard& s) {
       for (const ConnId id : to_erase) {
         auto dead = s.conns.find(id);
         if (dead == s.conns.end()) continue;
-        if (dead->second->moved_from != kInvalidConn) {
-          forget.push_back(dead->second->moved_from);
-        }
         recycle_conn(s, *dead->second);
         s.conns.erase(dead);
       }
     }
-    for (const ConnId old_id : forget) {  // its Shard::moved entry
-      Shard& src = *shard_of(old_id);
-      std::lock_guard lk(src.mu);
-      src.moved.erase(old_id);
+    // A placed connection gets its one ConnId on its target shard.
+    for (auto& [target, cp] : leaving) {
+      Shard& t = *shards_[target];
+      {
+        std::lock_guard lk(t.mu);
+        cp->id = (static_cast<ConnId>(t.index) << kShardShift) | t.next_seq++;
+        t.adopted.push_back(std::move(cp));
+      }
+      wake(t);
     }
+    leaving.clear();
 
     for (const ConnId id : went_up) {
       if (cb_.on_connected) cb_.on_connected(id);
@@ -796,13 +776,6 @@ void TcpTransport::run(Shard& s) {
     }
     for (const ConnId id : went_down) {
       if (cb_.on_disconnected) cb_.on_disconnected(id);
-    }
-    // Hand over connections on_frame marked for migration — after the
-    // deliveries above, so every frame this shard decoded for them was
-    // delivered before the target shard can read more (FIFO across the
-    // move). The rename is announced from here, the source thread.
-    for (const auto& [from, to] : hand_over_migrations(s)) {
-      if (cb_.on_migrated) cb_.on_migrated(from, to);
     }
     if (next_tick > 0 && now_us() >= next_tick) {
       next_tick = now_us() + tick_us;

@@ -20,9 +20,11 @@
 //                    (max_outbox_bytes); when a peer stops draining, send()
 //                    rejects further frames and reports the overflow instead
 //                    of growing without bound,
-//   * pinning      — an accepted connection can be migrated to a chosen
-//                    shard (migrate()), so a host can co-locate a client's
-//                    socket with the worker owning its partition and run
+//   * placement    — with a Callbacks::place hook, an accepted connection
+//                    stays silent until its first frame names the shard it
+//                    belongs on, then lives there under the only ConnId the
+//                    host ever sees; a host thereby co-locates a client's
+//                    socket with the worker owning its partition and runs
 //                    socket → decode → engine on one thread.
 //
 // A ConnId encodes its owning shard in the upper bits, so routing a send
@@ -59,7 +61,7 @@ namespace pocc::net {
 
 /// Identifier of one transport connection: shard index in the top bits,
 /// per-shard sequence below. Outbound ids are stable across reconnects;
-/// inbound ids are per-accepted-socket (and change on migrate()).
+/// inbound ids are per accepted socket, on the shard it was placed on.
 using ConnId = std::uint64_t;
 
 inline constexpr ConnId kInvalidConn = 0;
@@ -76,7 +78,7 @@ struct TransportStats {
   /// Frames dropped because a *down* link's reconnect buffer hit its cap
   /// (max_down_buffer_bytes) — a long partition cannot buffer unboundedly.
   std::uint64_t down_buffer_drops = 0;
-  /// Inbound connections re-homed onto another shard (pinning).
+  /// Accepted connections placed on a shard other than the accepting one.
   std::uint64_t migrations = 0;
   /// Scatter-gather flush accounting: sendmsg syscalls issued and frames
   /// fully flushed through them — frames/call is the coalescing ratio a
@@ -187,12 +189,14 @@ class TcpTransport {
     /// worker's next timer deadline (absolute steady µs; 0 = none), which
     /// bounds how long the loop may sleep.
     std::function<Timestamp(std::uint32_t loop)> on_loop_pass;
-    /// An inbound connection finished migrate(): the same socket now lives
-    /// on as `to` on the target shard. Delivered on the *source* shard's
-    /// thread, after the connection's final frames there. Sends to `from`
-    /// still reach the socket until it closes (a sender may have read the
-    /// old id before the host applied the rename).
-    std::function<void(ConnId from, ConnId to)> on_migrated;
+    /// Placement of an accepted connection: given its first frame, return
+    /// the shard it belongs on (-1 keeps it on the accepting shard). Until
+    /// then the connection is neither announced nor delivered; a connection
+    /// placed elsewhere moves there with its undelivered bytes and gets its
+    /// ConnId there. Runs on the accepting shard's thread under its lock:
+    /// it must not call into the transport. Null: connections stay where
+    /// they were accepted.
+    std::function<std::int32_t(const proto::Frame& first)> place;
   };
 
   struct Options {
@@ -273,18 +277,6 @@ class TcpTransport {
   /// optional (it is an ordinary vector).
   [[nodiscard]] std::vector<std::uint8_t> acquire_buffer(ConnId conn);
 
-  /// Re-home an inbound connection onto shard `target_loop` (connection
-  /// pinning: the host moves a client's socket to the loop driving the
-  /// worker that owns its partition). Only valid from within a callback on
-  /// the connection's current owning shard — in practice, from on_frame of
-  /// the pinning handshake. The handoff happens after the current loop
-  /// pass delivers the connection's remaining decoded frames, so frame
-  /// order is preserved across the move; the connection then answers to a
-  /// new ConnId, announced via Callbacks::on_migrated. Returns false for
-  /// unknown/outbound connections, an out-of-range target, or a connection
-  /// that already migrated once.
-  bool migrate(ConnId conn, std::uint32_t target_loop);
-
   /// True when the connection currently has an established socket.
   [[nodiscard]] bool connected(ConnId conn) const;
 
@@ -316,8 +308,7 @@ class TcpTransport {
     bool connecting = false;     // non-blocking connect in flight
     bool up = false;             // socket established
     bool announced = false;      // on_connected delivered for this socket
-    std::int32_t migrate_to = -1;  // pending migrate() target shard
-    ConnId moved_from = kInvalidConn;  // id before its (single) migration
+    bool placed = true;          // false: accepted, awaiting its first frame
     std::string host;            // outbound only
     std::uint16_t port = 0;      // outbound only
     Timestamp retry_at = 0;      // next dial attempt (steady us)
@@ -383,23 +374,9 @@ class TcpTransport {
     Rng backoff_rng{0};
     TransportStats stats;
     bool stopping = false;
-    /// Connections handed over by migrate(), adopted at the top of the
-    /// next loop pass (guarded by mu).
+    /// Connections another shard placed here, adopted after this shard's
+    /// next wait (guarded by mu).
     std::vector<std::unique_ptr<Conn>> adopted;
-    /// Old id -> new id of each live connection migrated away from this
-    /// shard (guarded by mu), so a send that read the old id before the
-    /// host's rename still reaches the socket. Erased when it closes.
-    std::unordered_map<ConnId, ConnId> moved;
-
-    /// The connection `id` owns here, adopted or not; null if none.
-    Conn* find(ConnId id) {
-      auto it = conns.find(id);
-      if (it != conns.end()) return it->second.get();
-      for (auto& cp : adopted) {
-        if (cp->id == id) return cp.get();
-      }
-      return nullptr;
-    }
     std::thread thread;
   };
 
@@ -422,9 +399,6 @@ class TcpTransport {
   void drain_outbox(Shard& s, Conn& c);
   void read_ready(Shard& s, Conn& c);
   void accept_ready(Shard& s);
-  /// Move conns marked by migrate() to their target shards; returns the
-  /// (old, new) id pairs to announce.
-  std::vector<std::pair<ConnId, ConnId>> hand_over_migrations(Shard& s);
   [[nodiscard]] Shard* shard_of(ConnId conn) const;
   [[nodiscard]] static Timestamp now_us();
 

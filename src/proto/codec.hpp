@@ -119,7 +119,7 @@ inline constexpr PartitionId kNoPreferredPart = 0xffff'ffffu;
 /// Optional first frame on a client connection (the server also learns
 /// client -> connection bindings lazily from request frames). `client` 0
 /// means the frame only pins: the connection pool greets with the partition
-/// it dialed the connection for, and the server migrates the socket to the
+/// it dialed the connection for, and the server places the socket on the
 /// event loop owning that partition's worker. (v5)
 struct ClientHello {
   ClientId client = 0;

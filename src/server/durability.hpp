@@ -5,8 +5,9 @@
 // appends every state mutation that must survive a crash — version creation
 // (local PUTs and remote Replicates) and heartbeat-driven VV raises — and the
 // host decides when those appends become durable (group commit, src/wal/).
-// Hosts without durability (the simulator's idealized mode, --no-durability)
-// return nullptr and the engine skips the calls entirely.
+// Hosts without a log (the simulator, which checkpoints a crashing engine
+// with wal::encode_snapshot instead; poccd --no-durability) return nullptr
+// and the engine skips the calls entirely.
 #pragma once
 
 #include "store/version.hpp"

@@ -51,10 +51,6 @@ class ParkingLot {
   /// timeout handler (when present) is invoked.
   void drain(Timestamp now);
 
-  /// Silently discard all parked requests without invoking any handler —
-  /// crash recovery: a dead process cannot answer what it was holding.
-  void clear() { parked_.clear(); }
-
  private:
   struct Entry {
     std::uint64_t ticket;

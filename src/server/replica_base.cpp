@@ -29,14 +29,6 @@ void ReplicaBase::start() {
   ctx_.set_timer(protocol_.gc_interval_us, kTimerGc);
 }
 
-void ReplicaBase::recover() {
-  lot_.clear();
-  pending_tx_.clear();
-  gc_reports_.clear();
-  clock_wakeup_armed_ = false;
-  armed_clock_target_ = kTimestampMax;
-}
-
 Duration ReplicaBase::handle_message(NodeId from, proto::Message m) {
   work_ = 0;
   std::visit(

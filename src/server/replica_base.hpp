@@ -55,14 +55,6 @@ class ReplicaBase {
   /// Arm periodic timers. Call once before the first event.
   virtual void start();
 
-  /// Crash recovery (fault injection): drop every piece of volatile (RAM)
-  /// state — parked requests, pending transaction coordination, aggregation
-  /// buffers, armed-wakeup bookkeeping. Durable state (the multiversion
-  /// store, VV, GSS — metadata a real deployment checkpoints with the store)
-  /// survives. The host re-arms timers via start() afterwards; missed remote
-  /// updates are recovered from peer replicas by the cluster host.
-  virtual void recover();
-
   // --- WAL restore + peer recovery (src/wal/, net/tcp_node_host.cpp) ---
 
   /// Re-install one version from a WAL/snapshot replay: idempotent store

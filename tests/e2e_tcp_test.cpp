@@ -199,6 +199,56 @@ TEST(E2eTcp, ResilientSessionsAbsorbDuplicatedClientFrames) {
   expect_clean_replay(cluster);
 }
 
+TEST(E2eTcp, SessionWithoutResilienceEndsOpOnOverloaded) {
+  // A shed request did not run, so a session without retries has nothing
+  // to wait for: the Overloaded reply must end the op at once (ok=false,
+  // counted), not after the op's whole timeout.
+  TcpTransport* server_ptr = nullptr;
+  TcpTransport server(
+      TcpTransport::Callbacks{
+          [&](ConnId conn, proto::Frame f) {
+            const auto* m = std::get_if<proto::Message>(&f);
+            if (m == nullptr) return;  // the pool's ClientHello
+            const auto* get = std::get_if<proto::GetReq>(m);
+            ASSERT_NE(get, nullptr);
+            std::vector<std::uint8_t> frame;
+            proto::encode(proto::Message{proto::Overloaded{
+                              get->client, /*retry_after_us=*/1'000,
+                              get->op_id}},
+                          frame);
+            server_ptr->send(conn, std::move(frame));
+          },
+          nullptr,
+          nullptr,
+          nullptr,
+          nullptr,
+          nullptr,
+      },
+      TcpTransport::Options{});
+  server_ptr = &server;
+  const std::uint16_t port = server.listen(0);
+  server.start();
+
+  ClusterLayout layout;
+  layout.topology.num_dcs = 1;
+  layout.topology.partitions_per_dc = 1;
+  layout.topology.partition_scheme = PartitionScheme::kHash;
+  TcpClientPool pool(layout, 0, {NodeAddress{NodeId{0, 0}, "127.0.0.1", port}});
+  pool.start();
+  ASSERT_TRUE(pool.wait_connected(5'000'000));
+  TcpSession& s = pool.connect(1);
+
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto get = s.get("e2e:shed", /*timeout_us=*/3'000'000);
+  const auto elapsed = std::chrono::steady_clock::now() - t0;
+  EXPECT_FALSE(get.ok);
+  EXPECT_LT(elapsed, std::chrono::seconds(1))
+      << "the session waited out its timeout after an Overloaded reply";
+  EXPECT_EQ(s.resilience_stats().overloaded, 1u);
+  pool.stop();
+  server.stop();
+}
+
 TEST(E2eTcp, PipelinedSessionsReplayCleanly) {
   // The pipelined client path: one driver thread per DC interleaves many
   // sessions through the non-blocking start_*/pump/finish_* API, so each

@@ -106,21 +106,6 @@ TEST(ParkingLot, DrainInvokesTimeoutHandlers) {
   EXPECT_TRUE(lot.empty());
 }
 
-TEST(ParkingLot, ClearDiscardsSilently) {
-  // Crash recovery (fault layer): a dead process answers nothing — neither
-  // resume nor timeout handlers may fire.
-  ParkingLot lot;
-  int calls = 0;
-  lot.park(0, [] { return true; }, [&](Duration) { ++calls; }, 1000,
-           [&](Duration) { ++calls; });
-  lot.park(0, [] { return false; }, [&](Duration) { ++calls; });
-  lot.clear();
-  EXPECT_TRUE(lot.empty());
-  EXPECT_EQ(lot.poke(10), 0u);
-  EXPECT_EQ(lot.expire(10'000), 0u);
-  EXPECT_EQ(calls, 0);
-}
-
 TEST(ParkingLot, ReadyEntryStillExpiresIfNotPoked) {
   // Expiry is driven by deadlines regardless of readiness; the host decides
   // when to poke. This models a request whose dependency arrived exactly at

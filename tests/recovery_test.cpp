@@ -4,9 +4,9 @@
 //    killed at randomized points mid-workload (checkpoints landing
 //    mid-stream included) and rebuilt from snapshot + log; its final state
 //    digest must be bit-identical to a never-crashed same-seed run.
-//  * Sim level: the cluster-fuzz harness in DurabilityMode::kWal — fail-stop
-//    crash plans exercise the real recovery path (engine rebuild + WAL
-//    replay) under the causal checker, and seed replay stays bit-identical.
+//  * Sim level: the cluster-fuzz harness — fail-stop crash plans rebuild
+//    the engine from its snapshot image (the poccd checkpoint codec) under
+//    the causal checker, and seed replay stays bit-identical.
 //  * Deployment level: a TcpNodeHost is crash_stopped (kill -9 equivalent:
 //    unsynced WAL tail and staged frames die), restarted on the same
 //    data_dir, replays its WAL, rebuilds the missed replication suffix from
@@ -214,12 +214,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, EngineRecoveryTest,
 
 TEST(SimWalRecovery, CrashPlansPassCheckerAndReplayBitIdentical) {
   // Pick the first seeds whose derived fault plans contain fail-stop
-  // crashes, so the WAL rebuild path actually runs.
+  // crashes, so the snapshot rebuild path actually runs.
   std::vector<std::uint64_t> crash_seeds;
   for (std::uint64_t seed = 400; seed < 440 && crash_seeds.size() < 3;
        ++seed) {
     fault::FuzzCase c;
-    c.durability = cluster::DurabilityMode::kWal;
     c.seed = seed;
     const fault::FaultPlan plan = fault::plan_for_case(c);
     for (const fault::FaultEvent& ev : plan.events) {
@@ -233,7 +232,6 @@ TEST(SimWalRecovery, CrashPlansPassCheckerAndReplayBitIdentical) {
       << "fault-plan generator stopped producing crash events";
   for (const std::uint64_t seed : crash_seeds) {
     fault::FuzzCase c;
-    c.durability = cluster::DurabilityMode::kWal;
     c.seed = seed;
     const fault::FuzzOutcome first = fault::run_fuzz_case(c);
     EXPECT_TRUE(first.ok) << fault::repro_line(c, first)
@@ -242,7 +240,7 @@ TEST(SimWalRecovery, CrashPlansPassCheckerAndReplayBitIdentical) {
                                   : "\n  " + first.failures.front());
     const fault::FuzzOutcome replay = fault::run_fuzz_case(c);
     EXPECT_EQ(first.digest, replay.digest)
-        << "WAL-mode replay diverged: " << fault::repro_line(c, first);
+        << "crash-plan replay diverged: " << fault::repro_line(c, first);
   }
 }
 

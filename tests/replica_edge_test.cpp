@@ -5,10 +5,15 @@
 // the engine boundary (fault layer, src/fault/).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "cluster/sim_cluster.hpp"
 #include "cure/cure_server.hpp"
 #include "fault/fault_injector.hpp"
 #include "pocc/pocc_server.hpp"
+#include "server/engine_factory.hpp"
 #include "store/key_space.hpp"
 #include "test_util.hpp"
 
@@ -240,15 +245,28 @@ TEST(ReplicaFaultEdgeTest, AsymmetricPartitionStallsExactlyOneDirection) {
   EXPECT_TRUE(cluster.divergent_keys().empty());
 }
 
-TEST(ReplicaFaultEdgeTest, CrashDuringReplicationThenRestartConverges) {
+class ReplicaCrashRestartTest : public ::testing::TestWithParam<SystemKind> {};
+
+TEST_P(ReplicaCrashRestartTest, CrashDuringReplicationThenRestartConverges) {
   // Writes land at two DCs while the third's replica is dead; the restart
-  // backlog replay must bring its store and VV level with the others.
-  cluster::SimCluster cluster(edge_cluster(SystemKind::kPocc));
+  // must restore the victim's checkpointed state, and the backlog replay
+  // must bring its store and VV level with the others.
+  cluster::SimCluster cluster(edge_cluster(GetParam()));
   const NodeId victim{2, 0};
   auto& c0 = cluster.create_manual_client(0, 0);
   auto& c1 = cluster.create_manual_client(1, 0);
   ASSERT_TRUE(c0.put("0:a", "a1").ok);
   cluster.run_for(20'000);
+
+  const VersionVector vv_before = cluster.engine(victim).version_vector();
+  std::vector<store::Version> versions_before;
+  for (const auto& [key, chain] :
+       cluster.engine(victim).partition_store().chains()) {
+    for (const store::Version& v : chain.versions()) {
+      versions_before.push_back(v);
+    }
+  }
+  ASSERT_FALSE(versions_before.empty()) << "a1 never reached the victim";
 
   cluster.crash_node(victim);
   ASSERT_TRUE(c0.put("0:a", "a2").ok);
@@ -261,6 +279,19 @@ TEST(ReplicaFaultEdgeTest, CrashDuringReplicationThenRestartConverges) {
 
   const std::uint64_t recovered = cluster.restart_node(victim);
   EXPECT_GE(recovered, 2u);  // both missed writes replayed from the backlog
+  // The rebuilt engine holds every pre-crash version and no lower a VV.
+  const server::ReplicaBase& restarted = cluster.engine(victim);
+  EXPECT_TRUE(restarted.version_vector().dominates(vv_before));
+  for (const store::Version& v : versions_before) {
+    const store::VersionChain* chain = restarted.partition_store().find(v.key);
+    ASSERT_NE(chain, nullptr) << store::key_name(v.key);
+    const auto& vs = chain->versions();
+    EXPECT_TRUE(std::any_of(vs.begin(), vs.end(), [&](const store::Version& w) {
+      return w.ut == v.ut && w.sr == v.sr && w.value == v.value &&
+             w.dv == v.dv;
+    })) << store::key_name(v.key) << " lost " << v.value << " in the restart";
+  }
+
   cluster.run_for(50'000);
   const auto* chain =
       cluster.engine(victim).partition_store().find(store::intern_key("0:a"));
@@ -269,6 +300,15 @@ TEST(ReplicaFaultEdgeTest, CrashDuringReplicationThenRestartConverges) {
   EXPECT_TRUE(cluster.divergent_keys().empty());
   EXPECT_TRUE(cluster.checker()->violations().empty());
 }
+
+INSTANTIATE_TEST_SUITE_P(Engines, ReplicaCrashRestartTest,
+                         ::testing::Values(SystemKind::kPocc,
+                                           SystemKind::kCure,
+                                           SystemKind::kHaPocc,
+                                           SystemKind::kScalarPocc),
+                         [](const ::testing::TestParamInfo<SystemKind>& p) {
+                           return std::string(system_flag(p.param));
+                         });
 
 TEST(ReplicaFaultEdgeTest, CrashClearsParkedRequestsWithoutReplies) {
   // Requests parked on the victim die with its RAM: no stray replies after

@@ -6,6 +6,7 @@
 #include <pthread.h>
 #include <signal.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -441,105 +442,117 @@ TEST(TcpTransport, ShardedLoopsPreserveFifoPerStream) {
   server.stop();
 }
 
-TEST(TcpTransport, MigrateRehomesInboundConnectionPreservingFifo) {
-  // Connection pinning: mid-stream the server migrates the inbound
-  // connection to the other shard (as a host does on ClientHello). The
-  // socket keeps delivering in order under a new ConnId on the target
-  // loop — no disconnect, no reconnect, one migration accounted.
+TEST(TcpTransport, PlaceHomesAcceptedConnectionsBeforeTheyAreAnnounced) {
+  // Placement: an accepted connection stays silent until its first frame
+  // names its shard (as a host's ClientHello does). Eight clients each send
+  // 50 frames back to back to a 2-shard server whose place() picks shard 1:
+  // every frame must arrive on shard 1's thread, in order, under the id
+  // on_connected announced for it, and a send to that id must reach the
+  // client. Whichever shard the kernel accepted a socket on, no connection
+  // is announced twice or lost.
+  constexpr int kClients = 8;
+  constexpr int kFrames = 50;
   std::mutex mu;
-  std::vector<std::pair<ConnId, Timestamp>> received;
-  std::vector<std::pair<ConnId, ConnId>> renames;
-  std::atomic<int> connects{0};
+  std::vector<ConnId> announced;
+  std::unordered_map<DcId, std::vector<std::pair<ConnId, Timestamp>>> streams;
+  std::vector<pthread_t> frame_threads;
+  int unannounced_frames = 0;
   std::atomic<int> disconnects{0};
-  TcpTransport* server_ptr = nullptr;
 
   TcpTransport::Callbacks cb{
       [&](ConnId conn, proto::Frame f) {
         const auto* m = std::get_if<proto::Message>(&f);
         ASSERT_NE(m, nullptr);
         const auto& hb = std::get<proto::Heartbeat>(*m);
-        {
-          std::lock_guard lk(mu);
-          received.emplace_back(conn, hb.ts);
+        std::lock_guard lk(mu);
+        if (std::find(announced.begin(), announced.end(), conn) ==
+            announced.end()) {
+          ++unannounced_frames;
         }
-        if (hb.ts == 1) {
-          // Pin to the shard the connection is NOT on (from the owning
-          // shard's on_frame, like the ClientHello path).
-          const std::uint32_t target = 1 - TcpTransport::loop_of(conn);
-          EXPECT_TRUE(server_ptr->migrate(conn, target));
-        }
+        streams[hb.src_dc].emplace_back(conn, hb.ts);
+        frame_threads.push_back(pthread_self());
       },
-      [&](ConnId) { ++connects; },
+      [&](ConnId conn) {
+        std::lock_guard lk(mu);
+        announced.push_back(conn);
+      },
       [&](ConnId) { ++disconnects; },
       nullptr,
       nullptr,
-      [&](ConnId from, ConnId to) {
-        std::lock_guard lk(mu);
-        renames.emplace_back(from, to);
-      },
+      [](const proto::Frame&) { return 1; },
   };
   TcpTransport::Options sopt;
   sopt.num_loops = 2;
   TcpTransport server(std::move(cb), sopt);
-  server_ptr = &server;
   const std::uint16_t port = server.listen(0);
   server.start();
+  const auto loops = server.loop_thread_handles();
+  ASSERT_EQ(loops.size(), 2u);
 
-  FrameSink client_sink;
-  TcpTransport client(client_sink.callbacks(), TcpTransport::Options{});
-  const ConnId conn = client.connect_peer("127.0.0.1", port);
-  client.start();
-
-  constexpr int kFrames = 50;
-  // First frame triggers the pin; wait for the handoff to complete so the
-  // rest of the stream demonstrably crosses it.
-  ASSERT_TRUE(client.send(conn, heartbeat_frame(0, 1)));
-  const auto rename_deadline = std::chrono::steady_clock::now() + 10s;
-  while (std::chrono::steady_clock::now() < rename_deadline) {
-    {
-      std::lock_guard lk(mu);
-      if (!renames.empty()) break;
-    }
-    std::this_thread::sleep_for(1ms);
+  std::vector<std::unique_ptr<FrameSink>> sinks;
+  std::vector<std::unique_ptr<TcpTransport>> clients;
+  std::vector<ConnId> links;
+  for (int i = 0; i < kClients; ++i) {
+    sinks.push_back(std::make_unique<FrameSink>());
+    clients.push_back(std::make_unique<TcpTransport>(sinks.back()->callbacks(),
+                                                     TcpTransport::Options{}));
+    links.push_back(clients.back()->connect_peer("127.0.0.1", port));
+    clients.back()->start();
   }
-  for (int i = 2; i <= kFrames; ++i) {
-    ASSERT_TRUE(client.send(conn, heartbeat_frame(0, i)));
+  for (int i = 0; i < kClients; ++i) {
+    for (int ts = 1; ts <= kFrames; ++ts) {
+      ASSERT_TRUE(clients[i]->send(
+          links[i], heartbeat_frame(static_cast<DcId>(i), ts)));
+    }
   }
   const auto deadline = std::chrono::steady_clock::now() + 10s;
   while (std::chrono::steady_clock::now() < deadline) {
     {
       std::lock_guard lk(mu);
-      if (received.size() >= static_cast<std::size_t>(kFrames)) break;
+      if (frame_threads.size() >= static_cast<std::size_t>(kClients * kFrames)) {
+        break;
+      }
     }
     std::this_thread::sleep_for(1ms);
   }
 
-  std::lock_guard lk(mu);
-  ASSERT_EQ(received.size(), static_cast<std::size_t>(kFrames));
-  for (int i = 0; i < kFrames; ++i) {
-    EXPECT_EQ(received[i].second, i + 1) << "FIFO broke across the handoff";
+  std::vector<ConnId> placed;
+  {
+    std::lock_guard lk(mu);
+    ASSERT_EQ(frame_threads.size(),
+              static_cast<std::size_t>(kClients * kFrames));
+    EXPECT_EQ(unannounced_frames, 0) << "a frame beat its on_connected";
+    ASSERT_EQ(announced.size(), static_cast<std::size_t>(kClients))
+        << "each connection is announced exactly once";
+    for (const pthread_t t : frame_threads) {
+      EXPECT_TRUE(pthread_equal(t, loops[1])) << "frame delivered off shard 1";
+    }
+    for (int i = 0; i < kClients; ++i) {
+      const auto& stream = streams[static_cast<DcId>(i)];
+      ASSERT_EQ(stream.size(), static_cast<std::size_t>(kFrames));
+      const ConnId id = stream.front().first;
+      EXPECT_EQ(TcpTransport::loop_of(id), 1u);
+      EXPECT_NE(std::find(announced.begin(), announced.end(), id),
+                announced.end());
+      for (int k = 0; k < kFrames; ++k) {
+        EXPECT_EQ(stream[k].first, id) << "client " << i << " changed id";
+        EXPECT_EQ(stream[k].second, k + 1) << "FIFO broke for client " << i;
+      }
+      placed.push_back(id);
+    }
   }
-  ASSERT_EQ(renames.size(), 1u) << "exactly one migration expected";
-  const auto [from, to] = renames[0];
-  EXPECT_EQ(TcpTransport::loop_of(to), 1 - TcpTransport::loop_of(from));
-  // Frames after the handoff arrive under the new id (the handoff point
-  // itself is wherever the decode pass cut the stream).
-  EXPECT_EQ(received.front().first, from);
-  EXPECT_EQ(received.back().first, to);
-  EXPECT_EQ(server.stats().migrations, 1u);
-  EXPECT_EQ(connects.load(), 1) << "migration must not re-announce";
-  EXPECT_EQ(disconnects.load(), 0) << "migration must not announce a loss";
+  EXPECT_EQ(disconnects.load(), 0) << "placement must not announce a loss";
+  // Sockets the kernel accepted on shard 0 moved; the rest stayed.
+  EXPECT_LE(server.stats().migrations, static_cast<std::uint64_t>(kClients));
 
-  // A reply sent to the old id (by a thread that read it before the host's
-  // rename) still reaches the socket, in order with the new id's traffic.
-  ASSERT_TRUE(server.send(from, heartbeat_frame(1, 1)));
-  ASSERT_TRUE(server.send(to, heartbeat_frame(1, 2)));
-  ASSERT_TRUE(client_sink.wait_for_frames(2));
-  EXPECT_EQ(std::get<proto::Heartbeat>(*client_sink.message_at(0)).ts, 1);
-  EXPECT_EQ(std::get<proto::Heartbeat>(*client_sink.message_at(1)).ts, 2);
-  // A connection is pinned once.
-  EXPECT_FALSE(server.migrate(to, TcpTransport::loop_of(from)));
-  client.stop();
+  for (int i = 0; i < kClients; ++i) {
+    ASSERT_TRUE(server.send(placed[i], heartbeat_frame(9, 100 + i)));
+  }
+  for (int i = 0; i < kClients; ++i) {
+    ASSERT_TRUE(sinks[i]->wait_for_frames(1)) << "reply lost for client " << i;
+    EXPECT_EQ(std::get<proto::Heartbeat>(*sinks[i]->message_at(0)).ts, 100 + i);
+  }
+  for (auto& c : clients) c->stop();
   server.stop();
 }
 

@@ -108,12 +108,12 @@ int usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s --config FILE [--mode load|smoke] [--dc N]\n"
-      "          [--threads N | --clients N] [--connections N]\n"
+      "          [--threads N] [--connections N]\n"
       "          [--pipeline W] [--duration-s S] [--pattern getput|txput]\n"
       "          [--gets-per-put N] [--tx-partitions N] [--think-us N]\n"
       "          [--value-size N] [--value-size-max N]\n"
       "          [--keys-per-partition N] [--key-offset N]\n"
-      "          [--key-dist zipfian|uniform] [--zipf T | --theta T]\n"
+      "          [--key-dist zipfian|uniform] [--theta T]\n"
       "          [--seed N] [--client-base N] [--out FILE] [--no-check]\n"
       "          [--expect-disruption] [--resilient]\n"
       "          [--op-deadline-us N] [--deadline-budget F]\n",
@@ -149,10 +149,8 @@ bool parse_args(int argc, char** argv, Args* args) {
       args->mode = value();
     } else if (std::strcmp(argv[i], "--dc") == 0) {
       args->dc = std::strtol(value(), nullptr, 10);
-    } else if (std::strcmp(argv[i], "--clients") == 0 ||
-               std::strcmp(argv[i], "--threads") == 0) {
-      // --threads is the saturation-oriented alias: each closed-loop client
-      // session is one driving thread.
+    } else if (std::strcmp(argv[i], "--threads") == 0) {
+      // Closed-loop client sessions per DC, each one driving thread.
       args->clients_per_dc =
           static_cast<std::uint32_t>(std::strtoul(value(), nullptr, 10));
     } else if (std::strcmp(argv[i], "--connections") == 0) {
@@ -190,8 +188,7 @@ bool parse_args(int argc, char** argv, Args* args) {
       args->key_offset = std::strtoull(value(), nullptr, 10);
     } else if (std::strcmp(argv[i], "--key-dist") == 0) {
       args->key_dist = value();
-    } else if (std::strcmp(argv[i], "--zipf") == 0 ||
-               std::strcmp(argv[i], "--theta") == 0) {
+    } else if (std::strcmp(argv[i], "--theta") == 0) {
       args->zipf_theta = std::strtod(value(), nullptr);
     } else if (std::strcmp(argv[i], "--seed") == 0) {
       args->seed = std::strtoull(value(), nullptr, 10);
