@@ -8,8 +8,10 @@
 #   pipelined   8 sessions x pipeline 4 over 8 connections per DC — the
 #               benchmark of record, BENCH_tcp_loadgen.json. A mid-load
 #               /metrics scrape of every DC is saved as metrics_dc*.prom and
-#               must carry the op-latency histograms and transport counters,
-#               with connections placed across its two event loops.
+#               must carry the op-latency histograms and transport counters
+#               (wake-pipe writes included), with connections placed across
+#               its two event loops; each DC's messages per batch and wake
+#               writes per client request are printed, not gated.
 #   serial      8 client threads x 2 connections per DC
 #   highconn    fd limit raised, 128 connection pools per DC (one socket per
 #               partition each), pipelined; zero op failures
@@ -94,7 +96,26 @@ for dc in $(seq 0 $((DCS - 1))); do
     echo "e2e: FAIL — dc$dc placed no connection on another loop (pocc_transport_migrations_total=${moves:-missing})" >&2
     exit 10
   fi
-  echo "e2e: dc$dc mid-load /metrics scrape OK ($(wc -l < "$prom") series lines, $moves connections placed on another loop)"
+  wakes="$(awk '$1 == "pocc_transport_wake_writes_total" { print $2 }' "$prom")"
+  if [[ -z "$wakes" ]]; then
+    echo "e2e: FAIL — dc$dc mid-load /metrics scrape is missing pocc_transport_wake_writes_total" >&2
+    exit 10
+  fi
+  # What pass-end batch flushing trades (printed, not gated): replication
+  # messages per Batch frame against cross-thread wake-pipe writes per
+  # client request.
+  ratios="$(awk '
+    $1 == "pocc_batch_messages_total" { msgs = $2 }
+    $1 == "pocc_batch_batches_total" { batches = $2 }
+    $1 == "pocc_transport_wake_writes_total" { wakes = $2 }
+    $1 == "pocc_host_client_requests_total" { reqs = $2 }
+    END {
+      per_batch = "n/a"; per_req = "n/a"
+      if (batches > 0) per_batch = sprintf("%.2f", msgs / batches)
+      if (reqs > 0) per_req = sprintf("%.3f", wakes / reqs)
+      printf "%s msgs/batch, %s wake writes/request", per_batch, per_req
+    }' "$prom")"
+  echo "e2e: dc$dc mid-load /metrics scrape OK ($(wc -l < "$prom") series lines, $moves connections placed on another loop; $ratios)"
 done
 wait_load "pipelined checked load" 10
 cat "$OUT_DIR/BENCH_tcp_loadgen.json"

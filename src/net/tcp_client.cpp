@@ -411,7 +411,6 @@ TcpClientPool::TcpClientPool(ClusterLayout layout, DcId dc,
               nullptr,
               nullptr,
               nullptr,
-              nullptr,
           },
           TcpTransport::Options{}) {
   POCC_ASSERT(dc_ < layout_.topology.num_dcs);

@@ -34,18 +34,14 @@ TcpNodeHost::TcpNodeHost(ProcessSpec self, const ClusterLayout& layout,
               [this](ConnId c, proto::Frame f) { on_frame(c, std::move(f)); },
               nullptr,
               [this](ConnId c) { on_disconnected(c); },
-              [this] { on_tick(); },
               // Transport loop i IS worker i's thread — one
               // service pass per loop iteration, socket → decode → engine
               // with no cross-thread hop for pinned connections.
-              [this](std::uint32_t loop) -> Timestamp {
-                return group_ == nullptr ? 0 : group_->service(loop);
-              },
+              [this](std::uint32_t loop) { return on_loop_pass(loop); },
               [this](const proto::Frame& first) { return place(first); },
           },
           [this] {
             TcpTransport::Options t;
-            t.tick_interval_us = opt_.batch.max_delay_us;
             // One event-loop shard per NodeGroup worker (same clamp the
             // group applies), so every worker has exactly one owning loop.
             const auto parts = static_cast<std::uint32_t>(self_.parts.size());
@@ -307,6 +303,9 @@ void TcpNodeHost::register_metrics() {
       {"pocc_transport_sendmsg_frames_total", &TransportStats::sendmsg_frames},
       {"pocc_transport_arena_hits_total", &TransportStats::arena_hits},
       {"pocc_transport_arena_misses_total", &TransportStats::arena_misses},
+      // Wake-pipe writes: cross-thread wakes only (a loop never writes its
+      // own pipe); per client request it is the wake cost of the op path.
+      {"pocc_transport_wake_writes_total", &TransportStats::wake_writes},
   };
   for (const auto& f : kTransport) {
     r.counter_fn(f.name, {},
@@ -494,23 +493,31 @@ void TcpNodeHost::route_to_client(NodeId /*from*/, ClientId client,
   }
 }
 
-void TcpNodeHost::on_tick() {
-  // Time axis of the flush policy: whatever the size thresholds left staged
-  // goes out at most one tick late.
+Timestamp TcpNodeHost::on_loop_pass(std::uint32_t loop) {
+  Timestamp next = group_->service(loop);
+  // Pass-clocked replication: what the pass staged leaves as the pass ends
+  // (service() ran the group commit, so held sends are already staged). A
+  // busy pass still coalesces its Replicates; a lone PUT waits for nothing.
   for (const auto& link : links_) link->batcher->flush();
   // Recovery gate deadline: a dead peer never sends its RecoveryDone; past
   // the deadline this DC serves clients anyway (it is causally consistent
   // with what it has — only the lost suffix's freshness is forfeited).
-  bool expired = false;
-  {
-    std::lock_guard lk(mu_);
-    if (recovery_dones_pending_ > 0 && recovery_deadline_at_ != 0 &&
-        rt::steady_now_us() >= recovery_deadline_at_) {
-      recovery_dones_pending_ = 0;
-      expired = true;
+  const Timestamp gate = recovery_deadline_at_.load();
+  if (gate != 0) {
+    if (rt::steady_now_us() >= gate) {
+      bool expired = false;
+      {
+        std::lock_guard lk(mu_);
+        recovery_deadline_at_ = 0;
+        expired = recovery_dones_pending_ > 0;  // not beaten by the last Done
+        recovery_dones_pending_ = 0;
+      }
+      if (expired) release_parked_clients("recovery deadline expired");
+    } else if (next == 0 || gate < next) {
+      next = gate;  // a sleeping loop still wakes for the deadline
     }
   }
-  if (expired) release_parked_clients("recovery deadline expired");
+  return next;
 }
 
 bool TcpNodeHost::replication_backlogged() const {
@@ -675,6 +682,7 @@ void TcpNodeHost::on_frame(ConnId conn, proto::Frame frame) {
         std::lock_guard lk(mu_);
         if (recovery_dones_pending_ > 0 && --recovery_dones_pending_ == 0) {
           gate_opened = true;
+          recovery_deadline_at_ = 0;
         }
       }
       group_->enqueue(item.from, item.to, std::move(item.msg));

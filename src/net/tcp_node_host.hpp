@@ -5,13 +5,13 @@
 // tests (several hosts, one test process — same code path, real sockets
 // either way).
 //
-// Composition: a TcpTransport (sockets + framing + reconnect + flush tick)
-// whose event loop i drives NodeGroup worker i, with this class as the
-// rt::Router in between: it stages each outbound message into the
-// destination link's LinkBatcher. The engines cannot tell the difference
-// from the simulator (server::Context is identical), which is the point:
-// the TCP deployment runs the very same protocol code the simulator
-// validates.
+// Composition: a TcpTransport (sockets + framing + reconnect) whose event
+// loop i drives NodeGroup worker i, with this class as the rt::Router in
+// between: it stages each outbound message into the destination link's
+// LinkBatcher, and every loop pass ends by flushing what it staged. The
+// engines cannot tell the difference from the simulator (server::Context is
+// identical), which is the point: the TCP deployment runs the very same
+// protocol code the simulator validates.
 //
 // Wire identity and addressing:
 //   * to each peer PROCESS this host keeps one persistent outbound
@@ -28,6 +28,7 @@
 //     DC-local coordinator partition for RO-TX).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -187,7 +188,11 @@ class TcpNodeHost final : public rt::Router {
   /// placement (it runs under a transport shard lock).
   [[nodiscard]] std::int32_t place(const proto::Frame& first) const;
   void on_disconnected(ConnId conn);
-  void on_tick();
+  /// TcpTransport::Callbacks::on_loop_pass: service worker `loop`, flush
+  /// the staged replication batches, and expire the recovery gate past its
+  /// deadline. Returns the earlier of the worker's next timer and that
+  /// deadline.
+  [[nodiscard]] Timestamp on_loop_pass(std::uint32_t loop);
   /// `replayed` marks re-dispatch of a request parked by the recovery gate:
   /// the idempotency bookkeeping already ran at first arrival and must not
   /// mistake the replay for a client retry.
@@ -258,7 +263,9 @@ class TcpNodeHost final : public rt::Router {
   /// RecoveryDones still outstanding across all hosted partitions; client
   /// requests park in parked_clients_ until it reaches 0 (or the deadline).
   std::uint32_t recovery_dones_pending_ = 0;
-  Timestamp recovery_deadline_at_ = 0;
+  /// When the gate opens regardless (steady µs); 0 once it is open. Written
+  /// under mu_, read lock-free by every loop pass.
+  std::atomic<Timestamp> recovery_deadline_at_{0};
   std::vector<std::pair<ConnId, proto::Message>> parked_clients_;
 
   /// Last member: destroyed (and thus stopped) before anything its handlers

@@ -27,6 +27,10 @@ constexpr std::size_t kReadChunk = 64 * 1024;
 /// burst or a batcher flush in one syscall, small enough to stack-allocate.
 constexpr std::size_t kMaxFlushIov = 64;
 
+/// The shard whose loop runs on this thread (null off the loop threads):
+/// a wake aimed at it needs no pipe write.
+thread_local const void* t_loop_shard = nullptr;
+
 void set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   POCC_ASSERT(flags >= 0);
@@ -158,6 +162,14 @@ void TcpTransport::stop() {
 }
 
 void TcpTransport::wake(Shard& s) {
+  // The loop is awake when it wakes itself: whatever it queued is served
+  // before its next wait (enqueues by the pass hook) or right after it
+  // (outbox frames), so the flag only turns that wait into a poll.
+  if (t_loop_shard == &s) {
+    s.self_woken = true;
+    return;
+  }
+  s.wake_writes.fetch_add(1, std::memory_order_relaxed);
   const char b = 1;
   while (true) {
     const ssize_t n = ::write(s.wake_pipe[1], &b, 1);
@@ -305,6 +317,7 @@ TransportStats TcpTransport::stats() const {
   for (const auto& s : shards_) {
     std::lock_guard lk(s->mu);
     total += s->stats;
+    total.wake_writes += s->wake_writes.load(std::memory_order_relaxed);
   }
   return total;
 }
@@ -572,12 +585,7 @@ void TcpTransport::run(Shard& s) {
     }
   };
 
-  // Batch-flush tick: shard 0 owns the host tick; the wait timeout is
-  // clamped to the next tick so staged batches never wait longer than one
-  // interval for the flush callback.
-  const Duration tick_us = opt_.tick_interval_us;
-  Timestamp next_tick = (s.index == 0 && tick_us > 0) ? now_us() + tick_us : 0;
-
+  t_loop_shard = &s;
   s.loop->watch(s.wake_pipe[0], true, false);
   if (s.listen_fd >= 0) s.loop->watch(s.listen_fd, true, false);
 
@@ -612,9 +620,6 @@ void TcpTransport::run(Shard& s) {
           next_timer = c.retry_at;
         }
       }
-      if (next_tick > 0 && (next_timer == 0 || next_tick < next_timer)) {
-        next_timer = next_tick;
-      }
       if (next_timer > 0) {
         const Timestamp now2 = now_us();
         timeout_ms = next_timer <= now2
@@ -632,19 +637,24 @@ void TcpTransport::run(Shard& s) {
     }
 
     // NodeGroup pass (outside the shard lock): service the NodeGroup
-    // worker this loop owns; its next engine timer bounds the sleep. Work
-    // the pass produced (replies into this shard's outboxes) left a wake
-    // in the pipe, so the wait below returns immediately.
+    // worker this loop owns; the host's next deadline bounds the sleep.
     if (cb_.on_loop_pass) {
-      const Timestamp worker_deadline = cb_.on_loop_pass(s.index);
-      if (worker_deadline > 0) {
+      const Timestamp pass_deadline = cb_.on_loop_pass(s.index);
+      if (pass_deadline > 0) {
         const Timestamp now2 = now_us();
         const int ms =
-            worker_deadline <= now2
+            pass_deadline <= now2
                 ? 0
-                : static_cast<int>((worker_deadline - now2) / 1000 + 1);
+                : static_cast<int>((pass_deadline - now2) / 1000 + 1);
         if (timeout_ms < 0 || ms < timeout_ms) timeout_ms = ms;
       }
+    }
+    // Work this thread queued for itself — frames the pass (or the last
+    // round of callbacks) sent on this shard — is drained after the wait:
+    // poll, don't sleep.
+    if (s.self_woken) {
+      s.self_woken = false;
+      timeout_ms = 0;
     }
 
     s.loop->wait(timeout_ms, events);
@@ -777,10 +787,6 @@ void TcpTransport::run(Shard& s) {
     for (const ConnId id : went_down) {
       if (cb_.on_disconnected) cb_.on_disconnected(id);
     }
-    if (next_tick > 0 && now_us() >= next_tick) {
-      next_tick = now_us() + tick_us;
-      if (cb_.on_tick) cb_.on_tick();
-    }
   }
 
   // Best-effort final drain: push out what shutdown staged (a host flushes
@@ -804,12 +810,17 @@ void LinkBatcher::add(NodeId from, NodeId to, const proto::Message& m) {
       writer_.body_bytes() >= policy_.max_bytes) {
     flush_locked();
   }
+  note_unsent_locked();
 }
 
 void LinkBatcher::flush() {
+  // Every loop pass flushes every link: an idle link must cost one load. A
+  // stale false is harmless — the adder's own pass flushes what it staged.
+  if (!unsent_.load(std::memory_order_acquire)) return;
   std::lock_guard lk(mu_);
   retry_pending_locked();
   if (!writer_.empty()) flush_locked();
+  note_unsent_locked();
 }
 
 void LinkBatcher::flush_locked() {
@@ -828,7 +839,7 @@ void LinkBatcher::flush_locked() {
     return;
   }
   if (!transport_.try_send(conn_, frame)) {
-    // Backpressure: park and re-offer on later ticks instead of dropping —
+    // Backpressure: park and re-offer on later flushes instead of dropping —
     // a throttled link trades latency for losslessness (§II-C channels).
     ++stats_.send_failures;
     park_locked(std::move(frame));

@@ -93,6 +93,9 @@ struct TransportStats {
   std::uint64_t chaos_delayed = 0;     // frames held before transmission
   std::uint64_t chaos_duplicates = 0;  // frames transmitted twice
   std::uint64_t chaos_resets = 0;      // connections torn down by chaos
+  /// Wake-pipe writes: wakes of a loop from any thread but its own (a
+  /// loop's own wakes set a flag instead — see TcpTransport::wake_loop).
+  std::uint64_t wake_writes = 0;
 
   TransportStats& operator+=(const TransportStats& o) {
     frames_in += o.frames_in;
@@ -112,6 +115,7 @@ struct TransportStats {
     chaos_delayed += o.chaos_delayed;
     chaos_duplicates += o.chaos_duplicates;
     chaos_resets += o.chaos_resets;
+    wake_writes += o.wake_writes;
     return *this;
   }
 };
@@ -178,16 +182,13 @@ class TcpTransport {
     std::function<void(ConnId)> on_connected;
     /// Connection lost. Outbound links will redial; inbound ids are dead.
     std::function<void(ConnId)> on_disconnected;
-    /// Fired on shard 0's thread every Options::tick_interval_us (when
-    /// non-zero) — the time axis of the batch flush policy: hosts flush
-    /// their staged LinkBatcher batches here, bounding how long a coalesced
-    /// message can wait for companions.
-    std::function<void()> on_tick;
-    /// Fired once per loop iteration on every shard, outside the shard
-    /// lock — the NodeGroup seam: the host services the worker that
-    /// owns this loop (timers, inbox drain, durability) and returns the
-    /// worker's next timer deadline (absolute steady µs; 0 = none), which
-    /// bounds how long the loop may sleep.
+    /// Fired once per loop iteration on every shard, before the loop
+    /// waits and outside the shard lock — the NodeGroup seam: the host
+    /// services the worker that owns this loop (timers, inbox drain,
+    /// durability), flushes the replication batches the pass staged, and
+    /// returns its next deadline (absolute steady µs; 0 = none), which
+    /// bounds how long the loop may sleep. Frames the pass sends on this
+    /// shard go out right after the wait, which then does not block.
     std::function<Timestamp(std::uint32_t loop)> on_loop_pass;
     /// Placement of an accepted connection: given its first frame, return
     /// the shard it belongs on (-1 keeps it on the accepting shard). Until
@@ -218,8 +219,6 @@ class TcpTransport {
     Duration reconnect_backoff_max_us = 1'000'000;
     /// Seed of the backoff-jitter Rngs (determinism in tests/campaigns).
     std::uint64_t seed = 0xbac0'ff5eULL;
-    /// Period of Callbacks::on_tick; 0 disables the tick.
-    Duration tick_interval_us = 0;
   };
 
   TcpTransport(Callbacks callbacks, Options options);
@@ -291,7 +290,9 @@ class TcpTransport {
   [[nodiscard]] static std::uint32_t loop_of(ConnId conn) {
     return static_cast<std::uint32_t>(conn >> kShardShift);
   }
-  /// Interrupt shard `loop`'s wait (the NodeGroup's enqueue wake).
+  /// Interrupt shard `loop`'s wait (the NodeGroup's enqueue wake). Called
+  /// on that loop's own thread it writes no pipe: the loop is awake, and
+  /// its next wait only polls (stats().wake_writes counts the pipe writes).
   void wake_loop(std::uint32_t loop);
   /// Native handles of the running loop threads (signal-storm tests aim
   /// pthread_kill at them). Valid between start() and stop().
@@ -377,6 +378,11 @@ class TcpTransport {
     /// Connections another shard placed here, adopted after this shard's
     /// next wait (guarded by mu).
     std::vector<std::unique_ptr<Conn>> adopted;
+    /// Set by a wake from this shard's own thread, which needs no pipe
+    /// write: the next wait polls instead of blocking. Loop-thread only.
+    bool self_woken = false;
+    /// Pipe writes into wake_pipe (TransportStats::wake_writes).
+    std::atomic<std::uint64_t> wake_writes{0};
     std::thread thread;
   };
 
@@ -413,21 +419,17 @@ class TcpTransport {
 
 /// Coalescing flush policy of one peer link: a staged batch is flushed as
 /// soon as it holds max_messages messages or max_bytes of staged body,
-/// whichever comes first; whatever is still staged when the transport tick
-/// fires goes out then. The tick rides the event-loop timeout, which has
-/// millisecond granularity, so the effective straggler delay is
-/// ~max(max_delay_us, 1ms) — the default is 1ms accordingly, two orders of
-/// magnitude under inter-DC RTTs while letting a loaded link coalesce
-/// dozens of Replicates into one frame (Okapi / Cure-style interval
-/// aggregation).
+/// whichever comes first; whatever is still staged when the event-loop
+/// pass that staged it ends goes out then (the host flushes at pass end).
+/// The pass is the batching window: a loaded pass drains many requests and
+/// their Replicates share a frame, while a lone PUT on a quiet link leaves
+/// at once instead of waiting on a timer.
 struct BatchPolicy {
   std::size_t max_messages = 64;
   std::size_t max_bytes = 48u << 10;
-  /// The time threshold — hosts pass it as Options::tick_interval_us.
-  Duration max_delay_us = 1'000;
   /// Slow-peer isolation: flushed batches the transport refuses
   /// (backpressure) are parked in a per-link retry queue up to this many
-  /// bytes and re-offered on later ticks, so a throttled replica link
+  /// bytes and re-offered on later flushes, so a throttled replica link
   /// sheds load by *delaying* its own batches — not by dropping them, and
   /// not by stalling siblings (each link parks independently). Beyond the
   /// cap batches are dropped and counted (BatchStats::dropped_batches).
@@ -459,7 +461,8 @@ struct BatchStats {
 /// Per-link coalescer: worker threads add() routed server-to-server
 /// messages (encoded immediately into the staged frame — no copy at flush
 /// time); the staged batch leaves as ONE Batch wire frame when a size
-/// threshold trips or the transport tick fires. Thread-safe. FIFO holds
+/// threshold trips or the host flushes at the end of a loop pass.
+/// Thread-safe. FIFO holds
 /// end to end: adds are serialized by the batcher mutex, flushed frames
 /// enter the transport outbox in flush order, and the transport preserves
 /// frame order across reconnects (buffered while a link is down).
@@ -474,8 +477,9 @@ class LinkBatcher {
   /// Stage one message; flushes inline when a size threshold trips.
   void add(NodeId from, NodeId to, const proto::Message& m);
 
-  /// Flush whatever is staged (no-op when empty) after re-offering any
-  /// parked batches. Called from the transport tick and at shutdown.
+  /// Flush whatever is staged after re-offering any parked batches. Called
+  /// at the end of every loop pass and at shutdown; with nothing staged or
+  /// parked it returns without taking the batcher mutex.
   void flush();
 
   [[nodiscard]] BatchStats stats() const;
@@ -489,6 +493,11 @@ class LinkBatcher {
   void flush_locked();
   void park_locked(std::vector<std::uint8_t> frame);
   void retry_pending_locked();
+  /// Publish whether anything is staged or parked (the flush() fast path).
+  void note_unsent_locked() {
+    unsent_.store(!writer_.empty() || !pending_.empty(),
+                  std::memory_order_release);
+  }
 
   TcpTransport& transport_;
   ConnId conn_;
@@ -498,6 +507,8 @@ class LinkBatcher {
   BatchStats stats_;
   std::deque<std::vector<std::uint8_t>> pending_;  // FIFO ahead of staged
   std::size_t pending_bytes_ = 0;
+  /// True while frames are staged or parked; written under mu_.
+  std::atomic<bool> unsent_{false};
 };
 
 }  // namespace pocc::net

@@ -19,6 +19,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -222,7 +223,6 @@ TEST(E2eTcp, SessionWithoutResilienceEndsOpOnOverloaded) {
           nullptr,
           nullptr,
           nullptr,
-          nullptr,
       },
       TcpTransport::Options{});
   server_ptr = &server;
@@ -343,6 +343,39 @@ TEST(E2eTcp, CrossDcVisibilityEventuallyConverges) {
       return got.ok && got.found && got.value == "hello";
     })) << "value never visible in DC " << dc;
   }
+  expect_clean_replay(cluster);
+}
+
+TEST(E2eTcp, CrossDcVisibilityWithinAPass) {
+  // POCC makes a remote update readable the moment it arrives, so a reader
+  // in another DC waits on the replication path alone. A lone PUT on a
+  // quiet link leaves with the loop pass that staged it — no timer holds it
+  // back — so the median PUT-reply-to-visible time is a loopback round trip
+  // or two, well under a millisecond.
+  Deployment cluster(SystemKind::kPocc);
+  TcpSession& writer = cluster.connect(0);
+  TcpSession& reader = cluster.connect(1);
+  std::vector<std::int64_t> lag_us;
+  for (int i = 0; i < 100; ++i) {
+    const std::string key = "e2e:vis:" + std::to_string(i);
+    ASSERT_TRUE(writer.put(key, "v").ok);
+    const auto t0 = std::chrono::steady_clock::now();
+    bool found = false;
+    while (!found &&
+           std::chrono::steady_clock::now() - t0 < std::chrono::seconds(5)) {
+      const auto got = reader.get(key);
+      ASSERT_TRUE(got.ok);
+      found = got.found;
+    }
+    ASSERT_TRUE(found) << key << " never became visible in DC 1";
+    lag_us.push_back(std::chrono::duration_cast<std::chrono::microseconds>(
+                         std::chrono::steady_clock::now() - t0)
+                         .count());
+  }
+  const auto mid = lag_us.begin() + static_cast<std::ptrdiff_t>(lag_us.size() / 2);
+  std::nth_element(lag_us.begin(), mid, lag_us.end());
+  EXPECT_LT(*mid, 500) << "median cross-DC visibility " << *mid
+                       << " us: replication waits on something besides the wire";
   expect_clean_replay(cluster);
 }
 

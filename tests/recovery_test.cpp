@@ -246,48 +246,88 @@ TEST(SimWalRecovery, CrashPlansPassCheckerAndReplayBitIdentical) {
 
 // ================================================= deployment level =====
 
-TEST(TcpRecovery, CrashStopRestartReplaysWalAndRebuildsFromPeer) {
+/// Two DCs x one partition, each hosted by a durable single-worker
+/// TcpNodeHost on an ephemeral port.
+struct TwoDcDeployment {
   net::ClusterLayout layout;
-  layout.topology.num_dcs = 2;
-  layout.topology.partitions_per_dc = 1;
-  layout.topology.partition_scheme = PartitionScheme::kHash;
-  layout.system = SystemKind::kPocc;
-  layout.protocol.heartbeat_interval_us = 5'000;
-  layout.protocol.stabilization_interval_us = 20'000;
-  layout.protocol.gc_interval_us = 200'000;
-  layout.protocol.block_timeout_us = 2'000'000;
-
-  const std::string d0 = fresh_dir("tcp_d0");
-  const std::string d1 = fresh_dir("tcp_d1");
   std::vector<std::unique_ptr<net::TcpNodeHost>> hosts;
-  for (DcId dc = 0; dc < 2; ++dc) {
-    net::ProcessSpec spec;
-    spec.dc = dc;
-    spec.parts.push_back(0);
-    spec.threads = 1;
-    spec.host = "127.0.0.1";
-    net::TcpNodeHost::Options opt;
-    opt.listen_port = 0;
-    opt.seed = 10 + dc;
-    opt.data_dir = dc == 0 ? d0 : d1;
-    hosts.push_back(
-        std::make_unique<net::TcpNodeHost>(spec, layout, opt));
-    spec.port = hosts.back()->port();
-    layout.processes.push_back(spec);
-    layout.nodes.push_back(
-        net::NodeAddress{NodeId{dc, 0}, "127.0.0.1", spec.port});
-  }
-  const std::uint16_t dc0_port = layout.processes[0].port;
-  for (auto& host : hosts) host->start(layout.processes);
+  std::vector<std::string> dirs;
 
-  auto wait_recovered = [](net::TcpNodeHost& host) {
-    for (int i = 0; i < 300 && host.recovering(); ++i) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  explicit TwoDcDeployment(const std::string& name) {
+    layout.topology.num_dcs = 2;
+    layout.topology.partitions_per_dc = 1;
+    layout.topology.partition_scheme = PartitionScheme::kHash;
+    layout.system = SystemKind::kPocc;
+    layout.protocol.heartbeat_interval_us = 5'000;
+    layout.protocol.stabilization_interval_us = 20'000;
+    layout.protocol.gc_interval_us = 200'000;
+    layout.protocol.block_timeout_us = 2'000'000;
+    for (DcId dc = 0; dc < 2; ++dc) {
+      dirs.push_back(fresh_dir(name + "_d" + std::to_string(dc)));
+      net::ProcessSpec spec;
+      spec.dc = dc;
+      spec.parts.push_back(0);
+      spec.threads = 1;
+      spec.host = "127.0.0.1";
+      net::TcpNodeHost::Options opt;
+      opt.listen_port = 0;
+      opt.seed = 10 + dc;
+      opt.data_dir = dirs.back();
+      hosts.push_back(std::make_unique<net::TcpNodeHost>(spec, layout, opt));
+      spec.port = hosts.back()->port();
+      layout.processes.push_back(spec);
+      layout.nodes.push_back(
+          net::NodeAddress{NodeId{dc, 0}, "127.0.0.1", spec.port});
     }
-    return !host.recovering();
-  };
-  ASSERT_TRUE(wait_recovered(*hosts[0]));  // fresh cluster: instant handshake
-  ASSERT_TRUE(wait_recovered(*hosts[1]));
+    for (auto& host : hosts) host->start(layout.processes);
+  }
+
+  /// kill -9 equivalent of DC `dc`'s process.
+  void crash(DcId dc) {
+    hosts[dc]->crash_stop();
+    hosts[dc].reset();
+  }
+
+  /// Restart DC `dc` on its old port and data dir (WAL replay, then peer
+  /// recovery behind the client gate).
+  net::TcpNodeHost& restart(DcId dc, Duration recovery_deadline_us) {
+    net::ProcessSpec spec = layout.processes[dc];
+    spec.port = 0;  // the option carries the bind port
+    net::TcpNodeHost::Options opt;
+    opt.listen_port = layout.processes[dc].port;
+    opt.seed = 99;
+    opt.data_dir = dirs[dc];
+    opt.recovery_deadline_us = recovery_deadline_us;
+    hosts[dc] = std::make_unique<net::TcpNodeHost>(spec, layout, opt);
+    EXPECT_EQ(hosts[dc]->port(), layout.processes[dc].port);
+    hosts[dc]->start(layout.processes);
+    return *hosts[dc];
+  }
+
+  ~TwoDcDeployment() {
+    for (auto& host : hosts) {
+      if (host != nullptr) host->stop();
+    }
+  }
+};
+
+/// Polls until `host`'s client gate opens; false after `timeout`.
+bool wait_recovered(net::TcpNodeHost& host, std::chrono::milliseconds timeout) {
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  while (host.recovering() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return !host.recovering();
+}
+
+TEST(TcpRecovery, CrashStopRestartReplaysWalAndRebuildsFromPeer) {
+  TwoDcDeployment d("tcp");
+  const net::ClusterLayout& layout = d.layout;
+  auto& hosts = d.hosts;
+  constexpr auto kRecoverWithin = std::chrono::seconds(15);
+  // Fresh cluster: instant handshake.
+  ASSERT_TRUE(wait_recovered(*hosts[0], kRecoverWithin));
+  ASSERT_TRUE(wait_recovered(*hosts[1], kRecoverWithin));
 
   auto pool0 = std::make_unique<net::TcpClientPool>(layout, 0);
   pool0->start();
@@ -302,8 +342,7 @@ TEST(TcpRecovery, CrashStopRestartReplaysWalAndRebuildsFromPeer) {
   ASSERT_TRUE(s0.get("alpha").ok);
   pool0->stop();
   pool0.reset();
-  hosts[0]->crash_stop();
-  hosts[0].reset();
+  d.crash(0);
 
   // A write this DC misses entirely while it is down: only the recovery
   // handshake with the peer can deliver it.
@@ -311,18 +350,8 @@ TEST(TcpRecovery, CrashStopRestartReplaysWalAndRebuildsFromPeer) {
   ASSERT_TRUE(s1.put("beta", "written-while-down").ok);
 
   // Restart on the same port + data dir: WAL replay, then peer recovery.
-  {
-    net::ProcessSpec spec = layout.processes[0];
-    spec.port = 0;  // the option carries the bind port
-    net::TcpNodeHost::Options opt;
-    opt.listen_port = dc0_port;
-    opt.seed = 99;
-    opt.data_dir = d0;
-    hosts[0] = std::make_unique<net::TcpNodeHost>(spec, layout, opt);
-    ASSERT_EQ(hosts[0]->port(), dc0_port);
-    hosts[0]->start(layout.processes);
-  }
-  ASSERT_TRUE(wait_recovered(*hosts[0]))
+  d.restart(0, net::TcpNodeHost::Options{}.recovery_deadline_us);
+  ASSERT_TRUE(wait_recovered(*hosts[0], kRecoverWithin))
       << "recovery gate never opened after restart";
   ASSERT_EQ(hosts[0]->replay_stats().size(), 1u);
   EXPECT_GE(hosts[0]->replay_stats()[0].log_versions, 1u)
@@ -353,9 +382,33 @@ TEST(TcpRecovery, CrashStopRestartReplaysWalAndRebuildsFromPeer) {
 
   pool0->stop();
   pool1.stop();
-  for (auto& host : hosts) {
-    if (host != nullptr) host->stop();
-  }
+}
+
+TEST(TcpRecovery, GateOpensAtDeadlineWhenPeerStaysDown) {
+  // A peer that never comes back never sends its RecoveryDone: the client
+  // gate must open on its own once the recovery deadline passes, even on a
+  // loop with nothing else to do, and the DC then serves clients.
+  TwoDcDeployment d("deadline");
+  ASSERT_TRUE(wait_recovered(*d.hosts[0], std::chrono::seconds(15)));
+  ASSERT_TRUE(wait_recovered(*d.hosts[1], std::chrono::seconds(15)));
+  d.crash(0);
+  d.hosts[1]->stop();  // for good
+  net::TcpNodeHost& host = d.restart(0, /*recovery_deadline_us=*/300'000);
+  EXPECT_TRUE(host.recovering()) << "the gate must close while a peer owes "
+                                    "its RecoveryDone";
+  ASSERT_TRUE(wait_recovered(host, std::chrono::seconds(3)))
+      << "recovery gate did not open at its deadline";
+
+  net::TcpClientPool pool(d.layout, 0);
+  pool.start();
+  ASSERT_TRUE(pool.wait_connected(10'000'000));
+  net::TcpSession& s = pool.connect(7);
+  ASSERT_TRUE(s.put("gamma", "after-deadline").ok);
+  const auto got = s.get("gamma");
+  ASSERT_TRUE(got.ok);
+  ASSERT_TRUE(got.found);
+  EXPECT_EQ(got.value, "after-deadline");
+  pool.stop();
 }
 
 }  // namespace

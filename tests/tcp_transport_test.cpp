@@ -17,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "runtime/rt_node.hpp"
 #include "store/key_space.hpp"
 
 namespace pocc::net {
@@ -45,7 +46,6 @@ struct FrameSink {
         },
         [this](ConnId) { ++connects; },
         [this](ConnId) { ++disconnects; },
-        nullptr,
         nullptr,
         nullptr,
     };
@@ -312,21 +312,56 @@ TEST(TcpTransport, SendToUnknownConnectionFails) {
   EXPECT_FALSE(t.send(12'345, heartbeat_frame(0, 0)));
 }
 
-TEST(TcpTransport, TickFiresPeriodically) {
-  FrameSink sink;
-  std::atomic<int> ticks{0};
-  auto callbacks = sink.callbacks();
-  callbacks.on_tick = [&ticks] { ++ticks; };
-  TcpTransport::Options opt;
-  opt.tick_interval_us = 2'000;
-  TcpTransport t(std::move(callbacks), opt);
-  t.start();
+TEST(TcpTransport, LoopThreadSendsDoNotWriteTheWakePipe) {
+  // A loop that queues work for itself is already awake: a frame sent from
+  // its own pass hook must leave without a wake-pipe write, while a send
+  // from a foreign thread still has to write the pipe to interrupt a wait.
+  FrameSink server_sink;
+  TcpTransport server(server_sink.callbacks(), TcpTransport::Options{});
+  const std::uint16_t port = server.listen(0);
+  server.start();
+
+  FrameSink client_sink;
+  TcpTransport* client_ptr = nullptr;
+  ConnId conn = kInvalidConn;
+  std::atomic<bool> send_from_pass{false};
+  std::atomic<bool> sent_from_pass{false};
+  auto callbacks = client_sink.callbacks();
+  callbacks.on_loop_pass = [&](std::uint32_t) -> Timestamp {
+    if (send_from_pass.exchange(false)) {
+      sent_from_pass = client_ptr->send(conn, heartbeat_frame(0, 1));
+    }
+    return rt::steady_now_us() + 1'000;  // re-check the flag every ~ms
+  };
+  TcpTransport client(std::move(callbacks), TcpTransport::Options{});
+  client_ptr = &client;
+  conn = client.connect_peer("127.0.0.1", port);
+  client.start();
   const auto deadline = std::chrono::steady_clock::now() + 5s;
-  while (ticks.load() < 3 && std::chrono::steady_clock::now() < deadline) {
+  while (!client.connected(conn) &&
+         std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(1ms);
   }
-  t.stop();
-  EXPECT_GE(ticks.load(), 3) << "flush tick never fired";
+  ASSERT_TRUE(client.connected(conn));
+
+  const std::uint64_t before = client.stats().wake_writes;
+  send_from_pass = true;
+  ASSERT_TRUE(server_sink.wait_for_frames(1));
+  EXPECT_TRUE(sent_from_pass.load());
+  EXPECT_EQ(client.stats().wake_writes, before)
+      << "a send from the loop's own thread wrote its wake pipe";
+
+  ASSERT_TRUE(client.send(conn, heartbeat_frame(0, 2)));
+  ASSERT_TRUE(server_sink.wait_for_frames(2));
+  EXPECT_EQ(client.stats().wake_writes, before + 1)
+      << "a send from a foreign thread must wake the loop";
+  const auto seq_first = server_sink.message_at(0);
+  const auto seq_second = server_sink.message_at(1);
+  ASSERT_TRUE(seq_first.has_value() && seq_second.has_value());
+  EXPECT_EQ(std::get<proto::Heartbeat>(*seq_first).ts, 1);
+  EXPECT_EQ(std::get<proto::Heartbeat>(*seq_second).ts, 2);
+  client.stop();
+  server.stop();
 }
 
 TEST(TcpTransport, SignalStormDoesNotTearConnections) {
@@ -478,7 +513,6 @@ TEST(TcpTransport, PlaceHomesAcceptedConnectionsBeforeTheyAreAnnounced) {
       },
       [&](ConnId) { ++disconnects; },
       nullptr,
-      nullptr,
       [](const proto::Frame&) { return 1; },
   };
   TcpTransport::Options sopt;
@@ -608,7 +642,7 @@ TEST(TcpTransport, BatcherFlushesOnMessageThreshold) {
   for (int i = 0; i < 24; ++i) {
     batcher.add(from, to, proto::Message{proto::Heartbeat{0, 100 + i}});
   }
-  // 24 messages at a threshold of 8 = exactly 3 inline flushes, no tick.
+  // 24 messages at a threshold of 8 = exactly 3 inline flushes.
   ASSERT_TRUE(server_sink.wait_for_frames(3));
   EXPECT_EQ(batch_frames_seen(server_sink), 3u);
   const auto seq = heartbeat_sequence(server_sink);
@@ -623,47 +657,10 @@ TEST(TcpTransport, BatcherFlushesOnMessageThreshold) {
   server.stop();
 }
 
-TEST(TcpTransport, BatcherTimeFlushDrainsStragglers) {
-  // A message below every size threshold must still leave within ~one tick.
-  FrameSink server_sink;
-  TcpTransport server(server_sink.callbacks(), TcpTransport::Options{});
-  const std::uint16_t port = server.listen(0);
-  server.start();
-
-  FrameSink client_sink;
-  BatchPolicy policy;  // defaults: far above 1 message
-  std::shared_ptr<LinkBatcher> batcher;
-  std::mutex batcher_mu;
-  auto callbacks = client_sink.callbacks();
-  callbacks.on_tick = [&] {
-    std::lock_guard lk(batcher_mu);
-    if (batcher) batcher->flush();
-  };
-  TcpTransport::Options opt;
-  opt.tick_interval_us = policy.max_delay_us;
-  TcpTransport client(std::move(callbacks), opt);
-  const ConnId conn = client.connect_peer("127.0.0.1", port);
-  {
-    std::lock_guard lk(batcher_mu);
-    batcher = std::make_shared<LinkBatcher>(client, conn, policy);
-  }
-  client.start();
-
-  batcher->add(NodeId{0, 0}, NodeId{1, 0},
-               proto::Message{proto::Heartbeat{3, 777}});
-  ASSERT_TRUE(server_sink.wait_for_frames(1))
-      << "staged straggler never flushed by the tick";
-  const auto seq = heartbeat_sequence(server_sink);
-  ASSERT_EQ(seq.size(), 1u);
-  EXPECT_EQ(seq[0], 777);
-  client.stop();
-  server.stop();
-}
-
 TEST(TcpTransport, BatchFlushPreservesFifoAcrossReconnects) {
   // The per-link FIFO the protocol assumes (§II-C) must hold through a peer
-  // restart even when traffic is a mix of threshold flushes, tick flushes
-  // and frames staged while the link is down.
+  // restart even when traffic is a mix of threshold flushes, pass-end
+  // flushes and frames staged while the link is down.
   FrameSink client_sink;
   TcpTransport client(client_sink.callbacks(), TcpTransport::Options{});
 
@@ -688,7 +685,8 @@ TEST(TcpTransport, BatchFlushPreservesFifoAcrossReconnects) {
   ASSERT_TRUE(sink1.wait_for_frames(2));
 
   // Kill the server; stage more traffic while the link is down — one partial
-  // batch flushed manually (as the tick would) plus two threshold flushes.
+  // batch flushed manually (as a host's pass end would) plus two threshold
+  // flushes.
   server.reset();
   std::this_thread::sleep_for(30ms);
   batcher.add(from, to, proto::Message{proto::Heartbeat{0, ++ts}});
