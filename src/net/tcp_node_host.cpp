@@ -498,7 +498,18 @@ Timestamp TcpNodeHost::on_loop_pass(std::uint32_t loop) {
   // Pass-clocked replication: what the pass staged leaves as the pass ends
   // (service() ran the group commit, so held sends are already staged). A
   // busy pass still coalesces its Replicates; a lone PUT waits for nothing.
-  for (const auto& link : links_) link->batcher->flush();
+  // Each link is flushed by its owning loop, which writes its own socket
+  // and gathers every worker's messages into one frame; a pass that staged
+  // into another loop's link wakes that loop (at most one pipe write per
+  // wait) instead of sending a frame of its own.
+  for (const auto& link : links_) {
+    const std::uint32_t owner = TcpTransport::loop_of(link->conn);
+    if (owner == loop) {
+      link->batcher->flush();
+    } else if (link->batcher->staged()) {
+      transport_.wake_loop(owner);
+    }
+  }
   // Recovery gate deadline: a dead peer never sends its RecoveryDone; past
   // the deadline this DC serves clients anyway (it is causally consistent
   // with what it has — only the lost suffix's freshness is forfeited).

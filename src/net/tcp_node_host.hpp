@@ -189,9 +189,9 @@ class TcpNodeHost final : public rt::Router {
   [[nodiscard]] std::int32_t place(const proto::Frame& first) const;
   void on_disconnected(ConnId conn);
   /// TcpTransport::Callbacks::on_loop_pass: service worker `loop`, flush
-  /// the staged replication batches, and expire the recovery gate past its
-  /// deadline. Returns the earlier of the worker's next timer and that
-  /// deadline.
+  /// the links this loop owns (waking the owners of links it staged into),
+  /// and expire the recovery gate past its deadline. Returns the earlier of
+  /// the worker's next timer and that deadline.
   [[nodiscard]] Timestamp on_loop_pass(std::uint32_t loop);
   /// `replayed` marks re-dispatch of a request parked by the recovery gate:
   /// the idempotency bookkeeping already ran at first arrival and must not

@@ -31,6 +31,11 @@ constexpr std::size_t kMaxFlushIov = 64;
 /// a wake aimed at it needs no pipe write.
 thread_local const void* t_loop_shard = nullptr;
 
+/// The shard and loop wait (TcpTransport::Shard::waits) of this thread's
+/// last direct socket write: one per thread per wait, see try_send.
+thread_local const void* t_direct_shard = nullptr;
+thread_local std::uint64_t t_direct_wait = 0;
+
 void set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   POCC_ASSERT(flags >= 0);
@@ -169,6 +174,10 @@ void TcpTransport::wake(Shard& s) {
     s.self_woken = true;
     return;
   }
+  // One byte per wait is enough: the loop clears wake_pending when it
+  // drains the pipe and only then looks for work, so a wake that finds it
+  // set is covered by the byte already on its way.
+  if (s.wake_pending.exchange(true)) return;
   s.wake_writes.fetch_add(1, std::memory_order_relaxed);
   const char b = 1;
   while (true) {
@@ -247,8 +256,21 @@ bool TcpTransport::try_send(ConnId conn, std::vector<std::uint8_t>& frame) {
     wake(s);
     return true;
   }
+  const bool idle = c.outbox.empty();
   enqueue_frame(c, std::move(frame));
   ++s.stats.frames_out;
+  // A send from a thread that is not this shard's loop writes an idle
+  // socket itself (under s.mu, like every write) instead of waking the
+  // loop for it — once per thread per loop wait: the rest of a burst from
+  // one thread queues behind, and the woken loop drains it in one sendmsg.
+  // The owner is woken when the kernel left bytes (it must watch for
+  // writable) or the socket failed (only the owner closes).
+  if (idle && c.up && t_loop_shard != &s &&
+      (t_direct_shard != &s || t_direct_wait != s.waits)) {
+    t_direct_shard = &s;
+    t_direct_wait = s.waits;
+    if (write_outbox(s, c) && c.outbox.empty()) return true;
+  }
   wake(s);
   return true;
 }
@@ -439,6 +461,10 @@ void TcpTransport::chaos_pass(Shard& s, Timestamp now,
 }
 
 void TcpTransport::drain_outbox(Shard& s, Conn& c) {
+  if (!write_outbox(s, c)) close_socket(s, c);
+}
+
+bool TcpTransport::write_outbox(Shard& s, Conn& c) {
   while (!c.outbox.empty()) {
     // Gather the front frame's unsent tail plus whole queued frames into
     // one sendmsg — a reply burst or a batcher flush leaves the process in
@@ -475,10 +501,9 @@ void TcpTransport::drain_outbox(Shard& s, Conn& c) {
     // (tearing it down here was the spurious-reconnect bug the signal
     // storm test pins down).
     if (w < 0 && errno == EINTR) continue;
-    if (w < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
-    close_socket(s, c);
-    return;
+    return w < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);
   }
+  return true;
 }
 
 void TcpTransport::read_ready(Shard& s, Conn& c) {
@@ -667,6 +692,7 @@ void TcpTransport::run(Shard& s) {
     {
       std::lock_guard lk(s.mu);
       if (s.stopping) break;
+      ++s.waits;
       chaos_pass(s, now_us(), went_down);
       bool accept_pending = false;
       for (const EventLoop::Event& ev : events) {
@@ -678,6 +704,7 @@ void TcpTransport::run(Shard& s) {
             if (n < 0 && errno == EINTR) continue;  // drain fully, then stop
             break;  // EAGAIN: pipe empty
           }
+          s.wake_pending.store(false);
           continue;
         }
         if (ev.fd == s.listen_fd) {
@@ -810,17 +837,17 @@ void LinkBatcher::add(NodeId from, NodeId to, const proto::Message& m) {
       writer_.body_bytes() >= policy_.max_bytes) {
     flush_locked();
   }
-  note_unsent_locked();
 }
 
 void LinkBatcher::flush() {
-  // Every loop pass flushes every link: an idle link must cost one load. A
-  // stale false is harmless — the adder's own pass flushes what it staged.
-  if (!unsent_.load(std::memory_order_acquire)) return;
   std::lock_guard lk(mu_);
   retry_pending_locked();
   if (!writer_.empty()) flush_locked();
-  note_unsent_locked();
+}
+
+bool LinkBatcher::staged() const {
+  std::lock_guard lk(mu_);
+  return !writer_.empty();
 }
 
 void LinkBatcher::flush_locked() {
@@ -856,8 +883,11 @@ void LinkBatcher::park_locked(std::vector<std::uint8_t> frame) {
 }
 
 void LinkBatcher::retry_pending_locked() {
-  while (!pending_.empty() && transport_.try_send(conn_, pending_.front())) {
-    pending_bytes_ -= pending_.front().size();
+  while (!pending_.empty()) {
+    // try_send moves the bytes out on acceptance: take the size first.
+    const std::size_t bytes = pending_.front().size();
+    if (!transport_.try_send(conn_, pending_.front())) return;
+    pending_bytes_ -= bytes;
     ++stats_.retried_batches;
     pending_.pop_front();
   }

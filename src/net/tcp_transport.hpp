@@ -4,10 +4,13 @@
 // The transport runs Options::num_loops event-loop shards (default 1 — the
 // original single-threaded shape). Each shard owns one net::EventLoop
 // (epoll), one wake pipe, one SO_REUSEPORT listening socket, and a disjoint
-// set of connections; a connection is only ever touched by its shard's
-// thread, other threads interact through
-// the thread-safe send()/connect_peer() and the callbacks (invoked on the
-// owning shard's thread). Responsibilities:
+// set of connections; a connection's socket is read, watched and closed
+// only by its shard's thread, other threads interact through the
+// thread-safe send()/connect_peer() and the callbacks (invoked on the
+// owning shard's thread). The one exception is the write side: a send from
+// another thread onto an idle connection writes the socket itself, under
+// the shard lock, once per thread per loop wait (see try_send).
+// Responsibilities:
 //
 //   * framing      — inbound bytes are cut into frames by proto::decode_frame
 //                    and delivered one decoded Frame at a time,
@@ -185,10 +188,11 @@ class TcpTransport {
     /// Fired once per loop iteration on every shard, before the loop
     /// waits and outside the shard lock — the NodeGroup seam: the host
     /// services the worker that owns this loop (timers, inbox drain,
-    /// durability), flushes the replication batches the pass staged, and
-    /// returns its next deadline (absolute steady µs; 0 = none), which
-    /// bounds how long the loop may sleep. Frames the pass sends on this
-    /// shard go out right after the wait, which then does not block.
+    /// durability), flushes the replication batches of the links this
+    /// loop owns, and returns its next deadline (absolute steady µs;
+    /// 0 = none), which bounds how long the loop may sleep. Frames the pass
+    /// sends on this shard go out right after the wait, which then does not
+    /// block.
     std::function<Timestamp(std::uint32_t loop)> on_loop_pass;
     /// Placement of an accepted connection: given its first frame, return
     /// the shard it belongs on (-1 keeps it on the accepting shard). Until
@@ -292,7 +296,8 @@ class TcpTransport {
   }
   /// Interrupt shard `loop`'s wait (the NodeGroup's enqueue wake). Called
   /// on that loop's own thread it writes no pipe: the loop is awake, and
-  /// its next wait only polls (stats().wake_writes counts the pipe writes).
+  /// its next wait only polls. From other threads at most one pipe write
+  /// is outstanding per wait (stats().wake_writes counts the pipe writes).
   void wake_loop(std::uint32_t loop);
   /// Native handles of the running loop threads (signal-storm tests aim
   /// pthread_kill at them). Valid between start() and stop().
@@ -381,6 +386,13 @@ class TcpTransport {
     /// Set by a wake from this shard's own thread, which needs no pipe
     /// write: the next wait polls instead of blocking. Loop-thread only.
     bool self_woken = false;
+    /// A wake byte is in the pipe (or being written) and the loop has not
+    /// drained it yet: further cross-thread wakes skip the write. Cleared
+    /// under mu when the loop drains the pipe, before it looks for work.
+    std::atomic<bool> wake_pending{false};
+    /// Loop waits completed (guarded by mu): bounds direct socket writes
+    /// from other threads to one per thread per wait.
+    std::uint64_t waits = 0;
     /// Pipe writes into wake_pipe (TransportStats::wake_writes).
     std::atomic<std::uint64_t> wake_writes{0};
     std::thread thread;
@@ -402,6 +414,10 @@ class TcpTransport {
   /// Chaos pass of one loop iteration: apply pending resets, enforce
   /// partition windows, release due held frames. Collects lost links.
   void chaos_pass(Shard& s, Timestamp now, std::vector<ConnId>& went_down);
+  /// Write as much of the outbox as the socket takes; false when the
+  /// socket failed (the caller decides whether it may close it).
+  bool write_outbox(Shard& s, Conn& c);
+  /// write_outbox on the owning loop, closing the socket on failure.
   void drain_outbox(Shard& s, Conn& c);
   void read_ready(Shard& s, Conn& c);
   void accept_ready(Shard& s);
@@ -420,10 +436,12 @@ class TcpTransport {
 /// Coalescing flush policy of one peer link: a staged batch is flushed as
 /// soon as it holds max_messages messages or max_bytes of staged body,
 /// whichever comes first; whatever is still staged when the event-loop
-/// pass that staged it ends goes out then (the host flushes at pass end).
-/// The pass is the batching window: a loaded pass drains many requests and
-/// their Replicates share a frame, while a lone PUT on a quiet link leaves
-/// at once instead of waiting on a timer.
+/// pass that staged it ends goes out then (the host flushes each link at
+/// the end of its owning loop's passes, and a pass that staged into
+/// another loop's link wakes that loop). The pass is the batching window:
+/// a loaded pass drains many requests and their Replicates share a frame,
+/// while a lone PUT on a quiet link leaves at once instead of waiting on a
+/// timer.
 struct BatchPolicy {
   std::size_t max_messages = 64;
   std::size_t max_bytes = 48u << 10;
@@ -461,8 +479,8 @@ struct BatchStats {
 /// Per-link coalescer: worker threads add() routed server-to-server
 /// messages (encoded immediately into the staged frame — no copy at flush
 /// time); the staged batch leaves as ONE Batch wire frame when a size
-/// threshold trips or the host flushes at the end of a loop pass.
-/// Thread-safe. FIFO holds
+/// threshold trips or the host flushes at the end of a pass of the link's
+/// owning loop. Thread-safe. FIFO holds
 /// end to end: adds are serialized by the batcher mutex, flushed frames
 /// enter the transport outbox in flush order, and the transport preserves
 /// frame order across reconnects (buffered while a link is down).
@@ -477,10 +495,16 @@ class LinkBatcher {
   /// Stage one message; flushes inline when a size threshold trips.
   void add(NodeId from, NodeId to, const proto::Message& m);
 
-  /// Flush whatever is staged after re-offering any parked batches. Called
-  /// at the end of every loop pass and at shutdown; with nothing staged or
-  /// parked it returns without taking the batcher mutex.
+  /// Flush whatever is staged after re-offering any parked batches.
+  /// Called at the end of every pass of the link's owning loop (whose
+  /// writable or reconnect event is what makes room for parked batches)
+  /// and at shutdown.
   void flush();
+
+  /// True while messages are staged and not yet flushed: a pass of another
+  /// loop wakes the owner for them. Parked batches do not count — only the
+  /// owner's own events make room for those.
+  [[nodiscard]] bool staged() const;
 
   [[nodiscard]] BatchStats stats() const;
 
@@ -493,11 +517,6 @@ class LinkBatcher {
   void flush_locked();
   void park_locked(std::vector<std::uint8_t> frame);
   void retry_pending_locked();
-  /// Publish whether anything is staged or parked (the flush() fast path).
-  void note_unsent_locked() {
-    unsent_.store(!writer_.empty() || !pending_.empty(),
-                  std::memory_order_release);
-  }
 
   TcpTransport& transport_;
   ConnId conn_;
@@ -507,8 +526,6 @@ class LinkBatcher {
   BatchStats stats_;
   std::deque<std::vector<std::uint8_t>> pending_;  // FIFO ahead of staged
   std::size_t pending_bytes_ = 0;
-  /// True while frames are staged or parked; written under mu_.
-  std::atomic<bool> unsent_{false};
 };
 
 }  // namespace pocc::net

@@ -314,8 +314,10 @@ TEST(TcpTransport, SendToUnknownConnectionFails) {
 
 TEST(TcpTransport, LoopThreadSendsDoNotWriteTheWakePipe) {
   // A loop that queues work for itself is already awake: a frame sent from
-  // its own pass hook must leave without a wake-pipe write, while a send
-  // from a foreign thread still has to write the pipe to interrupt a wait.
+  // its own pass hook must leave without a wake-pipe write. A foreign
+  // thread's send onto an idle connection writes the socket itself, so it
+  // wakes nobody either; a foreign wake still has to write the pipe to
+  // interrupt a wait.
   FrameSink server_sink;
   TcpTransport server(server_sink.callbacks(), TcpTransport::Options{});
   const std::uint16_t port = server.listen(0);
@@ -353,8 +355,12 @@ TEST(TcpTransport, LoopThreadSendsDoNotWriteTheWakePipe) {
 
   ASSERT_TRUE(client.send(conn, heartbeat_frame(0, 2)));
   ASSERT_TRUE(server_sink.wait_for_frames(2));
+  EXPECT_EQ(client.stats().wake_writes, before)
+      << "a foreign send the socket took whole woke the loop";
+
+  client.wake_loop(0);
   EXPECT_EQ(client.stats().wake_writes, before + 1)
-      << "a send from a foreign thread must wake the loop";
+      << "a wake from a foreign thread must write the pipe";
   const auto seq_first = server_sink.message_at(0);
   const auto seq_second = server_sink.message_at(1);
   ASSERT_TRUE(seq_first.has_value() && seq_second.has_value());
@@ -716,6 +722,65 @@ TEST(TcpTransport, BatchFlushPreservesFifoAcrossReconnects) {
   EXPECT_GE(client.stats().reconnects, 1u);
   client.stop();
   server2.reset();
+}
+
+TEST(TcpTransport, ParkedBatchesLeaveInOrderOnceThePeerIsBack) {
+  // One backpressured link: batches the transport refuses are parked, and
+  // each flush re-offers only the oldest one (a newer batch queues behind
+  // it without an offer of its own), so a long outage costs one refusal
+  // per flush, not one per parked batch. Once the peer is back the parked
+  // batches leave in order and the parked-byte count (the host's
+  // load-shedding signal) returns to zero.
+  std::uint16_t port = 0;
+  {
+    FrameSink probe;
+    TcpTransport t(probe.callbacks(), TcpTransport::Options{});
+    port = t.listen(0);  // a free port; nothing listens on it until below
+  }
+  FrameSink client_sink;
+  TcpTransport::Options opt;
+  opt.max_down_buffer_bytes = 0;  // the down link refuses every batch
+  opt.reconnect_backoff_max_us = 20'000;
+  TcpTransport client(client_sink.callbacks(), opt);
+  const ConnId conn = client.connect_peer("127.0.0.1", port);
+  client.start();
+  const auto refusals = [&] {
+    const TransportStats t = client.stats();
+    return t.send_overflows + t.down_buffer_drops;
+  };
+
+  LinkBatcher batcher(client, conn, BatchPolicy{});
+  const NodeId from{0, 0};
+  const NodeId to{1, 0};
+  batcher.add(from, to, proto::Message{proto::Heartbeat{0, 1}});
+  EXPECT_TRUE(batcher.staged());
+  batcher.flush();  // offered, refused, parked
+  EXPECT_FALSE(batcher.staged()) << "a parked batch is not a staged one";
+  EXPECT_EQ(refusals(), 1u);
+  ASSERT_GT(batcher.pending_bytes(), 0u);
+  batcher.add(from, to, proto::Message{proto::Heartbeat{0, 2}});
+  batcher.flush();  // re-offers batch 1 only; batch 2 parks behind it
+  EXPECT_EQ(refusals(), 2u);
+  EXPECT_EQ(batcher.stats().send_failures, 1u);
+  EXPECT_EQ(batcher.stats().batches, 2u);
+
+  FrameSink server_sink;
+  TcpTransport server(server_sink.callbacks(), TcpTransport::Options{});
+  ASSERT_EQ(server.listen(port), port);
+  server.start();
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  while (batcher.pending_bytes() > 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    batcher.flush();  // what the owning loop's passes do
+    std::this_thread::sleep_for(1ms);
+  }
+  ASSERT_EQ(batcher.pending_bytes(), 0u) << "parked batches never left";
+  ASSERT_TRUE(server_sink.wait_for_frames(2));
+  EXPECT_EQ(heartbeat_sequence(server_sink), (std::vector<Timestamp>{1, 2}));
+  EXPECT_EQ(batcher.stats().retried_batches, 2u);
+  EXPECT_EQ(batcher.stats().dropped_batches, 0u);
+  client.stop();
+  server.stop();
 }
 
 }  // namespace
