@@ -20,7 +20,11 @@
 //     applied PUT whose reply died with a crash leaves an unregistered
 //     version — the loadgen's --expect-disruption rationale);
 //   * the op failure rate stays within --failure-budget;
-//   * at least some work completed (a wedged cluster must not pass).
+//   * at least some work completed (a wedged cluster must not pass);
+//   * no host transport refused a frame (transport_drops = send_overflows +
+//     down_buffer_drops, crashed incarnations included): the outbox is the
+//     only buffer behind a replication link, so a refusal is a hole in the
+//     lossless FIFO channel the protocol assumes.
 //
 // Determinism: --seed fixes the fault schedule (the plan hash is printed
 // and embedded in the artifact, exactly like the fuzz repro line). Wall
@@ -301,6 +305,11 @@ int main(int argc, char** argv) {
 
   // --- controller: execute the schedule's crash windows for real ---
   std::uint64_t crashes_executed = 0;
+  const auto transport_drops_of = [](const net::TcpNodeHost& host) {
+    const net::TransportStats ts = host.transport_stats();
+    return ts.send_overflows + ts.down_buffer_drops;
+  };
+  std::uint64_t transport_drops = 0;  // summed over every host incarnation
   const auto until = [&](Timestamp chaos_t) {
     const Timestamp now = rt::steady_now_us() - chaos_start;
     if (chaos_t > now) {
@@ -317,6 +326,7 @@ int main(int argc, char** argv) {
                     static_cast<long long>(w.duration));
       }
       hosts[dc]->crash_stop();
+      transport_drops += transport_drops_of(*hosts[dc]);
       hosts[dc].reset();
       until(w.at + w.duration);
       net::ProcessSpec spec = layout.processes[dc];
@@ -346,13 +356,11 @@ int main(int argc, char** argv) {
     histories.insert(histories.end(), h.begin(), h.end());
   }
   std::uint64_t overloaded_replies = 0, deduped = 0;
-  std::uint64_t batch_retries = 0, batch_drops = 0;
   std::uint64_t chaos_delayed = 0, chaos_dups = 0, chaos_resets = 0;
   for (const auto& host : hosts) {
     overloaded_replies += host->overloaded_replies();
     deduped += host->deduped_requests();
-    batch_retries += host->batch_stats().retried_batches;
-    batch_drops += host->batch_stats().dropped_batches;
+    transport_drops += transport_drops_of(*host);
     const net::TransportStats ts = host->transport_stats();
     chaos_delayed += ts.chaos_delayed;
     chaos_dups += ts.chaos_duplicates;
@@ -402,12 +410,18 @@ int main(int argc, char** argv) {
                  "failed (budget %.4f)\n",
                  failure_rate, opt.failure_budget);
   }
+  if (transport_drops > 0) {
+    ok = false;
+    std::fprintf(stderr,
+                 "chaos_campaign: %llu frames refused by a host transport\n",
+                 static_cast<unsigned long long>(transport_drops));
+  }
 
   std::printf(
       "[%s] ops=%llu failures=%llu rate=%.4f retries=%llu timeouts=%llu "
       "failovers=%llu overloaded=%llu deduped=%llu breaker_opens=%llu "
       "crashes=%llu chaos(delayed=%llu dups=%llu resets=%llu) "
-      "batch(retries=%llu drops=%llu) checks=%llu violations=%llu "
+      "transport_drops=%llu checks=%llu violations=%llu "
       "complete=%d\n",
       ok ? "ok" : "FAIL", static_cast<unsigned long long>(completed),
       static_cast<unsigned long long>(failures), failure_rate,
@@ -421,8 +435,7 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(chaos_delayed),
       static_cast<unsigned long long>(chaos_dups),
       static_cast<unsigned long long>(chaos_resets),
-      static_cast<unsigned long long>(batch_retries),
-      static_cast<unsigned long long>(batch_drops),
+      static_cast<unsigned long long>(transport_drops),
       static_cast<unsigned long long>(checker.checks_performed()),
       static_cast<unsigned long long>(violations), replay.complete ? 1 : 0);
   if (!ok) {
@@ -446,7 +459,7 @@ int main(int argc, char** argv) {
           "\"op_overloaded\":%llu,\"deduped\":%llu,\"breaker_opens\":%llu,"
           "\"deadline_exhausted\":%llu,\"crashes\":%llu,"
           "\"chaos_delayed\":%llu,\"chaos_duplicates\":%llu,"
-          "\"chaos_resets\":%llu,\"batch_retries\":%llu,\"batch_drops\":%llu,"
+          "\"chaos_resets\":%llu,\"transport_drops\":%llu,"
           "\"checks\":%llu,\"violations\":%llu,\"complete\":%s,\"ok\":%s}\n",
           pocc::system_flag(opt.system),
           static_cast<unsigned long long>(opt.seed),
@@ -465,8 +478,7 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(chaos_delayed),
           static_cast<unsigned long long>(chaos_dups),
           static_cast<unsigned long long>(chaos_resets),
-          static_cast<unsigned long long>(batch_retries),
-          static_cast<unsigned long long>(batch_drops),
+          static_cast<unsigned long long>(transport_drops),
           static_cast<unsigned long long>(checker.checks_performed()),
           static_cast<unsigned long long>(violations),
           replay.complete ? "true" : "false", ok ? "true" : "false");

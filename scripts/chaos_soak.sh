@@ -11,13 +11,16 @@
 # pocc_loadgen --resilient (every op has a 15 s deadline, idempotent retries,
 # backoff and failover); 3 s in, one DC is kill -9'd and restarted on its data
 # dir. Pass = zero causal violations, a clean replay, at most 5% of the ops
-# past their deadline, and every process alive at the end.
+# past their deadline, every process alive at the end, and no poccd exit-stats
+# line reporting a frame its transport refused.
 #
 # usage: scripts/chaos_soak.sh [BUILD_DIR] [OUT_DIR]
 # env:   SOAK_SEED (1)  SOAK_DURATION_S (20)
 # exit:  0 pass; 3 binary missing; 4 a DC or the proxy never came up;
 #        5 a process died; 7 restart not ready or no WAL replay; 8 the load
-#        failed (its loadgen status is printed)
+#        failed (its loadgen status is printed); 12 a poccd exit-stats line
+#        reports nonzero transport_send_overflows or
+#        transport_down_buffer_drops
 set -euo pipefail
 
 NAME=chaos_soak
@@ -51,6 +54,7 @@ cat "$OUT_DIR/BENCH_chaos_soak.json"
 
 check_alive
 cluster_stop
+check_transport_drops 12
 echo "chaos_soak: retry/dedupe accounting must show the resilience layer worked:"
 grep -hoE "host_overloaded_replies=[0-9]+ host_deduped_requests=[0-9]+" \
   "$OUT_DIR"/poccd_dc*.log || true

@@ -205,6 +205,27 @@ cluster_stop() {
   grep -h "exiting" "$OUT_DIR"/poccd_dc*.log || true
 }
 
+# check_transport_drops CODE: after cluster_stop, exit CODE unless every DC
+# left an exit-stats line and none reports a frame its transport refused
+# (transport_send_overflows or transport_down_buffer_drops nonzero). The
+# outbox is the only buffer behind a replication link, so a refusal is a
+# hole in the lossless FIFO channel the protocol assumes.
+check_transport_drops() {
+  local code=$1 lines bad
+  lines="$(grep -h "exiting" "$OUT_DIR"/poccd_dc*.log || true)"
+  if [[ "$(grep -c . <<< "$lines")" -lt "$DCS" ]]; then
+    echo "$NAME: FAIL — a poccd left no exit-stats line" >&2
+    exit "$code"
+  fi
+  bad="$(grep -oE "transport_(send_overflows|down_buffer_drops)=[1-9][0-9]*" \
+    <<< "$lines" || true)"
+  if [[ -n "$bad" ]]; then
+    echo "$NAME: FAIL — a poccd transport refused frames:" $bad >&2
+    exit "$code"
+  fi
+  echo "$NAME: no transport refused a frame"
+}
+
 # EXIT trap: kill whatever still runs; on failure show the logs' tails.
 cluster_cleanup() {
   local status=$? logs=("$OUT_DIR"/poccd_dc*.log)

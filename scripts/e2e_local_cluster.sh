@@ -39,6 +39,8 @@
 # exit:  0 pass; 3 binary missing; 4 a DC never ready; 5 a process died;
 #        7 restart not ready or no WAL replay; 8 kill-leg load; 9 signal
 #        leg; 10 pipelined leg or mid-load scrape; 11 highconn op failures;
+#        12 a poccd exit-stats line reports nonzero transport_send_overflows
+#        or transport_down_buffer_drops (a refused replication frame);
 #        any other: the failing smoke/serial/highconn/tail loadgen's status
 set -euo pipefail
 
@@ -215,4 +217,5 @@ fi
 
 check_alive
 cluster_stop
+check_transport_drops 12
 echo "e2e: PASS"

@@ -11,6 +11,9 @@ namespace pocc::net {
 
 namespace {
 
+/// Backoff hint carried in Overloaded replies.
+constexpr Duration kOverloadRetryAfterUs = 20'000;
+
 /// Per-process rng seed, distinct across the deployment's hosts. Asserts
 /// here (rather than in the constructor body) because the member
 /// initializer list needs the first hosted partition.
@@ -59,9 +62,7 @@ TcpNodeHost::TcpNodeHost(ProcessSpec self, const ClusterLayout& layout,
   transport_.listen(opt_.listen_port);
 
   if (!opt_.data_dir.empty()) {
-    wal::PartitionWal::Options wal_opt;
-    wal_opt.checkpoint_bytes = opt_.checkpoint_bytes;
-    wal_ = std::make_unique<wal::WalManager>(opt_.data_dir, wal_opt);
+    wal_ = std::make_unique<wal::WalManager>(opt_.data_dir);
   }
 
   rt::NodeGroup::Options group_opt;
@@ -119,7 +120,7 @@ void TcpNodeHost::start(const std::vector<ProcessSpec>& peers) {
                   hello);
     transport_.set_greeting(link->conn, std::move(hello));
     link->batcher =
-        std::make_unique<LinkBatcher>(transport_, link->conn, opt_.batch);
+        std::make_unique<LinkBatcher>(transport_, link->conn, BatchPolicy{});
     for (const PartitionId p : peer.parts) {
       const bool inserted =
           link_by_node_.emplace(flat(NodeId{peer.dc, p}), link.get()).second;
@@ -238,7 +239,7 @@ bool TcpNodeHost::ready() const {
     if (!started_ || recovery_dones_pending_ > 0) return false;
   }
   // links_ is immutable once start() returns (and the metrics server only
-  // runs after that); connected() is a per-shard atomic read.
+  // runs after that); connected() takes the owning shard's mutex.
   for (const auto& link : links_) {
     if (!transport_.connected(link->conn)) return false;
   }
@@ -321,9 +322,6 @@ void TcpNodeHost::register_metrics() {
       {"pocc_batch_batches_total", &BatchStats::batches},
       {"pocc_batch_protocol_bytes_total", &BatchStats::protocol_bytes},
       {"pocc_batch_overhead_bytes_total", &BatchStats::overhead_bytes},
-      {"pocc_batch_send_failures_total", &BatchStats::send_failures},
-      {"pocc_batch_retried_batches_total", &BatchStats::retried_batches},
-      {"pocc_batch_dropped_batches_total", &BatchStats::dropped_batches},
   };
   for (const auto& f : kBatch) {
     r.counter_fn(f.name, {},
@@ -332,10 +330,10 @@ void TcpNodeHost::register_metrics() {
   r.gauge_fn("pocc_batch_pending_bytes", {}, [this] {
     std::int64_t total = 0;
     for (const auto& link : links_) {
-      total += static_cast<std::int64_t>(link->batcher->pending_bytes());
+      total += static_cast<std::int64_t>(transport_.queued_bytes(link->conn));
     }
     return total;
-  }, "Replication bytes parked behind transport backpressure");
+  }, "Replication bytes queued in the transport on peer links");
   // --- host admission / client session plane ---
   r.counter_fn("pocc_host_dropped_frames_total", {},
                [this] { return dropped_frames(); });
@@ -501,11 +499,15 @@ Timestamp TcpNodeHost::on_loop_pass(std::uint32_t loop) {
   // Each link is flushed by its owning loop, which writes its own socket
   // and gathers every worker's messages into one frame; a pass that staged
   // into another loop's link wakes that loop (at most one pipe write per
-  // wait) instead of sending a frame of its own.
+  // wait) instead of sending a frame of its own. The owner then publishes
+  // the link's backlog for admission: every wait of a loop is preceded by
+  // a pass, so the flag trails the queue by at most one wait.
   for (const auto& link : links_) {
     const std::uint32_t owner = TcpTransport::loop_of(link->conn);
     if (owner == loop) {
       link->batcher->flush();
+      link->backlogged.store(transport_.backlogged(link->conn),
+                             std::memory_order_relaxed);
     } else if (link->batcher->staged()) {
       transport_.wake_loop(owner);
     }
@@ -532,20 +534,18 @@ Timestamp TcpNodeHost::on_loop_pass(std::uint32_t loop) {
 }
 
 bool TcpNodeHost::replication_backlogged() const {
-  // links_ is immutable once the workers run; pending_bytes() locks per
-  // batcher. Any peer link past the threshold sheds NEW client work — its
-  // parked replication batches are this DC's own unacknowledged updates,
-  // and admitting more PUTs only deepens the queue until batches drop.
-  for (const auto& link : links_) {
-    if (link->batcher->pending_bytes() >= opt_.shed_pending_bytes) return true;
-  }
-  return false;
+  // links_ is immutable once the workers run. Any backlogged peer link
+  // sheds NEW client work: its queue is this DC's own undelivered updates,
+  // and admitting more PUTs only deepens it until the transport drops.
+  return std::any_of(links_.begin(), links_.end(), [](const auto& link) {
+    return link->backlogged.load(std::memory_order_relaxed);
+  });
 }
 
 void TcpNodeHost::send_overloaded(ConnId conn, ClientId client,
                                   std::uint64_t op_id) {
   proto::Message m =
-      proto::Overloaded{client, opt_.overload_retry_after_us, op_id};
+      proto::Overloaded{client, kOverloadRetryAfterUs, op_id};
   std::vector<std::uint8_t> frame;
   proto::encode(m, frame);
   transport_.send(conn, std::move(frame));

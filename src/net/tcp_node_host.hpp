@@ -9,7 +9,11 @@
 // loop i drives NodeGroup worker i, with this class as the rt::Router in
 // between: it stages each outbound message into the destination link's
 // LinkBatcher, and every loop pass ends by flushing what it staged. The
-// engines cannot tell the difference from the simulator (server::Context is
+// flushed Batch frame goes straight into the transport outbox, the one
+// buffer behind a link; once that buffer is half full the host refuses new
+// client requests with Overloaded, so a slow or absent peer pushes back on
+// admission long before the transport has to drop a frame. The engines
+// cannot tell the difference from the simulator (server::Context is
 // identical), which is the point: the TCP deployment runs the very same
 // protocol code the simulator validates.
 //
@@ -57,16 +61,12 @@ class TcpNodeHost final : public rt::Router {
     std::uint16_t listen_port = 0;
     std::uint64_t seed = 1;
     ClockConfig clock = ClockConfig::perfect();
-    /// Replication coalescing thresholds (see BatchPolicy).
-    BatchPolicy batch;
     /// Log connection events and dropped frames to stderr.
     bool verbose = false;
     /// Durable root: every hosted partition keeps its WAL + snapshots under
     /// `<data_dir>/p<part>/`. Empty disables durability entirely (the
     /// pre-WAL behavior; poccd --no-durability).
     std::string data_dir;
-    /// Active-segment size that triggers a background checkpoint.
-    std::uint64_t checkpoint_bytes = 4u << 20;
     /// Upper bound on the client-admission gate while peer recovery runs;
     /// past it, parked client requests are released even with RecoveryDones
     /// outstanding (a dead peer must not wedge this DC forever).
@@ -75,14 +75,9 @@ class TcpNodeHost final : public rt::Router {
     /// reply when the target worker's inbox already holds this many
     /// messages (0 = unbounded). Server-to-server traffic is never shed —
     /// dropping it would break the lossless FIFO channel assumption.
+    /// Client requests are also refused while any replication link is
+    /// backlogged (TcpTransport::backlogged).
     std::size_t max_inbox_messages = 0;
-    /// Backpressure propagation: client requests are also refused while any
-    /// replication link has this many bytes of parked (transport-refused)
-    /// batches — a throttled peer link pushes back on *admission* instead
-    /// of letting the parked queue grow until batches drop.
-    std::size_t shed_pending_bytes = 8u << 20;
-    /// Backoff hint carried in Overloaded replies.
-    Duration overload_retry_after_us = 20'000;
     /// Observability endpoint ("host:port", port 0 = ephemeral): serves
     /// /metrics (Prometheus text), /healthz and /readyz from a dedicated
     /// event-loop thread. Empty disables the HTTP server; the stats
@@ -180,6 +175,9 @@ class TcpNodeHost final : public rt::Router {
     ProcessSpec spec;
     ConnId conn = kInvalidConn;
     std::unique_ptr<LinkBatcher> batcher;
+    /// TcpTransport::backlogged(conn) as of the owning loop's last pass
+    /// end; read lock-free by admission on every client request.
+    std::atomic<bool> backlogged{false};
   };
 
   void on_frame(ConnId conn, proto::Frame frame);
@@ -198,8 +196,8 @@ class TcpNodeHost final : public rt::Router {
   /// mistake the replay for a client retry.
   void dispatch_client_request(ConnId conn, proto::Message m,
                                bool replayed = false);
-  /// True while any replication link's parked-batch queue is past the shed
-  /// threshold (admission refuses client work until the peer drains).
+  /// True while any replication link is backlogged (admission refuses
+  /// client work until the peer drains).
   [[nodiscard]] bool replication_backlogged() const;
   void send_overloaded(ConnId conn, ClientId client, std::uint64_t op_id);
   void release_parked_clients(const char* why);

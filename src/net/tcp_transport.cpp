@@ -32,7 +32,7 @@ constexpr std::size_t kMaxFlushIov = 64;
 thread_local const void* t_loop_shard = nullptr;
 
 /// The shard and loop wait (TcpTransport::Shard::waits) of this thread's
-/// last direct socket write: one per thread per wait, see try_send.
+/// last direct socket write: one per thread per wait, see send.
 thread_local const void* t_direct_shard = nullptr;
 thread_local std::uint64_t t_direct_wait = 0;
 
@@ -204,7 +204,33 @@ TcpTransport::loop_thread_handles() {
   return out;
 }
 
-bool TcpTransport::try_send(ConnId conn, std::vector<std::uint8_t>& frame) {
+std::size_t TcpTransport::cap_of(const Conn& c) const {
+  // While the socket is down the tighter reconnect-buffer cap applies: a
+  // long outage must not buffer up to the full backpressure bound.
+  return c.up ? opt_.max_outbox_bytes
+              : std::min(opt_.max_down_buffer_bytes, opt_.max_outbox_bytes);
+}
+
+bool TcpTransport::backlogged(ConnId conn) const {
+  Shard* sp = shard_of(conn);
+  if (sp == nullptr) return false;
+  std::lock_guard lk(sp->mu);
+  auto it = sp->conns.find(conn);
+  if (it == sp->conns.end()) return false;
+  const Conn& c = *it->second;
+  const std::size_t queued = queued_of(c);
+  return queued > 0 && queued >= cap_of(c) / 2;
+}
+
+std::size_t TcpTransport::queued_bytes(ConnId conn) const {
+  Shard* sp = shard_of(conn);
+  if (sp == nullptr) return 0;
+  std::lock_guard lk(sp->mu);
+  auto it = sp->conns.find(conn);
+  return it == sp->conns.end() ? 0 : queued_of(*it->second);
+}
+
+bool TcpTransport::send(ConnId conn, std::vector<std::uint8_t> frame) {
   Shard* sp = shard_of(conn);
   if (sp == nullptr) return false;
   Shard& s = *sp;
@@ -213,15 +239,9 @@ bool TcpTransport::try_send(ConnId conn, std::vector<std::uint8_t>& frame) {
   if (it == s.conns.end()) return false;
   Conn& c = *it->second;
   if (!c.outbound && !c.up) return false;
-  const std::size_t pending = c.outbox_bytes + c.chaos_held_bytes;
-  // While the socket is down the tighter reconnect-buffer cap applies: a
-  // long outage must not buffer up to the full backpressure bound.
-  const bool socket_down = !c.up;
-  const std::size_t cap =
-      socket_down ? std::min(opt_.max_down_buffer_bytes, opt_.max_outbox_bytes)
-                  : opt_.max_outbox_bytes;
-  if (pending + frame.size() > cap) {
-    if (socket_down && pending + frame.size() <= opt_.max_outbox_bytes) {
+  const std::size_t queued = queued_of(c) + frame.size();
+  if (queued > cap_of(c)) {
+    if (!c.up && queued <= opt_.max_outbox_bytes) {
       ++s.stats.down_buffer_drops;
     } else {
       ++s.stats.send_overflows;
@@ -841,7 +861,6 @@ void LinkBatcher::add(NodeId from, NodeId to, const proto::Message& m) {
 
 void LinkBatcher::flush() {
   std::lock_guard lk(mu_);
-  retry_pending_locked();
   if (!writer_.empty()) flush_locked();
 }
 
@@ -859,48 +878,15 @@ void LinkBatcher::flush_locked() {
   std::vector<std::uint8_t> frame = transport_.acquire_buffer(conn_);
   writer_.flush_to(frame);
   ++stats_.batches;
-  // FIFO: while older batches are parked, new ones must queue behind them
-  // even if the transport would accept them now.
-  if (!pending_.empty()) {
-    park_locked(std::move(frame));
-    return;
-  }
-  if (!transport_.try_send(conn_, frame)) {
-    // Backpressure: park and re-offer on later flushes instead of dropping —
-    // a throttled link trades latency for losslessness (§II-C channels).
-    ++stats_.send_failures;
-    park_locked(std::move(frame));
-  }
-}
-
-void LinkBatcher::park_locked(std::vector<std::uint8_t> frame) {
-  if (pending_bytes_ + frame.size() > policy_.max_pending_bytes) {
-    ++stats_.dropped_batches;
-    return;
-  }
-  pending_bytes_ += frame.size();
-  pending_.push_back(std::move(frame));
-}
-
-void LinkBatcher::retry_pending_locked() {
-  while (!pending_.empty()) {
-    // try_send moves the bytes out on acceptance: take the size first.
-    const std::size_t bytes = pending_.front().size();
-    if (!transport_.try_send(conn_, pending_.front())) return;
-    pending_bytes_ -= bytes;
-    ++stats_.retried_batches;
-    pending_.pop_front();
-  }
+  // A refusal is a counted transport drop: the host sheds client work at
+  // half the cap (TcpTransport::backlogged), so on the lossless FIFO
+  // channel of §II-C it is a fault, not flow control.
+  transport_.send(conn_, std::move(frame));
 }
 
 BatchStats LinkBatcher::stats() const {
   std::lock_guard lk(mu_);
   return stats_;
-}
-
-std::size_t LinkBatcher::pending_bytes() const {
-  std::lock_guard lk(mu_);
-  return pending_bytes_;
 }
 
 }  // namespace pocc::net

@@ -9,7 +9,7 @@
 // thread-safe send()/connect_peer() and the callbacks (invoked on the
 // owning shard's thread). The one exception is the write side: a send from
 // another thread onto an idle connection writes the socket itself, under
-// the shard lock, once per thread per loop wait (see try_send).
+// the shard lock, once per thread per loop wait (see send).
 // Responsibilities:
 //
 //   * framing      — inbound bytes are cut into frames by proto::decode_frame
@@ -20,9 +20,12 @@
 //                    sent while down are buffered so the per-link FIFO the
 //                    protocol assumes (§II-C) is preserved across blips,
 //   * backpressure — each connection's outbound buffer is capped
-//                    (max_outbox_bytes); when a peer stops draining, send()
-//                    rejects further frames and reports the overflow instead
-//                    of growing without bound,
+//                    (max_outbox_bytes, max_down_buffer_bytes while down);
+//                    when a peer stops draining, send() drops further frames
+//                    and counts each once instead of growing without bound.
+//                    The outbox is the ONLY buffer behind a replication link:
+//                    backlogged() reports it half full, where a host starts
+//                    shedding client work, so a refusal there marks a fault,
 //   * placement    — with a Callbacks::place hook, an accepted connection
 //                    stays silent until its first frame names the shard it
 //                    belongs on, then lives there under the only ConnId the
@@ -261,16 +264,21 @@ class TcpTransport {
   void stop();
 
   /// Queue one already-encoded frame. Thread-safe. Returns false when the
-  /// connection is unknown/dead-inbound or its outbox is over the cap (the
-  /// frame is dropped and counted in stats().send_overflows).
-  bool send(ConnId conn, std::vector<std::uint8_t> frame) {
-    return try_send(conn, frame);
-  }
+  /// connection is unknown/dead-inbound or its queue is over the cap that
+  /// applies now: the frame is dropped and counted once, in
+  /// stats().down_buffer_drops while the link is down, else in
+  /// stats().send_overflows.
+  bool send(ConnId conn, std::vector<std::uint8_t> frame);
 
-  /// Like send(), but leaves `frame` intact when the transport refuses it —
-  /// the caller can park and retry (LinkBatcher's slow-peer queue) instead
-  /// of losing the bytes. Moves from `frame` only on acceptance.
-  bool try_send(ConnId conn, std::vector<std::uint8_t>& frame);
+  /// True while `conn`'s queued bytes (outbox plus chaos-held) are at least
+  /// half the cap that applies to it now — max_down_buffer_bytes while the
+  /// link is down, max_outbox_bytes while it is up. The host's admission
+  /// control sheds client work on it, so a slow peer pushes back before
+  /// send() has to refuse anything.
+  [[nodiscard]] bool backlogged(ConnId conn) const;
+
+  /// Bytes queued on `conn` and not yet written (outbox plus chaos-held).
+  [[nodiscard]] std::size_t queued_bytes(ConnId conn) const;
 
   /// Pop a recycled encode buffer (empty, capacity retained) from the arena
   /// of `conn`'s shard — the allocation-free counterpart of send(): frames
@@ -321,7 +329,7 @@ class TcpTransport {
     Duration backoff_us = 0;
     std::vector<std::uint8_t> inbox;  // undecoded inbound bytes
     // Outbox as a deque of whole frames, flushed with one scatter-gather
-    // sendmsg per burst: frames move in from try_send() without a copy and
+    // sendmsg per burst: frames move in from send() without a copy and
     // their buffers recycle through the shard arena once written. A
     // disconnect mid-frame resets frame_written to 0 so the reconnected
     // socket restarts the front frame from byte 0, never resumes its tail
@@ -411,6 +419,12 @@ class TcpTransport {
   static void recycle_conn(Shard& s, Conn& c);
   /// Schedule the next dial attempt with full-jitter backoff.
   void arm_backoff(Shard& s, Conn& c, Timestamp now);
+  /// The cap on `c`'s queued bytes that applies now (the tighter reconnect
+  /// buffer while the socket is down).
+  [[nodiscard]] std::size_t cap_of(const Conn& c) const;
+  [[nodiscard]] static std::size_t queued_of(const Conn& c) {
+    return c.outbox_bytes + c.chaos_held_bytes;
+  }
   /// Chaos pass of one loop iteration: apply pending resets, enforce
   /// partition windows, release due held frames. Collects lost links.
   void chaos_pass(Shard& s, Timestamp now, std::vector<ConnId>& went_down);
@@ -445,13 +459,6 @@ class TcpTransport {
 struct BatchPolicy {
   std::size_t max_messages = 64;
   std::size_t max_bytes = 48u << 10;
-  /// Slow-peer isolation: flushed batches the transport refuses
-  /// (backpressure) are parked in a per-link retry queue up to this many
-  /// bytes and re-offered on later flushes, so a throttled replica link
-  /// sheds load by *delaying* its own batches — not by dropping them, and
-  /// not by stalling siblings (each link parks independently). Beyond the
-  /// cap batches are dropped and counted (BatchStats::dropped_batches).
-  std::size_t max_pending_bytes = 16u << 20;
 };
 
 /// Accounting of one link's batching (aggregated into poccd exit stats).
@@ -460,18 +467,12 @@ struct BatchStats {
   std::uint64_t batches = 0;
   std::uint64_t protocol_bytes = 0;  // §V-charged bytes inside batches
   std::uint64_t overhead_bytes = 0;  // envelopes + batch headers + prefixes
-  std::uint64_t send_failures = 0;   // flushes rejected by backpressure
-  std::uint64_t retried_batches = 0;  // parked batches later accepted
-  std::uint64_t dropped_batches = 0;  // parked batches lost to the cap
 
   BatchStats& operator+=(const BatchStats& o) {
     messages += o.messages;
     batches += o.batches;
     protocol_bytes += o.protocol_bytes;
     overhead_bytes += o.overhead_bytes;
-    send_failures += o.send_failures;
-    retried_batches += o.retried_batches;
-    dropped_batches += o.dropped_batches;
     return *this;
   }
 };
@@ -483,7 +484,9 @@ struct BatchStats {
 /// owning loop. Thread-safe. FIFO holds
 /// end to end: adds are serialized by the batcher mutex, flushed frames
 /// enter the transport outbox in flush order, and the transport preserves
-/// frame order across reconnects (buffered while a link is down).
+/// frame order across reconnects (buffered while a link is down). The
+/// batcher keeps no queue of its own: a frame the transport refuses is
+/// dropped and counted there, once.
 class LinkBatcher {
  public:
   LinkBatcher(TcpTransport& transport, ConnId conn, BatchPolicy policy)
@@ -495,28 +498,18 @@ class LinkBatcher {
   /// Stage one message; flushes inline when a size threshold trips.
   void add(NodeId from, NodeId to, const proto::Message& m);
 
-  /// Flush whatever is staged after re-offering any parked batches.
-  /// Called at the end of every pass of the link's owning loop (whose
-  /// writable or reconnect event is what makes room for parked batches)
-  /// and at shutdown.
+  /// Hand whatever is staged to the transport as one Batch frame. Called
+  /// at the end of every pass of the link's owning loop and at shutdown.
   void flush();
 
   /// True while messages are staged and not yet flushed: a pass of another
-  /// loop wakes the owner for them. Parked batches do not count — only the
-  /// owner's own events make room for those.
+  /// loop wakes the owner for them.
   [[nodiscard]] bool staged() const;
 
   [[nodiscard]] BatchStats stats() const;
 
-  /// Bytes of flushed-but-unaccepted batches parked on this link — the
-  /// load-shedding signal the host's admission control reads (a congested
-  /// replication link pushes back on *client* admission, not on siblings).
-  [[nodiscard]] std::size_t pending_bytes() const;
-
  private:
   void flush_locked();
-  void park_locked(std::vector<std::uint8_t> frame);
-  void retry_pending_locked();
 
   TcpTransport& transport_;
   ConnId conn_;
@@ -524,8 +517,6 @@ class LinkBatcher {
   mutable std::mutex mu_;
   proto::BatchWriter writer_;
   BatchStats stats_;
-  std::deque<std::vector<std::uint8_t>> pending_;  // FIFO ahead of staged
-  std::size_t pending_bytes_ = 0;
 };
 
 }  // namespace pocc::net

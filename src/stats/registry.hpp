@@ -7,7 +7,7 @@
 //   * `Counter` / `Gauge` are single relaxed atomics — writers increment
 //     wait-free, the scrape loads.
 //   * `counter_fn` / `gauge_fn` adopt an *existing* thread-safe accessor
-//     (e.g. TcpTransport::stats(), LinkBatcher::pending_bytes()) instead of
+//     (e.g. TcpTransport::stats(), TcpTransport::queued_bytes()) instead of
 //     duplicating the count; the callback runs only at scrape time and MUST
 //     be safe to call from the scrape thread.
 //   * `histogram(...)` returns a HistogramCell — a mutex + stats::Histogram.

@@ -25,6 +25,7 @@
 // truncated to the last complete record at open time.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -85,7 +86,7 @@ class PartitionWal final : public server::DurabilityLog {
 
   /// True when the active segment crossed the checkpoint threshold.
   [[nodiscard]] bool wants_checkpoint() const {
-    return opt_.checkpoint_bytes > 0 && !checkpoint_pending_ &&
+    return opt_.checkpoint_bytes > 0 && !checkpoint_pending_.load() &&
            active_segment_bytes_ >= opt_.checkpoint_bytes;
   }
 
@@ -118,7 +119,9 @@ class PartitionWal final : public server::DurabilityLog {
   std::uint64_t seq_ = 1;  // active segment sequence number
   std::uint64_t active_segment_bytes_ = 0;
   std::vector<std::uint8_t> buf_;  // appended, not yet written+synced
-  bool checkpoint_pending_ = false;
+  /// Set by the owner's begin_checkpoint, cleared by the flusher thread's
+  /// commit_checkpoint.
+  std::atomic<bool> checkpoint_pending_{false};
   // Relaxed so a live /metrics scrape may read them off the owner thread.
   stats::RelaxedU64 syncs_;
   stats::RelaxedU64 synced_bytes_;

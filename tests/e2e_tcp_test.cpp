@@ -151,7 +151,7 @@ TEST(E2eTcp, ConcurrentLoadReplaysCleanlyPocc) {
   // inter-DC replication as coalesced Batch frames.
   EXPECT_GT(cluster.local_deliveries(), 0u);
   EXPECT_GT(cluster.batched_messages(), 0u);
-  EXPECT_EQ(cluster.batch_send_failures(), 0u)
+  EXPECT_EQ(cluster.transport_drops(), 0u)
       << "backpressure dropped replication batches";
   expect_clean_replay(cluster);
 }

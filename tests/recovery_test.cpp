@@ -12,7 +12,9 @@
 //    data_dir, replays its WAL, rebuilds the missed replication suffix from
 //    the peer DC via the recovery handshake, and serves both old and missed
 //    writes. scripts/e2e_local_cluster.sh covers the same flow across real
-//    process boundaries.
+//    process boundaries. While a DC is down its peer sheds client PUTs once
+//    the replication link's reconnect buffer is half full, before the
+//    transport drops anything.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -31,6 +33,7 @@
 #include "net/tcp_client.hpp"
 #include "net/tcp_node_host.hpp"
 #include "pocc/pocc_server.hpp"
+#include "proto/codec.hpp"
 #include "store/key_space.hpp"
 #include "test_util.hpp"
 #include "wal/partition_wal.hpp"
@@ -409,6 +412,85 @@ TEST(TcpRecovery, GateOpensAtDeadlineWhenPeerStaysDown) {
   ASSERT_TRUE(got.found);
   EXPECT_EQ(got.value, "after-deadline");
   pool.stop();
+}
+
+/// Value of the unlabeled gauge `name` in `host`'s registry (-1 if absent).
+double gauge_value(net::TcpNodeHost& host, const std::string& name) {
+  for (const stats::Snapshot::Sample& sample :
+       host.registry().snapshot().samples) {
+    if (sample.name == name) return sample.value;
+  }
+  return -1;
+}
+
+TEST(TcpRecovery, DownPeerShedsPutsBeforeTheTransportDrops) {
+  // DC 1 is down, so DC 0's replication link queues every Replicate in the
+  // transport's reconnect buffer. At half its cap admission answers PUTs
+  // with Overloaded, before the transport refuses a frame. Once DC 1 is
+  // back and the queue drains, PUTs are admitted again, and DC 1 holds
+  // every value DC 0 admitted.
+  TwoDcDeployment d("shed");
+  ASSERT_TRUE(wait_recovered(*d.hosts[0], std::chrono::seconds(15)));
+  ASSERT_TRUE(wait_recovered(*d.hosts[1], std::chrono::seconds(15)));
+  d.crash(1);
+  // ready() is false once DC 0 sees its link to DC 1 down.
+  for (int i = 0; i < 500 && d.hosts[0]->ready(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_FALSE(d.hosts[0]->ready()) << "DC 0 never saw DC 1 go down";
+
+  net::TcpClientPool pool0(d.layout, 0);
+  pool0.start();
+  ASSERT_TRUE(pool0.wait_connected(10'000'000));
+  net::TcpSession& s = pool0.connect(1);
+  std::vector<std::pair<std::string, std::string>> admitted;
+  const auto put = [&](int i) {
+    const std::string key = "shed:" + std::to_string(i);
+    std::string value(proto::kMaxValueBytes, 'v');
+    value.replace(0, key.size(), key);
+    const bool ok = s.put(key, value).ok;
+    if (ok) admitted.emplace_back(key, std::move(value));
+    return ok;
+  };
+  // Half the 8 MiB down cap is about 32 values of 128 KiB.
+  int next = 0;
+  while (next < 100 && put(next)) ++next;
+  ASSERT_LT(next, 100) << "no PUT was shed while the peer was down";
+  EXPECT_GE(admitted.size(), 30u);
+  EXPECT_EQ(s.resilience_stats().overloaded, 1u);
+  const double queued = gauge_value(*d.hosts[0], "pocc_batch_pending_bytes");
+  EXPECT_GE(queued,
+            static_cast<double>(
+                net::TcpTransport::Options{}.max_down_buffer_bytes / 2));
+  const net::TransportStats shed_at = d.hosts[0]->transport_stats();
+  EXPECT_EQ(shed_at.down_buffer_drops, 0u) << "a frame was refused first";
+  EXPECT_EQ(shed_at.send_overflows, 0u);
+
+  d.restart(1, net::TcpNodeHost::Options{}.recovery_deadline_us);
+  bool readmitted = false;
+  for (int i = 0; i < 1000 && !readmitted; ++i) {
+    readmitted = put(++next);
+    if (!readmitted) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_TRUE(readmitted) << "PUTs stayed shed after DC 1 came back";
+  ASSERT_TRUE(wait_recovered(*d.hosts[1], std::chrono::seconds(15)));
+
+  net::TcpClientPool pool1(d.layout, 1);
+  pool1.start();
+  ASSERT_TRUE(pool1.wait_connected(10'000'000));
+  net::TcpSession& r = pool1.connect(2);
+  for (const auto& [key, value] : admitted) {
+    bool seen = false;
+    for (int i = 0; i < 500 && !seen; ++i) {
+      const auto got = r.get(key);
+      ASSERT_TRUE(got.ok);
+      seen = got.found && got.value == value;
+      if (!seen) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    EXPECT_TRUE(seen) << "DC 1 never read the admitted " << key;
+  }
+  pool0.stop();
+  pool1.stop();
 }
 
 }  // namespace

@@ -122,9 +122,13 @@ class Deployment {
     return n;
   }
 
-  std::uint64_t batch_send_failures() const {
+  /// Frames the hosts' transports refused (and dropped).
+  std::uint64_t transport_drops() const {
     std::uint64_t n = 0;
-    for (const auto& host : hosts_) n += host->batch_stats().send_failures;
+    for (const auto& host : hosts_) {
+      const TransportStats t = host->transport_stats();
+      n += t.send_overflows + t.down_buffer_drops;
+    }
     return n;
   }
 

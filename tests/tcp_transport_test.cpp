@@ -724,13 +724,11 @@ TEST(TcpTransport, BatchFlushPreservesFifoAcrossReconnects) {
   server2.reset();
 }
 
-TEST(TcpTransport, ParkedBatchesLeaveInOrderOnceThePeerIsBack) {
-  // One backpressured link: batches the transport refuses are parked, and
-  // each flush re-offers only the oldest one (a newer batch queues behind
-  // it without an offer of its own), so a long outage costs one refusal
-  // per flush, not one per parked batch. Once the peer is back the parked
-  // batches leave in order and the parked-byte count (the host's
-  // load-shedding signal) returns to zero.
+TEST(TcpTransport, RefusedBatchIsCountedOnceAndLaterBatchesKeepOrder) {
+  // The transport outbox is the only buffer behind a link: a batch it
+  // refuses is dropped and counted once, and later flushes with nothing
+  // staged do not offer it again. Batches flushed once the peer is back
+  // leave in order.
   std::uint16_t port = 0;
   {
     FrameSink probe;
@@ -744,41 +742,38 @@ TEST(TcpTransport, ParkedBatchesLeaveInOrderOnceThePeerIsBack) {
   TcpTransport client(client_sink.callbacks(), opt);
   const ConnId conn = client.connect_peer("127.0.0.1", port);
   client.start();
-  const auto refusals = [&] {
-    const TransportStats t = client.stats();
-    return t.send_overflows + t.down_buffer_drops;
-  };
 
   LinkBatcher batcher(client, conn, BatchPolicy{});
   const NodeId from{0, 0};
   const NodeId to{1, 0};
   batcher.add(from, to, proto::Message{proto::Heartbeat{0, 1}});
   EXPECT_TRUE(batcher.staged());
-  batcher.flush();  // offered, refused, parked
-  EXPECT_FALSE(batcher.staged()) << "a parked batch is not a staged one";
-  EXPECT_EQ(refusals(), 1u);
-  ASSERT_GT(batcher.pending_bytes(), 0u);
-  batcher.add(from, to, proto::Message{proto::Heartbeat{0, 2}});
-  batcher.flush();  // re-offers batch 1 only; batch 2 parks behind it
-  EXPECT_EQ(refusals(), 2u);
-  EXPECT_EQ(batcher.stats().send_failures, 1u);
-  EXPECT_EQ(batcher.stats().batches, 2u);
+  batcher.flush();  // refused by the down link: dropped
+  EXPECT_FALSE(batcher.staged());
+  for (int i = 0; i < 5; ++i) batcher.flush();  // what later passes do
+  EXPECT_EQ(client.stats().down_buffer_drops, 1u);
+  EXPECT_EQ(client.stats().send_overflows, 0u);
+  EXPECT_EQ(client.queued_bytes(conn), 0u);
+  EXPECT_FALSE(client.backlogged(conn));
 
   FrameSink server_sink;
   TcpTransport server(server_sink.callbacks(), TcpTransport::Options{});
   ASSERT_EQ(server.listen(port), port);
   server.start();
   const auto deadline = std::chrono::steady_clock::now() + 10s;
-  while (batcher.pending_bytes() > 0 &&
+  while (!client.connected(conn) &&
          std::chrono::steady_clock::now() < deadline) {
-    batcher.flush();  // what the owning loop's passes do
     std::this_thread::sleep_for(1ms);
   }
-  ASSERT_EQ(batcher.pending_bytes(), 0u) << "parked batches never left";
-  ASSERT_TRUE(server_sink.wait_for_frames(2));
-  EXPECT_EQ(heartbeat_sequence(server_sink), (std::vector<Timestamp>{1, 2}));
-  EXPECT_EQ(batcher.stats().retried_batches, 2u);
-  EXPECT_EQ(batcher.stats().dropped_batches, 0u);
+  ASSERT_TRUE(client.connected(conn)) << "the link never came back";
+  for (Timestamp ts = 2; ts <= 4; ++ts) {
+    batcher.add(from, to, proto::Message{proto::Heartbeat{0, ts}});
+    batcher.flush();
+  }
+  ASSERT_TRUE(server_sink.wait_for_frames(3));
+  EXPECT_EQ(heartbeat_sequence(server_sink), (std::vector<Timestamp>{2, 3, 4}));
+  EXPECT_EQ(batcher.stats().batches, 4u);
+  EXPECT_EQ(client.stats().down_buffer_drops, 1u);
   client.stop();
   server.stop();
 }
