@@ -499,15 +499,11 @@ Timestamp TcpNodeHost::on_loop_pass(std::uint32_t loop) {
   // Each link is flushed by its owning loop, which writes its own socket
   // and gathers every worker's messages into one frame; a pass that staged
   // into another loop's link wakes that loop (at most one pipe write per
-  // wait) instead of sending a frame of its own. The owner then publishes
-  // the link's backlog for admission: every wait of a loop is preceded by
-  // a pass, so the flag trails the queue by at most one wait.
+  // wait) instead of sending a frame of its own.
   for (const auto& link : links_) {
     const std::uint32_t owner = TcpTransport::loop_of(link->conn);
     if (owner == loop) {
       link->batcher->flush();
-      link->backlogged.store(transport_.backlogged(link->conn),
-                             std::memory_order_relaxed);
     } else if (link->batcher->staged()) {
       transport_.wake_loop(owner);
     }
@@ -534,11 +530,12 @@ Timestamp TcpNodeHost::on_loop_pass(std::uint32_t loop) {
 }
 
 bool TcpNodeHost::replication_backlogged() const {
-  // links_ is immutable once the workers run. Any backlogged peer link
-  // sheds NEW client work: its queue is this DC's own undelivered updates,
-  // and admitting more PUTs only deepens it until the transport drops.
-  return std::any_of(links_.begin(), links_.end(), [](const auto& link) {
-    return link->backlogged.load(std::memory_order_relaxed);
+  // links_ is immutable once the workers run; backlogged() locks the
+  // link's shard. Any backlogged peer link sheds NEW client work: its queue
+  // is this DC's own undelivered updates, and admitting more PUTs only
+  // deepens it until the transport drops.
+  return std::any_of(links_.begin(), links_.end(), [this](const auto& link) {
+    return transport_.backlogged(link->conn);
   });
 }
 

@@ -10,12 +10,12 @@
 // between: it stages each outbound message into the destination link's
 // LinkBatcher, and every loop pass ends by flushing what it staged. The
 // flushed Batch frame goes straight into the transport outbox, the one
-// buffer behind a link; once that buffer is half full the host refuses new
-// client requests with Overloaded, so a slow or absent peer pushes back on
-// admission long before the transport has to drop a frame. The engines
-// cannot tell the difference from the simulator (server::Context is
-// identical), which is the point: the TCP deployment runs the very same
-// protocol code the simulator validates.
+// buffer behind a link; once it holds half the transport's down cap the
+// host refuses new client requests with Overloaded, so a slow or absent
+// peer pushes back on admission long before the transport has to drop a
+// frame. The engines cannot tell the difference from the simulator
+// (server::Context is identical), which is the point: the TCP deployment
+// runs the very same protocol code the simulator validates.
 //
 // Wire identity and addressing:
 //   * to each peer PROCESS this host keeps one persistent outbound
@@ -175,9 +175,6 @@ class TcpNodeHost final : public rt::Router {
     ProcessSpec spec;
     ConnId conn = kInvalidConn;
     std::unique_ptr<LinkBatcher> batcher;
-    /// TcpTransport::backlogged(conn) as of the owning loop's last pass
-    /// end; read lock-free by admission on every client request.
-    std::atomic<bool> backlogged{false};
   };
 
   void on_frame(ConnId conn, proto::Frame frame);

@@ -204,11 +204,14 @@ TcpTransport::loop_thread_handles() {
   return out;
 }
 
+std::size_t TcpTransport::down_cap() const {
+  return std::min(opt_.max_down_buffer_bytes, opt_.max_outbox_bytes);
+}
+
 std::size_t TcpTransport::cap_of(const Conn& c) const {
   // While the socket is down the tighter reconnect-buffer cap applies: a
   // long outage must not buffer up to the full backpressure bound.
-  return c.up ? opt_.max_outbox_bytes
-              : std::min(opt_.max_down_buffer_bytes, opt_.max_outbox_bytes);
+  return c.up ? opt_.max_outbox_bytes : down_cap();
 }
 
 bool TcpTransport::backlogged(ConnId conn) const {
@@ -217,9 +220,11 @@ bool TcpTransport::backlogged(ConnId conn) const {
   std::lock_guard lk(sp->mu);
   auto it = sp->conns.find(conn);
   if (it == sp->conns.end()) return false;
-  const Conn& c = *it->second;
-  const std::size_t queued = queued_of(c);
-  return queued > 0 && queued >= cap_of(c) / 2;
+  // The same point whether the link is up or down: a link that goes down
+  // with its queue just under it still has half the down cap free for what
+  // is never shed (Replicates of admitted PUTs, heartbeats, recovery).
+  const std::size_t queued = queued_of(*it->second);
+  return queued > 0 && queued >= down_cap() / 2;
 }
 
 std::size_t TcpTransport::queued_bytes(ConnId conn) const {

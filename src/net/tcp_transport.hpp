@@ -24,8 +24,9 @@
 //                    when a peer stops draining, send() drops further frames
 //                    and counts each once instead of growing without bound.
 //                    The outbox is the ONLY buffer behind a replication link:
-//                    backlogged() reports it half full, where a host starts
-//                    shedding client work, so a refusal there marks a fault,
+//                    backlogged() reports it at half the down cap, up or
+//                    down, where a host starts shedding client work, so a
+//                    refusal there marks a fault,
 //   * placement    — with a Callbacks::place hook, an accepted connection
 //                    stays silent until its first frame names the shard it
 //                    belongs on, then lives there under the only ConnId the
@@ -216,8 +217,9 @@ class TcpTransport {
     /// Tighter cap applied while a link has no established socket: frames
     /// buffered across an outage are bounded, and overflow is dropped with
     /// an accounted counter (stats().down_buffer_drops) instead of letting
-    /// a long partition grow the outbox to max_outbox_bytes.
-    std::size_t max_down_buffer_bytes = 8u << 20;
+    /// a long partition grow the outbox to max_outbox_bytes. Half of it is
+    /// the backlogged() point where a host starts shedding client work.
+    std::size_t max_down_buffer_bytes = 32u << 20;
     /// Reconnect backoff: the *ceiling* doubles deterministically per
     /// failure, but each retry draws uniformly from [min, ceiling] (full
     /// jitter) so links cut by one partition don't redial in lockstep when
@@ -271,10 +273,11 @@ class TcpTransport {
   bool send(ConnId conn, std::vector<std::uint8_t> frame);
 
   /// True while `conn`'s queued bytes (outbox plus chaos-held) are at least
-  /// half the cap that applies to it now — max_down_buffer_bytes while the
-  /// link is down, max_outbox_bytes while it is up. The host's admission
-  /// control sheds client work on it, so a slow peer pushes back before
-  /// send() has to refuse anything.
+  /// half the down cap (max_down_buffer_bytes, at most max_outbox_bytes),
+  /// whether the link is up or down. The host's admission control sheds
+  /// client work on it, so a slow or absent peer pushes back before send()
+  /// has to refuse anything, and a link that drops with its queue below
+  /// that point keeps half the down cap free.
   [[nodiscard]] bool backlogged(ConnId conn) const;
 
   /// Bytes queued on `conn` and not yet written (outbox plus chaos-held).
@@ -419,8 +422,11 @@ class TcpTransport {
   static void recycle_conn(Shard& s, Conn& c);
   /// Schedule the next dial attempt with full-jitter backoff.
   void arm_backoff(Shard& s, Conn& c, Timestamp now);
-  /// The cap on `c`'s queued bytes that applies now (the tighter reconnect
-  /// buffer while the socket is down).
+  /// The reconnect-buffer cap: max_down_buffer_bytes, at most
+  /// max_outbox_bytes.
+  [[nodiscard]] std::size_t down_cap() const;
+  /// The cap on `c`'s queued bytes that applies now (down_cap() while the
+  /// socket is down).
   [[nodiscard]] std::size_t cap_of(const Conn& c) const;
   [[nodiscard]] static std::size_t queued_of(const Conn& c) {
     return c.outbox_bytes + c.chaos_held_bytes;

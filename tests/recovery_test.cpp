@@ -452,11 +452,11 @@ TEST(TcpRecovery, DownPeerShedsPutsBeforeTheTransportDrops) {
     if (ok) admitted.emplace_back(key, std::move(value));
     return ok;
   };
-  // Half the 8 MiB down cap is about 32 values of 128 KiB.
+  // Half the 32 MiB down cap is about 128 values of 128 KiB.
   int next = 0;
-  while (next < 100 && put(next)) ++next;
-  ASSERT_LT(next, 100) << "no PUT was shed while the peer was down";
-  EXPECT_GE(admitted.size(), 30u);
+  while (next < 400 && put(next)) ++next;
+  ASSERT_LT(next, 400) << "no PUT was shed while the peer was down";
+  EXPECT_GE(admitted.size(), 120u);
   EXPECT_EQ(s.resilience_stats().overloaded, 1u);
   const double queued = gauge_value(*d.hosts[0], "pocc_batch_pending_bytes");
   EXPECT_GE(queued,
@@ -489,6 +489,16 @@ TEST(TcpRecovery, DownPeerShedsPutsBeforeTheTransportDrops) {
     }
     EXPECT_TRUE(seen) << "DC 1 never read the admitted " << key;
   }
+  // A known gap, bounded so that a worse overflow shows: DC 1's
+  // RecoveryReq makes DC 0 stream every version past DC 1's durable cut,
+  // all of them still queued as Replicates on DC 0's down link, and that
+  // stream is never shed. When the link is still redialing, queue plus
+  // stream overflow the down cap by one frame, a RecoveryVersion that
+  // duplicates a queued Replicate (so no value is lost here); when the
+  // redial wins the race, the up link's cap takes it all.
+  const net::TransportStats after = d.hosts[0]->transport_stats();
+  EXPECT_LE(after.down_buffer_drops, 1u);
+  EXPECT_EQ(after.send_overflows, 0u);
   pool0.stop();
   pool1.stop();
 }

@@ -2,9 +2,13 @@
 // reconnect with FIFO-preserving buffering, and stats accounting.
 #include "net/tcp_transport.hpp"
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
 #include <pthread.h>
 #include <signal.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -776,6 +780,74 @@ TEST(TcpTransport, RefusedBatchIsCountedOnceAndLaterBatchesKeepOrder) {
   EXPECT_EQ(client.stats().down_buffer_drops, 1u);
   client.stop();
   server.stop();
+}
+
+TEST(TcpTransport, LinkThatDropsAtTheShedPointStillTakesTheNextBatch) {
+  // A peer that accepts but never reads fills the up link's queue until it
+  // is backlogged, the point where a host sheds client work. That point is
+  // half the down cap whether the link is up or down, so when the link then
+  // drops, its reconnect buffer still takes what was admitted before the
+  // shed took effect.
+  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  const int window = 4096;  // a small receive window: the queue builds early
+  ::setsockopt(listener, SOL_SOCKET, SO_RCVBUF, &window, sizeof(window));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(
+      ::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+
+  FrameSink sink;
+  TcpTransport::Options opt;
+  opt.max_down_buffer_bytes = 1u << 20;  // shed point: 512 KiB
+  TcpTransport client(sink.callbacks(), opt);
+  const ConnId conn = client.connect_peer("127.0.0.1", ntohs(addr.sin_port));
+  client.start();
+  const int peer = ::accept(listener, nullptr, nullptr);
+  ASSERT_GE(peer, 0);
+  ::close(listener);  // once the link drops, it stays down
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  while (!client.connected(conn) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
+  ASSERT_TRUE(client.connected(conn));
+
+  // The peer never decodes: any bytes fill the queue.
+  const std::vector<std::uint8_t> filler(64u << 10, 0);
+  std::size_t sent = 0;
+  while (!client.backlogged(conn) && sent < opt.max_outbox_bytes) {
+    ASSERT_TRUE(client.send(conn, filler));
+    sent += filler.size();
+  }
+  ASSERT_TRUE(client.backlogged(conn));
+  EXPECT_LT(client.queued_bytes(conn), opt.max_down_buffer_bytes)
+      << "the up link sheds only past the down cap";
+
+  const linger reset{1, 0};
+  ::setsockopt(peer, SOL_SOCKET, SO_LINGER, &reset, sizeof(reset));
+  ::close(peer);  // RST: the link drops with its queue intact
+  while (client.connected(conn) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
+  ASSERT_FALSE(client.connected(conn)) << "the reset never took the link down";
+  EXPECT_TRUE(client.backlogged(conn));
+
+  LinkBatcher batcher(client, conn, BatchPolicy{});
+  batcher.add(NodeId{0, 0}, NodeId{1, 0},
+              proto::Message{proto::Heartbeat{0, 1}});
+  const std::size_t before = client.queued_bytes(conn);
+  batcher.flush();
+  EXPECT_GT(client.queued_bytes(conn), before);
+  EXPECT_EQ(client.stats().down_buffer_drops, 0u);
+  EXPECT_EQ(client.stats().send_overflows, 0u);
+  client.stop();
 }
 
 }  // namespace
