@@ -13,6 +13,10 @@
 #               its two event loops; each DC's messages per batch and wake
 #               writes per client request are printed, not gated.
 #   serial      8 client threads x 2 connections per DC
+#   txput       pipelined RO-TX-then-PUT load (--pattern txput), the only
+#               leg on the RO-TX slice path; gated on a clean history
+#               replay, its tx_blocked_ratio (RO-TXs whose slices parked
+#               on the server) is printed, not gated
 #   highconn    fd limit raised, 128 connection pools per DC (one socket per
 #               partition each), pipelined; zero op failures
 #   tail        zipfian theta 0.99 over 1M keys per partition, 8..1024 B
@@ -41,7 +45,8 @@
 #        leg; 10 pipelined leg or mid-load scrape; 11 highconn op failures;
 #        12 a poccd exit-stats line reports nonzero transport_send_overflows
 #        or transport_down_buffer_drops (a refused replication frame);
-#        any other: the failing smoke/serial/highconn/tail loadgen's status
+#        any other: the failing smoke/serial/txput/highconn/tail
+#        loadgen's status
 set -euo pipefail
 
 NAME=e2e
@@ -132,6 +137,16 @@ start_load "$OUT_DIR/loadgen_serial.log" \
   --out "$OUT_DIR/BENCH_tcp_loadgen_serial.json"
 wait_load "checked serial load"
 cat "$OUT_DIR/BENCH_tcp_loadgen_serial.json"
+
+echo "e2e: RO-TX leg — pipelined checked txput load ($CLIENTS sessions x pipeline $PIPELINE over 2 connections per DC, 4s)"
+start_load "$OUT_DIR/loadgen_txput.log" \
+  --threads "$CLIENTS" --connections 2 --pipeline "$PIPELINE" \
+  --pattern txput --duration-s 4 --key-offset 600000000 --client-base 900000 \
+  --out "$OUT_DIR/BENCH_tcp_loadgen_txput.json"
+wait_load "RO-TX leg"
+cat "$OUT_DIR/BENCH_tcp_loadgen_txput.json"
+tx_blocked="$(sed -n 's/.*"tx_blocked_ratio":\([0-9.]*\).*/\1/p' "$OUT_DIR/BENCH_tcp_loadgen_txput.json")"
+echo "e2e: RO-TX leg passed — history checked; tx_blocked_ratio=${tx_blocked:-missing} (not gated)"
 
 echo "e2e: high-connection leg — 128 pools/DC = $((DCS * 128 * PARTS)) client sockets, pipelined $CLIENTS sessions x depth $PIPELINE, 4s"
 start_load "$OUT_DIR/loadgen_highconn.log" \

@@ -145,8 +145,15 @@ void TcpSession::async_begin(OpKind kind, PartitionId part,
   async_.kind = kind;
   async_.part = part;
   async_.ceiling = res_.backoff_min_us;
-  async_.deadline = std::chrono::steady_clock::now() +
-                    std::chrono::microseconds(timeout_us);
+  auto start = std::chrono::steady_clock::now();
+  if (start < not_before_) {
+    // The server asked for quiet: the first attempt waits in backoff, and
+    // the op's deadline runs from the end of that wait.
+    start = not_before_;
+    async_.backoff_until = not_before_;
+    async_.in_backoff = true;
+  }
+  async_.deadline = start + std::chrono::microseconds(timeout_us);
 }
 
 bool TcpSession::async_send_attempt() {
@@ -276,6 +283,7 @@ bool TcpSession::pump() {
         engine_.absorb_ro_tx(*rep);
         async_.tx_res.ok = true;
         async_.tx_res.items = std::move(rep->items);
+        async_.tx_res.blocked_us = rep->blocked_us;
       }
       break;
     }
@@ -302,8 +310,17 @@ bool TcpSession::pump() {
   if (overloaded) {
     ++rstats_.overloaded;
     // Without resilience the attempt IS the op: it failed, and waiting out
-    // the deadline would only stall the session.
+    // the deadline would only stall the session. The refusal's hint still
+    // holds the session's next op back.
     if (!res_.enabled) {
+      not_before_ = now + std::chrono::microseconds(retry_after);
+      const auto refused = [&](auto& res) {
+        res.overloaded = true;
+        res.retry_after_us = retry_after;
+      };
+      if (async_.kind == OpKind::kGet) refused(async_.get_res);
+      if (async_.kind == OpKind::kPut) refused(async_.put_res);
+      if (async_.kind == OpKind::kTx) refused(async_.tx_res);
       async_.done = true;
       return true;
     }

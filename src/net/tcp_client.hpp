@@ -80,9 +80,16 @@ struct ClientResilienceStats {
 /// the pipelined start_*/pump/finish_* API they are built on.
 class TcpSession {
  public:
+  // Every result says how the op ended: `ok` (answered), `session_closed`,
+  // or `overloaded` — the server refused it without running it and asked
+  // for `retry_after_us` of quiet; without resilience the session then
+  // holds its next op back that long. `blocked_us` is the server's park
+  // time (for an RO-TX, its longest slice wait).
   struct GetResult {
     bool ok = false;
     bool session_closed = false;
+    bool overloaded = false;
+    Duration retry_after_us = 0;
     bool found = false;
     std::string value;
     Timestamp ut = 0;
@@ -92,13 +99,18 @@ class TcpSession {
   struct PutResult {
     bool ok = false;
     bool session_closed = false;
+    bool overloaded = false;
+    Duration retry_after_us = 0;
     Timestamp ut = 0;
     Duration blocked_us = 0;
   };
   struct TxResult {
     bool ok = false;
     bool session_closed = false;
+    bool overloaded = false;
+    Duration retry_after_us = 0;
     std::vector<proto::ReadItem> items;
+    Duration blocked_us = 0;
   };
 
   // --- Blocking API: start_*(), wait until pump() returns true, finish_*().
@@ -223,6 +235,9 @@ class TcpSession {
   std::array<std::uint32_t, 2> consec_fail_{};
   std::array<std::chrono::steady_clock::time_point, 2> breaker_open_until_{};
   AsyncOp async_;
+  /// The next op's first attempt waits until here: an Overloaded reply's
+  /// retry_after_us, honored across ops when resilience is off.
+  std::chrono::steady_clock::time_point not_before_{};
 
   std::mutex mu_;
   std::condition_variable cv_;

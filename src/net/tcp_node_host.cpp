@@ -372,6 +372,17 @@ void TcpNodeHost::register_metrics() {
                  [eng] { return eng->blocking_stats().blocked.load(); });
     r.counter_fn("pocc_engine_blocked_macro_total", part_label,
                  [eng] { return eng->blocking_stats().blocked_macro.load(); });
+    r.counter_fn(
+        "pocc_engine_blocked_us_total", part_label,
+        [eng] { return eng->blocking_stats().blocked_us_total.load(); },
+        "Time parked ops (GET/PUT/RO-TX slice) spent waiting (us)");
+    r.counter_fn("pocc_engine_heartbeats_total",
+                 {{"part", std::to_string(p)}, {"kind", "timer"}},
+                 [eng] { return eng->timer_heartbeats(); },
+                 "Heartbeats sent by the idle timer and by pass promises");
+    r.counter_fn("pocc_engine_heartbeats_total",
+                 {{"part", std::to_string(p)}, {"kind", "pass"}},
+                 [eng] { return eng->pass_heartbeats(); });
     r.counter_fn("pocc_engine_reads_total", part_label,
                  [eng] { return eng->staleness_stats().reads.load(); });
     r.counter_fn("pocc_engine_old_reads_total", part_label,

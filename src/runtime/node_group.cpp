@@ -65,6 +65,7 @@ NodeGroup::Slot::Slot(NodeGroup& g, NodeId self_id,
     : group(g), self(self_id), clock(clock_cfg, seeder) {}
 
 void NodeGroup::Slot::send(NodeId to, proto::Message m) {
+  if (to.dc != self.dc) worker->sent_to_peer_dc = true;
   if (wal != nullptr && wal->unsynced_bytes() > 0) {
     // Output commit: this send may depend on records a crash could still
     // lose. Park it until the covering group commit (flush_durability).
@@ -246,6 +247,7 @@ Timestamp NodeGroup::service(std::uint32_t worker) {
       }
     }
     if (!drained) break;
+    w.sent_to_peer_dc = false;
     while (!w.backlog.empty()) {
       Incoming in = w.backlog.pop_front();
       // Server-side op latency at the engine seam: time only the
@@ -269,11 +271,26 @@ Timestamp NodeGroup::service(std::uint32_t worker) {
         cell->record(static_cast<std::int64_t>(steady_now_us() - t0));
       }
     }
+    if (w.sent_to_peer_dc) promise_heartbeats(w);
     // One fdatasync covers the whole drained batch (group commit), then
     // the batch's replies and sends leave together.
     for (Slot* slot : w.slots) slot->flush_durability();
   }
   return w.timers.empty() ? 0 : w.timers.top().at;
+}
+
+void NodeGroup::promise_heartbeats(Worker& w) {
+  // One shared timestamp: a partition promising its own fresh clock would
+  // run ahead of its siblings, and RO-TX snapshots taken from it would then
+  // wait on them instead.
+  Timestamp newest = kTimestampMin;
+  for (const Slot* slot : w.slots) {
+    newest = std::max(newest, slot->engine->version_vector()[dc_]);
+  }
+  for (Slot* slot : w.slots) {
+    if (slot->wal != nullptr && slot->wal->unsynced_bytes() == 0) continue;
+    slot->engine->promise_heartbeat(newest);
+  }
 }
 
 }  // namespace pocc::rt

@@ -231,6 +231,9 @@ class NodeGroup {
     std::vector<Slot*> slots;
     common::Ring<Incoming> backlog;  // swap-drain scratch (owner thread)
     bool engines_started = false;
+    // Set by Slot::send when the batch being drained sent (or held) a
+    // message for another DC: the pass then ends with promise_heartbeats().
+    bool sent_to_peer_dc = false;
     // This worker's shards of the op-latency histograms (nullptr without
     // Options::registry). Each worker records only into its own cells, so
     // the cell mutexes are uncontended except during a scrape merge.
@@ -238,6 +241,13 @@ class NodeGroup {
     stats::HistogramCell* lat_put = nullptr;
     stats::HistogramCell* lat_tx = nullptr;
   };
+
+  /// End of a drained batch that sent to a peer DC: every partition of
+  /// `w` whose VV[m] is below the newest VV[m] among them promises that
+  /// timestamp (ReplicaBase::promise_heartbeat), in the frame that carries
+  /// the batch's Replicates. With a WAL, only partitions the group commit
+  /// syncs anyway promise — a promise never costs an fdatasync of its own.
+  void promise_heartbeats(Worker& w);
 
   /// Push into the owning worker's inbox and wake it; false (message
   /// untouched) when `admission` and the inbox is at the cap.

@@ -74,34 +74,13 @@ Duration ReplicaBase::on_timer(std::uint64_t timer_id) {
   work_ = 0;
   switch (timer_id) {
     case kTimerHeartbeat: {
-      // Peer-recovery mute: until every RecoveryDone landed, this replica's
-      // pre-crash sends may still be holes on the peers — a heartbeat now
-      // would raise their VV[us] past versions only on_recovery_done()'s
-      // push-back will deliver. The first heartbeat after the gate opens
-      // FIFO-follows those RecoveryVersions on every link, so the promise
-      // "every update <= ts was sent" holds again.
-      if (recovering_dcs_ > 0 &&
-          ctx_.time() < recovery_heartbeat_gate_until_) {
-        ctx_.set_timer(protocol_.heartbeat_interval_us, kTimerHeartbeat);
-        break;
-      }
       // Alg. 2 lines 19-26: if no PUT advanced VV[m] for Δ, broadcast the
-      // local clock so remote version vectors keep moving.
-      const Timestamp ct = ctx_.clock_peek();
-      if (ct >= vv_[local_dc()] + protocol_.heartbeat_interval_us) {
-        vv_[local_dc()] = ctx_.clock_now();
-        // The raise must be durable before any peer acts on the broadcast:
-        // a heartbeat promises "every update <= ts has been sent", which
-        // after a crash means "…is in the WAL" (the host holds the sends
-        // below until this append is synced).
-        if (DurabilityLog* dur = ctx_.durability()) dur->log_vv(vv_);
-        for (DcId j = 0; j < topology_.num_dcs; ++j) {
-          if (j == local_dc()) continue;
-          charge(service_.heartbeat_us);
-          ctx_.send(NodeId{j, self_.part},
-                    proto::Heartbeat{local_dc(), vv_[local_dc()]});
-        }
-        poke();
+      // local clock so remote version vectors keep moving. The runtime host
+      // also sends heartbeats between ticks (promise_heartbeat()); both go
+      // through heartbeat(), which keeps the peer-recovery mute.
+      const Timestamp due = vv_[local_dc()] + protocol_.heartbeat_interval_us;
+      if (ctx_.clock_peek() >= due && heartbeat(ctx_.clock_now())) {
+        ++timer_heartbeats_;
       }
       ctx_.set_timer(protocol_.heartbeat_interval_us, kTimerHeartbeat);
       break;
@@ -272,6 +251,49 @@ Duration ReplicaBase::on_heartbeat(NodeId from, const proto::Heartbeat& msg) {
   if (DurabilityLog* dur = ctx_.durability()) dur->log_vv(vv_);
   poke();
   return work_;
+}
+
+bool ReplicaBase::heartbeat_muted() const {
+  return recovering_dcs_ > 0 && ctx_.time() < recovery_heartbeat_gate_until_;
+}
+
+bool ReplicaBase::heartbeat(Timestamp ts) {
+  // Peer-recovery mute: until every RecoveryDone landed, this replica's
+  // pre-crash sends may still be holes on the peers — a heartbeat now
+  // would raise their VV[us] past versions only on_recovery_done()'s
+  // push-back will deliver. The first heartbeat after the gate opens
+  // FIFO-follows those RecoveryVersions on every link, so the promise
+  // "every update <= ts was sent" holds again.
+  if (heartbeat_muted()) return false;
+  vv_[local_dc()] = ts;
+  // The raise must be durable before any peer acts on the broadcast: a
+  // heartbeat promises "every update <= ts has been sent", which after a
+  // crash means "…is in the WAL" (the host holds the sends below until
+  // this append is synced).
+  if (DurabilityLog* dur = ctx_.durability()) dur->log_vv(vv_);
+  for (DcId j = 0; j < topology_.num_dcs; ++j) {
+    if (j == local_dc()) continue;
+    charge(service_.heartbeat_us);
+    ctx_.send(NodeId{j, self_.part}, proto::Heartbeat{local_dc(), ts});
+  }
+  poke();
+  return true;
+}
+
+Duration ReplicaBase::promise_heartbeat(Timestamp ts) {
+  work_ = 0;
+  // A clock reading at or past ts means every later local version gets a
+  // newer timestamp, and every earlier one was sent before this heartbeat
+  // on the same FIFO links: Heartbeat{m, ts} is as true as a timer's.
+  if (vv_[local_dc()] < ts && read_clock() >= ts && heartbeat(ts)) {
+    ++pass_heartbeats_;
+  }
+  return work_;
+}
+
+Timestamp ReplicaBase::read_clock() {
+  clock_read_ = ctx_.clock_now();
+  return clock_read_;
 }
 
 // ----------------------------------------------------- crash recovery ----
@@ -612,8 +634,23 @@ Duration ReplicaBase::on_gss_broadcast(const proto::GssBroadcast& msg) {
 
 // --------------------------------------------------------- utilities ----
 
-bool ReplicaBase::slice_ready(const VersionVector& tv) const {
-  return vv_.dominates(tv);
+bool ReplicaBase::slice_ready(const VersionVector& tv) {
+  return vv_.dominates(tv, skip_local()) &&
+         local_entry_covered(tv[local_dc()]);
+}
+
+bool ReplicaBase::local_entry_covered(Timestamp ts) {
+  // This partition creates every local version itself, each stamped by a
+  // strictly monotonic clock: once a reading is at or past ts, all local
+  // versions <= ts are installed. Not while muted for peer recovery — its
+  // own pre-crash versions may still arrive as RecoveryVersions.
+  if (vv_[local_dc()] >= ts || clock_read_ >= ts) return true;
+  if (heartbeat_muted()) return false;
+  if (ctx_.clock_peek() < ts) {
+    arm_clock_wakeup(ts);
+    return false;
+  }
+  return read_clock() >= ts;
 }
 
 std::uint32_t ReplicaBase::count_unmerged(

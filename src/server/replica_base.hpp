@@ -35,6 +35,9 @@ namespace pocc::server {
 
 /// Timer identifiers used by engines (hosts just echo them back).
 enum TimerId : std::uint64_t {
+  // Δ tick of the idle heartbeat (Alg. 2 lines 19-26). VV[m] also moves
+  // with PUTs and with the runtime host's pass promises
+  // (promise_heartbeat()), which leave the tick nothing to send while busy.
   kTimerHeartbeat = 1,
   kTimerGc = 2,
   kTimerStabilization = 3,
@@ -95,6 +98,13 @@ class ReplicaBase {
   /// Timer callback. Returns CPU time consumed.
   virtual Duration on_timer(std::uint64_t timer_id);
 
+  /// Pass promise (the runtime host, rt::NodeGroup): when VV[m] is below
+  /// `ts` and a fresh clock reading is at or past it, broadcast
+  /// Heartbeat{m, ts} through heartbeat() — so sibling partitions of one
+  /// DC promise the same timestamp in the frame that carries the newest
+  /// Replicate. Returns CPU time consumed.
+  Duration promise_heartbeat(Timestamp ts);
+
   // --- observers (tests, metrics aggregation) ---
   [[nodiscard]] NodeId self() const { return self_; }
   [[nodiscard]] const VersionVector& version_vector() const { return vv_; }
@@ -111,6 +121,13 @@ class ReplicaBase {
   [[nodiscard]] std::uint64_t puts_served() const { return puts_served_; }
   [[nodiscard]] std::uint64_t gets_served() const { return gets_served_; }
   [[nodiscard]] std::uint64_t slices_served() const { return slices_served_; }
+  /// Heartbeats broadcast by the Δ timer and by pass promises.
+  [[nodiscard]] std::uint64_t timer_heartbeats() const {
+    return timer_heartbeats_;
+  }
+  [[nodiscard]] std::uint64_t pass_heartbeats() const {
+    return pass_heartbeats_;
+  }
 
   /// Min entry of the last aggregate GC vector this engine applied (the GC
   /// floor). Relaxed-published so a live scrape thread may read it.
@@ -148,8 +165,9 @@ class ReplicaBase {
   [[nodiscard]] virtual VersionVector compute_tx_snapshot(
       const proto::RoTxReq& req) const = 0;
 
-  /// True when a slice against `tv` can be served (Alg. 2 line 40).
-  [[nodiscard]] virtual bool slice_ready(const VersionVector& tv) const;
+  /// True when a slice against `tv` can be served (Alg. 2 line 40): VV
+  /// covers the remote entries, and local_entry_covered() the local one.
+  [[nodiscard]] bool slice_ready(const VersionVector& tv);
 
   /// Visibility of a version within snapshot `tv` (Alg. 2 line 43 for POCC;
   /// commit-vector rule for Cure* and for HA-POCC's pessimistic sessions).
@@ -230,6 +248,21 @@ class ReplicaBase {
   proto::ReadItem read_in_snapshot(KeyId key, const VersionVector& tv,
                                    bool pessimistic);
 
+  /// Alg. 2 lines 19-26, shared by the Δ timer and promise_heartbeat():
+  /// raise VV[m] to `ts`, log it, and send Heartbeat{m, ts} to every
+  /// sibling replica. The caller vouches that every local version <= ts was
+  /// sent and every later one is stamped past ts. False (nothing sent)
+  /// while heartbeat_muted().
+  bool heartbeat(Timestamp ts);
+  [[nodiscard]] bool heartbeat_muted() const;
+
+  /// True once every local version <= ts is installed: VV[m] or a clock
+  /// reading is at or past ts. Takes a fresh reading when the clock has
+  /// passed ts, else arms a clock wakeup.
+  bool local_entry_covered(Timestamp ts);
+  /// clock_now(), kept in clock_read_.
+  Timestamp read_clock();
+
   /// Re-evaluate parked requests after VV/GSS/clock advances.
   void poke();
 
@@ -257,6 +290,9 @@ class ReplicaBase {
   Context& ctx_;
 
   VersionVector vv_;             // version vector VV^m_n (paper §IV-A)
+  // Latest clock_now() reading not stamped on a version. Kept apart from
+  // vv_[m]: raising VV[m] to it would postpone the timer's heartbeats.
+  Timestamp clock_read_ = kTimestampMin;
   store::PartitionStore store_;  // this partition's version chains
   ParkingLot lot_;
 
@@ -266,6 +302,8 @@ class ReplicaBase {
   stats::RelaxedU64 puts_served_;
   stats::RelaxedU64 gets_served_;
   stats::RelaxedU64 slices_served_;
+  stats::RelaxedU64 timer_heartbeats_;
+  stats::RelaxedU64 pass_heartbeats_;
 
   stats::RelaxedI64 gc_floor_us_;  // min entry of the last applied GC vector
 

@@ -28,6 +28,9 @@ struct BlockingStats {
   RelaxedU64 operations;     // ops subject to blocking (GET/PUT/slice)
   RelaxedU64 blocked;        // ops that stalled at all
   RelaxedU64 blocked_macro;  // ops that stalled > kMacroThresholdUs
+  // Summed blocking time of blocked ops: the scrape-safe twin of the
+  // histogram below, which only its owning thread may read.
+  RelaxedU64 blocked_us_total;
   Histogram blocked_time_us;  // blocking duration of blocked ops
 
   void record_op(Duration blocked_us) {
@@ -35,6 +38,7 @@ struct BlockingStats {
     if (blocked_us > 0) {
       ++blocked;
       if (blocked_us > kMacroThresholdUs) ++blocked_macro;
+      blocked_us_total += static_cast<std::uint64_t>(blocked_us);
       blocked_time_us.record(blocked_us);
     }
   }
@@ -55,12 +59,14 @@ struct BlockingStats {
     operations += o.operations;
     blocked += o.blocked;
     blocked_macro += o.blocked_macro;
+    blocked_us_total += o.blocked_us_total;
     blocked_time_us.merge(o.blocked_time_us);
   }
   void reset() {
     operations = 0;
     blocked = 0;
     blocked_macro = 0;
+    blocked_us_total = 0;
     blocked_time_us.reset();
   }
 };

@@ -23,6 +23,7 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -43,6 +44,7 @@ namespace {
 using testutil::Deployment;
 using testutil::eventually;
 using testutil::expect_clean_replay;
+using testutil::Shape;
 
 TEST(E2eTcp, ReadYourWritesSingleDc) {
   Deployment cluster(SystemKind::kPocc);
@@ -106,6 +108,63 @@ TEST(E2eTcp, RoTxReturnsCompleteSnapshot) {
   for (const auto& item : tx.items) {
     EXPECT_TRUE(item.found) << store::key_name(item.key);
   }
+  expect_clean_replay(cluster);
+}
+
+TEST(E2eTcp, RoTxSlicesRarelyParkUnderConcurrentPuts) {
+  // 2 DCs x 2 partitions, one worker per DC. An RO-TX's snapshot is
+  // TV = max(VV_coord, RDV) and each slice waits until its partition's VV
+  // covers TV. The local entry is covered by the partition's clock, and a
+  // pass that replicated a PUT ends with every sibling partition on the
+  // worker promising that PUT's timestamp in the same frame — so a slice
+  // no longer waits for its own partition's next PUT or heartbeat.
+  Deployment cluster(SystemKind::kPocc, /*resilience=*/nullptr,
+                     /*block_timeout_us=*/2'000'000, Shape{2, 1});
+  const auto key_on = [&](PartitionId part, const std::string& prefix) {
+    for (int i = 0;; ++i) {
+      const std::string key = prefix + std::to_string(i);
+      if (store::KeySpace::global().partition(
+              store::intern_key(key), 2, PartitionScheme::kHash) == part) {
+        return key;
+      }
+    }
+  };
+  const std::vector<std::string> keys = {key_on(0, "e2e:slice:"),
+                                         key_on(1, "e2e:slice:")};
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> puts{0};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> writers;
+  for (DcId dc = 0; dc < 2; ++dc) {
+    TcpSession& w = cluster.connect(dc);
+    writers.emplace_back([&, dc] {
+      for (int i = 0; !stop.load(); ++i) {
+        const std::string value = "w" + std::to_string(dc) + "." +
+                                  std::to_string(i);
+        if (w.put(keys[i % 2], value).ok) {
+          ++puts;
+        } else {
+          ++failures;
+        }
+      }
+    });
+  }
+  ASSERT_TRUE(eventually(10'000'000, [&] { return puts.load() >= 100; }));
+
+  constexpr int kTxs = 400;
+  int blocked = 0;
+  TcpSession& reader = cluster.connect(0);
+  for (int i = 0; i < kTxs; ++i) {
+    const auto tx = reader.ro_tx(keys);
+    ASSERT_TRUE(tx.ok);
+    if (tx.blocked_us > 0) ++blocked;
+  }
+  stop = true;
+  for (auto& t : writers) t.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_LE(blocked, kTxs * 5 / 100)
+      << blocked << " of " << kTxs << " RO-TXs parked a slice";
   expect_clean_replay(cluster);
 }
 
@@ -247,6 +306,77 @@ TEST(E2eTcp, SessionWithoutResilienceEndsOpOnOverloaded) {
   EXPECT_EQ(s.resilience_stats().overloaded, 1u);
   pool.stop();
   server.stop();
+}
+
+TEST(E2eTcp, SessionHoldsItsNextOpForRetryAfter) {
+  // An Overloaded reply asks for retry_after_us of quiet. Without
+  // resilience the op ends at once, and the session holds its NEXT op back
+  // that long — through the blocking and the pipelined API alike, with the
+  // next op's deadline running from the end of the wait.
+  constexpr Duration kRetryAfterUs = 200'000;
+  std::mutex mu;
+  std::vector<std::chrono::steady_clock::time_point> arrivals;
+  TcpTransport* server_ptr = nullptr;
+  TcpTransport server(
+      TcpTransport::Callbacks{
+          [&](ConnId conn, proto::Frame f) {
+            const auto* m = std::get_if<proto::Message>(&f);
+            if (m == nullptr) return;  // the pool's ClientHello
+            const auto* get = std::get_if<proto::GetReq>(m);
+            ASSERT_NE(get, nullptr);
+            std::size_t n = 0;
+            {
+              std::lock_guard lk(mu);
+              arrivals.push_back(std::chrono::steady_clock::now());
+              n = arrivals.size();
+            }
+            std::vector<std::uint8_t> frame;
+            proto::encode(proto::Message{proto::Overloaded{
+                              get->client, n == 1 ? kRetryAfterUs : 0,
+                              get->op_id}},
+                          frame);
+            server_ptr->send(conn, std::move(frame));
+          },
+          nullptr,
+          nullptr,
+          nullptr,
+          nullptr,
+      },
+      TcpTransport::Options{});
+  server_ptr = &server;
+  const std::uint16_t port = server.listen(0);
+  server.start();
+
+  ClusterLayout layout;
+  layout.topology.num_dcs = 1;
+  layout.topology.partitions_per_dc = 1;
+  layout.topology.partition_scheme = PartitionScheme::kHash;
+  TcpClientPool pool(layout, 0, {NodeAddress{NodeId{0, 0}, "127.0.0.1", port}});
+  pool.start();
+  ASSERT_TRUE(pool.wait_connected(5'000'000));
+  TcpSession& s = pool.connect(1);
+
+  const auto first = s.get("e2e:hold", /*timeout_us=*/3'000'000);
+  EXPECT_FALSE(first.ok);
+  EXPECT_TRUE(first.overloaded);
+  EXPECT_EQ(first.retry_after_us, kRetryAfterUs);
+
+  // The next op's timeout is shorter than the wait: it still gets sent.
+  ASSERT_TRUE(s.start_get("e2e:hold", /*timeout_us=*/100'000));
+  while (!s.pump()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const auto second = s.finish_get();
+  EXPECT_TRUE(second.overloaded);
+  EXPECT_EQ(second.retry_after_us, 0);
+
+  EXPECT_EQ(s.resilience_stats().overloaded, 2u);
+  pool.stop();
+  server.stop();
+  ASSERT_EQ(arrivals.size(), 2u);
+  EXPECT_GE(arrivals[1] - arrivals[0],
+            std::chrono::microseconds(kRetryAfterUs))
+      << "the next op was sent before retry_after_us had passed";
 }
 
 TEST(E2eTcp, PipelinedSessionsReplayCleanly) {

@@ -176,9 +176,15 @@ TEST(MetricsScrapeConcurrency, TightScrapeLoopUnderLoad) {
   std::thread scraper([&] {
     while (!done.load(std::memory_order_relaxed)) {
       const std::string metrics = http_get(port, "/metrics");
+      const std::string body = body_of(metrics);
       if (!is_200(metrics) ||
-          body_of(metrics).find("pocc_engine_puts_total") ==
-              std::string::npos) {
+          body.find("pocc_engine_puts_total") == std::string::npos ||
+          body.find("pocc_engine_blocked_us_total{part=\"0\"}") ==
+              std::string::npos ||
+          body.find("pocc_engine_heartbeats_total{part=\"0\",kind="
+                    "\"timer\"}") == std::string::npos ||
+          body.find("pocc_engine_heartbeats_total{part=\"0\",kind="
+                    "\"pass\"}") == std::string::npos) {
         ++scrape_failures;
       }
       if (!is_200(http_get(port, "/readyz"))) ++scrape_failures;
@@ -193,6 +199,9 @@ TEST(MetricsScrapeConcurrency, TightScrapeLoopUnderLoad) {
     const auto got = session.get(key);
     ASSERT_TRUE(got.ok);
     ASSERT_TRUE(got.found);
+    // Slices record into the engines' BlockingStats while they are scraped.
+    const std::string other = "scrape:" + std::to_string((i + 5) % 17);
+    ASSERT_TRUE(session.ro_tx({key, other}).ok);
   }
   done.store(true, std::memory_order_relaxed);
   scraper.join();
@@ -209,6 +218,10 @@ TEST(MetricsScrapeConcurrency, TightScrapeLoopUnderLoad) {
             std::string::npos)
       << "put latency histogram never recorded";
   EXPECT_EQ(body.find("pocc_host_client_requests_total 0\n"),
+            std::string::npos);
+  EXPECT_NE(body.find("# TYPE pocc_engine_blocked_us_total counter"),
+            std::string::npos);
+  EXPECT_NE(body.find("# TYPE pocc_engine_heartbeats_total counter"),
             std::string::npos);
 }
 

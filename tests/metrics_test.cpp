@@ -48,6 +48,23 @@ TEST(BlockingStats, ResetClears) {
   EXPECT_EQ(a.blocked, 0u);
 }
 
+TEST(BlockingStats, BlockedTimeSumTracksTheHistogram) {
+  // pocc_engine_blocked_us_total reads this relaxed sum from the scrape
+  // thread; the histogram beside it belongs to the engine thread.
+  BlockingStats a;
+  a.record_op(0);
+  a.record_op(100);
+  a.record_op(300);
+  EXPECT_EQ(a.blocked_us_total, 400u);
+  EXPECT_DOUBLE_EQ(a.blocked_time_us.sum(), 400.0);
+  BlockingStats b;
+  b.record_op(50);
+  a.merge(b);
+  EXPECT_EQ(a.blocked_us_total, 450u);
+  a.reset();
+  EXPECT_EQ(a.blocked_us_total, 0u);
+}
+
 TEST(StalenessStats, OldAndUnmergedPercentages) {
   StalenessStats s;
   s.record_read(0, 0);  // fresh

@@ -7,16 +7,22 @@
 // A single-DC topology makes the routing seam fully observable: with no
 // remote replicas, NOTHING may leave the group through Router::route — every
 // cross-partition message (RO-TX slices, GC reports, loopbacks) must be an
-// in-process queue push.
+// in-process queue push. The pass-promise cases at the end host one DC of a
+// 3-DC topology and capture what each pass routes to the peer DCs.
 #include "runtime/node_group.hpp"
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <filesystem>
 #include <mutex>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "pocc/pocc_server.hpp"
@@ -416,6 +422,228 @@ TEST(NodeGroup, ServiceRunsWorkersOnlyOnTheCallersThread) {
   }
   EXPECT_EQ(router.external_routes(), 0u);
   group.stop();
+}
+
+// ------------------------------------------------ pass promises ----
+
+/// Router double recording every server-to-server route in order.
+class CapturingRouter final : public Router {
+ public:
+  struct Routed {
+    NodeId from;
+    NodeId to;
+    proto::Message msg;
+  };
+  void route(NodeId from, NodeId to, proto::Message m) override {
+    std::lock_guard lk(mu_);
+    routed_.push_back(Routed{from, to, std::move(m)});
+  }
+  void route_to_client(NodeId /*from*/, ClientId client,
+                       proto::Message m) override {
+    std::lock_guard lk(mu_);
+    replies_.emplace_back(client, std::move(m));
+  }
+  std::vector<Routed> take_routed() {
+    std::lock_guard lk(mu_);
+    return std::exchange(routed_, {});
+  }
+  std::vector<std::pair<ClientId, proto::Message>> take_replies() {
+    std::lock_guard lk(mu_);
+    return std::exchange(replies_, {});
+  }
+
+ private:
+  std::mutex mu_;
+  std::vector<Routed> routed_;
+  std::vector<std::pair<ClientId, proto::Message>> replies_;
+};
+
+constexpr std::uint32_t kDcs = 3;
+
+TopologyConfig three_dc_topology() {
+  return TopologyConfig{kDcs, 2, PartitionScheme::kHash};
+}
+
+/// DC 0's partitions 0 and 1 on ONE worker, driven by the test thread
+/// through service(0). The heartbeat timer is far out, so every heartbeat
+/// a pass routes is a pass promise.
+std::unique_ptr<NodeGroup> make_dc0_group(Router& router,
+                                          wal::WalManager* wal = nullptr) {
+  NodeGroup::Options opt;
+  opt.threads = 1;
+  opt.seed = 7;
+  opt.wal = wal;
+  opt.wake = [](std::uint32_t) {};
+  auto group = std::make_unique<NodeGroup>(
+      /*dc=*/0, std::vector<PartitionId>{0, 1}, router, opt);
+  group->install_engines([](NodeId id, server::Context& ctx) {
+    ProtocolConfig protocol;
+    protocol.heartbeat_interval_us = 60'000'000;
+    return std::make_unique<PoccServer>(id, three_dc_topology(), protocol,
+                                        ServiceConfig{}, ctx);
+  });
+  group->start();
+  return group;
+}
+
+/// A key partition `part` of the 3-DC topology owns.
+KeyId key_on(PartitionId part, const std::string& prefix) {
+  for (std::uint64_t i = 0;; ++i) {
+    const KeyId k = store::intern_key(prefix + std::to_string(i));
+    if (store::KeySpace::global().partition(k, 2, PartitionScheme::kHash) ==
+        part) {
+      return k;
+    }
+  }
+}
+
+proto::PutReq dc0_put(ClientId client, KeyId key, std::uint64_t op_id) {
+  proto::PutReq req;
+  req.client = client;
+  req.key = key;
+  req.value = "v";
+  req.dv = VersionVector(kDcs);
+  req.op_id = op_id;
+  return req;
+}
+
+std::vector<proto::Heartbeat> heartbeats_from(
+    const std::vector<CapturingRouter::Routed>& routed, PartitionId part) {
+  std::vector<proto::Heartbeat> out;
+  for (const auto& r : routed) {
+    if (r.from.part != part) continue;
+    if (const auto* hb = std::get_if<proto::Heartbeat>(&r.msg)) {
+      out.push_back(*hb);
+    }
+  }
+  return out;
+}
+
+TEST(NodeGroupPromise, SiblingHeartbeatFollowsThePassReplicates) {
+  CapturingRouter router;
+  auto group = make_dc0_group(router);
+  group->service(0);  // start the engines: nothing to drain, nothing sent
+  EXPECT_TRUE(router.take_routed().empty()) << "an idle pass sent something";
+
+  group->enqueue(NodeId{0, 0}, NodeId{0, 0},
+                 proto::Message{dc0_put(1, key_on(0, "pp:"), 1)});
+  group->service(0);
+  const auto replies = router.take_replies();
+  ASSERT_EQ(replies.size(), 1u);
+  const auto* put = std::get_if<proto::PutReply>(&replies[0].second);
+  ASSERT_NE(put, nullptr);
+  const Timestamp t = put->ut;
+
+  const auto routed = router.take_routed();
+  for (DcId j = 1; j < kDcs; ++j) {
+    // On each peer DC's link: partition 0's Replicate, then partition 1's
+    // promise of the same timestamp.
+    std::ptrdiff_t replicate_at = -1;
+    std::ptrdiff_t promise_at = -1;
+    for (std::size_t i = 0; i < routed.size(); ++i) {
+      if (routed[i].to.dc != j) continue;
+      if (routed[i].to.part == 0 &&
+          std::holds_alternative<proto::Replicate>(routed[i].msg)) {
+        replicate_at = static_cast<std::ptrdiff_t>(i);
+      }
+      if (routed[i].from.part == 1) {
+        const auto* hb = std::get_if<proto::Heartbeat>(&routed[i].msg);
+        ASSERT_NE(hb, nullptr);
+        EXPECT_EQ(hb->src_dc, 0u);
+        EXPECT_EQ(hb->ts, t) << "the promise must be the PUT's timestamp";
+        EXPECT_EQ(routed[i].to, (NodeId{j, 1}));
+        promise_at = static_cast<std::ptrdiff_t>(i);
+      }
+    }
+    ASSERT_GE(replicate_at, 0) << "no Replicate to DC " << j;
+    ASSERT_GE(promise_at, 0) << "no promise to DC " << j;
+    EXPECT_LT(replicate_at, promise_at);
+  }
+  EXPECT_TRUE(heartbeats_from(routed, 0).empty())
+      << "the partition that set T has nothing to promise";
+  EXPECT_EQ(group->engine(1).version_vector()[0], t);
+  EXPECT_EQ(group->engine(1).pass_heartbeats(), 1u);
+
+  group->service(0);
+  EXPECT_TRUE(router.take_routed().empty()) << "an idle pass sent something";
+  group->stop();
+}
+
+TEST(NodeGroupPromise, PassWithOnlyInProcessSendsPromisesNothing) {
+  CapturingRouter router;
+  auto group = make_dc0_group(router);
+  // Partition 0's VV[0] ahead of partition 1's, as a WAL replay leaves it.
+  const Timestamp restored = steady_now_us();
+  group->engine(0).restore_vv(VersionVector{restored, 0, 0});
+
+  // An RO-TX over both partitions: a SliceReq and its SliceReply, both
+  // in-process. Partition 1 covers TV[0] = `restored` with its clock.
+  proto::RoTxReq tx;
+  tx.client = 3;
+  tx.keys = {key_on(0, "ipa:"), key_on(1, "ipb:")};
+  tx.rdv = VersionVector(kDcs);
+  tx.op_id = 1;
+  group->enqueue(NodeId{0, 0}, NodeId{0, 0}, proto::Message{std::move(tx)});
+  group->service(0);  // drains until the slice exchange is done
+  const auto replies = router.take_replies();
+  ASSERT_EQ(replies.size(), 1u);
+  const auto* reply = std::get_if<proto::RoTxReply>(&replies[0].second);
+  ASSERT_NE(reply, nullptr);
+  EXPECT_EQ(reply->blocked_us, 0);
+  EXPECT_TRUE(router.take_routed().empty());
+  EXPECT_EQ(group->engine(1).version_vector()[0], 0);
+  EXPECT_EQ(group->engine(1).pass_heartbeats(), 0u);
+  group->stop();
+}
+
+TEST(NodeGroupPromise, RecoveryMuteSuppressesThePromise) {
+  CapturingRouter router;
+  auto group = make_dc0_group(router);
+  group->service(0);
+  group->engine(1).begin_peer_recovery(/*heartbeat_gate_us=*/60'000'000);
+  router.take_routed();  // the RecoveryReqs
+
+  group->enqueue(NodeId{0, 0}, NodeId{0, 0},
+                 proto::Message{dc0_put(1, key_on(0, "mute:"), 1)});
+  group->service(0);
+  ASSERT_EQ(router.take_replies().size(), 1u);
+  const auto routed = router.take_routed();
+  EXPECT_FALSE(routed.empty()) << "the PUT's Replicates";
+  EXPECT_TRUE(heartbeats_from(routed, 1).empty())
+      << "a recovering partition promised before its RecoveryDones";
+  EXPECT_EQ(group->engine(1).pass_heartbeats(), 0u);
+  group->stop();
+}
+
+TEST(NodeGroupPromise, WithAWalOnlyPartitionsThatSyncAnywayPromise) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() /
+                       ("pocc_node_group_test_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  {
+    wal::WalManager wal(dir.string());
+    CapturingRouter router;
+    auto group = make_dc0_group(router, &wal);
+    group->service(0);
+    const std::uint64_t syncs0 = wal.wal_for(0).syncs();
+    const std::uint64_t syncs1 = wal.wal_for(1).syncs();
+
+    group->enqueue(NodeId{0, 0}, NodeId{0, 0},
+                   proto::Message{dc0_put(1, key_on(0, "walp:"), 1)});
+    group->service(0);
+    ASSERT_EQ(router.take_replies().size(), 1u);
+    const auto routed = router.take_routed();
+    EXPECT_FALSE(routed.empty()) << "the PUT's Replicates";
+    EXPECT_TRUE(heartbeats_from(routed, 1).empty())
+        << "a partition with nothing unsynced promised";
+    EXPECT_EQ(wal.wal_for(0).syncs(), syncs0 + 1);
+    EXPECT_EQ(wal.wal_for(1).syncs(), syncs1)
+        << "a promise cost an fdatasync of its own";
+    group->stop();
+    wal.stop();
+  }
+  fs::remove_all(dir);
 }
 
 }  // namespace

@@ -201,6 +201,7 @@ TEST_F(PoccServerTest, HeartbeatTimerBroadcastsWhenIdle) {
   EXPECT_GT(hbs[0].second.ts, 0);
   // VV[m] advanced to the broadcast clock value.
   EXPECT_EQ(server_.version_vector()[0], hbs[0].second.ts);
+  EXPECT_EQ(server_.timer_heartbeats(), 1u);
 }
 
 TEST_F(PoccServerTest, HeartbeatSuppressedAfterRecentPut) {
@@ -282,6 +283,74 @@ TEST_F(PoccServerTest, SliceWaitsUntilVvCoversSnapshot) {
   const auto replies = ctx_.sent_of<proto::SliceReply>();
   ASSERT_EQ(replies.size(), 1u);
   EXPECT_GT(replies[0].second.blocked_us, 0);
+}
+
+TEST_F(PoccServerTest, SliceOnTheLocalEntryIsServedOnceTheClockPassesIt) {
+  // TV[0] (this DC) is ahead of VV[0]: no PUT or heartbeat raised it. A
+  // clock reading at or past TV[0] covers it — every later local version is
+  // stamped past that reading — so the slice is served without parking,
+  // and VV[0] is left alone (it still drives the idle heartbeat).
+  const Timestamp tv_local = ctx_.now - 10;
+  proto::SliceReq slice;
+  slice.tx_id = 44;
+  slice.coordinator = NodeId{0, 0};
+  slice.keys = {K("1:a")};
+  slice.tv = VersionVector{tv_local, 0, 0};
+  server_.handle_message(NodeId{0, 0}, slice);
+  const auto replies = ctx_.sent_of<proto::SliceReply>();
+  ASSERT_EQ(replies.size(), 1u);
+  EXPECT_EQ(replies[0].second.blocked_us, 0);
+  EXPECT_EQ(server_.parked_requests(), 0u);
+  EXPECT_EQ(server_.version_vector()[0], 0);
+}
+
+TEST_F(PoccServerTest, SliceAheadOfTheClockParksUntilTheClockWakeup) {
+  const Timestamp tv_local = ctx_.now + 5'000;
+  proto::SliceReq slice;
+  slice.tx_id = 45;
+  slice.coordinator = NodeId{0, 0};
+  slice.keys = {K("1:a")};
+  slice.tv = VersionVector{tv_local, 0, 0};
+  server_.handle_message(NodeId{0, 0}, slice);
+  EXPECT_TRUE(ctx_.sent_of<proto::SliceReply>().empty());
+  EXPECT_EQ(server_.parked_requests(), 1u);
+  bool has_clock_timer = false;
+  for (const auto& [at, id] : ctx_.timers) {
+    if (id == server::kTimerClockWait) has_clock_timer = true;
+  }
+  ASSERT_TRUE(has_clock_timer);
+  ctx_.now = tv_local + 1;
+  server_.on_timer(server::kTimerClockWait);
+  const auto replies = ctx_.sent_of<proto::SliceReply>();
+  ASSERT_EQ(replies.size(), 1u);
+  EXPECT_GT(replies[0].second.blocked_us, 0);
+  EXPECT_EQ(server_.parked_requests(), 0u);
+}
+
+TEST_F(PoccServerTest, PromiseHeartbeatSendsTheSharedTimestamp) {
+  // A sibling's VV[0] is at `ts`; this partition promises the same ts once
+  // its own clock is there, and never while the clock is behind it.
+  const Timestamp ahead = ctx_.now + 1'000;
+  server_.promise_heartbeat(ahead);
+  EXPECT_TRUE(ctx_.sent_of<proto::Heartbeat>().empty());
+  EXPECT_EQ(server_.version_vector()[0], 0);
+
+  const Timestamp ts = ctx_.now - 5;
+  server_.promise_heartbeat(ts);
+  const auto hbs = ctx_.sent_of<proto::Heartbeat>();
+  ASSERT_EQ(hbs.size(), 2u);  // DCs 1 and 2, same partition index
+  EXPECT_EQ(hbs[0].first, (NodeId{1, 1}));
+  EXPECT_EQ(hbs[1].first, (NodeId{2, 1}));
+  EXPECT_EQ(hbs[0].second.src_dc, 0u);
+  EXPECT_EQ(hbs[0].second.ts, ts);
+  EXPECT_EQ(server_.version_vector()[0], ts);
+  EXPECT_EQ(server_.pass_heartbeats(), 1u);
+  EXPECT_EQ(server_.timer_heartbeats(), 0u);
+
+  // VV[0] already covers ts: nothing more to promise.
+  ctx_.clear_traffic();
+  server_.promise_heartbeat(ts);
+  EXPECT_TRUE(ctx_.sent_of<proto::Heartbeat>().empty());
 }
 
 TEST_F(PoccServerTest, SliceVisibilityFiltersBySnapshot) {

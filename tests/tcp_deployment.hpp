@@ -26,9 +26,10 @@ namespace pocc::net::testutil {
 /// Deployment-unique client ids across all tests in this binary.
 inline std::atomic<ClientId> g_next_client{1};
 
-inline ClusterLayout small_layout(SystemKind system, Duration block_timeout_us) {
+inline ClusterLayout small_layout(SystemKind system, Duration block_timeout_us,
+                                  std::uint32_t dcs = 3) {
   ClusterLayout layout;
-  layout.topology.num_dcs = 3;
+  layout.topology.num_dcs = dcs;
   layout.topology.partitions_per_dc = 2;
   layout.topology.partition_scheme = PartitionScheme::kHash;
   layout.system = system;
@@ -40,14 +41,22 @@ inline ClusterLayout small_layout(SystemKind system, Duration block_timeout_us) 
   return layout;
 }
 
+/// Data centers, and worker threads per DC host (2 partitions per DC).
+struct Shape {
+  std::uint32_t dcs = 3;
+  std::uint32_t threads = 2;
+};
+
 /// A whole cluster + per-DC client pools, in one process over real TCP:
-/// one multi-partition host per DC, all partitions on 2 worker threads.
+/// one multi-partition host per DC (by default 3 DCs, all partitions on 2
+/// worker threads).
 class Deployment {
  public:
   explicit Deployment(SystemKind system,
                       const ClientResilience* resilience = nullptr,
-                      Duration block_timeout_us = 2'000'000)
-      : layout_(small_layout(system, block_timeout_us)) {
+                      Duration block_timeout_us = 2'000'000,
+                      Shape shape = Shape{})
+      : layout_(small_layout(system, block_timeout_us, shape.dcs)) {
     const auto& topo = layout_.topology;
     std::uint64_t seed = 1;
     for (DcId dc = 0; dc < topo.num_dcs; ++dc) {
@@ -56,7 +65,7 @@ class Deployment {
       for (PartitionId p = 0; p < topo.partitions_per_dc; ++p) {
         spec.parts.push_back(p);
       }
-      spec.threads = 2;
+      spec.threads = shape.threads;
       spec.host = "127.0.0.1";
       TcpNodeHost::Options opt;
       opt.listen_port = 0;  // ephemeral

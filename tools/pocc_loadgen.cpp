@@ -11,7 +11,9 @@
 //           workload for --duration-s, then the merged per-session histories
 //           are replayed through the HistoryChecker. Emits one JSON line
 //           (throughput + latency percentiles + checker verdict, plus the
-//           checker's cost: check_s replay time and peak_rss_mb).
+//           checker's cost: check_s replay time and peak_rss_mb). RO-TX
+//           runs also report how often the servers parked a slice
+//           (tx_blocked_ratio) and the park time's tx_blocked_us_p99.
 //   smoke — deterministic causal scenarios: read-your-writes in one DC and
 //           the cross-DC WC-DEP chain (photo/comment, §II-A), plus eventual
 //           cross-DC convergence; every session history checked afterwards.
@@ -235,6 +237,16 @@ struct ThreadLatencies {
   stats::Histogram get_us;
   stats::Histogram put_us;
   stats::Histogram tx_us;
+  /// Server park time of every completed RO-TX (its longest slice wait),
+  /// and how many of them parked at all.
+  stats::Histogram tx_blocked_us;
+  std::uint64_t txs_blocked = 0;
+
+  void record_tx(Duration latency_us, Duration blocked_us) {
+    tx_us.record(latency_us);
+    tx_blocked_us.record(blocked_us);
+    if (blocked_us > 0) ++txs_blocked;
+  }
 };
 
 void run_client(net::TcpSession& session, const workload::WorkloadConfig& wl,
@@ -261,13 +273,15 @@ void run_client(net::TcpSession& session, const workload::WorkloadConfig& wl,
           lat.put_us.record(now_us() - start);
         }
         break;
-      case workload::OpType::kRoTx:
-        ok = session.ro_tx_ids(op.keys, op_deadline_us).ok;
+      case workload::OpType::kRoTx: {
+        const auto res = session.ro_tx_ids(op.keys, op_deadline_us);
+        ok = res.ok;
         if (ok) {
           ++ops.txs;
-          lat.tx_us.record(now_us() - start);
+          lat.record_tx(now_us() - start, res.blocked_us);
         }
         break;
+      }
     }
     if (!ok) {
       ++ops.failures;
@@ -344,13 +358,15 @@ void run_pipelined(std::vector<PipelinedClient>& clients,
               c.lat->put_us.record(now_us() - c.op_start);
             }
             break;
-          case workload::OpType::kRoTx:
-            ok = c.session->finish_tx().ok;
+          case workload::OpType::kRoTx: {
+            const auto res = c.session->finish_tx();
+            ok = res.ok;
             if (ok) {
               ++ops.txs;
-              c.lat->tx_us.record(now_us() - c.op_start);
+              c.lat->record_tx(now_us() - c.op_start, res.blocked_us);
             }
             break;
+          }
         }
         if (!ok) ++ops.failures;
         if (ok && wl.think_time_us > 0) {
@@ -501,11 +517,19 @@ int run_load(const Args& args, const net::ClusterLayout& layout) {
   stats::Histogram get_us;
   stats::Histogram put_us;
   stats::Histogram tx_us;
+  stats::Histogram tx_blocked_us;
+  std::uint64_t txs_blocked = 0;
   for (const ThreadLatencies& l : lats) {
     get_us.merge(l.get_us);
     put_us.merge(l.put_us);
     tx_us.merge(l.tx_us);
+    tx_blocked_us.merge(l.tx_blocked_us);
+    txs_blocked += l.txs_blocked;
   }
+  const double tx_blocked_ratio =
+      tx_blocked_us.count() > 0 ? static_cast<double>(txs_blocked) /
+                                      static_cast<double>(tx_blocked_us.count())
+                                : 0.0;
 
   std::vector<checker::SessionHistory> histories;
   net::ClientResilienceStats rstats;
@@ -545,7 +569,7 @@ int run_load(const Args& args, const net::ClusterLayout& layout) {
       "\"value_size\":%u,\"value_size_max\":%u,"
       "\"seed\":%llu,\"duration_s\":%.2f,\"ops\":%llu,\"ops_per_sec\":%.1f,"
       "\"gets\":%llu,\"puts\":%llu,\"ro_txs\":%llu,\"failures\":%llu,"
-      "%s,"
+      "%s,\"tx_blocked_ratio\":%.4f,\"tx_blocked_us_p99\":%lld,"
       "\"history_events\":%zu,\"checks\":%llu,\"violations\":%llu,"
       "\"check_s\":%.3f,\"peak_rss_mb\":%.1f,"
       "\"resilient\":%s,\"op_deadline_us\":%lld,"
@@ -566,7 +590,8 @@ int run_load(const Args& args, const net::ClusterLayout& layout) {
       static_cast<unsigned long long>(ops.puts.load()),
       static_cast<unsigned long long>(ops.txs.load()),
       static_cast<unsigned long long>(ops.failures.load()),
-      lat_json.c_str(), history_events,
+      lat_json.c_str(), tx_blocked_ratio,
+      static_cast<long long>(tx_blocked_us.percentile(99)), history_events,
       static_cast<unsigned long long>(verdict.checks),
       static_cast<unsigned long long>(verdict.violations), verdict.check_s,
       peak_rss_mb(), args.resilient ? "true" : "false",
