@@ -142,9 +142,11 @@ cluster_start() {
 # kill_restart DC: kill -9 DC's poccd, restart it on its data dir, wait until
 # it is ready again (readiness implies the WAL replay ran: it happens in the
 # host's constructor), and prove from /metrics that the replay restored
-# versions into some partition. Exits 7 on failure.
+# versions into some partition. Also prints, ungated, whether each
+# partition's recovery gate opened at its deadline (1) rather than on its
+# peers' RecoveryDones (0). Exits 7 on failure.
 kill_restart() {
-  local dc=$1 pid=${PIDS[$1]} replay
+  local dc=$1 pid=${PIDS[$1]} metrics replay
   echo "$NAME: kill -9 poccd dc$dc (pid $pid) mid-load"
   kill -9 "$pid" 2>/dev/null || true
   wait "$pid" 2>/dev/null || true
@@ -152,9 +154,10 @@ kill_restart() {
   echo "$NAME: restarting dc$dc on its data dir (WAL replay + peer recovery)"
   start_dc "$dc"
   ready_wait "$dc" 300 || exit 7
-  replay="$(http_get "$(metrics_port "$dc")" /metrics | http_body \
-    | grep '^pocc_wal_replay_log_versions{' || true)"
+  metrics="$(http_get "$(metrics_port "$dc")" /metrics | http_body || true)"
+  replay="$(grep '^pocc_wal_replay_log_versions{' <<< "$metrics" || true)"
   echo "$replay"
+  grep '^pocc_engine_recovery_gate_expired{' <<< "$metrics" || true
   if ! awk '$NF > 0 { found = 1 } END { exit !found }' <<< "$replay"; then
     echo "$NAME: FAIL — restarted dc$dc replayed zero versions from its WAL" >&2
     exit 7

@@ -139,21 +139,12 @@ void TcpNodeHost::start(const std::vector<ProcessSpec>& peers) {
   // Peer recovery: before the workers run, each durable engine asks its
   // sibling replicas for the replication suffix past its restored VV (the
   // RecoveryReqs stage into the batchers here and leave once the transport
-  // connects). Client requests park until every RecoveryDone is back — a
+  // connects) and holds client work until its RecoveryDones are back — a
   // fresh cluster answers instantly (empty stores), so the gate only bites
   // after a real crash.
-  std::uint32_t expected_dones = 0;
-  if (wal_ != nullptr && layout_.topology.num_dcs > 1) {
+  if (wal_ != nullptr) {
     for (const PartitionId p : self_.parts) {
       group_->engine(p).begin_peer_recovery(opt_.recovery_deadline_us);
-      expected_dones += layout_.topology.num_dcs - 1;
-    }
-  }
-  {
-    std::lock_guard lk(mu_);
-    recovery_dones_pending_ = expected_dones;
-    if (expected_dones > 0) {
-      recovery_deadline_at_ = rt::steady_now_us() + opt_.recovery_deadline_us;
     }
   }
   register_metrics();
@@ -184,9 +175,7 @@ void TcpNodeHost::start(const std::vector<ProcessSpec>& peers) {
   log("serving " + std::to_string(self_.parts.size()) + " partitions on " +
       std::to_string(group_->threads()) + " workers, port " +
       std::to_string(port()) +
-      (expected_dones > 0
-           ? ", awaiting " + std::to_string(expected_dones) + " RecoveryDones"
-           : ""));
+      (recovering() ? ", awaiting peer recovery" : ""));
 }
 
 void TcpNodeHost::stop() {
@@ -229,15 +218,20 @@ void TcpNodeHost::crash_stop() {
 }
 
 bool TcpNodeHost::recovering() const {
-  std::lock_guard lk(mu_);
-  return recovery_dones_pending_ > 0;
+  // The partitions are immutable after construction; recovering() is an
+  // atomic read.
+  return std::any_of(self_.parts.begin(), self_.parts.end(),
+                     [this](PartitionId p) {
+                       return group_->engine(p).recovering();
+                     });
 }
 
 bool TcpNodeHost::ready() const {
   {
     std::lock_guard lk(mu_);
-    if (!started_ || recovery_dones_pending_ > 0) return false;
+    if (!started_) return false;
   }
+  if (recovering()) return false;
   // links_ is immutable once start() returns (and the metrics server only
   // runs after that); connected() takes the owning shard's mutex.
   for (const auto& link : links_) {
@@ -390,6 +384,10 @@ void TcpNodeHost::register_metrics() {
     r.counter_fn(
         "pocc_engine_unmerged_reads_total", part_label,
         [eng] { return eng->staleness_stats().unmerged_reads.load(); });
+    r.gauge_fn("pocc_engine_recovery_gate_expired", part_label,
+               [eng] { return eng->recovery_gate_expired() ? 1 : 0; },
+               "1 when the recovery gate opened at its deadline with a "
+               "RecoveryDone outstanding");
     r.gauge_fn("pocc_engine_gc_floor_us", part_label,
                [eng] { return eng->scraped_gc_floor_us(); },
                "Min entry of the last applied aggregate GC vector");
@@ -519,24 +517,6 @@ Timestamp TcpNodeHost::on_loop_pass(std::uint32_t loop) {
       transport_.wake_loop(owner);
     }
   }
-  // Recovery gate deadline: a dead peer never sends its RecoveryDone; past
-  // the deadline this DC serves clients anyway (it is causally consistent
-  // with what it has — only the lost suffix's freshness is forfeited).
-  const Timestamp gate = recovery_deadline_at_.load();
-  if (gate != 0) {
-    if (rt::steady_now_us() >= gate) {
-      bool expired = false;
-      {
-        std::lock_guard lk(mu_);
-        recovery_deadline_at_ = 0;
-        expired = recovery_dones_pending_ > 0;  // not beaten by the last Done
-        recovery_dones_pending_ = 0;
-      }
-      if (expired) release_parked_clients("recovery deadline expired");
-    } else if (next == 0 || gate < next) {
-      next = gate;  // a sleeping loop still wakes for the deadline
-    }
-  }
   return next;
 }
 
@@ -561,8 +541,7 @@ void TcpNodeHost::send_overloaded(ConnId conn, ClientId client,
   ++overloaded_;
 }
 
-void TcpNodeHost::dispatch_client_request(ConnId conn, proto::Message m,
-                                          bool replayed) {
+void TcpNodeHost::dispatch_client_request(ConnId conn, proto::Message m) {
   // Client requests carry no destination node — the process dispatches by
   // key placement (the client dialed this process because it hosts the
   // partition; recompute instead of trusting the connection).
@@ -595,8 +574,8 @@ void TcpNodeHost::dispatch_client_request(ConnId conn, proto::Message m,
   {
     std::lock_guard lk(mu_);
     client_conn_[client] = conn;
-    if (!replayed) ++client_requests_;
-    if (!replayed && op_id != 0) {
+    ++client_requests_;
+    if (op_id != 0) {
       // Idempotent retry absorption: the client retries with the SAME
       // op_id, so a duplicate of a completed op is answered from the
       // cached reply window and a duplicate of an op still in flight is
@@ -612,13 +591,6 @@ void TcpNodeHost::dispatch_client_request(ConnId conn, proto::Message m,
       } else {
         cache.in_flight.insert(op_id);
       }
-    }
-    if (resend.empty() && recovery_dones_pending_ > 0) {
-      // Admission gate: until the peers have streamed the lost replication
-      // suffix back, a client could read state older than what it already
-      // saw before the crash. Park the request; released in arrival order.
-      parked_clients_.emplace_back(conn, std::move(m));
-      return;
     }
   }
   if (!resend.empty()) {
@@ -640,21 +612,6 @@ void TcpNodeHost::dispatch_client_request(ConnId conn, proto::Message m,
       }
     }
     send_overloaded(conn, client, op_id);
-  }
-}
-
-void TcpNodeHost::release_parked_clients(const char* why) {
-  std::vector<std::pair<ConnId, proto::Message>> parked;
-  {
-    std::lock_guard lk(mu_);
-    parked.swap(parked_clients_);
-  }
-  if (!parked.empty() || opt_.verbose) {
-    log("recovery gate open (" + std::string(why) + "), releasing " +
-        std::to_string(parked.size()) + " parked client requests");
-  }
-  for (auto& [conn, m] : parked) {
-    dispatch_client_request(conn, std::move(m), /*replayed=*/true);
   }
 }
 
@@ -684,7 +641,6 @@ void TcpNodeHost::on_frame(ConnId conn, proto::Frame frame) {
         return;
       }
     }
-    bool gate_opened = false;
     for (proto::RoutedMessage& item : batch->items) {
       if (!group_->hosts(item.to)) {
         std::lock_guard lk(mu_);
@@ -693,20 +649,8 @@ void TcpNodeHost::on_frame(ConnId conn, proto::Frame frame) {
             " addressed to " + item.to.to_string());
         continue;
       }
-      // Snoop the recovery handshake: the admission gate opens when the
-      // last outstanding RecoveryDone goes by (the engine merges its VV
-      // moments later on the worker thread; a released request that wins
-      // that race simply parks on the normal VV wait).
-      if (std::holds_alternative<proto::RecoveryDone>(item.msg)) {
-        std::lock_guard lk(mu_);
-        if (recovery_dones_pending_ > 0 && --recovery_dones_pending_ == 0) {
-          gate_opened = true;
-          recovery_deadline_at_ = 0;
-        }
-      }
       group_->enqueue(item.from, item.to, std::move(item.msg));
     }
-    if (gate_opened) release_parked_clients("all RecoveryDones received");
     return;
   }
 

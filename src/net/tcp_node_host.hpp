@@ -32,7 +32,6 @@
 //     DC-local coordinator partition for RO-TX).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -67,9 +66,10 @@ class TcpNodeHost final : public rt::Router {
     /// `<data_dir>/p<part>/`. Empty disables durability entirely (the
     /// pre-WAL behavior; poccd --no-durability).
     std::string data_dir;
-    /// Upper bound on the client-admission gate while peer recovery runs;
-    /// past it, parked client requests are released even with RecoveryDones
-    /// outstanding (a dead peer must not wedge this DC forever).
+    /// Upper bound on each partition's recovery gate
+    /// (ReplicaBase::recovering()); past it, held client requests are
+    /// released even with RecoveryDones outstanding (a dead peer must not
+    /// wedge this DC forever).
     Duration recovery_deadline_us = 10'000'000;
     /// Bounded admission: a client request is refused with an Overloaded
     /// reply when the target worker's inbox already holds this many
@@ -112,11 +112,12 @@ class TcpNodeHost final : public rt::Router {
   /// data_dir.
   void crash_stop();
 
-  /// True while the client-admission gate is closed (peer recovery pending).
+  /// True while any hosted partition's recovery gate is closed
+  /// (ReplicaBase::recovering()). Safe from any thread.
   [[nodiscard]] bool recovering() const;
 
-  /// Readiness (the /readyz predicate): started, WAL recovery complete
-  /// (client gate open), and every peer link connected.
+  /// Readiness (the /readyz predicate): started, no partition recovering,
+  /// and every peer link connected.
   [[nodiscard]] bool ready() const;
 
   /// The unified stats registry. Every quantity this process tracks —
@@ -183,21 +184,15 @@ class TcpNodeHost final : public rt::Router {
   /// placement (it runs under a transport shard lock).
   [[nodiscard]] std::int32_t place(const proto::Frame& first) const;
   void on_disconnected(ConnId conn);
-  /// TcpTransport::Callbacks::on_loop_pass: service worker `loop`, flush
-  /// the links this loop owns (waking the owners of links it staged into),
-  /// and expire the recovery gate past its deadline. Returns the earlier of
-  /// the worker's next timer and that deadline.
+  /// TcpTransport::Callbacks::on_loop_pass: service worker `loop` and flush
+  /// the links this loop owns (waking the owners of links it staged into).
+  /// Returns the worker's next timer.
   [[nodiscard]] Timestamp on_loop_pass(std::uint32_t loop);
-  /// `replayed` marks re-dispatch of a request parked by the recovery gate:
-  /// the idempotency bookkeeping already ran at first arrival and must not
-  /// mistake the replay for a client retry.
-  void dispatch_client_request(ConnId conn, proto::Message m,
-                               bool replayed = false);
+  void dispatch_client_request(ConnId conn, proto::Message m);
   /// True while any replication link is backlogged (admission refuses
   /// client work until the peer drains).
   [[nodiscard]] bool replication_backlogged() const;
   void send_overloaded(ConnId conn, ClientId client, std::uint64_t op_id);
-  void release_parked_clients(const char* why);
   /// Populates registry_ with every instrument this process exposes. Called
   /// once from start(), after links_ is final (the scrape-time callbacks
   /// capture link/engine pointers that must be immutable by then).
@@ -255,13 +250,6 @@ class TcpNodeHost final : public rt::Router {
   std::uint64_t deduped_ = 0;
   std::uint64_t client_requests_ = 0;
   bool started_ = false;
-  /// RecoveryDones still outstanding across all hosted partitions; client
-  /// requests park in parked_clients_ until it reaches 0 (or the deadline).
-  std::uint32_t recovery_dones_pending_ = 0;
-  /// When the gate opens regardless (steady µs); 0 once it is open. Written
-  /// under mu_, read lock-free by every loop pass.
-  std::atomic<Timestamp> recovery_deadline_at_{0};
-  std::vector<std::pair<ConnId, proto::Message>> parked_clients_;
 
   /// Last member: destroyed (and thus stopped) before anything its handlers
   /// read — the registry, the group, the transport.

@@ -31,6 +31,27 @@ void ReplicaBase::start() {
 
 Duration ReplicaBase::handle_message(NodeId from, proto::Message m) {
   work_ = 0;
+  if (recovering() && (std::holds_alternative<proto::GetReq>(m) ||
+                       std::holds_alternative<proto::PutReq>(m) ||
+                       std::holds_alternative<proto::RoTxReq>(m) ||
+                       std::holds_alternative<proto::SliceReq>(m))) {
+    // Recovery gate: until the siblings have streamed back the suffix this
+    // replica lost, a client could read state older than what it saw before
+    // the crash. Held with no deadline (HA-POCC's session expiry must not
+    // fire on it) and outside the blocking stats: the handler runs afresh
+    // once the gate opens.
+    lot_.park(
+        ctx_.time(), [this] { return !recovering(); },
+        [this, from, m = std::move(m)](Duration) mutable {
+          dispatch(from, std::move(m));
+        });
+    return work_;
+  }
+  dispatch(from, std::move(m));
+  return work_;
+}
+
+void ReplicaBase::dispatch(NodeId from, proto::Message m) {
   std::visit(
       [&](auto&& msg) {
         using T = std::decay_t<decltype(msg)>;
@@ -67,13 +88,21 @@ Duration ReplicaBase::handle_message(NodeId from, proto::Message m) {
         }
       },
       std::move(m));
-  return work_;
 }
 
 Duration ReplicaBase::on_timer(std::uint64_t timer_id) {
   work_ = 0;
   switch (timer_id) {
     case kTimerHeartbeat: {
+      if (recovering() && ctx_.time() >= recovery_gate_until_) {
+        // A sibling that never answers must not hold this replica forever:
+        // open the gate and release the held client work. It is causally
+        // consistent with what it has; only the lost suffix's freshness is
+        // forfeited.
+        recovery_gate_expired_ = true;
+        recovering_dcs_ = 0;
+        poke();
+      }
       // Alg. 2 lines 19-26: if no PUT advanced VV[m] for Δ, broadcast the
       // local clock so remote version vectors keep moving. The runtime host
       // also sends heartbeats between ticks (promise_heartbeat()); both go
@@ -253,10 +282,6 @@ Duration ReplicaBase::on_heartbeat(NodeId from, const proto::Heartbeat& msg) {
   return work_;
 }
 
-bool ReplicaBase::heartbeat_muted() const {
-  return recovering_dcs_ > 0 && ctx_.time() < recovery_heartbeat_gate_until_;
-}
-
 bool ReplicaBase::heartbeat(Timestamp ts) {
   // Peer-recovery mute: until every RecoveryDone landed, this replica's
   // pre-crash sends may still be holes on the peers — a heartbeat now
@@ -264,7 +289,7 @@ bool ReplicaBase::heartbeat(Timestamp ts) {
   // push-back will deliver. The first heartbeat after the gate opens
   // FIFO-follows those RecoveryVersions on every link, so the promise
   // "every update <= ts was sent" holds again.
-  if (heartbeat_muted()) return false;
+  if (recovering()) return false;
   vv_[local_dc()] = ts;
   // The raise must be durable before any peer acts on the broadcast: a
   // heartbeat promises "every update <= ts has been sent", which after a
@@ -308,10 +333,9 @@ void ReplicaBase::restore_vv(const VersionVector& vv) {
   if (vv.size() == vv_.size()) vv_.merge_max(vv);
 }
 
-void ReplicaBase::begin_peer_recovery(Duration heartbeat_gate_us) {
+void ReplicaBase::begin_peer_recovery(Duration gate_us) {
   fifo_tolerant_ = true;
-  recovering_dcs_ = 0;
-  recovery_heartbeat_gate_until_ = ctx_.time() + heartbeat_gate_us;
+  recovery_gate_until_ = ctx_.time() + gate_us;
   for (DcId j = 0; j < topology_.num_dcs; ++j) {
     if (j == local_dc()) continue;
     ++recovering_dcs_;
@@ -371,7 +395,8 @@ Duration ReplicaBase::on_recovery_done(const proto::RecoveryDone& msg) {
     vv_.merge_max(msg.vv);
     if (DurabilityLog* dur = ctx_.durability()) dur->log_vv(vv_);
   }
-  if (recovering_dcs_ > 0) --recovering_dcs_;
+  // The last Done opens the gate: poke() releases the held client work.
+  if (recovering()) recovering_dcs_ = recovering_dcs_ - 1;
   poke();
   return work_;
 }
@@ -642,10 +667,9 @@ bool ReplicaBase::slice_ready(const VersionVector& tv) {
 bool ReplicaBase::local_entry_covered(Timestamp ts) {
   // This partition creates every local version itself, each stamped by a
   // strictly monotonic clock: once a reading is at or past ts, all local
-  // versions <= ts are installed. Not while muted for peer recovery — its
-  // own pre-crash versions may still arrive as RecoveryVersions.
+  // versions <= ts are installed. (Slices are held while recovering(), when
+  // its own pre-crash versions may still arrive as RecoveryVersions.)
   if (vv_[local_dc()] >= ts || clock_read_ >= ts) return true;
-  if (heartbeat_muted()) return false;
   if (ctx_.clock_peek() < ts) {
     arm_clock_wakeup(ts);
     return false;

@@ -16,6 +16,7 @@
 // model); the discrete-event host feeds this into the node's CpuQueue.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -70,21 +71,27 @@ class ReplicaBase {
   void restore_vv(const VersionVector& vv);
 
   /// Ask every sibling replica for the replication suffix lost past the
-  /// durable cut (vv_ as restored): sends RecoveryReq per peer DC and arms
-  /// recovery_complete(). Also makes on_replicate tolerate below-VV
-  /// duplicates permanently: recovery answers and live replication race on
-  /// independent FIFO links, so the timestamp-order invariant of a single
-  /// channel no longer covers the merged stream. Heartbeats stay muted for
-  /// up to `heartbeat_gate_us` while RecoveryDones are outstanding: a
-  /// heartbeat promises "every update <= ts was sent", and right after a
-  /// crash some of those sends died in flight — broadcasting the restored
-  /// clock before on_recovery_done() pushed the repair suffix would raise
-  /// peer VVs past versions they never received.
-  void begin_peer_recovery(Duration heartbeat_gate_us = 10'000'000);
+  /// durable cut (vv_ as restored): sends RecoveryReq per peer DC and closes
+  /// the recovery gate (recovering()) for up to `gate_us`. Also makes
+  /// on_replicate tolerate below-VV duplicates permanently: recovery answers
+  /// and live replication race on independent FIFO links, so the
+  /// timestamp-order invariant of a single channel no longer covers the
+  /// merged stream. Call before the engine's thread runs.
+  void begin_peer_recovery(Duration gate_us);
 
-  /// True once every sibling's RecoveryDone was processed (vacuously true
-  /// with one DC or before begin_peer_recovery()).
-  [[nodiscard]] bool recovery_complete() const { return recovering_dcs_ == 0; }
+  /// The recovery gate: true while a sibling DC still owes its RecoveryDone
+  /// and the gate's deadline has not passed (the first Δ tick past it opens
+  /// the gate). While it holds, heartbeats are muted — a heartbeat promises
+  /// "every update <= ts was sent", and right after a crash some of those
+  /// sends died in flight — and client work (GET, PUT, RO-TX, SliceReq) is
+  /// held, so no client reads state older than what it saw before the
+  /// crash. Safe to read from any thread.
+  [[nodiscard]] bool recovering() const { return recovering_dcs_ > 0; }
+  /// True when the gate opened at its deadline with a RecoveryDone still
+  /// outstanding (a sibling that never answered). Safe from any thread.
+  [[nodiscard]] bool recovery_gate_expired() const {
+    return recovery_gate_expired_;
+  }
 
   /// Versions ingested via RecoveryVersion (stats/tests).
   [[nodiscard]] std::uint64_t versions_recovered() const {
@@ -92,7 +99,9 @@ class ReplicaBase {
   }
 
   /// Dispatch any message (client request, replica traffic). Returns CPU time
-  /// consumed by the handler, including any parked work it resumed.
+  /// consumed by the handler, including any parked work it resumed. Client
+  /// work that arrives while recovering() is parked until the gate opens and
+  /// then handled in arrival order.
   Duration handle_message(NodeId from, proto::Message m);
 
   /// Timer callback. Returns CPU time consumed.
@@ -215,6 +224,8 @@ class ReplicaBase {
                                 Duration blocked_us);
 
   // ----- shared handler implementations -----
+  /// Run the handler for `m` (handle_message() minus the recovery hold).
+  void dispatch(NodeId from, proto::Message m);
   Duration on_get(const proto::GetReq& req);
   Duration on_put(const proto::PutReq& req);
   Duration on_replicate(const proto::Replicate& msg);
@@ -252,9 +263,8 @@ class ReplicaBase {
   /// raise VV[m] to `ts`, log it, and send Heartbeat{m, ts} to every
   /// sibling replica. The caller vouches that every local version <= ts was
   /// sent and every later one is stamped past ts. False (nothing sent)
-  /// while heartbeat_muted().
+  /// while recovering().
   bool heartbeat(Timestamp ts);
-  [[nodiscard]] bool heartbeat_muted() const;
 
   /// True once every local version <= ts is installed: VV[m] or a clock
   /// reading is at or past ts. Takes a fresh reading when the clock has
@@ -327,11 +337,12 @@ class ReplicaBase {
   Timestamp armed_clock_target_ = kTimestampMax;
   VersionObserver version_observer_;
 
-  /// Sibling DCs whose RecoveryDone is still outstanding (peer recovery).
-  std::uint32_t recovering_dcs_ = 0;
-  /// Heartbeats are suppressed while recovering_dcs_ > 0 and ctx_.time() is
-  /// below this mark (a dead sibling must not mute this replica forever).
-  Timestamp recovery_heartbeat_gate_until_ = 0;
+  /// Sibling DCs whose RecoveryDone is still outstanding; zeroed when the
+  /// gate opens at its deadline (a dead sibling must not hold this replica
+  /// forever). Relaxed so the host's /readyz may read it.
+  stats::RelaxedU64 recovering_dcs_;
+  Timestamp recovery_gate_until_ = 0;  // fixed by begin_peer_recovery()
+  std::atomic<bool> recovery_gate_expired_{false};
   /// Set by begin_peer_recovery(): on_replicate accepts versions below the
   /// VV as idempotent duplicates instead of asserting channel order.
   bool fifo_tolerant_ = false;

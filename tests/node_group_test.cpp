@@ -600,7 +600,7 @@ TEST(NodeGroupPromise, RecoveryMuteSuppressesThePromise) {
   CapturingRouter router;
   auto group = make_dc0_group(router);
   group->service(0);
-  group->engine(1).begin_peer_recovery(/*heartbeat_gate_us=*/60'000'000);
+  group->engine(1).begin_peer_recovery(/*gate_us=*/60'000'000);
   router.take_routed();  // the RecoveryReqs
 
   group->enqueue(NodeId{0, 0}, NodeId{0, 0},

@@ -14,14 +14,20 @@
 //    writes. scripts/e2e_local_cluster.sh covers the same flow across real
 //    process boundaries. While a DC is down its peer sheds client PUTs once
 //    the replication link's reconnect buffer is half full, before the
-//    transport drops anything.
+//    transport drops anything. A request held by the recovery gate is
+//    answered on the client's current connection, even after a reconnect.
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <poll.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -323,6 +329,16 @@ bool wait_recovered(net::TcpNodeHost& host, std::chrono::milliseconds timeout) {
   return !host.recovering();
 }
 
+/// Value of the first sample named `name` in `host`'s registry (-1 if
+/// absent); with one hosted partition, that partition's sample.
+double gauge_value(net::TcpNodeHost& host, const std::string& name) {
+  for (const stats::Snapshot::Sample& sample :
+       host.registry().snapshot().samples) {
+    if (sample.name == name) return sample.value;
+  }
+  return -1;
+}
+
 TEST(TcpRecovery, CrashStopRestartReplaysWalAndRebuildsFromPeer) {
   TwoDcDeployment d("tcp");
   const net::ClusterLayout& layout = d.layout;
@@ -356,6 +372,8 @@ TEST(TcpRecovery, CrashStopRestartReplaysWalAndRebuildsFromPeer) {
   d.restart(0, net::TcpNodeHost::Options{}.recovery_deadline_us);
   ASSERT_TRUE(wait_recovered(*hosts[0], kRecoverWithin))
       << "recovery gate never opened after restart";
+  EXPECT_EQ(gauge_value(*hosts[0], "pocc_engine_recovery_gate_expired"), 0)
+      << "the gate opened at its deadline although the peer answered";
   ASSERT_EQ(hosts[0]->replay_stats().size(), 1u);
   EXPECT_GE(hosts[0]->replay_stats()[0].log_versions, 1u)
       << "the pre-crash put must be in the replayed WAL";
@@ -401,6 +419,7 @@ TEST(TcpRecovery, GateOpensAtDeadlineWhenPeerStaysDown) {
                                     "its RecoveryDone";
   ASSERT_TRUE(wait_recovered(host, std::chrono::seconds(3)))
       << "recovery gate did not open at its deadline";
+  EXPECT_EQ(gauge_value(host, "pocc_engine_recovery_gate_expired"), 1);
 
   net::TcpClientPool pool(d.layout, 0);
   pool.start();
@@ -414,13 +433,103 @@ TEST(TcpRecovery, GateOpensAtDeadlineWhenPeerStaysDown) {
   pool.stop();
 }
 
-/// Value of the unlabeled gauge `name` in `host`'s registry (-1 if absent).
-double gauge_value(net::TcpNodeHost& host, const std::string& name) {
-  for (const stats::Snapshot::Sample& sample :
-       host.registry().snapshot().samples) {
-    if (sample.name == name) return sample.value;
+/// A raw client connection to 127.0.0.1:`port` (-1 when the connect fails).
+int dial(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
+      0) {
+    ::close(fd);
+    return -1;
   }
-  return -1;
+  return fd;
+}
+
+bool send_message(int fd, const proto::Message& m) {
+  std::vector<std::uint8_t> frame;
+  proto::encode(m, frame);
+  std::size_t sent = 0;
+  while (sent < frame.size()) {
+    const ssize_t n =
+        ::send(fd, frame.data() + sent, frame.size() - sent, MSG_NOSIGNAL);
+    if (n <= 0) return false;
+    sent += static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+/// The first frame the server sends on `fd` within `timeout_ms`, if any.
+std::optional<proto::Frame> read_frame(int fd, int timeout_ms) {
+  std::vector<std::uint8_t> buf;
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(timeout_ms);
+  while (true) {
+    proto::DecodeResult r = proto::decode_frame(buf.data(), buf.size());
+    if (r.status == proto::DecodeResult::Status::kOk) return std::move(r.frame);
+    if (r.status == proto::DecodeResult::Status::kError) return std::nullopt;
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    pollfd pfd{fd, POLLIN, 0};
+    if (left.count() <= 0 ||
+        ::poll(&pfd, 1, static_cast<int>(left.count())) != 1) {
+      return std::nullopt;
+    }
+    std::uint8_t chunk[4096];
+    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (n <= 0) return std::nullopt;
+    buf.insert(buf.end(), chunk, chunk + n);
+  }
+}
+
+/// Polls `value` until it reaches `want`; false after 5 s.
+template <typename Fn>
+bool wait_for(Fn value, std::uint64_t want) {
+  for (int i = 0; i < 500 && value() < want; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return value() >= want;
+}
+
+TEST(TcpRecovery, HeldRequestAnswersOnTheClientsNewConnection) {
+  // A client whose GET is held by the recovery gate reconnects and retries
+  // the op. The retry is absorbed as a duplicate of the op in flight, so
+  // the held original must answer on the connection the client has now,
+  // not on the one it arrived on.
+  TwoDcDeployment d("held");
+  ASSERT_TRUE(wait_recovered(*d.hosts[0], std::chrono::seconds(15)));
+  ASSERT_TRUE(wait_recovered(*d.hosts[1], std::chrono::seconds(15)));
+  d.crash(0);
+  d.hosts[1]->stop();  // for good: the gate opens at its deadline
+  net::TcpNodeHost& host = d.restart(0, /*recovery_deadline_us=*/300'000);
+  EXPECT_TRUE(host.recovering());
+
+  proto::GetReq get;
+  get.client = 4242;
+  get.key = store::intern_key("held");
+  get.rdv = VersionVector(2);
+  get.op_id = 1;
+  const int first = dial(host.port());
+  ASSERT_GE(first, 0);
+  ASSERT_TRUE(send_message(first, get));
+  ASSERT_TRUE(wait_for([&] { return host.client_requests(); }, 1));
+  ::close(first);
+
+  const int second = dial(host.port());
+  ASSERT_GE(second, 0);
+  ASSERT_TRUE(send_message(second, get));
+  const std::optional<proto::Frame> reply = read_frame(second, 5'000);
+  ::close(second);
+  ASSERT_TRUE(reply.has_value()) << "no reply on the client's new connection";
+  const auto* msg = std::get_if<proto::Message>(&*reply);
+  ASSERT_NE(msg, nullptr);
+  const auto* got = std::get_if<proto::GetReply>(msg);
+  ASSERT_NE(got, nullptr);
+  EXPECT_EQ(got->op_id, 1u);
+  EXPECT_EQ(host.dropped_frames(), 0u);
 }
 
 TEST(TcpRecovery, DownPeerShedsPutsBeforeTheTransportDrops) {

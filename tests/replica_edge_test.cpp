@@ -376,39 +376,133 @@ TEST_F(ReplicaEdgeTest, PutClockWaitBoundaryIsStrict) {
   EXPECT_GT(replies[0].second.ut, 2'000'000);
 }
 
+/// Client work for partition {0, 1} in arrival order: a GET (client 1), a
+/// SliceReq from partition 0's coordinator, a PUT (client 2) and a local
+/// RO-TX (client 3).
+void send_client_work(server::ReplicaBase& server, std::size_t num_dcs) {
+  proto::GetReq get;
+  get.client = 1;
+  get.key = K("1:held-get");
+  get.rdv = VersionVector(num_dcs);
+  server.handle_message(NodeId{0, 1}, get);
+  proto::SliceReq slice;
+  slice.tx_id = 77;
+  slice.coordinator = NodeId{0, 0};
+  slice.keys = {K("1:held-slice")};
+  slice.tv = VersionVector(num_dcs);
+  server.handle_message(NodeId{0, 0}, slice);
+  proto::PutReq put;
+  put.client = 2;
+  put.key = K("1:held-put");
+  put.value = "v";
+  put.dv = VersionVector(num_dcs);
+  server.handle_message(NodeId{0, 1}, put);
+  proto::RoTxReq tx;
+  tx.client = 3;
+  tx.keys = {K("1:held-tx")};
+  tx.rdv = VersionVector(num_dcs);
+  server.handle_message(NodeId{0, 1}, tx);
+}
+
+/// Position of the first message of type T in ctx.sent.
+template <typename T>
+auto first_sent(const MockContext& ctx) {
+  return std::find_if(ctx.sent.begin(), ctx.sent.end(), [](const auto& e) {
+    return std::holds_alternative<T>(e.second);
+  });
+}
+
+/// Each op of send_client_work() answered once, in arrival order.
+void expect_client_work_answered(const MockContext& ctx) {
+  ASSERT_EQ(ctx.replies.size(), 3u);
+  EXPECT_TRUE(std::holds_alternative<proto::GetReply>(ctx.replies[0].second));
+  EXPECT_TRUE(std::holds_alternative<proto::PutReply>(ctx.replies[1].second));
+  EXPECT_TRUE(std::holds_alternative<proto::RoTxReply>(ctx.replies[2].second));
+  const auto slice_reply = first_sent<proto::SliceReply>(ctx);
+  ASSERT_NE(slice_reply, ctx.sent.end());
+  EXPECT_EQ(slice_reply->first, (NodeId{0, 0}));
+  EXPECT_EQ(std::get<proto::SliceReply>(slice_reply->second).tx_id, 77u);
+  // The slice arrived before the PUT, so it left before the PUT's Replicates
+  // (none with one DC).
+  EXPECT_LT(slice_reply, first_sent<proto::Replicate>(ctx));
+}
+
 TEST_F(ReplicaEdgeTest, HeartbeatsMuteDuringPeerRecoveryAndResumeAfter) {
   // A heartbeat promises "every update <= ts was sent"; right after a
   // crash-restart some of those sends died in flight, and broadcasting the
   // WAL-restored clock before the RecoveryDone push-back would raise peer
-  // VVs past versions they never received (a causal hole). The gate must
-  // hold exactly until every sibling's Done is in.
-  server_.begin_peer_recovery(/*heartbeat_gate_us=*/500'000);
+  // VVs past versions they never received (a causal hole). A client served
+  // in that window could read state older than what it saw before the
+  // crash. The gate must hold both exactly until every sibling's Done is in.
+  server_.begin_peer_recovery(/*gate_us=*/500'000);
+  EXPECT_TRUE(server_.recovering());
   EXPECT_EQ(ctx_.sent_of<proto::RecoveryReq>().size(), 2u);
   ctx_.clear_traffic();
+  send_client_work(server_, 3);
   ctx_.now += 10'000;  // idle for 10 ms >> Δ = 1 ms: a heartbeat is due
   server_.on_timer(server::kTimerHeartbeat);
   EXPECT_TRUE(ctx_.sent_of<proto::Heartbeat>().empty());
   EXPECT_FALSE(ctx_.timers.empty());  // the timer re-arms while muted
+  EXPECT_TRUE(ctx_.replies.empty());
+  EXPECT_TRUE(ctx_.sent_of<proto::SliceReply>().empty());
 
   server_.handle_message(
       NodeId{1, 1}, proto::RecoveryDone{NodeId{1, 1}, VersionVector(3)});
   ctx_.now += 10'000;
   server_.on_timer(server::kTimerHeartbeat);
   EXPECT_TRUE(ctx_.sent_of<proto::Heartbeat>().empty());  // one Done missing
+  EXPECT_TRUE(ctx_.replies.empty());
+  EXPECT_TRUE(ctx_.sent_of<proto::SliceReply>().empty());
 
+  ctx_.clear_traffic();
   server_.handle_message(
       NodeId{2, 1}, proto::RecoveryDone{NodeId{2, 1}, VersionVector(3)});
-  EXPECT_TRUE(server_.recovery_complete());
+  EXPECT_FALSE(server_.recovering());
+  EXPECT_FALSE(server_.recovery_gate_expired());
+  expect_client_work_answered(ctx_);
+  // The hold is not POCC blocking: every op ran unparked once released.
+  EXPECT_EQ(server_.blocking_stats().operations, 4u);  // GET, PUT, 2 slices
+  EXPECT_EQ(server_.blocking_stats().blocked, 0u);
   ctx_.clear_traffic();
   ctx_.now += 10'000;
   server_.on_timer(server::kTimerHeartbeat);
   EXPECT_EQ(ctx_.sent_of<proto::Heartbeat>().size(), 2u);
+
+  // With one DC there is no sibling to wait for: nothing is held.
+  TopologyConfig one_dc = test_topology();
+  one_dc.num_dcs = 1;
+  MockContext solo_ctx;
+  solo_ctx.now = 1'000'000;
+  PoccServer solo(NodeId{0, 1}, one_dc, protocol_, service_, solo_ctx);
+  solo.begin_peer_recovery(/*gate_us=*/500'000);
+  EXPECT_FALSE(solo.recovering());
+  send_client_work(solo, 1);
+  expect_client_work_answered(solo_ctx);
 }
 
 TEST_F(ReplicaEdgeTest, HeartbeatGateExpiresSoADeadPeerCannotMuteForever) {
-  server_.begin_peer_recovery(/*heartbeat_gate_us=*/50'000);
+  server_.begin_peer_recovery(/*gate_us=*/50'000);
   ctx_.clear_traffic();
-  ctx_.now += 60'000;  // past the gate with a RecoveryDone still outstanding
+  send_client_work(server_, 3);
+  ctx_.now += 40'000;  // inside the gate
+  server_.on_timer(server::kTimerHeartbeat);
+  EXPECT_TRUE(ctx_.sent_of<proto::Heartbeat>().empty());
+  EXPECT_TRUE(ctx_.replies.empty());
+
+  // Past the deadline, other traffic leaves the gate shut; the first Δ tick
+  // opens it with a RecoveryDone still outstanding.
+  ctx_.now += 20'000;
+  server_.handle_message(NodeId{1, 1}, proto::Heartbeat{1, 900'000});
+  EXPECT_TRUE(server_.recovering());
+  EXPECT_TRUE(ctx_.replies.empty());
+  server_.on_timer(server::kTimerHeartbeat);
+  EXPECT_FALSE(server_.recovering());
+  EXPECT_TRUE(server_.recovery_gate_expired());
+  expect_client_work_answered(ctx_);
+  EXPECT_EQ(server_.blocking_stats().blocked, 0u);
+  // The released PUT just moved VV[m]; the next idle Δ heartbeats again.
+  ctx_.clear_traffic();
+  ctx_.now += 10'000;
   server_.on_timer(server::kTimerHeartbeat);
   EXPECT_EQ(ctx_.sent_of<proto::Heartbeat>().size(), 2u);
 }
@@ -420,7 +514,7 @@ TEST_F(ReplicaEdgeTest, RecoveryDonePushesBackOwnSuffixThePeerNeverGot) {
   // replica must be re-sent as tolerantly-restored RecoveryVersions.
   server_.restore_version(remote_version("1:a", 500'000, 0));
   server_.restore_version(remote_version("1:b", 900'000, 0));
-  server_.begin_peer_recovery();
+  server_.begin_peer_recovery(/*gate_us=*/500'000);
   ctx_.clear_traffic();
   VersionVector peer_vv(3);
   peer_vv.raise(0, 600'000);  // the peer saw our stream through 600 ms only
