@@ -7,7 +7,7 @@
 // links get seed-deterministic delay/jitter/loss-stall/reorder plus the
 // timed partition windows of a fault::FaultPlan schedule; client links
 // additionally get duplicate frames and spontaneous resets (exercising the
-// server's op_id idempotency cache end to end). The schedule's kCrash
+// partitions' per-client op_id entries end to end). The schedule's kCrash
 // windows are executed for real: the victim host is crash_stop()ped
 // (kill -9 equivalent — unsynced WAL tail and staged batches die) and
 // restarted on the same port + data dir, so every run crosses WAL replay
@@ -359,7 +359,7 @@ int main(int argc, char** argv) {
   std::uint64_t chaos_delayed = 0, chaos_dups = 0, chaos_resets = 0;
   for (const auto& host : hosts) {
     overloaded_replies += host->overloaded_replies();
-    deduped += host->deduped_requests();
+    deduped += host->group().deduped_requests();
     transport_drops += transport_drops_of(*host);
     const net::TransportStats ts = host->transport_stats();
     chaos_delayed += ts.chaos_delayed;

@@ -56,6 +56,6 @@ check_alive
 cluster_stop
 check_transport_drops 12
 echo "chaos_soak: retry/dedupe accounting must show the resilience layer worked:"
-grep -hoE "host_overloaded_replies=[0-9]+ host_deduped_requests=[0-9]+" \
+grep -hoE "host_(overloaded_replies|deduped_requests)=[0-9]+" \
   "$OUT_DIR"/poccd_dc*.log || true
 echo "chaos_soak: PASS"

@@ -18,8 +18,8 @@
 //   * partitions (full or asymmetric)   -> the link is down for a window.
 //
 // Frame *duplication* is the one exception: it is only meaningful (and only
-// safe) on client links, where the server's per-client op_id idempotency
-// cache (net/tcp_node_host.cpp) absorbs it — a duplicated server-to-server
+// safe) on client links, where each partition's per-client op_id entry
+// (runtime/node_group.hpp) absorbs it — a duplicated server-to-server
 // SliceReply would corrupt a transaction. Profiles therefore default dup_p
 // to 0 and only the client-facing harnesses raise it.
 //

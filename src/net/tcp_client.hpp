@@ -39,9 +39,10 @@ class TcpClientPool;
 /// session retries the SAME op_id — with per-attempt timeouts, capped
 /// exponential backoff with full jitter, Overloaded-aware pacing, a
 /// per-replica circuit breaker, and failover to the sibling connection of
-/// the same DC. Retries are idempotent end to end: the server's op_id
-/// cache absorbs duplicates, and the session records the request and (at
-/// most one) reply into its history exactly once.
+/// the same DC. Retries are idempotent end to end: the server partition
+/// that admitted the op absorbs copies of its op_id, and the session
+/// records the request and (at most one) reply into its history exactly
+/// once.
 struct ClientResilience {
   bool enabled = false;
   /// One attempt waits at most this long before resending.

@@ -105,11 +105,8 @@ TcpNodeHost::~TcpNodeHost() { stop(); }
 void TcpNodeHost::start() { start(layout_.processes); }
 
 void TcpNodeHost::start(const std::vector<ProcessSpec>& peers) {
-  {
-    std::lock_guard lk(mu_);
-    POCC_ASSERT_MSG(!started_, "start() called twice");
-    started_ = true;
-  }
+  const bool already_started = started_.exchange(true);
+  POCC_ASSERT_MSG(!already_started, "start() called twice");
   for (const ProcessSpec& peer : peers) {
     if (peer.dc == self_.dc && peer.parts == self_.parts) continue;  // self
     auto link = std::make_unique<Link>();
@@ -179,11 +176,7 @@ void TcpNodeHost::start(const std::vector<ProcessSpec>& peers) {
 }
 
 void TcpNodeHost::stop() {
-  {
-    std::lock_guard lk(mu_);
-    if (!started_) return;
-    started_ = false;
-  }
+  if (!started_.exchange(false)) return;
   // Scrape endpoint first: its handlers read state the teardown below
   // dismantles.
   metrics_server_.stop();
@@ -197,11 +190,7 @@ void TcpNodeHost::stop() {
 }
 
 void TcpNodeHost::crash_stop() {
-  {
-    std::lock_guard lk(mu_);
-    if (!started_) return;
-    started_ = false;
-  }
+  if (!started_.exchange(false)) return;
   metrics_server_.stop();
   // Deliberately NO batcher flush — staged replication frames die with the
   // process, exactly like kill -9. Same for the WAL tail: records past the
@@ -227,11 +216,7 @@ bool TcpNodeHost::recovering() const {
 }
 
 bool TcpNodeHost::ready() const {
-  {
-    std::lock_guard lk(mu_);
-    if (!started_) return false;
-  }
-  if (recovering()) return false;
+  if (!started_ || recovering()) return false;
   // links_ is immutable once start() returns (and the metrics server only
   // runs after that); connected() takes the owning shard's mutex.
   for (const auto& link : links_) {
@@ -250,26 +235,6 @@ BatchStats TcpNodeHost::batch_stats() const {
   BatchStats total;
   for (const auto& link : links_) total += link->batcher->stats();
   return total;
-}
-
-std::uint64_t TcpNodeHost::dropped_frames() const {
-  std::lock_guard lk(mu_);
-  return dropped_;
-}
-
-std::uint64_t TcpNodeHost::overloaded_replies() const {
-  std::lock_guard lk(mu_);
-  return overloaded_;
-}
-
-std::uint64_t TcpNodeHost::deduped_requests() const {
-  std::lock_guard lk(mu_);
-  return deduped_;
-}
-
-std::uint64_t TcpNodeHost::client_requests() const {
-  std::lock_guard lk(mu_);
-  return client_requests_;
 }
 
 void TcpNodeHost::register_metrics() {
@@ -334,9 +299,9 @@ void TcpNodeHost::register_metrics() {
   r.counter_fn("pocc_host_overloaded_replies_total", {},
                [this] { return overloaded_replies(); });
   r.counter_fn("pocc_host_deduped_requests_total", {},
-               [this] { return deduped_requests(); },
-               "Retries absorbed by the idempotency cache (hit rate = this / "
-               "pocc_host_client_requests_total)");
+               [this] { return group_->deduped_requests(); },
+               "Client request copies the partitions absorbed (hit rate = "
+               "this / pocc_host_client_requests_total)");
   r.counter_fn("pocc_host_client_requests_total", {},
                [this] { return client_requests(); });
   r.counter_fn("pocc_local_deliveries_total", {},
@@ -436,68 +401,23 @@ void TcpNodeHost::route(NodeId from, NodeId to, proto::Message m) {
   it->second->batcher->add(from, to, m);
 }
 
-namespace {
-
-/// op_id of a client-facing reply, or 0 when `m` is not one of the three
-/// reply kinds (op_ids are non-zero on the wire — clients start at 1).
-std::uint64_t reply_op_id(const proto::Message& m) {
-  if (const auto* r = std::get_if<proto::GetReply>(&m)) return r->op_id;
-  if (const auto* r = std::get_if<proto::PutReply>(&m)) return r->op_id;
-  if (const auto* r = std::get_if<proto::RoTxReply>(&m)) return r->op_id;
-  return 0;
-}
-
-std::uint64_t request_op_id(const proto::Message& m) {
-  if (const auto* r = std::get_if<proto::GetReq>(&m)) return r->op_id;
-  if (const auto* r = std::get_if<proto::PutReq>(&m)) return r->op_id;
-  if (const auto* r = std::get_if<proto::RoTxReq>(&m)) return r->op_id;
-  return 0;
-}
-
-}  // namespace
-
 void TcpNodeHost::route_to_client(NodeId /*from*/, ClientId client,
                                   proto::Message m) {
-  std::vector<std::uint8_t> frame;
-  proto::encode(m, frame);
-  const std::uint64_t op_id = reply_op_id(m);
   ConnId conn = kInvalidConn;
   {
     std::lock_guard lk(mu_);
-    if (op_id != 0) {
-      // The reply is the op's completion: cache the encoded frame so a
-      // retransmit of this op_id is answered from here (exactly-once), and
-      // retire the in-flight marker. Cached even when the client's
-      // connection is gone — it will retry the op after reconnecting.
-      ClientOpCache& cache = client_ops_[client];
-      cache.in_flight.erase(op_id);
-      if (cache.done.emplace(op_id, frame).second) {
-        cache.done_order.push_back(op_id);
-        while (cache.done_order.size() > kOpCacheWindow) {
-          cache.done.erase(cache.done_order.front());
-          cache.done_order.pop_front();
-        }
-      }
-    } else if (std::holds_alternative<proto::SessionClosed>(m)) {
-      // HA-POCC abort: every outstanding op resolves with no reply to
-      // cache; the client re-initializes the session rather than retrying.
-      auto it = client_ops_.find(client);
-      if (it != client_ops_.end()) it->second.in_flight.clear();
-    }
     auto it = client_conn_.find(client);
     if (it != client_conn_.end()) conn = it->second;
   }
   if (conn == kInvalidConn) {
     // The client disconnected (or never sent a request here): a reply to a
     // departed session is dropped, exactly like a real server would.
-    std::lock_guard lk(mu_);
     ++dropped_;
     return;
   }
-  if (!transport_.send(conn, std::move(frame))) {
-    std::lock_guard lk(mu_);
-    ++dropped_;
-  }
+  std::vector<std::uint8_t> frame;
+  proto::encode(m, frame);
+  if (!transport_.send(conn, std::move(frame))) ++dropped_;
 }
 
 Timestamp TcpNodeHost::on_loop_pass(std::uint32_t loop) {
@@ -537,7 +457,6 @@ void TcpNodeHost::send_overloaded(ConnId conn, ClientId client,
   std::vector<std::uint8_t> frame;
   proto::encode(m, frame);
   transport_.send(conn, std::move(frame));
-  std::lock_guard lk(mu_);
   ++overloaded_;
 }
 
@@ -546,71 +465,42 @@ void TcpNodeHost::dispatch_client_request(ConnId conn, proto::Message m) {
   // key placement (the client dialed this process because it hosts the
   // partition; recompute instead of trusting the connection).
   ClientId client = 0;
+  std::uint64_t op_id = 0;
   PartitionId part = 0;
   if (const auto* get = std::get_if<proto::GetReq>(&m)) {
     client = get->client;
+    op_id = get->op_id;
     part = store::KeySpace::global().partition(
         get->key, layout_.topology.partitions_per_dc,
         layout_.topology.partition_scheme);
   } else if (const auto* put = std::get_if<proto::PutReq>(&m)) {
     client = put->client;
+    op_id = put->op_id;
     part = store::KeySpace::global().partition(
         put->key, layout_.topology.partitions_per_dc,
         layout_.topology.partition_scheme);
   } else if (const auto* tx = std::get_if<proto::RoTxReq>(&m)) {
     client = tx->client;
+    op_id = tx->op_id;
     part = tx_coordinator_part_;
   }
   const NodeId to{self_.dc, part};
   if (!group_->hosts(to)) {
-    std::lock_guard lk(mu_);
     ++dropped_;
     log("dropped " + std::string(proto::message_name(m)) +
         " for partition this process does not host");
     return;
   }
-  const std::uint64_t op_id = request_op_id(m);
-  std::vector<std::uint8_t> resend;
   {
     std::lock_guard lk(mu_);
     client_conn_[client] = conn;
-    ++client_requests_;
-    if (op_id != 0) {
-      // Idempotent retry absorption: the client retries with the SAME
-      // op_id, so a duplicate of a completed op is answered from the
-      // cached reply window and a duplicate of an op still in flight is
-      // swallowed — a retried PUT never reaches the engine twice.
-      ClientOpCache& cache = client_ops_[client];
-      auto done_it = cache.done.find(op_id);
-      if (done_it != cache.done.end()) {
-        ++deduped_;
-        resend = done_it->second;  // sent below, outside mu_
-      } else if (cache.in_flight.contains(op_id)) {
-        ++deduped_;
-        return;
-      } else {
-        cache.in_flight.insert(op_id);
-      }
-    }
   }
-  if (!resend.empty()) {
-    transport_.send(conn, std::move(resend));
-    return;
-  }
+  ++client_requests_;
   // Self-protection: refuse (rather than queue without bound) when the
   // target worker's inbox is full or a replication link is backed up. The
-  // op did NOT execute; the Overloaded reply tells the client to back off
-  // and retry the same op_id.
-  const bool refused =
-      replication_backlogged() || !group_->try_enqueue(to, to, std::move(m));
-  if (refused) {
-    {
-      std::lock_guard lk(mu_);
-      auto it = client_ops_.find(client);
-      if (it != client_ops_.end()) {
-        it->second.in_flight.erase(op_id);  // never admitted; a retry is fresh
-      }
-    }
+  // Overloaded reply tells the client to back off and retry the same
+  // op_id; a retry of an op admitted earlier is absorbed by its partition.
+  if (replication_backlogged() || !group_->try_enqueue(to, to, std::move(m))) {
     send_overloaded(conn, client, op_id);
   }
 }
@@ -633,17 +523,18 @@ void TcpNodeHost::on_frame(ConnId conn, proto::Frame frame) {
     // that greeted with NodeHello (the transport replays the greeting ahead
     // of buffered frames on every (re)connect) — a client connection must
     // not be able to inject spoofed replication/GC traffic.
+    bool greeted = false;
     {
       std::lock_guard lk(mu_);
-      if (!conn_peer_.contains(conn)) {
-        dropped_ += batch->items.size();
-        log("dropped batch from un-greeted connection");
-        return;
-      }
+      greeted = conn_peer_.contains(conn);
+    }
+    if (!greeted) {
+      dropped_ += batch->items.size();
+      log("dropped batch from un-greeted connection");
+      return;
     }
     for (proto::RoutedMessage& item : batch->items) {
       if (!group_->hosts(item.to)) {
-        std::lock_guard lk(mu_);
         ++dropped_;
         log("dropped batched " + std::string(proto::message_name(item.msg)) +
             " addressed to " + item.to.to_string());
@@ -665,7 +556,6 @@ void TcpNodeHost::on_frame(ConnId conn, proto::Frame frame) {
   // Server-to-server traffic always rides Batch frames (explicit routing
   // envelopes); a bare protocol message from a peer has no well-defined
   // destination in a multi-partition process.
-  std::lock_guard lk(mu_);
   ++dropped_;
   log("dropped unbatched " + std::string(proto::message_name(m)) +
       " from a peer connection");

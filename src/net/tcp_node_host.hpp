@@ -29,16 +29,16 @@
 //     id to the connection it arrived on (replies and HA-POCC
 //     SessionCloseds go back over it), and is dispatched to the hosted
 //     partition that owns the request (key placement for GET/PUT, the
-//     DC-local coordinator partition for RO-TX).
+//     DC-local coordinator partition for RO-TX). A retried op_id is
+//     absorbed by that partition's slot in the NodeGroup, not here.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -49,6 +49,7 @@
 #include "runtime/node_group.hpp"
 #include "server/replica_base.hpp"
 #include "stats/registry.hpp"
+#include "stats/relaxed_counter.hpp"
 #include "wal/wal_manager.hpp"
 
 namespace pocc::net {
@@ -157,14 +158,16 @@ class TcpNodeHost final : public rt::Router {
   /// Batching accounting summed over every peer link.
   [[nodiscard]] BatchStats batch_stats() const;
   /// Frames that arrived for an unknown partition / departed client.
-  [[nodiscard]] std::uint64_t dropped_frames() const;
+  [[nodiscard]] std::uint64_t dropped_frames() const { return dropped_; }
   /// Client requests refused with an Overloaded reply (admission control).
-  [[nodiscard]] std::uint64_t overloaded_replies() const;
-  /// Retransmitted client requests absorbed by the idempotency cache
-  /// (cached reply resent or duplicate of an in-flight op swallowed).
-  [[nodiscard]] std::uint64_t deduped_requests() const;
-  /// Client requests that reached dispatch (dedup hit-rate denominator).
-  [[nodiscard]] std::uint64_t client_requests() const;
+  [[nodiscard]] std::uint64_t overloaded_replies() const {
+    return overloaded_;
+  }
+  /// Client requests that reached dispatch (the denominator of the dedup
+  /// hit rate, whose numerator is group().deduped_requests()).
+  [[nodiscard]] std::uint64_t client_requests() const {
+    return client_requests_;
+  }
 
   // --- rt::Router (called from the worker threads) ---
   void route(NodeId from, NodeId to, proto::Message m) override;
@@ -223,33 +226,13 @@ class TcpNodeHost final : public rt::Router {
   std::vector<std::unique_ptr<Link>> links_;
   std::unordered_map<std::uint64_t, Link*> link_by_node_;
 
-  /// Exactly-once against client retries, extended to pipelined windows:
-  /// one entry per client session. The serial protocol only ever needed the
-  /// LAST reply (op n+1 is sent once op n resolved); with pipelining a
-  /// connection can carry several outstanding ops, so completed replies
-  /// live in a bounded FIFO window and admitted-but-unresolved op_ids in a
-  /// set. A retry of a completed op gets the cached reply frame resent; a
-  /// retry of an op still in flight is swallowed (the original's reply is
-  /// coming). Guarded by mu_.
-  struct ClientOpCache {
-    std::deque<std::uint64_t> done_order;  // completion order, for eviction
-    std::unordered_map<std::uint64_t, std::vector<std::uint8_t>> done;
-    std::unordered_set<std::uint64_t> in_flight;
-  };
-  /// Completed replies remembered per session — must cover the deepest
-  /// pipeline window a client keeps outstanding per session (sessions stay
-  /// serial today, so anything >= 1 is safe; headroom is cheap).
-  static constexpr std::size_t kOpCacheWindow = 16;
-
-  mutable std::mutex mu_;
+  std::mutex mu_;  // guards conn_peer_ and client_conn_
   std::unordered_map<ConnId, NodeId> conn_peer_;  // inbound, via NodeHello
   std::unordered_map<ClientId, ConnId> client_conn_;
-  std::unordered_map<ClientId, ClientOpCache> client_ops_;
-  std::uint64_t dropped_ = 0;
-  std::uint64_t overloaded_ = 0;
-  std::uint64_t deduped_ = 0;
-  std::uint64_t client_requests_ = 0;
-  bool started_ = false;
+  stats::RelaxedU64 dropped_;
+  stats::RelaxedU64 overloaded_;
+  stats::RelaxedU64 client_requests_;
+  std::atomic<bool> started_{false};
 
   /// Last member: destroyed (and thus stopped) before anything its handlers
   /// read — the registry, the group, the transport.

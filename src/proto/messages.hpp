@@ -199,10 +199,13 @@ struct RecoveryDone {
 };
 
 /// Overload shedding (wire v4): the server's admission control refused the
-/// request instead of letting its inbox grow without bound. The op is *not*
-/// executed — the client should back off for at least `retry_after_us` and
-/// retry the same op_id (the server's idempotency cache makes the retry
-/// exactly-once even if the original was admitted after all).
+/// request instead of letting its inbox grow without bound. The refused
+/// frame is *not* executed — the client should back off for at least
+/// `retry_after_us` and retry the same op_id. The refusal can also meet a
+/// copy of an op that was admitted earlier (a duplicated or resent frame):
+/// that original still runs, and the partition that admitted it answers
+/// the retry of its op_id from the reply it keeps (rt::NodeGroup), so the
+/// op stays exactly-once.
 struct Overloaded {
   ClientId client = 0;
   Duration retry_after_us = 0;

@@ -1,12 +1,38 @@
 #include "runtime/node_group.hpp"
 
 #include <algorithm>
+#include <type_traits>
 #include <utility>
 
 #include "common/assert.hpp"
 #include "wal/wal_format.hpp"
 
 namespace pocc::rt {
+
+namespace {
+
+struct ClientOpKey {
+  ClientId client = 0;
+  std::uint64_t op_id = 0;
+};
+
+/// Client and op_id of `m` when it is one of `Kinds`; op_id 0 otherwise.
+/// Clients number their ops from 1, so op_id 0 is never tracked.
+template <typename... Kinds>
+ClientOpKey client_op_of(const proto::Message& m) {
+  return std::visit(
+      [](const auto& msg) -> ClientOpKey {
+        using T = std::decay_t<decltype(msg)>;
+        if constexpr ((std::is_same_v<T, Kinds> || ...)) {
+          return {msg.client, msg.op_id};
+        } else {
+          return {};
+        }
+      },
+      m);
+}
+
+}  // namespace
 
 NodeGroup::NodeGroup(DcId dc, std::vector<PartitionId> parts, Router& router,
                      Options options)
@@ -88,7 +114,39 @@ void NodeGroup::Slot::reply(ClientId client, proto::Message m) {
     held.push_back(HeldOutput{true, NodeId{}, client, std::move(m)});
     return;
   }
+  // Released: everything the reply depends on is synced, so from here on a
+  // retry of the op may be answered with this copy.
+  const std::uint64_t op_id =
+      client_op_of<proto::GetReply, proto::PutReply, proto::RoTxReply>(m)
+          .op_id;
+  if (op_id != 0) {
+    auto it = client_ops.find(client);
+    if (it != client_ops.end() && it->second.op_id == op_id) {
+      it->second.reply = m;
+    }
+  }
   group.router_.route_to_client(self, client, std::move(m));
+}
+
+bool NodeGroup::Slot::absorb_retry(const proto::Message& m) {
+  const ClientOpKey key =
+      client_op_of<proto::GetReq, proto::PutReq, proto::RoTxReq>(m);
+  if (key.op_id == 0) return false;
+  ClientOp& op = client_ops[key.client];
+  if (key.op_id > op.op_id) {
+    // A new op replaces the entry, in flight until its reply is released.
+    op.op_id = key.op_id;
+    op.reply.reset();
+    return false;
+  }
+  // A copy of the latest op gets its reply again once released, and is
+  // swallowed before that (the original's reply is coming). A copy of an
+  // older op is dropped: the session has already moved past it.
+  group.deduped_requests_.fetch_add(1, std::memory_order_relaxed);
+  if (key.op_id == op.op_id && op.reply.has_value()) {
+    group.router_.route_to_client(self, key.client, *op.reply);
+  }
+  return true;
 }
 
 void NodeGroup::Slot::flush_durability() {
@@ -250,6 +308,7 @@ Timestamp NodeGroup::service(std::uint32_t worker) {
     w.sent_to_peer_dc = false;
     while (!w.backlog.empty()) {
       Incoming in = w.backlog.pop_front();
+      if (in.slot->absorb_retry(in.msg)) continue;
       // Server-side op latency at the engine seam: time only the
       // client-visible request types, and only when a registry is wired
       // (one steady-clock read pair per timed message).

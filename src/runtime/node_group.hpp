@@ -19,7 +19,11 @@
 //     touch a socket: Slot::send() detects a locally-hosted destination and
 //     pushes straight into the target worker's inbox (the intra-DC
 //     SliceReq/GC/stabilization traffic of Alg. 2 becomes a queue push);
-//   * timers are per-worker (armed and fired only on the driving thread).
+//   * timers are per-worker (armed and fired only on the driving thread);
+//   * client retries are absorbed per partition: a session issues one op at
+//     a time with growing op_ids, so each Slot keeps one entry per client —
+//     the latest op_id it admitted and, once released, that op's reply —
+//     and answers or drops a copy before it reaches the engine.
 //
 // Everything leaving the group — messages to other processes and client
 // replies — flows through the rt::Router seam; the TCP host batches those
@@ -31,7 +35,9 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <queue>
+#include <unordered_map>
 #include <vector>
 
 #include "clock/physical_clock.hpp"
@@ -165,6 +171,13 @@ class NodeGroup {
     return local_deliveries_.load(std::memory_order_relaxed);
   }
 
+  /// Copies of client requests the slots absorbed (thread-safe): answered
+  /// from a cached reply, swallowed while the original is in flight, or
+  /// dropped because the session has moved past them.
+  [[nodiscard]] std::uint64_t deduped_requests() const {
+    return deduped_requests_.load(std::memory_order_relaxed);
+  }
+
  private:
   struct Worker;
 
@@ -191,6 +204,11 @@ class NodeGroup {
     /// order, and hand a due checkpoint to the background flusher.
     void flush_durability();
 
+    /// Owner thread: true when `m` is a copy of a client op this slot has
+    /// already admitted. The copy never reaches the engine; if the op's
+    /// reply has been released it is sent again.
+    bool absorb_retry(const proto::Message& m);
+
     /// An output produced while the WAL tail was unsynced, parked until
     /// the covering group commit lands.
     struct HeldOutput {
@@ -207,6 +225,14 @@ class NodeGroup {
     std::unique_ptr<server::ReplicaBase> engine;
     wal::PartitionWal* wal = nullptr;  // owned by Options::wal's manager
     std::vector<HeldOutput> held;
+
+    /// Exactly-once against client retries: a client's latest admitted op
+    /// and, once released, its reply (none while the op is in flight).
+    struct ClientOp {
+      std::uint64_t op_id = 0;
+      std::optional<proto::Message> reply;
+    };
+    std::unordered_map<ClientId, ClientOp> client_ops;
   };
 
   struct Incoming {
@@ -262,6 +288,7 @@ class NodeGroup {
   std::vector<Slot*> by_part_;  // index: PartitionId
   std::vector<std::unique_ptr<Worker>> workers_;
   std::atomic<std::uint64_t> local_deliveries_{0};
+  std::atomic<std::uint64_t> deduped_requests_{0};
   bool started_ = false;
   bool stopped_ = false;
 };

@@ -242,7 +242,7 @@ TEST(E2eTcp, ChaosOnReplicationLinksReplaysClean) {
 
 TEST(E2eTcp, ResilientSessionsAbsorbDuplicatedClientFrames) {
   // Dup-heavy chaos on the CLIENT links (the one place duplication is
-  // legal): the per-client op_id idempotency cache must absorb every
+  // legal): each partition's per-client op_id entry must absorb every
   // duplicate — all ops succeed, the servers count dedups, and the replayed
   // history stays clean (no double-applied PUT).
   ClientResilience resilience;

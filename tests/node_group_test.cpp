@@ -8,7 +8,9 @@
 // remote replicas, NOTHING may leave the group through Router::route — every
 // cross-partition message (RO-TX slices, GC reports, loopbacks) must be an
 // in-process queue push. The pass-promise cases at the end host one DC of a
-// 3-DC topology and capture what each pass routes to the peer DCs.
+// 3-DC topology and capture what each pass routes to the peer DCs; the
+// client-retry cases reuse that group to drive copies of client requests
+// into a slot's exactly-once entry.
 #include "runtime/node_group.hpp"
 
 #include <gtest/gtest.h>
@@ -640,6 +642,146 @@ TEST(NodeGroupPromise, WithAWalOnlyPartitionsThatSyncAnywayPromise) {
     EXPECT_EQ(wal.wal_for(0).syncs(), syncs0 + 1);
     EXPECT_EQ(wal.wal_for(1).syncs(), syncs1)
         << "a promise cost an fdatasync of its own";
+    group->stop();
+    wal.stop();
+  }
+  fs::remove_all(dir);
+}
+
+// ------------------------------------------------ client retries ----
+
+/// The PutReply when `replies` holds exactly one, else nullptr.
+const proto::PutReply* only_put_reply(
+    const std::vector<std::pair<ClientId, proto::Message>>& replies) {
+  if (replies.size() != 1) return nullptr;
+  return std::get_if<proto::PutReply>(&replies[0].second);
+}
+
+TEST(NodeGroupRetry, CopyOfACompletedPutGetsTheIdenticalReply) {
+  CapturingRouter router;
+  auto group = make_dc0_group(router);
+  const proto::PutReq put = dc0_put(1, key_on(0, "dup:"), 1);
+  group->enqueue(NodeId{0, 0}, NodeId{0, 0}, proto::Message{put});
+  group->service(0);
+  const auto first = router.take_replies();
+  const proto::PutReply* original = only_put_reply(first);
+  ASSERT_NE(original, nullptr);
+  router.take_routed();
+
+  group->enqueue(NodeId{0, 0}, NodeId{0, 0}, proto::Message{put});
+  group->service(0);
+  const auto second = router.take_replies();
+  const proto::PutReply* resent = only_put_reply(second);
+  ASSERT_NE(resent, nullptr);
+  EXPECT_EQ(resent->client, original->client);
+  EXPECT_EQ(resent->op_id, 1u);
+  EXPECT_EQ(resent->key, original->key);
+  EXPECT_EQ(resent->ut, original->ut);
+  EXPECT_EQ(resent->sr, original->sr);
+  EXPECT_EQ(group->engine(0).puts_served(), 1u);
+  EXPECT_EQ(group->deduped_requests(), 1u);
+  EXPECT_TRUE(router.take_routed().empty()) << "the copy replicated again";
+  group->stop();
+}
+
+TEST(NodeGroupRetry, CopyOfAParkedOpWaitsForTheOriginalsReply) {
+  CapturingRouter router;
+  auto group = make_dc0_group(router);
+  // DC 1 has not yet reached the session's read dependency: the GET parks.
+  proto::GetReq get;
+  get.client = 2;
+  get.key = key_on(0, "park:");
+  get.rdv = VersionVector{0, 1'000, 0};
+  get.op_id = 1;
+  group->enqueue(NodeId{0, 0}, NodeId{0, 0}, proto::Message{get});
+  group->service(0);
+  group->enqueue(NodeId{0, 0}, NodeId{0, 0}, proto::Message{get});
+  group->service(0);
+  EXPECT_TRUE(router.take_replies().empty());
+  EXPECT_EQ(group->deduped_requests(), 1u);
+
+  group->enqueue(NodeId{1, 0}, NodeId{0, 0},
+                 proto::Message{proto::Heartbeat{1, 1'000}});
+  group->service(0);
+  const auto replies = router.take_replies();
+  ASSERT_EQ(replies.size(), 1u);
+  const auto* reply = std::get_if<proto::GetReply>(&replies[0].second);
+  ASSERT_NE(reply, nullptr);
+  EXPECT_EQ(reply->op_id, 1u);
+  EXPECT_EQ(group->engine(0).gets_served(), 1u);
+  group->stop();
+}
+
+TEST(NodeGroupRetry, CopyOfAnOlderOpIsDropped) {
+  CapturingRouter router;
+  auto group = make_dc0_group(router);
+  const KeyId key = key_on(0, "old:");
+  group->enqueue(NodeId{0, 0}, NodeId{0, 0},
+                 proto::Message{dc0_put(3, key, 1)});
+  group->enqueue(NodeId{0, 0}, NodeId{0, 0},
+                 proto::Message{dc0_put(3, key, 2)});
+  group->service(0);
+  ASSERT_EQ(router.take_replies().size(), 2u);
+
+  group->enqueue(NodeId{0, 0}, NodeId{0, 0},
+                 proto::Message{dc0_put(3, key, 1)});
+  group->service(0);
+  EXPECT_TRUE(router.take_replies().empty());
+  EXPECT_EQ(group->deduped_requests(), 1u);
+  EXPECT_EQ(group->engine(0).puts_served(), 2u);
+  group->stop();
+}
+
+TEST(NodeGroupRetry, OpIdZeroIsNeverCached) {
+  CapturingRouter router;
+  auto group = make_dc0_group(router);
+  const proto::PutReq put = dc0_put(4, key_on(0, "zero:"), 0);
+  for (int i = 0; i < 2; ++i) {
+    group->enqueue(NodeId{0, 0}, NodeId{0, 0}, proto::Message{put});
+    group->service(0);
+  }
+  EXPECT_EQ(router.take_replies().size(), 2u);
+  EXPECT_EQ(group->engine(0).puts_served(), 2u);
+  EXPECT_EQ(group->deduped_requests(), 0u);
+  group->stop();
+}
+
+/// Stamps each client reply with the fdatasyncs `wal` had done when the
+/// reply left the group (single-threaded: the test thread drives it).
+class SyncStampingRouter final : public Router {
+ public:
+  void route(NodeId /*from*/, NodeId /*to*/, proto::Message /*m*/) override {}
+  void route_to_client(NodeId /*from*/, ClientId /*client*/,
+                       proto::Message /*m*/) override {
+    reply_syncs.push_back(wal->syncs());
+  }
+  const wal::PartitionWal* wal = nullptr;
+  std::vector<std::uint64_t> reply_syncs;
+};
+
+TEST(NodeGroupRetry, WithAWalACopyInTheSameBatchGetsOneReplyAfterTheSync) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() /
+                       ("pocc_node_group_retry_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  {
+    wal::WalManager wal(dir.string());
+    SyncStampingRouter router;
+    router.wal = &wal.wal_for(0);
+    auto group = make_dc0_group(router, &wal);
+    group->service(0);
+    const std::uint64_t syncs0 = wal.wal_for(0).syncs();
+
+    const proto::PutReq put = dc0_put(5, key_on(0, "walr:"), 1);
+    group->enqueue(NodeId{0, 0}, NodeId{0, 0}, proto::Message{put});
+    group->enqueue(NodeId{0, 0}, NodeId{0, 0}, proto::Message{put});
+    group->service(0);
+    ASSERT_EQ(router.reply_syncs.size(), 1u);
+    EXPECT_EQ(router.reply_syncs[0], syncs0 + 1)
+        << "the reply left before its covering fdatasync";
+    EXPECT_EQ(group->deduped_requests(), 1u);
+    EXPECT_EQ(group->engine(0).puts_served(), 1u);
     group->stop();
     wal.stop();
   }

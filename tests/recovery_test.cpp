@@ -462,14 +462,19 @@ bool send_message(int fd, const proto::Message& m) {
   return true;
 }
 
-/// The first frame the server sends on `fd` within `timeout_ms`, if any.
-std::optional<proto::Frame> read_frame(int fd, int timeout_ms) {
-  std::vector<std::uint8_t> buf;
+/// The next frame the server sends on `fd` within `timeout_ms`, if any.
+/// `buf` keeps the bytes read past that frame for the next call.
+std::optional<proto::Frame> read_frame(int fd, int timeout_ms,
+                                       std::vector<std::uint8_t>& buf) {
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(timeout_ms);
   while (true) {
     proto::DecodeResult r = proto::decode_frame(buf.data(), buf.size());
-    if (r.status == proto::DecodeResult::Status::kOk) return std::move(r.frame);
+    if (r.status == proto::DecodeResult::Status::kOk) {
+      buf.erase(buf.begin(),
+                buf.begin() + static_cast<std::ptrdiff_t>(r.consumed));
+      return std::move(r.frame);
+    }
     if (r.status == proto::DecodeResult::Status::kError) return std::nullopt;
     const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
         deadline - std::chrono::steady_clock::now());
@@ -521,7 +526,8 @@ TEST(TcpRecovery, HeldRequestAnswersOnTheClientsNewConnection) {
   const int second = dial(host.port());
   ASSERT_GE(second, 0);
   ASSERT_TRUE(send_message(second, get));
-  const std::optional<proto::Frame> reply = read_frame(second, 5'000);
+  std::vector<std::uint8_t> buf;
+  const std::optional<proto::Frame> reply = read_frame(second, 5'000, buf);
   ::close(second);
   ASSERT_TRUE(reply.has_value()) << "no reply on the client's new connection";
   const auto* msg = std::get_if<proto::Message>(&*reply);
@@ -530,6 +536,67 @@ TEST(TcpRecovery, HeldRequestAnswersOnTheClientsNewConnection) {
   ASSERT_NE(got, nullptr);
   EXPECT_EQ(got->op_id, 1u);
   EXPECT_EQ(host.dropped_frames(), 0u);
+}
+
+TEST(TcpRecovery, StaleCopyOfAnAnsweredOpDoesNotRunAgain) {
+  // One serial session on one connection: PUT op 1, sixteen GETs of the
+  // same key, then a late copy of op 1 and GET op 18. The session has
+  // moved past op 1, so its copy must not run again: the next frame
+  // answers op 18 with op 1's version.
+  TwoDcDeployment d("stale");
+  ASSERT_TRUE(wait_recovered(*d.hosts[0], std::chrono::seconds(15)));
+  ASSERT_TRUE(wait_recovered(*d.hosts[1], std::chrono::seconds(15)));
+  net::TcpNodeHost& host = *d.hosts[0];
+  const int fd = dial(host.port());
+  ASSERT_GE(fd, 0);
+  std::vector<std::uint8_t> buf;
+  const auto next_reply = [&]() -> std::optional<proto::Message> {
+    std::optional<proto::Frame> frame = read_frame(fd, 5'000, buf);
+    if (!frame.has_value()) return std::nullopt;
+    auto* msg = std::get_if<proto::Message>(&*frame);
+    if (msg == nullptr) return std::nullopt;
+    return std::move(*msg);
+  };
+
+  proto::PutReq put;
+  put.client = 4343;
+  put.key = store::intern_key("stale");
+  put.value = "a";
+  put.dv = VersionVector(2);
+  put.op_id = 1;
+  ASSERT_TRUE(send_message(fd, put));
+  std::optional<proto::Message> reply = next_reply();
+  ASSERT_TRUE(reply.has_value());
+  const auto* put_reply = std::get_if<proto::PutReply>(&*reply);
+  ASSERT_NE(put_reply, nullptr);
+  const Timestamp ut = put_reply->ut;
+  const DcId sr = put_reply->sr;
+
+  proto::GetReq get;
+  get.client = put.client;
+  get.key = put.key;
+  get.rdv = VersionVector(2);
+  for (std::uint64_t op = 2; op <= 17; ++op) {
+    get.op_id = op;
+    ASSERT_TRUE(send_message(fd, get));
+    reply = next_reply();
+    ASSERT_TRUE(reply.has_value());
+    ASSERT_TRUE(std::holds_alternative<proto::GetReply>(*reply));
+  }
+  ASSERT_TRUE(send_message(fd, put));  // the late copy of op 1
+  get.op_id = 18;
+  ASSERT_TRUE(send_message(fd, get));
+  reply = next_reply();
+  ::close(fd);
+  ASSERT_TRUE(reply.has_value());
+  const auto* got = std::get_if<proto::GetReply>(&*reply);
+  ASSERT_NE(got, nullptr) << "the copy of op 1 ran again: "
+                          << proto::message_name(*reply);
+  EXPECT_EQ(got->op_id, 18u);
+  EXPECT_TRUE(got->item.found);
+  EXPECT_EQ(got->item.ut, ut);
+  EXPECT_EQ(got->item.sr, sr);
+  EXPECT_EQ(host.group().deduped_requests(), 1u);
 }
 
 TEST(TcpRecovery, DownPeerShedsPutsBeforeTheTransportDrops) {

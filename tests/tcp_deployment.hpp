@@ -143,7 +143,7 @@ class Deployment {
 
   std::uint64_t deduped_requests() const {
     std::uint64_t n = 0;
-    for (const auto& host : hosts_) n += host->deduped_requests();
+    for (const auto& host : hosts_) n += host->group().deduped_requests();
     return n;
   }
 
@@ -182,7 +182,7 @@ class Deployment {
 
   /// Arm every dialed client connection (both replicas when resilience
   /// dialed siblings) with an unscheduled ChaosLink — client links may
-  /// carry dup/reset chaos because the op_id idempotency cache absorbs it.
+  /// carry dup/reset chaos because each partition's op_id entries absorb it.
   void arm_client_chaos(std::uint64_t seed, const ChaosProfile& profile) {
     std::uint64_t n = 0;
     for (auto& pool : pools_) {

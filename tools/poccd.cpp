@@ -289,9 +289,14 @@ int main(int argc, char** argv) {
   host.stop();
   // Exit stats = the same registry snapshot /metrics and SIGUSR2 render,
   // taken after the final drain so the counts are complete. The host (and
-  // everything the scrape callbacks read) outlives stop().
-  const std::string exit_line =
-      stats::render_human(host.registry().snapshot());
+  // everything the scrape callbacks read) outlives stop(). The readiness
+  // gauges describe a serving host and read 0 once stopped, so they are
+  // left out.
+  stats::Snapshot snap = host.registry().snapshot();
+  std::erase_if(snap.samples, [](const stats::Snapshot::Sample& s) {
+    return s.name == "pocc_host_ready" || s.name == "pocc_host_recovering";
+  });
+  const std::string exit_line = stats::render_human(snap);
   std::fprintf(stderr, "poccd dc%ld: exiting — %s\n", dc, exit_line.c_str());
   return 0;
 }
