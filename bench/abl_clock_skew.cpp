@@ -32,13 +32,13 @@ int main() {
     const auto m = run_point(cfg, wl, 64, scale.warmup_us(),
                              scale.measure_us());
     print_row({fmt(sigma / 1e3, 3), fmt_mops(m.throughput_ops_per_sec),
-               fmt(m.blocking.blocking_probability(), 3),
-               fmt(m.blocking.avg_blocking_time_us() / 1e3, 4),
-               fmt(m.client_ops.avg_latency_us() / 1e3, 4)});
+               fmt(m.blocking_probability, 3),
+               fmt(m.blocked_us.mean() / 1e3, 4),
+               fmt(m.avg_latency_us / 1e3, 4)});
     print_csv_row({fmt(sigma / 1e3, 3), fmt_mops(m.throughput_ops_per_sec),
-                   fmt(m.blocking.blocking_probability(), 3),
-                   fmt(m.blocking.avg_blocking_time_us() / 1e3, 4),
-                   fmt(m.client_ops.avg_latency_us() / 1e3, 4)});
+                   fmt(m.blocking_probability, 3),
+                   fmt(m.blocked_us.mean() / 1e3, 4),
+                   fmt(m.avg_latency_us / 1e3, 4)});
   }
   std::printf(
       "\nExpected: blocking probability and PUT waits grow with skew, while\n"

@@ -32,12 +32,12 @@ int main() {
                              scale.measure_us());
     print_row({fmt(static_cast<double>(delta) / 1e3, 3),
                fmt_mops(m.throughput_ops_per_sec),
-               fmt(m.blocking.blocking_probability(), 3),
-               fmt(m.blocking.avg_blocking_time_us() / 1e3, 4)});
+               fmt(m.blocking_probability, 3),
+               fmt(m.blocked_us.mean() / 1e3, 4)});
     print_csv_row({fmt(static_cast<double>(delta) / 1e3, 3),
                    fmt_mops(m.throughput_ops_per_sec),
-                   fmt(m.blocking.blocking_probability(), 3),
-                   fmt(m.blocking.avg_blocking_time_us() / 1e3, 4)});
+                   fmt(m.blocking_probability, 3),
+                   fmt(m.blocked_us.mean() / 1e3, 4)});
   }
   std::printf(
       "\nExpected: blocking time grows with Δ (parked requests wait for the\n"

@@ -36,13 +36,13 @@ int main() {
                              scale.measure_us());
     const char* name = system_name(system);
     print_row({"get-put", name, fmt_mops(m.throughput_ops_per_sec),
-               fmt(m.blocking.blocking_probability(), 3),
-               fmt(m.blocking.avg_blocking_time_us() / 1e3, 4),
-               fmt(m.staleness.pct_old(), 3)});
+               fmt(m.blocking_probability, 3),
+               fmt(m.blocked_us.mean() / 1e3, 4),
+               fmt(m.pct_old, 3)});
     print_csv_row({"get-put", name, fmt_mops(m.throughput_ops_per_sec),
-                   fmt(m.blocking.blocking_probability(), 3),
-                   fmt(m.blocking.avg_blocking_time_us() / 1e3, 4),
-                   fmt(m.staleness.pct_old(), 3)});
+                   fmt(m.blocking_probability, 3),
+                   fmt(m.blocked_us.mean() / 1e3, 4),
+                   fmt(m.pct_old, 3)});
   }
 
   // Transactional workload: the scalar snapshot falls back to a GST-like cut,
@@ -58,13 +58,13 @@ int main() {
                              scale.measure_us());
     const char* name = system_name(system);
     print_row({"tx-put", name, fmt_mops(m.throughput_ops_per_sec),
-               fmt(m.blocking.blocking_probability(), 3),
-               fmt(m.blocking.avg_blocking_time_us() / 1e3, 4),
-               fmt(m.staleness.pct_old(), 3)});
+               fmt(m.blocking_probability, 3),
+               fmt(m.blocked_us.mean() / 1e3, 4),
+               fmt(m.pct_old, 3)});
     print_csv_row({"tx-put", name, fmt_mops(m.throughput_ops_per_sec),
-                   fmt(m.blocking.blocking_probability(), 3),
-                   fmt(m.blocking.avg_blocking_time_us() / 1e3, 4),
-                   fmt(m.staleness.pct_old(), 3)});
+                   fmt(m.blocking_probability, 3),
+                   fmt(m.blocked_us.mean() / 1e3, 4),
+                   fmt(m.pct_old, 3)});
   }
   std::printf(
       "\nExpected: scalar tracking stalls reads more often (spurious\n"

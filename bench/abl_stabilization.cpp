@@ -33,13 +33,13 @@ int main() {
                              scale.measure_us());
     print_row({fmt(static_cast<double>(period) / 1e3, 3), "Cure*",
                fmt_mops(m.throughput_ops_per_sec),
-               fmt(m.staleness.pct_old(), 3),
-               fmt(m.staleness.pct_unmerged(), 3),
+               fmt(m.pct_old, 3),
+               fmt(m.pct_unmerged, 3),
                std::to_string(m.network.stabilization_messages)});
     print_csv_row({fmt(static_cast<double>(period) / 1e3, 3), "Cure*",
                    fmt_mops(m.throughput_ops_per_sec),
-                   fmt(m.staleness.pct_old(), 3),
-                   fmt(m.staleness.pct_unmerged(), 3),
+                   fmt(m.pct_old, 3),
+                   fmt(m.pct_unmerged, 3),
                    std::to_string(m.network.stabilization_messages)});
   }
   {
@@ -48,10 +48,10 @@ int main() {
     const auto m = run_point(cfg, wl, 96, scale.warmup_us(),
                              scale.measure_us());
     print_row({"-", "POCC", fmt_mops(m.throughput_ops_per_sec),
-               fmt(m.staleness.pct_old(), 3), "0",
+               fmt(m.pct_old, 3), "0",
                std::to_string(m.network.stabilization_messages)});
     print_csv_row({"0", "POCC", fmt_mops(m.throughput_ops_per_sec),
-                   fmt(m.staleness.pct_old(), 3), "0",
+                   fmt(m.pct_old, 3), "0",
                    std::to_string(m.network.stabilization_messages)});
   }
   std::printf(

@@ -6,8 +6,6 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "stats/metrics.hpp"
-
 namespace pocc::bench {
 
 Scale scale_from_env() {
@@ -115,7 +113,9 @@ void print_csv_row(const std::vector<std::string>& cells) {
 }
 
 std::string fmt(double v, int precision) {
-  return stats::format_double(v, precision);
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.*g", precision, v);
+  return buf;
 }
 
 std::string fmt_mops(double ops_per_sec) {

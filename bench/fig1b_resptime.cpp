@@ -28,10 +28,10 @@ int main() {
           paper_config(system, scale.partitions(), /*seed=*/2000 + clients);
       const auto m = run_point(cfg, wl, clients, scale.warmup_us(),
                                scale.measure_us());
-      const double avg_ms = m.client_ops.avg_latency_us() / 1e3;
+      const double avg_ms = m.avg_latency_us / 1e3;
       stats::Histogram all;
-      all.merge(m.client_ops.get_latency_us);
-      all.merge(m.client_ops.put_latency_us);
+      all.merge(m.get_latency_us);
+      all.merge(m.put_latency_us);
       const double p99_ms =
           static_cast<double>(all.percentile(99)) / 1e3;
       const char* name = system_name(system);

@@ -34,15 +34,15 @@ int main() {
                                   scale.partitions(), /*seed=*/4000 + clients);
     const auto m =
         run_point(cfg, wl, clients, scale.warmup_us(), scale.measure_us());
-    const double avg_block_ms = m.blocking.avg_blocking_time_us() / 1e3;
+    const double avg_block_ms = m.blocked_us.mean() / 1e3;
     const double p99_block_ms =
-        static_cast<double>(m.blocking.blocked_time_us.percentile(99)) / 1e3;
+        static_cast<double>(m.blocked_us.percentile(99)) / 1e3;
     print_row({std::to_string(clients), fmt_mops(m.throughput_ops_per_sec),
-               fmt(m.blocking.blocking_probability(), 3),
+               fmt(m.blocking_probability, 3),
                fmt(avg_block_ms, 4), fmt(p99_block_ms, 4)});
     print_csv_row({std::to_string(clients),
                    fmt_mops(m.throughput_ops_per_sec),
-                   fmt(m.blocking.blocking_probability(), 3),
+                   fmt(m.blocking_probability, 3),
                    fmt(avg_block_ms, 4), fmt(p99_block_ms, 4)});
   }
 
@@ -58,16 +58,16 @@ int main() {
     const auto m =
         run_point(cfg, wl, clients, scale.warmup_us(), scale.measure_us());
     print_row({std::to_string(clients), fmt_mops(m.throughput_ops_per_sec),
-               fmt(m.staleness.pct_old(), 3),
-               fmt(m.staleness.pct_unmerged(), 3),
-               fmt(m.staleness.avg_fresher_versions(), 3),
-               fmt(m.staleness.avg_unmerged_versions(), 3)});
+               fmt(m.pct_old, 3),
+               fmt(m.pct_unmerged, 3),
+               fmt(m.avg_fresher_versions, 3),
+               fmt(m.avg_unmerged_versions, 3)});
     print_csv_row({std::to_string(clients),
                    fmt_mops(m.throughput_ops_per_sec),
-                   fmt(m.staleness.pct_old(), 3),
-                   fmt(m.staleness.pct_unmerged(), 3),
-                   fmt(m.staleness.avg_fresher_versions(), 3),
-                   fmt(m.staleness.avg_unmerged_versions(), 3)});
+                   fmt(m.pct_old, 3),
+                   fmt(m.pct_unmerged, 3),
+                   fmt(m.avg_fresher_versions, 3),
+                   fmt(m.avg_unmerged_versions, 3)});
   }
   std::printf(
       "\nExpected shape (paper): POCC blocking negligible until near\n"

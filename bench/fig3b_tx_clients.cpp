@@ -29,9 +29,9 @@ int main() {
           paper_config(system, scale.partitions(), /*seed=*/6000 + clients);
       const auto m = run_point(cfg, wl, clients, scale.warmup_us(),
                                scale.measure_us());
-      const double tx_ms = m.client_ops.tx_latency_us.mean() / 1e3;
+      const double tx_ms = m.tx_latency_us.mean() / 1e3;
       const double p99_ms =
-          static_cast<double>(m.client_ops.tx_latency_us.percentile(99)) /
+          static_cast<double>(m.tx_latency_us.percentile(99)) /
           1e3;
       const char* name = system_name(system);
       print_row({std::to_string(clients), name,

@@ -30,20 +30,20 @@ int main() {
     const auto m =
         run_point(cfg, wl, clients, scale.warmup_us(), scale.measure_us());
     print_row({std::to_string(clients), fmt_mops(m.throughput_ops_per_sec),
-               fmt(m.blocking.blocking_probability(), 3),
-               fmt(m.blocking.macro_blocking_probability(), 3),
-               fmt(m.blocking.avg_blocking_time_us() / 1e3, 4),
+               fmt(m.blocking_probability, 3),
+               fmt(m.macro_blocking_probability, 3),
+               fmt(m.blocked_us.mean() / 1e3, 4),
                fmt(static_cast<double>(
-                       m.blocking.blocked_time_us.percentile(99)) /
+                       m.blocked_us.percentile(99)) /
                        1e3,
                    4)});
     print_csv_row({std::to_string(clients),
                    fmt_mops(m.throughput_ops_per_sec),
-                   fmt(m.blocking.blocking_probability(), 3),
-                   fmt(m.blocking.macro_blocking_probability(), 3),
-                   fmt(m.blocking.avg_blocking_time_us() / 1e3, 4),
+                   fmt(m.blocking_probability, 3),
+                   fmt(m.macro_blocking_probability, 3),
+                   fmt(m.blocked_us.mean() / 1e3, 4),
                    fmt(static_cast<double>(
-                           m.blocking.blocked_time_us.percentile(99)) /
+                           m.blocked_us.percentile(99)) /
                            1e3,
                        4)});
   }

@@ -37,7 +37,7 @@ int main() {
                                     /*seed=*/8000 + clients + seed * 91);
       const auto m =
           run_point(cfg, wl, clients, scale.warmup_us(), scale.measure_us());
-      pocc_old += m.staleness.pct_old() / kSeeds;
+      pocc_old += m.pct_old / kSeeds;
     }
     for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
       const auto cfg = paper_config(SystemKind::kCure,
@@ -45,8 +45,8 @@ int main() {
                                     /*seed=*/8100 + clients + seed * 91);
       const auto m =
           run_point(cfg, wl, clients, scale.warmup_us(), scale.measure_us());
-      cure_old += m.staleness.pct_old() / kSeeds;
-      cure_unmerged += m.staleness.pct_unmerged() / kSeeds;
+      cure_old += m.pct_old / kSeeds;
+      cure_unmerged += m.pct_unmerged / kSeeds;
     }
     const double ratio = pocc_old > 0 ? cure_old / pocc_old : 0.0;
     print_row({std::to_string(clients), fmt(pocc_old, 3), fmt(cure_old, 3),

@@ -58,17 +58,15 @@ int main() {
   };
   row("throughput (Mops/s)", pocc.metrics.throughput_ops_per_sec / 1e6,
       cure.metrics.throughput_ops_per_sec / 1e6, "  ");
-  row("avg response time (ms)", pocc.metrics.client_ops.avg_latency_us() / 1e3,
-      cure.metrics.client_ops.avg_latency_us() / 1e3, "  ");
-  row("% old reads", pocc.metrics.staleness.pct_old(),
-      cure.metrics.staleness.pct_old(), " %");
-  row("% unmerged reads", pocc.metrics.staleness.pct_unmerged(),
-      cure.metrics.staleness.pct_unmerged(), " %");
-  row("blocking probability", pocc.metrics.blocking.blocking_probability(),
-      cure.metrics.blocking.blocking_probability(), "  ");
-  row("avg blocking time (ms)",
-      pocc.metrics.blocking.avg_blocking_time_us() / 1e3,
-      cure.metrics.blocking.avg_blocking_time_us() / 1e3, "  ");
+  row("avg response time (ms)", pocc.metrics.avg_latency_us / 1e3,
+      cure.metrics.avg_latency_us / 1e3, "  ");
+  row("% old reads", pocc.metrics.pct_old, cure.metrics.pct_old, " %");
+  row("% unmerged reads", pocc.metrics.pct_unmerged, cure.metrics.pct_unmerged,
+      " %");
+  row("blocking probability", pocc.metrics.blocking_probability,
+      cure.metrics.blocking_probability, "  ");
+  row("avg blocking time (ms)", pocc.metrics.blocked_us.mean() / 1e3,
+      cure.metrics.blocked_us.mean() / 1e3, "  ");
   row("stabilization messages", static_cast<double>(pocc.net.stabilization_messages),
       static_cast<double>(cure.net.stabilization_messages), "  ");
   row("heartbeat messages", static_cast<double>(pocc.net.heartbeat_messages),

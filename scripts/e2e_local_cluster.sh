@@ -8,8 +8,9 @@
 #   pipelined   8 sessions x pipeline 4 over 8 connections per DC — the
 #               benchmark of record, BENCH_tcp_loadgen.json. A mid-load
 #               /metrics scrape of every DC is saved as metrics_dc*.prom and
-#               must carry the op-latency histograms and transport counters
-#               (wake-pipe writes included), with connections placed across
+#               must carry the op-latency histograms, transport counters
+#               (wake-pipe writes included) and engine series (reads,
+#               blocked-time histogram), with connections placed across
 #               its two event loops; each DC's messages per batch and wake
 #               writes per client request are printed, not gated.
 #   serial      8 client threads x 2 connections per DC
@@ -98,6 +99,14 @@ for dc in $(seq 0 $((DCS - 1))); do
     echo "e2e: FAIL — dc$dc mid-load /metrics scrape is missing transport counters" >&2
     exit 10
   fi
+  # The engines register their own series: one that vanished from poccd
+  # would otherwise only show as a blank in the benchmark's server metrics.
+  for series in pocc_engine_reads_total pocc_engine_blocked_us_count; do
+    if ! grep -q "^$series{" "$prom"; then
+      echo "e2e: FAIL — dc$dc mid-load /metrics scrape is missing $series" >&2
+      exit 10
+    fi
+  done
   moves="$(awk '$1 == "pocc_transport_migrations_total" { print $2 }' "$prom")"
   if [[ -z "$moves" ]] || ! awk -v m="$moves" 'BEGIN { exit !(m > 0) }'; then
     echo "e2e: FAIL — dc$dc placed no connection on another loop (pocc_transport_migrations_total=${moves:-missing})" >&2

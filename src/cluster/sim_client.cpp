@@ -92,16 +92,13 @@ void SimClient::record_latency(workload::OpType type, Duration latency) {
   if (!cluster_.measuring()) return;
   switch (type) {
     case workload::OpType::kGet:
-      ++ops_.gets;
-      ops_.get_latency_us.record(latency);
+      get_latency_us_.record(latency);
       break;
     case workload::OpType::kPut:
-      ++ops_.puts;
-      ops_.put_latency_us.record(latency);
+      put_latency_us_.record(latency);
       break;
     case workload::OpType::kRoTx:
-      ++ops_.ro_txs;
-      ops_.tx_latency_us.record(latency);
+      tx_latency_us_.record(latency);
       break;
   }
   ++completed_;

@@ -14,7 +14,7 @@
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "net/sim_network.hpp"
-#include "stats/metrics.hpp"
+#include "stats/histogram.hpp"
 #include "workload/workload.hpp"
 
 namespace pocc::cluster {
@@ -66,11 +66,22 @@ class SimClient final : public net::Endpoint {
   [[nodiscard]] ClientId id() const { return engine_.id(); }
   [[nodiscard]] DcId dc() const { return engine_.dc(); }
   client::ClientEngine& engine() { return engine_; }
-  [[nodiscard]] const stats::OpStats& op_stats() const { return ops_; }
+  /// Latencies of the ops completed while the cluster measured.
+  [[nodiscard]] const stats::Histogram& get_latency_us() const {
+    return get_latency_us_;
+  }
+  [[nodiscard]] const stats::Histogram& put_latency_us() const {
+    return put_latency_us_;
+  }
+  [[nodiscard]] const stats::Histogram& tx_latency_us() const {
+    return tx_latency_us_;
+  }
   [[nodiscard]] std::uint64_t completed_ops() const { return completed_; }
   [[nodiscard]] std::uint64_t session_fallbacks() const { return fallbacks_; }
   void reset_stats() {
-    ops_.reset();
+    get_latency_us_.reset();
+    put_latency_us_.reset();
+    tx_latency_us_.reset();
     completed_ = 0;
   }
 
@@ -107,7 +118,9 @@ class SimClient final : public net::Endpoint {
   std::optional<proto::Message> manual_reply_;
   bool manual_session_closed_ = false;
 
-  stats::OpStats ops_;
+  stats::Histogram get_latency_us_;
+  stats::Histogram put_latency_us_;
+  stats::Histogram tx_latency_us_;
   std::uint64_t completed_ = 0;
   std::uint64_t fallbacks_ = 0;
 };

@@ -9,6 +9,39 @@
 #include "store/key_space.hpp"
 
 namespace pocc::cluster {
+namespace {
+
+/// The window's growth of counter `name`: its value at the end minus at the
+/// start, summed over every label set and data center (run.py's delta()).
+double delta(const std::vector<stats::Snapshot>& begin,
+             const std::vector<stats::Snapshot>& end,
+             const std::string& name) {
+  double d = 0.0;
+  for (std::size_t dc = 0; dc < end.size(); ++dc) {
+    d += end[dc].value(name) - begin[dc].value(name);
+  }
+  return d;
+}
+
+/// The same for histogram `name`, subtracted bucket by bucket per series.
+stats::Histogram delta_histogram(const std::vector<stats::Snapshot>& begin,
+                                 const std::vector<stats::Snapshot>& end,
+                                 const std::string& name) {
+  stats::Histogram d;
+  for (std::size_t dc = 0; dc < end.size(); ++dc) {
+    for (const stats::Snapshot::Sample& s : end[dc].samples) {
+      if (s.name != name) continue;
+      stats::Histogram h = *s.hist;
+      h.subtract(begin[dc].histogram(name, s.labels));
+      d.merge(h);
+    }
+  }
+  return d;
+}
+
+double ratio(double num, double den) { return den == 0 ? 0.0 : num / den; }
+
+}  // namespace
 
 SimCluster::SimCluster(SimClusterConfig cfg)
     : cfg_(std::move(cfg)), root_rng_(cfg_.seed) {
@@ -20,6 +53,10 @@ SimCluster::SimCluster(SimClusterConfig cfg)
   }
 
   const auto& topo = cfg_.topology;
+  for (DcId dc = 0; dc < topo.num_dcs; ++dc) {
+    registries_.push_back(std::make_unique<stats::Registry>());
+  }
+  window_begin_.resize(topo.num_dcs);
   nodes_.reserve(topo.total_nodes());
   // WAN-level NTP error: one clock bias per data center; node clocks add a
   // smaller LAN-level offset on top (see ClockConfig).
@@ -37,7 +74,8 @@ SimCluster::SimCluster(SimClusterConfig cfg)
       // recovered incarnation gets its checker observer re-wired exactly
       // like the original.
       nodes_.push_back(std::make_unique<SimNode>(
-          id, cfg_.service, node_clock, sim_, *net_, root_rng_,
+          id, cfg_.service, node_clock, sim_, *net_, *registries_[dc],
+          root_rng_,
           [this](NodeId nid, server::Context& ctx) {
             return make_engine(nid, ctx);
           }));
@@ -140,12 +178,12 @@ bool SimCluster::pump_until(const std::function<bool()>& pred,
 }
 
 void SimCluster::begin_measurement() {
-  for (auto& node : nodes_) {
-    node->engine().reset_stats();
-    node->cpu().reset_stats();
-  }
+  for (auto& node : nodes_) node->cpu().reset_stats();
   for (auto& c : clients_) c->reset_stats();
   net_->reset_stats();
+  for (std::size_t dc = 0; dc < registries_.size(); ++dc) {
+    window_begin_[dc] = registries_[dc]->snapshot();
+  }
   measuring_ = true;
   window_start_ = sim_.now();
 }
@@ -155,7 +193,9 @@ ClusterMetrics SimCluster::end_measurement() {
   ClusterMetrics m;
   m.window_us = sim_.now() - window_start_;
   for (const auto& c : clients_) {
-    m.client_ops.merge(c->op_stats());
+    m.get_latency_us.merge(c->get_latency_us());
+    m.put_latency_us.merge(c->put_latency_us());
+    m.tx_latency_us.merge(c->tx_latency_us());
     m.completed_ops += c->completed_ops();
     m.session_fallbacks += c->session_fallbacks();
   }
@@ -163,10 +203,38 @@ ClusterMetrics SimCluster::end_measurement() {
     m.throughput_ops_per_sec = static_cast<double>(m.completed_ops) /
                                (static_cast<double>(m.window_us) * 1e-6);
   }
+  const auto n = [](const stats::Histogram& h) {
+    return static_cast<double>(h.count());
+  };
+  m.avg_latency_us = ratio(m.get_latency_us.mean() * n(m.get_latency_us) +
+                               m.put_latency_us.mean() * n(m.put_latency_us) +
+                               m.tx_latency_us.mean() * n(m.tx_latency_us),
+                           n(m.get_latency_us) + n(m.put_latency_us) +
+                               n(m.tx_latency_us));
+
+  std::vector<stats::Snapshot> end;
+  for (const auto& r : registries_) end.push_back(r->snapshot());
+  const auto grew = [&](const std::string& name) {
+    return delta(window_begin_, end, name);
+  };
+  const double ops = grew("pocc_engine_blocking_ops_total");
+  m.blocking_ops = static_cast<std::uint64_t>(ops);
+  m.blocking_probability = ratio(grew("pocc_engine_blocked_total"), ops);
+  m.macro_blocking_probability =
+      ratio(grew("pocc_engine_blocked_macro_total"), ops);
+  m.blocked_us = delta_histogram(window_begin_, end, "pocc_engine_blocked_us");
+  const double reads = grew("pocc_engine_reads_total");
+  const double old_reads = grew("pocc_engine_old_reads_total");
+  const double unmerged_reads = grew("pocc_engine_unmerged_reads_total");
+  m.pct_old = ratio(100.0 * old_reads, reads);
+  m.pct_unmerged = ratio(100.0 * unmerged_reads, reads);
+  m.avg_fresher_versions =
+      ratio(grew("pocc_engine_fresher_versions_total"), old_reads);
+  m.avg_unmerged_versions =
+      ratio(grew("pocc_engine_unmerged_versions_total"), unmerged_reads);
+
   double util_sum = 0.0;
   for (const auto& node : nodes_) {
-    m.blocking.merge(node->engine().blocking_stats());
-    m.staleness.merge(node->engine().staleness_stats());
     util_sum += node->cpu().utilization(window_start_, sim_.now());
   }
   m.avg_cpu_utilization = util_sum / static_cast<double>(nodes_.size());
@@ -204,14 +272,18 @@ std::uint64_t SimCluster::state_digest() const {
     for (const char c : s) mix(static_cast<std::uint8_t>(c));
   };
   mix(sim_.executed_events());
+  std::vector<stats::Snapshot> snaps;
+  for (const auto& r : registries_) snaps.push_back(r->snapshot());
   for (const auto& node : nodes_) {
     const server::ReplicaBase& e = node->engine();
     const VersionVector& vv = e.version_vector();
     for (std::uint32_t i = 0; i < vv.size(); ++i) {
       mix(static_cast<std::uint64_t>(vv[i]));
     }
-    mix(e.puts_served());
-    mix(e.gets_served());
+    const stats::Snapshot& dc = snaps[node->id().dc];
+    const stats::Labels part = {{"part", std::to_string(node->id().part)}};
+    mix(static_cast<std::uint64_t>(dc.value("pocc_engine_puts_total", part)));
+    mix(static_cast<std::uint64_t>(dc.value("pocc_engine_gets_total", part)));
     // chains() is densely packed in insertion order — deterministic for a
     // given seed (the only ordering this digest is used under).
     for (const auto& [key, chain] : e.partition_store().chains()) {

@@ -21,7 +21,8 @@
 #include "net/sim_network.hpp"
 #include "server/engine_factory.hpp"
 #include "sim/simulator.hpp"
-#include "stats/metrics.hpp"
+#include "stats/histogram.hpp"
+#include "stats/registry.hpp"
 #include "workload/workload.hpp"
 
 namespace pocc::cluster {
@@ -44,9 +45,23 @@ struct ClusterMetrics {
   Duration window_us = 0;
   std::uint64_t completed_ops = 0;
   double throughput_ops_per_sec = 0.0;
-  stats::OpStats client_ops;        // client-observed latencies
-  stats::BlockingStats blocking;    // server-side blocking (Fig. 2a/3c)
-  stats::StalenessStats staleness;  // server-side staleness (Fig. 2b/3d)
+  // Client-observed latencies (Fig. 1b/3b), merged over the clients.
+  stats::Histogram get_latency_us;
+  stats::Histogram put_latency_us;
+  stats::Histogram tx_latency_us;
+  double avg_latency_us = 0.0;  // over all three
+  // Server side: the window's growth of the pocc_engine_* series poccd
+  // exports, summed over every data center's registry. Blocking (Fig.
+  // 2a/3c), over the GETs, PUTs and RO-TX slices served:
+  std::uint64_t blocking_ops = 0;
+  double blocking_probability = 0.0;        // share that parked
+  double macro_blocking_probability = 0.0;  // ... > kMacroBlockingUs
+  stats::Histogram blocked_us;              // how long the parked ones waited
+  // Staleness (Fig. 2b/3d), over the items GETs and slices returned:
+  double pct_old = 0.0;                // % with a fresher version in chain
+  double pct_unmerged = 0.0;           // % with a not-yet-stable version
+  double avg_fresher_versions = 0.0;   // per old read
+  double avg_unmerged_versions = 0.0;  // per unmerged read
   double avg_cpu_utilization = 0.0;
   net::NetworkStats network;
   std::uint64_t session_fallbacks = 0;  // HA: sessions closed by timeout
@@ -81,9 +96,11 @@ class SimCluster {
   bool pump_until(const std::function<bool()>& pred, Duration max_wait);
 
   // ----- measurement -----
-  /// Clear all statistics and start a measurement window.
+  /// Start a measurement window: clear the client, CPU and network
+  /// statistics and snapshot every data center's registry.
   void begin_measurement();
-  /// Close the window and aggregate.
+  /// Close the window and aggregate; server-side metrics are the registry
+  /// series' growth since begin_measurement().
   ClusterMetrics end_measurement();
   [[nodiscard]] bool measuring() const { return measuring_; }
 
@@ -120,6 +137,9 @@ class SimCluster {
 
   // ----- introspection -----
   [[nodiscard]] const SimClusterConfig& config() const { return cfg_; }
+  /// Data center `dc`'s registry: the pocc_engine_* series of its engines,
+  /// as one poccd process holds them.
+  stats::Registry& registry(DcId dc) { return *registries_.at(dc); }
   server::ReplicaBase& engine(NodeId id);
   [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
   sim::Simulator& simulator() { return sim_; }
@@ -152,12 +172,16 @@ class SimCluster {
   sim::Simulator sim_;
   Rng root_rng_;
   std::unique_ptr<net::SimNetwork> net_;
+  /// One per data center; declared before nodes_, whose engines hold
+  /// pointers into them.
+  std::vector<std::unique_ptr<stats::Registry>> registries_;
   std::vector<std::unique_ptr<SimNode>> nodes_;
   std::vector<std::unique_ptr<SimClient>> clients_;
   std::unique_ptr<checker::HistoryChecker> checker_;
   ClientId next_client_id_ = 1;
   bool measuring_ = false;
   Timestamp window_start_ = 0;
+  std::vector<stats::Snapshot> window_begin_;  // per DC
 };
 
 }  // namespace pocc::cluster

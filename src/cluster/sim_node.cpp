@@ -11,11 +11,12 @@ namespace pocc::cluster {
 
 SimNode::SimNode(NodeId self, const ServiceConfig& service,
                  const ClockConfig& clock_cfg, sim::Simulator& simulator,
-                 net::SimNetwork& network, Rng& seeder,
-                 EngineFactory make_engine)
+                 net::SimNetwork& network, stats::Registry& registry,
+                 Rng& seeder, EngineFactory make_engine)
     : self_(self),
       sim_(simulator),
       net_(network),
+      registry_(registry),
       cpu_(simulator, service.cores, service.background_share_den),
       clock_(clock_cfg, seeder),
       make_engine_(std::move(make_engine)) {

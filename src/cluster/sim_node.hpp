@@ -26,10 +26,12 @@ class SimNode final : public net::Endpoint, public server::Context {
       NodeId, server::Context&)>;
 
   /// Builds the node's engine through `make_engine`, which also rebuilds it
-  /// on every restart().
+  /// on every restart(). Every incarnation registers its series in
+  /// `registry`, its data center's.
   SimNode(NodeId self, const ServiceConfig& service,
           const ClockConfig& clock_cfg, sim::Simulator& simulator,
-          net::SimNetwork& network, Rng& seeder, EngineFactory make_engine);
+          net::SimNetwork& network, stats::Registry& registry, Rng& seeder,
+          EngineFactory make_engine);
 
   void start();
 
@@ -78,6 +80,7 @@ class SimNode final : public net::Endpoint, public server::Context {
     net_.send_to_client(self_, client, std::move(m));
   }
   void set_timer(Duration delay, std::uint64_t timer_id) override;
+  stats::Registry& registry() override { return registry_; }
 
  private:
   /// A delivered message awaiting its CPU job. `from` and the arrival
@@ -99,6 +102,7 @@ class SimNode final : public net::Endpoint, public server::Context {
   NodeId self_;
   sim::Simulator& sim_;
   net::SimNetwork& net_;
+  stats::Registry& registry_;
   sim::CpuQueue cpu_;
   PhysicalClock clock_;
   EngineFactory make_engine_;

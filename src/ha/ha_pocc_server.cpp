@@ -158,7 +158,7 @@ std::uint32_t HaPoccServer::count_unmerged(
 void HaPoccServer::on_park_timeout(ClientId client, Duration blocked_us) {
   // §III-B: blocking beyond the timeout indicates a network partition; close
   // the session so the client re-initializes pessimistically.
-  blocking_.record_op(blocked_us);
+  record_blocking(blocked_us);
   ++sessions_closed_;
   ctx_.reply(client,
              proto::SessionClosed{client, "request blocked beyond timeout"});

@@ -294,16 +294,10 @@ void TcpNodeHost::register_metrics() {
     return total;
   }, "Replication bytes queued in the transport on peer links");
   // --- host admission / client session plane ---
-  r.counter_fn("pocc_host_dropped_frames_total", {},
-               [this] { return dropped_frames(); });
-  r.counter_fn("pocc_host_overloaded_replies_total", {},
-               [this] { return overloaded_replies(); });
   r.counter_fn("pocc_host_deduped_requests_total", {},
                [this] { return group_->deduped_requests(); },
                "Client request copies the partitions absorbed (hit rate = "
                "this / pocc_host_client_requests_total)");
-  r.counter_fn("pocc_host_client_requests_total", {},
-               [this] { return client_requests(); });
   r.counter_fn("pocc_local_deliveries_total", {},
                [this] { return group_->local_deliveries(); },
                "Cross-partition messages delivered without a socket");
@@ -311,51 +305,15 @@ void TcpNodeHost::register_metrics() {
              [this] { return recovering() ? 1 : 0; });
   r.gauge_fn("pocc_host_ready", {}, [this] { return ready() ? 1 : 0; },
              "The /readyz predicate");
-  // --- per-partition: inbox depth, engine counters, store, GC, WAL ---
+  // --- per-partition: inbox depth, store, WAL (the engines registered
+  // their own pocc_engine_* series at construction) ---
   for (std::size_t i = 0; i < self_.parts.size(); ++i) {
     const PartitionId p = self_.parts[i];
     const stats::Labels part_label = {{"part", std::to_string(p)}};
     r.gauge_fn("pocc_inbox_depth", part_label, [this, p] {
       return static_cast<std::int64_t>(group_->inbox_depth(p));
     });
-    server::ReplicaBase* eng = &group_->engine(p);
-    r.counter_fn("pocc_engine_gets_total", part_label,
-                 [eng] { return eng->gets_served(); });
-    r.counter_fn("pocc_engine_puts_total", part_label,
-                 [eng] { return eng->puts_served(); });
-    r.counter_fn("pocc_engine_slices_total", part_label,
-                 [eng] { return eng->slices_served(); });
-    r.counter_fn("pocc_engine_blocking_ops_total", part_label,
-                 [eng] { return eng->blocking_stats().operations.load(); });
-    r.counter_fn("pocc_engine_blocked_total", part_label,
-                 [eng] { return eng->blocking_stats().blocked.load(); });
-    r.counter_fn("pocc_engine_blocked_macro_total", part_label,
-                 [eng] { return eng->blocking_stats().blocked_macro.load(); });
-    r.counter_fn(
-        "pocc_engine_blocked_us_total", part_label,
-        [eng] { return eng->blocking_stats().blocked_us_total.load(); },
-        "Time parked ops (GET/PUT/RO-TX slice) spent waiting (us)");
-    r.counter_fn("pocc_engine_heartbeats_total",
-                 {{"part", std::to_string(p)}, {"kind", "timer"}},
-                 [eng] { return eng->timer_heartbeats(); },
-                 "Heartbeats sent by the idle timer and by pass promises");
-    r.counter_fn("pocc_engine_heartbeats_total",
-                 {{"part", std::to_string(p)}, {"kind", "pass"}},
-                 [eng] { return eng->pass_heartbeats(); });
-    r.counter_fn("pocc_engine_reads_total", part_label,
-                 [eng] { return eng->staleness_stats().reads.load(); });
-    r.counter_fn("pocc_engine_old_reads_total", part_label,
-                 [eng] { return eng->staleness_stats().old_reads.load(); });
-    r.counter_fn(
-        "pocc_engine_unmerged_reads_total", part_label,
-        [eng] { return eng->staleness_stats().unmerged_reads.load(); });
-    r.gauge_fn("pocc_engine_recovery_gate_expired", part_label,
-               [eng] { return eng->recovery_gate_expired() ? 1 : 0; },
-               "1 when the recovery gate opened at its deadline with a "
-               "RecoveryDone outstanding");
-    r.gauge_fn("pocc_engine_gc_floor_us", part_label,
-               [eng] { return eng->scraped_gc_floor_us(); },
-               "Min entry of the last applied aggregate GC vector");
+    const server::ReplicaBase* eng = &group_->engine(p);
     r.gauge_fn("pocc_store_keys", part_label, [eng] {
       return static_cast<std::int64_t>(eng->partition_store().stats().keys);
     });
@@ -412,12 +370,12 @@ void TcpNodeHost::route_to_client(NodeId /*from*/, ClientId client,
   if (conn == kInvalidConn) {
     // The client disconnected (or never sent a request here): a reply to a
     // departed session is dropped, exactly like a real server would.
-    ++dropped_;
+    dropped_->inc();
     return;
   }
   std::vector<std::uint8_t> frame;
   proto::encode(m, frame);
-  if (!transport_.send(conn, std::move(frame))) ++dropped_;
+  if (!transport_.send(conn, std::move(frame))) dropped_->inc();
 }
 
 Timestamp TcpNodeHost::on_loop_pass(std::uint32_t loop) {
@@ -457,7 +415,7 @@ void TcpNodeHost::send_overloaded(ConnId conn, ClientId client,
   std::vector<std::uint8_t> frame;
   proto::encode(m, frame);
   transport_.send(conn, std::move(frame));
-  ++overloaded_;
+  overloaded_->inc();
 }
 
 void TcpNodeHost::dispatch_client_request(ConnId conn, proto::Message m) {
@@ -486,7 +444,7 @@ void TcpNodeHost::dispatch_client_request(ConnId conn, proto::Message m) {
   }
   const NodeId to{self_.dc, part};
   if (!group_->hosts(to)) {
-    ++dropped_;
+    dropped_->inc();
     log("dropped " + std::string(proto::message_name(m)) +
         " for partition this process does not host");
     return;
@@ -495,7 +453,7 @@ void TcpNodeHost::dispatch_client_request(ConnId conn, proto::Message m) {
     std::lock_guard lk(mu_);
     client_conn_[client] = conn;
   }
-  ++client_requests_;
+  client_requests_->inc();
   // Self-protection: refuse (rather than queue without bound) when the
   // target worker's inbox is full or a replication link is backed up. The
   // Overloaded reply tells the client to back off and retry the same
@@ -529,13 +487,13 @@ void TcpNodeHost::on_frame(ConnId conn, proto::Frame frame) {
       greeted = conn_peer_.contains(conn);
     }
     if (!greeted) {
-      dropped_ += batch->items.size();
+      dropped_->inc(batch->items.size());
       log("dropped batch from un-greeted connection");
       return;
     }
     for (proto::RoutedMessage& item : batch->items) {
       if (!group_->hosts(item.to)) {
-        ++dropped_;
+        dropped_->inc();
         log("dropped batched " + std::string(proto::message_name(item.msg)) +
             " addressed to " + item.to.to_string());
         continue;
@@ -556,7 +514,7 @@ void TcpNodeHost::on_frame(ConnId conn, proto::Frame frame) {
   // Server-to-server traffic always rides Batch frames (explicit routing
   // envelopes); a bare protocol message from a peer has no well-defined
   // destination in a multi-partition process.
-  ++dropped_;
+  dropped_->inc();
   log("dropped unbatched " + std::string(proto::message_name(m)) +
       " from a peer connection");
 }

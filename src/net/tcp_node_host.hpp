@@ -49,7 +49,6 @@
 #include "runtime/node_group.hpp"
 #include "server/replica_base.hpp"
 #include "stats/registry.hpp"
-#include "stats/relaxed_counter.hpp"
 #include "wal/wal_manager.hpp"
 
 namespace pocc::net {
@@ -122,7 +121,8 @@ class TcpNodeHost final : public rt::Router {
   [[nodiscard]] bool ready() const;
 
   /// The unified stats registry. Every quantity this process tracks —
-  /// transport, batching, admission, engines, store, WAL — registers here;
+  /// transport, batching, admission, engines, store, WAL — registers here
+  /// (the engines their own pocc_engine_* series, through their Context);
   /// /metrics, SIGUSR2 and the exit dump are renders of one snapshot().
   [[nodiscard]] stats::Registry& registry() { return registry_; }
 
@@ -158,15 +158,17 @@ class TcpNodeHost final : public rt::Router {
   /// Batching accounting summed over every peer link.
   [[nodiscard]] BatchStats batch_stats() const;
   /// Frames that arrived for an unknown partition / departed client.
-  [[nodiscard]] std::uint64_t dropped_frames() const { return dropped_; }
+  [[nodiscard]] std::uint64_t dropped_frames() const {
+    return dropped_->value();
+  }
   /// Client requests refused with an Overloaded reply (admission control).
   [[nodiscard]] std::uint64_t overloaded_replies() const {
-    return overloaded_;
+    return overloaded_->value();
   }
   /// Client requests that reached dispatch (the denominator of the dedup
   /// hit rate, whose numerator is group().deduped_requests()).
   [[nodiscard]] std::uint64_t client_requests() const {
-    return client_requests_;
+    return client_requests_->value();
   }
 
   // --- rt::Router (called from the worker threads) ---
@@ -196,9 +198,10 @@ class TcpNodeHost final : public rt::Router {
   /// client work until the peer drains).
   [[nodiscard]] bool replication_backlogged() const;
   void send_overloaded(ConnId conn, ClientId client, std::uint64_t op_id);
-  /// Populates registry_ with every instrument this process exposes. Called
-  /// once from start(), after links_ is final (the scrape-time callbacks
-  /// capture link/engine pointers that must be immutable by then).
+  /// Populates registry_ with the scrape-time callbacks of the host, its
+  /// transport, batchers, stores and WALs. Called once from start(), after
+  /// links_ is final (the callbacks capture link/engine pointers that must
+  /// be immutable by then).
   void register_metrics();
   void log(const std::string& what) const;
   [[nodiscard]] static std::uint64_t flat(NodeId n) {
@@ -229,9 +232,13 @@ class TcpNodeHost final : public rt::Router {
   std::mutex mu_;  // guards conn_peer_ and client_conn_
   std::unordered_map<ConnId, NodeId> conn_peer_;  // inbound, via NodeHello
   std::unordered_map<ClientId, ConnId> client_conn_;
-  stats::RelaxedU64 dropped_;
-  stats::RelaxedU64 overloaded_;
-  stats::RelaxedU64 client_requests_;
+  // Registered in registry_, which is declared above them.
+  stats::Counter* const dropped_ =
+      registry_.counter("pocc_host_dropped_frames_total");
+  stats::Counter* const overloaded_ =
+      registry_.counter("pocc_host_overloaded_replies_total");
+  stats::Counter* const client_requests_ =
+      registry_.counter("pocc_host_client_requests_total");
   std::atomic<bool> started_{false};
 
   /// Last member: destroyed (and thus stopped) before anything its handlers

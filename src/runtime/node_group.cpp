@@ -51,23 +51,21 @@ NodeGroup::NodeGroup(DcId dc, std::vector<PartitionId> parts, Router& router,
   if (threads == 0) threads = static_cast<std::uint32_t>(parts_.size());
   threads = std::min<std::uint32_t>(
       threads, static_cast<std::uint32_t>(parts_.size()));
+  POCC_ASSERT_MSG(opt_.wake != nullptr, "a node group needs a wake callback");
+  POCC_ASSERT_MSG(opt_.registry != nullptr, "a node group needs a registry");
   for (std::uint32_t w = 0; w < threads; ++w) {
     workers_.push_back(std::make_unique<Worker>());
-    workers_.back()->index = w;
-    if (opt_.registry != nullptr) {
-      // One histogram shard per worker per op: repeated registration of the
-      // same (name, labels) yields a fresh cell, merged at scrape time.
-      Worker& wk = *workers_.back();
-      wk.lat_get = opt_.registry->histogram(
-          "pocc_server_op_us", {{"op", "get"}},
-          "Server-side request latency at the engine seam (us)");
-      wk.lat_put = opt_.registry->histogram("pocc_server_op_us",
-                                            {{"op", "put"}});
-      wk.lat_tx = opt_.registry->histogram("pocc_server_op_us",
-                                           {{"op", "ro_tx"}});
-    }
+    Worker& wk = *workers_.back();
+    wk.index = w;
+    // One histogram shard per worker per op: repeated registration of the
+    // same (name, labels) yields a fresh cell, merged at scrape time.
+    wk.lat_get = opt_.registry->histogram(
+        "pocc_server_op_us", {{"op", "get"}},
+        "Server-side request latency at the engine seam (us)");
+    wk.lat_put = opt_.registry->histogram("pocc_server_op_us", {{"op", "put"}});
+    wk.lat_tx = opt_.registry->histogram("pocc_server_op_us",
+                                         {{"op", "ro_tx"}});
   }
-  POCC_ASSERT_MSG(opt_.wake != nullptr, "a node group needs a wake callback");
 
   by_part_.assign(parts_.back() + 1, nullptr);
   for (std::size_t i = 0; i < parts_.size(); ++i) {
@@ -249,19 +247,6 @@ server::ReplicaBase& NodeGroup::engine(PartitionId part) {
   return *by_part_[part]->engine;
 }
 
-NodeGroupStats NodeGroup::stats() const {
-  NodeGroupStats s;
-  for (const auto& slot : slots_) {
-    if (slot->engine == nullptr) continue;
-    s.gets += slot->engine->gets_served();
-    s.puts += slot->engine->puts_served();
-    s.slices += slot->engine->slices_served();
-    s.parked += slot->engine->parked_requests();
-  }
-  s.local_deliveries = local_deliveries_.load(std::memory_order_relaxed);
-  return s;
-}
-
 std::uint32_t NodeGroup::worker_of(PartitionId part) const {
   POCC_ASSERT(hosts(NodeId{dc_, part}));
   return by_part_[part]->worker->index;
@@ -310,17 +295,15 @@ Timestamp NodeGroup::service(std::uint32_t worker) {
       Incoming in = w.backlog.pop_front();
       if (in.slot->absorb_retry(in.msg)) continue;
       // Server-side op latency at the engine seam: time only the
-      // client-visible request types, and only when a registry is wired
-      // (one steady-clock read pair per timed message).
+      // client-visible request types (one steady-clock read pair per timed
+      // message).
       stats::HistogramCell* cell = nullptr;
-      if (w.lat_get != nullptr) {
-        if (std::holds_alternative<proto::GetReq>(in.msg)) {
-          cell = w.lat_get;
-        } else if (std::holds_alternative<proto::PutReq>(in.msg)) {
-          cell = w.lat_put;
-        } else if (std::holds_alternative<proto::RoTxReq>(in.msg)) {
-          cell = w.lat_tx;
-        }
+      if (std::holds_alternative<proto::GetReq>(in.msg)) {
+        cell = w.lat_get;
+      } else if (std::holds_alternative<proto::PutReq>(in.msg)) {
+        cell = w.lat_put;
+      } else if (std::holds_alternative<proto::RoTxReq>(in.msg)) {
+        cell = w.lat_tx;
       }
       if (cell == nullptr) {
         in.slot->engine->handle_message(in.from, std::move(in.msg));

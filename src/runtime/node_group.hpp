@@ -54,16 +54,6 @@
 
 namespace pocc::rt {
 
-/// Aggregate over every engine of the group (poccd exit stats, tests).
-struct NodeGroupStats {
-  std::uint64_t gets = 0;
-  std::uint64_t puts = 0;
-  std::uint64_t slices = 0;
-  std::uint64_t parked = 0;
-  /// Cross-partition messages delivered in-process (never hit a socket).
-  std::uint64_t local_deliveries = 0;
-};
-
 class NodeGroup {
  public:
   struct Options {
@@ -91,10 +81,11 @@ class NodeGroup {
     /// own) when worker `w` gained inbox work and its driving thread must
     /// schedule a service(w) pass.
     std::function<void(std::uint32_t)> wake;
-    /// When set, each worker registers one shard of the server-side
-    /// `pocc_server_op_us{op=get|put|ro_tx}` latency histograms and times
-    /// client-visible requests around handle_message (the engine seam).
-    /// Must outlive the group. nullptr = no op-latency accounting.
+    /// Required: the registry every engine registers its series in
+    /// (Slot::registry()), and where each worker registers one shard of the
+    /// server-side `pocc_server_op_us{op=get|put|ro_tx}` latency histograms
+    /// timing client-visible requests around handle_message (the engine
+    /// seam). Must outlive the group.
     stats::Registry* registry = nullptr;
   };
 
@@ -162,10 +153,6 @@ class NodeGroup {
   /// running).
   server::ReplicaBase& engine(PartitionId part);
 
-  /// Sum over all hosted engines. Only stable after stop() — engine counters
-  /// belong to their driving threads while running.
-  [[nodiscard]] NodeGroupStats stats() const;
-
   /// Cross-partition messages delivered in-process so far (thread-safe).
   [[nodiscard]] std::uint64_t local_deliveries() const {
     return local_deliveries_.load(std::memory_order_relaxed);
@@ -194,6 +181,7 @@ class NodeGroup {
     void reply(ClientId client, proto::Message m) override;
     void set_timer(Duration delay, std::uint64_t timer_id) override;
     server::DurabilityLog* durability() override { return wal; }
+    stats::Registry& registry() override { return *group.opt_.registry; }
 
     /// True when the group-commit pass has work for this slot.
     [[nodiscard]] bool needs_flush() const {
@@ -260,9 +248,9 @@ class NodeGroup {
     // Set by Slot::send when the batch being drained sent (or held) a
     // message for another DC: the pass then ends with promise_heartbeats().
     bool sent_to_peer_dc = false;
-    // This worker's shards of the op-latency histograms (nullptr without
-    // Options::registry). Each worker records only into its own cells, so
-    // the cell mutexes are uncontended except during a scrape merge.
+    // This worker's shards of the op-latency histograms. Each worker records
+    // only into its own cells, so the cell mutexes are uncontended except
+    // during a scrape merge.
     stats::HistogramCell* lat_get = nullptr;
     stats::HistogramCell* lat_put = nullptr;
     stats::HistogramCell* lat_tx = nullptr;

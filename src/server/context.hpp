@@ -13,6 +13,7 @@
 
 #include "common/types.hpp"
 #include "proto/messages.hpp"
+#include "stats/registry.hpp"
 
 namespace pocc::server {
 
@@ -49,6 +50,15 @@ class Context {
   /// the host provides no durability (see server/durability.hpp). The engine
   /// appends; the host syncs and holds outputs until the sync lands.
   virtual DurabilityLog* durability() { return nullptr; }
+
+  /// Where the engine registers its `pocc_engine_*{part}` series: the
+  /// process's registry in the runtime, the data center's in the simulator.
+  /// A host that reads no series (the benchmark's replay) may keep this
+  /// Context's own.
+  virtual stats::Registry& registry() { return registry_; }
+
+ private:
+  stats::Registry registry_;
 };
 
 }  // namespace pocc::server

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -22,6 +23,43 @@ ReplicaBase::ReplicaBase(NodeId self, const TopologyConfig& topology,
       vv_(topology.num_dcs) {
   POCC_ASSERT(self.dc < topology.num_dcs);
   POCC_ASSERT(self.part < topology.partitions_per_dc);
+  stats::Registry& r = ctx.registry();
+  const std::string p = std::to_string(self.part);
+  const stats::Labels part = {{"part", p}};
+  series_.gets = r.counter("pocc_engine_gets_total", part);
+  series_.puts = r.counter("pocc_engine_puts_total", part);
+  series_.slices = r.counter("pocc_engine_slices_total", part);
+  series_.blocking_ops = r.counter("pocc_engine_blocking_ops_total", part);
+  series_.blocked = r.counter("pocc_engine_blocked_total", part);
+  series_.blocked_macro = r.counter("pocc_engine_blocked_macro_total", part);
+  series_.blocked_us = r.histogram(
+      "pocc_engine_blocked_us", part,
+      "Time parked ops (GET/PUT/RO-TX slice) spent waiting (us)");
+  series_.timer_heartbeats = r.counter(
+      "pocc_engine_heartbeats_total", {{"part", p}, {"kind", "timer"}},
+      "Heartbeats sent by the idle timer and by pass promises");
+  series_.pass_heartbeats = r.counter("pocc_engine_heartbeats_total",
+                                      {{"part", p}, {"kind", "pass"}});
+  series_.reads = r.counter("pocc_engine_reads_total", part);
+  series_.old_reads = r.counter("pocc_engine_old_reads_total", part);
+  series_.unmerged_reads = r.counter("pocc_engine_unmerged_reads_total", part);
+  series_.fresher_versions =
+      r.counter("pocc_engine_fresher_versions_total", part,
+                "Fresher versions in the chains of old reads");
+  series_.unmerged_versions =
+      r.counter("pocc_engine_unmerged_versions_total", part,
+                "Not-yet-stable versions in the chains of unmerged reads");
+  // Gauges are shared with a crashed predecessor (Registry::gauge); this
+  // incarnation starts them afresh.
+  series_.recovery_gate_expired = r.gauge(
+      "pocc_engine_recovery_gate_expired", part,
+      "1 when the recovery gate opened at its deadline with a "
+      "RecoveryDone outstanding");
+  series_.recovery_gate_expired->set(0);
+  series_.gc_floor_us =
+      r.gauge("pocc_engine_gc_floor_us", part,
+              "Min entry of the last applied aggregate GC vector");
+  series_.gc_floor_us->set(0);
 }
 
 void ReplicaBase::start() {
@@ -99,7 +137,7 @@ Duration ReplicaBase::on_timer(std::uint64_t timer_id) {
         // open the gate and release the held client work. It is causally
         // consistent with what it has; only the lost suffix's freshness is
         // forfeited.
-        recovery_gate_expired_ = true;
+        series_.recovery_gate_expired->set(1);
         recovering_dcs_ = 0;
         poke();
       }
@@ -109,7 +147,7 @@ Duration ReplicaBase::on_timer(std::uint64_t timer_id) {
       // through heartbeat(), which keeps the peer-recovery mute.
       const Timestamp due = vv_[local_dc()] + protocol_.heartbeat_interval_us;
       if (ctx_.clock_peek() >= due && heartbeat(ctx_.clock_now())) {
-        ++timer_heartbeats_;
+        series_.timer_heartbeats->inc();
       }
       ctx_.set_timer(protocol_.heartbeat_interval_us, kTimerHeartbeat);
       break;
@@ -173,9 +211,9 @@ Duration ReplicaBase::on_get(const proto::GetReq& req) {
 
 void ReplicaBase::serve_get(const proto::GetReq& req, Duration blocked_us) {
   proto::ReadItem item = choose_get_version(req);
-  ++gets_served_;
-  blocking_.record_op(blocked_us);
-  staleness_.record_read(item.fresher_versions, item.unmerged_versions);
+  series_.gets->inc();
+  record_blocking(blocked_us);
+  record_read(item);
   proto::GetReply reply;
   reply.client = req.client;
   reply.item = std::move(item);
@@ -240,8 +278,8 @@ void ReplicaBase::serve_put(const proto::PutReq& req, Duration blocked_us) {
     ctx_.send(NodeId{j, self_.part}, proto::Replicate{v});
   }
 
-  ++puts_served_;
-  blocking_.record_op(blocked_us);
+  series_.puts->inc();
+  record_blocking(blocked_us);
   proto::PutReply reply;
   reply.client = req.client;
   reply.key = req.key;
@@ -311,7 +349,7 @@ Duration ReplicaBase::promise_heartbeat(Timestamp ts) {
   // newer timestamp, and every earlier one was sent before this heartbeat
   // on the same FIFO links: Heartbeat{m, ts} is as true as a timer's.
   if (vv_[local_dc()] < ts && read_clock() >= ts && heartbeat(ts)) {
-    ++pass_heartbeats_;
+    series_.pass_heartbeats->inc();
   }
   return work_;
 }
@@ -373,7 +411,6 @@ Duration ReplicaBase::on_recovery_version(const proto::RecoveryVersion& msg) {
   if (msg.version.sr >= topology_.num_dcs) return work_;  // corrupt peer
   store_.insert(msg.version);  // idempotent on (ut, sr)
   if (DurabilityLog* dur = ctx_.durability()) dur->log_version(msg.version);
-  ++versions_recovered_;
   return work_;
 }
 
@@ -396,7 +433,7 @@ Duration ReplicaBase::on_recovery_done(const proto::RecoveryDone& msg) {
     if (DurabilityLog* dur = ctx_.durability()) dur->log_vv(vv_);
   }
   // The last Done opens the gate: poke() releases the held client work.
-  if (recovering()) recovering_dcs_ = recovering_dcs_ - 1;
+  if (recovering()) --recovering_dcs_;
   poke();
   return work_;
 }
@@ -484,8 +521,8 @@ void ReplicaBase::serve_slice(std::uint64_t tx_id, NodeId coordinator,
     charge(service_.slice_per_key_us);
     items.push_back(read_in_snapshot(key, tv, pessimistic));
   }
-  ++slices_served_;
-  blocking_.record_op(blocked_us);
+  series_.slices->inc();
+  record_blocking(blocked_us);
 
   if (coordinator == self_) {
     accumulate_slice(tx_id, std::move(items), blocked_us);
@@ -549,7 +586,7 @@ proto::ReadItem ReplicaBase::read_in_snapshot(KeyId key,
   }
   item.fresher_versions = lookup.fresher;
   item.unmerged_versions = unmerged;
-  staleness_.record_read(item.fresher_versions, item.unmerged_versions);
+  record_read(item);
   return item;
 }
 
@@ -636,7 +673,7 @@ Duration ReplicaBase::on_gc_vector(const proto::GcVector& msg) {
     return gc_version_at_floor(v, msg.gv);
   });
   charge(service_.version_hop_us * static_cast<Duration>(removed));
-  gc_floor_us_ = static_cast<std::int64_t>(msg.gv.min_entry());
+  series_.gc_floor_us->set(static_cast<std::int64_t>(msg.gv.min_entry()));
   return work_;
 }
 
@@ -658,6 +695,27 @@ Duration ReplicaBase::on_gss_broadcast(const proto::GssBroadcast& msg) {
 }
 
 // --------------------------------------------------------- utilities ----
+
+void ReplicaBase::record_blocking(Duration blocked_us) {
+  series_.blocking_ops->inc();
+  if (blocked_us > 0) {
+    series_.blocked->inc();
+    if (blocked_us > kMacroBlockingUs) series_.blocked_macro->inc();
+    series_.blocked_us->record(blocked_us);
+  }
+}
+
+void ReplicaBase::record_read(const proto::ReadItem& item) {
+  series_.reads->inc();
+  if (item.fresher_versions > 0) {
+    series_.old_reads->inc();
+    series_.fresher_versions->inc(item.fresher_versions);
+  }
+  if (item.unmerged_versions > 0) {
+    series_.unmerged_reads->inc();
+    series_.unmerged_versions->inc(item.unmerged_versions);
+  }
+}
 
 bool ReplicaBase::slice_ready(const VersionVector& tv) {
   return vv_.dominates(tv, skip_local()) &&

@@ -28,7 +28,7 @@
 #include "proto/messages.hpp"
 #include "server/context.hpp"
 #include "server/parking_lot.hpp"
-#include "stats/metrics.hpp"
+#include "stats/registry.hpp"
 #include "store/partition_store.hpp"
 #include "vclock/version_vector.hpp"
 
@@ -87,16 +87,6 @@ class ReplicaBase {
   /// held, so no client reads state older than what it saw before the
   /// crash. Safe to read from any thread.
   [[nodiscard]] bool recovering() const { return recovering_dcs_ > 0; }
-  /// True when the gate opened at its deadline with a RecoveryDone still
-  /// outstanding (a sibling that never answered). Safe from any thread.
-  [[nodiscard]] bool recovery_gate_expired() const {
-    return recovery_gate_expired_;
-  }
-
-  /// Versions ingested via RecoveryVersion (stats/tests).
-  [[nodiscard]] std::uint64_t versions_recovered() const {
-    return versions_recovered_;
-  }
 
   /// Dispatch any message (client request, replica traffic). Returns CPU time
   /// consumed by the handler, including any parked work it resumed. Client
@@ -114,39 +104,22 @@ class ReplicaBase {
   /// Replicate. Returns CPU time consumed.
   Duration promise_heartbeat(Timestamp ts);
 
-  // --- observers (tests, metrics aggregation) ---
+  // --- observers (tests, hosts) ---
+  // Counts (ops served, blocking, staleness, heartbeats) are not observed
+  // here: they are the pocc_engine_* series in the host's registry.
   [[nodiscard]] NodeId self() const { return self_; }
   [[nodiscard]] const VersionVector& version_vector() const { return vv_; }
   [[nodiscard]] const store::PartitionStore& partition_store() const {
     return store_;
   }
-  [[nodiscard]] const stats::BlockingStats& blocking_stats() const {
-    return blocking_;
-  }
-  [[nodiscard]] const stats::StalenessStats& staleness_stats() const {
-    return staleness_;
-  }
   [[nodiscard]] std::size_t parked_requests() const { return lot_.size(); }
-  [[nodiscard]] std::uint64_t puts_served() const { return puts_served_; }
-  [[nodiscard]] std::uint64_t gets_served() const { return gets_served_; }
-  [[nodiscard]] std::uint64_t slices_served() const { return slices_served_; }
-  /// Heartbeats broadcast by the Δ timer and by pass promises.
-  [[nodiscard]] std::uint64_t timer_heartbeats() const {
-    return timer_heartbeats_;
-  }
-  [[nodiscard]] std::uint64_t pass_heartbeats() const {
-    return pass_heartbeats_;
-  }
 
-  /// Min entry of the last aggregate GC vector this engine applied (the GC
-  /// floor). Relaxed-published so a live scrape thread may read it.
-  [[nodiscard]] std::int64_t scraped_gc_floor_us() const {
-    return gc_floor_us_;
-  }
-  void reset_stats() {
-    blocking_.reset();
-    staleness_.reset();
-  }
+  /// An op "blocks" when it is parked because a dependency has not been
+  /// received yet (§V-B "Blocking dynamics"). Stalls longer than this count
+  /// as "macro" blocking — the granularity a real deployment's measurement
+  /// would register (sub-ms parking caused by inter-partition VV skew is
+  /// indistinguishable from scheduling noise).
+  static constexpr Duration kMacroBlockingUs = 1'000;
 
   /// Observer invoked whenever a PUT creates a version (used by the history
   /// checker to register versions the instant they become readable). The
@@ -226,6 +199,13 @@ class ReplicaBase {
   // ----- shared handler implementations -----
   /// Run the handler for `m` (handle_message() minus the recovery hold).
   void dispatch(NodeId from, proto::Message m);
+  /// Count one served (or, under HA-POCC, expired) GET/PUT/slice that
+  /// waited `blocked_us` (0 = served without parking).
+  void record_blocking(Duration blocked_us);
+  /// Count one returned item's staleness (§V-B): "old" when a fresher
+  /// version exists in its chain, "unmerged" when some version of it is not
+  /// yet stable.
+  void record_read(const proto::ReadItem& item);
   Duration on_get(const proto::GetReq& req);
   Duration on_put(const proto::PutReq& req);
   Duration on_replicate(const proto::Replicate& msg);
@@ -306,16 +286,28 @@ class ReplicaBase {
   store::PartitionStore store_;  // this partition's version chains
   ParkingLot lot_;
 
-  stats::BlockingStats blocking_;
-  stats::StalenessStats staleness_;
-  // Relaxed so /metrics scrapes may read them while the engine thread runs.
-  stats::RelaxedU64 puts_served_;
-  stats::RelaxedU64 gets_served_;
-  stats::RelaxedU64 slices_served_;
-  stats::RelaxedU64 timer_heartbeats_;
-  stats::RelaxedU64 pass_heartbeats_;
-
-  stats::RelaxedI64 gc_floor_us_;  // min entry of the last applied GC vector
+  /// This partition's series in ctx_.registry(), registered at
+  /// construction under the names and labels poccd exports; the simulator
+  /// reads the same ones (SimCluster::end_measurement).
+  struct Series {
+    stats::Counter* gets = nullptr;
+    stats::Counter* puts = nullptr;
+    stats::Counter* slices = nullptr;
+    stats::Counter* blocking_ops = nullptr;   // GETs, PUTs and slices
+    stats::Counter* blocked = nullptr;        // ... that parked at all
+    stats::Counter* blocked_macro = nullptr;  // ... > kMacroBlockingUs
+    stats::HistogramCell* blocked_us = nullptr;  // parked ops only
+    stats::Counter* timer_heartbeats = nullptr;
+    stats::Counter* pass_heartbeats = nullptr;
+    stats::Counter* reads = nullptr;           // items GETs/slices returned
+    stats::Counter* old_reads = nullptr;
+    stats::Counter* unmerged_reads = nullptr;
+    stats::Counter* fresher_versions = nullptr;   // summed over old reads
+    stats::Counter* unmerged_versions = nullptr;  // summed over unmerged
+    stats::Gauge* recovery_gate_expired = nullptr;
+    stats::Gauge* gc_floor_us = nullptr;  // min entry of the last GC vector
+  };
+  Series series_;
 
   /// In-flight read-only transactions this node coordinates.
   struct PendingTx {
@@ -339,14 +331,12 @@ class ReplicaBase {
 
   /// Sibling DCs whose RecoveryDone is still outstanding; zeroed when the
   /// gate opens at its deadline (a dead sibling must not hold this replica
-  /// forever). Relaxed so the host's /readyz may read it.
-  stats::RelaxedU64 recovering_dcs_;
+  /// forever). Atomic so the host's /readyz may read it.
+  std::atomic<std::uint32_t> recovering_dcs_{0};
   Timestamp recovery_gate_until_ = 0;  // fixed by begin_peer_recovery()
-  std::atomic<bool> recovery_gate_expired_{false};
   /// Set by begin_peer_recovery(): on_replicate accepts versions below the
   /// VV as idempotent duplicates instead of asserting channel order.
   bool fifo_tolerant_ = false;
-  std::uint64_t versions_recovered_ = 0;
 };
 
 }  // namespace pocc::server

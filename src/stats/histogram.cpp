@@ -28,6 +28,14 @@ std::int64_t Histogram::bucket_mid(std::uint32_t b) {
   return static_cast<std::int64_t>(base + width / 2);
 }
 
+std::int64_t Histogram::bucket_lo(std::uint32_t b) {
+  if (b < kSub) return b;
+  const std::uint32_t msb = b / kSub + kSubBits - 1;
+  return static_cast<std::int64_t>((1ULL << msb) |
+                                   (static_cast<std::uint64_t>(b % kSub)
+                                    << (msb - kSubBits)));
+}
+
 void Histogram::record(std::int64_t value) { record_n(value, 1); }
 
 void Histogram::record_n(std::int64_t value, std::uint64_t n) {
@@ -87,6 +95,27 @@ void Histogram::merge(const Histogram& other) {
   for (std::uint32_t b = 0; b < kBuckets; ++b) buckets_[b] += other.buckets_[b];
   count_ += other.count_;
   sum_ += other.sum_;
+}
+
+void Histogram::subtract(const Histogram& earlier) {
+  if (earlier.count_ == 0) return;
+  std::uint32_t lo = kBuckets;
+  std::uint32_t hi = 0;
+  for (std::uint32_t b = 0; b < kBuckets; ++b) {
+    buckets_[b] -= earlier.buckets_[b];
+    if (buckets_[b] != 0) {
+      lo = std::min(lo, b);
+      hi = b;
+    }
+  }
+  count_ -= earlier.count_;
+  sum_ -= earlier.sum_;
+  if (count_ == 0) {
+    reset();
+    return;
+  }
+  min_ = std::max(min_, bucket_lo(lo));
+  if (hi + 1 < kBuckets) max_ = std::min(max_, bucket_lo(hi + 1) - 1);
 }
 
 void Histogram::reset() {

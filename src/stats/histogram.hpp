@@ -40,10 +40,16 @@ class Histogram {
   [[nodiscard]] std::int64_t percentile(double p) const;
 
   void merge(const Histogram& other);
+  /// This histogram minus `earlier`, a past copy of it (a scrape taken at
+  /// the start of a measurement window): buckets, count and sum become the
+  /// window's exactly. The window's min (max) is exact when it set a new
+  /// extreme, else bounded by its lowest (highest) bucket.
+  void subtract(const Histogram& earlier);
   void reset();
 
  private:
   static std::uint32_t bucket_of(std::uint64_t v);
+  static std::int64_t bucket_lo(std::uint32_t b);
   static std::int64_t bucket_mid(std::uint32_t b);
 
   std::array<std::uint64_t, kBuckets> buckets_{};

@@ -73,6 +73,16 @@ constexpr std::int64_t kLeBoundsUs[] = {
     25'000, 50'000, 100'000, 250'000, 500'000, 1'000'000,
 };
 
+/// True when `s` is a sample of `name` whose labels include all of `match`.
+bool selected(const Snapshot::Sample& s, const std::string& name,
+              const Labels& match) {
+  return s.name == name &&
+         std::all_of(match.begin(), match.end(), [&s](const auto& kv) {
+           return std::find(s.labels.begin(), s.labels.end(), kv) !=
+                  s.labels.end();
+         });
+}
+
 }  // namespace
 
 Counter* Registry::counter(std::string name, Labels labels, std::string help) {
@@ -90,6 +100,11 @@ Counter* Registry::counter(std::string name, Labels labels, std::string help) {
 
 Gauge* Registry::gauge(std::string name, Labels labels, std::string help) {
   std::lock_guard<std::mutex> lk(mu_);
+  for (const auto& ins : instruments_) {
+    if (ins.gauge != nullptr && ins.name == name && ins.labels == labels) {
+      return ins.gauge.get();
+    }
+  }
   Instrument ins;
   ins.name = std::move(name);
   ins.labels = std::move(labels);
@@ -160,6 +175,9 @@ Snapshot Registry::snapshot() const {
       target->labels = ins.labels;
       target->kind = ins.kind;
       target->help = ins.help;
+      if (ins.kind == Snapshot::Kind::kHistogram) {
+        target->hist = std::make_unique<Histogram>();
+      }
     }
     switch (ins.kind) {
       case Snapshot::Kind::kCounter:
@@ -171,11 +189,28 @@ Snapshot Registry::snapshot() const {
                                                        : ins.gauge_fn());
         break;
       case Snapshot::Kind::kHistogram:
-        target->hist.merge(ins.hist->snapshot());
+        target->hist->merge(ins.hist->snapshot());
         break;
     }
   }
   return snap;
+}
+
+double Snapshot::value(const std::string& name, const Labels& match) const {
+  double total = 0.0;
+  for (const Sample& s : samples) {
+    if (selected(s, name, match)) total += s.value;
+  }
+  return total;
+}
+
+Histogram Snapshot::histogram(const std::string& name,
+                              const Labels& match) const {
+  Histogram total;
+  for (const Sample& s : samples) {
+    if (s.hist && selected(s, name, match)) total.merge(*s.hist);
+  }
+  return total;
 }
 
 std::string render_prometheus(const Snapshot& snap) {
@@ -200,14 +235,14 @@ std::string render_prometheus(const Snapshot& snap) {
       for (const std::int64_t bound : kLeBoundsUs) {
         out += s.name + "_bucket" +
                render_labels_with(s.labels, "le", fmt_u64(bound)) + " " +
-               fmt_u64(s.hist.count_le(bound)) + "\n";
+               fmt_u64(s.hist->count_le(bound)) + "\n";
       }
       out += s.name + "_bucket" + render_labels_with(s.labels, "le", "+Inf") +
-             " " + fmt_u64(s.hist.count()) + "\n";
+             " " + fmt_u64(s.hist->count()) + "\n";
       out += s.name + "_sum" + render_labels(s.labels) + " " +
-             fmt_value(s.hist.sum()) + "\n";
+             fmt_value(s.hist->sum()) + "\n";
       out += s.name + "_count" + render_labels(s.labels) + " " +
-             fmt_u64(s.hist.count()) + "\n";
+             fmt_u64(s.hist->count()) + "\n";
     } else {
       out += s.name + render_labels(s.labels) + " " + fmt_value(s.value) + "\n";
     }
@@ -238,13 +273,13 @@ std::string render_human(const Snapshot& snap) {
     }
     if (!out.empty()) out += " ";
     if (s.kind == Snapshot::Kind::kHistogram) {
-      out += name + tag + "_count=" + fmt_u64(s.hist.count());
+      out += name + tag + "_count=" + fmt_u64(s.hist->count());
       out += " " + name + tag + "_p50=" + fmt_u64(static_cast<std::uint64_t>(
-                                              s.hist.percentile(50)));
+                                              s.hist->percentile(50)));
       out += " " + name + tag + "_p99=" + fmt_u64(static_cast<std::uint64_t>(
-                                              s.hist.percentile(99)));
+                                              s.hist->percentile(99)));
       out += " " + name + tag + "_p999=" + fmt_u64(static_cast<std::uint64_t>(
-                                               s.hist.percentile(99.9)));
+                                               s.hist->percentile(99.9)));
     } else {
       out += name + tag + "=" + fmt_value(s.value);
     }

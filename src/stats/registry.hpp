@@ -5,7 +5,10 @@
 // --------------
 // Hot-path writers never contend with each other or with scrapes:
 //   * `Counter` / `Gauge` are single relaxed atomics — writers increment
-//     wait-free, the scrape loads.
+//     wait-free, the scrape loads. Registering a counter again under the
+//     same (name, labels) adds a shard that the snapshot sums (a restarted
+//     engine's counts add to its predecessor's); registering a gauge again
+//     returns the existing one (a restarted engine takes over the value).
 //   * `counter_fn` / `gauge_fn` adopt an *existing* thread-safe accessor
 //     (e.g. TcpTransport::stats(), TcpTransport::queued_bytes()) instead of
 //     duplicating the count; the callback runs only at scrape time and MUST
@@ -89,10 +92,21 @@ struct Snapshot {
     Labels labels;
     Kind kind = Kind::kCounter;
     double value = 0.0;   // counter / gauge value
-    Histogram hist;       // kHistogram only
+    // kHistogram only: on the heap, so counter and gauge samples stay
+    // small (a Histogram is 6 KB).
+    std::unique_ptr<Histogram> hist;
     std::string help;
   };
   std::vector<Sample> samples;
+
+  /// Sum of the counter/gauge samples named `name` whose labels include
+  /// every pair of `match` (all of the name's samples when `match` is
+  /// empty) — run.py's total() over one scrape.
+  [[nodiscard]] double value(const std::string& name,
+                             const Labels& match = {}) const;
+  /// Merge of the histogram samples selected the same way.
+  [[nodiscard]] Histogram histogram(const std::string& name,
+                                    const Labels& match = {}) const;
 };
 
 class Registry {
@@ -100,6 +114,7 @@ class Registry {
   /// Counter names should end in `_total` (Prometheus convention); gauges
   /// and histograms should not.
   Counter* counter(std::string name, Labels labels = {}, std::string help = {});
+  /// Get-or-create: a repeated (name, labels) returns the existing gauge.
   Gauge* gauge(std::string name, Labels labels = {}, std::string help = {});
   HistogramCell* histogram(std::string name, Labels labels = {},
                            std::string help = {});

@@ -165,8 +165,8 @@ void PartitionWal::sync() {
                   "WAL append failed");
   POCC_ASSERT_MSG(::fdatasync(fd_) == 0, "WAL fdatasync failed");
   active_segment_bytes_ += buf_.size();
-  synced_bytes_ += buf_.size();
-  ++syncs_;
+  synced_bytes_.inc(buf_.size());
+  syncs_.inc();
   buf_.clear();
 }
 

@@ -33,7 +33,7 @@
 #include <vector>
 
 #include "server/durability.hpp"
-#include "stats/relaxed_counter.hpp"
+#include "stats/registry.hpp"
 #include "store/version.hpp"
 #include "vclock/version_vector.hpp"
 
@@ -107,8 +107,10 @@ class PartitionWal final : public server::DurabilityLog {
   [[nodiscard]] std::uint64_t active_segment_bytes() const {
     return active_segment_bytes_;
   }
-  [[nodiscard]] std::uint64_t syncs() const { return syncs_; }
-  [[nodiscard]] std::uint64_t synced_bytes() const { return synced_bytes_; }
+  [[nodiscard]] std::uint64_t syncs() const { return syncs_.value(); }
+  [[nodiscard]] std::uint64_t synced_bytes() const {
+    return synced_bytes_.value();
+  }
 
  private:
   void open_active_segment(bool truncate_torn);
@@ -122,9 +124,10 @@ class PartitionWal final : public server::DurabilityLog {
   /// Set by the owner's begin_checkpoint, cleared by the flusher thread's
   /// commit_checkpoint.
   std::atomic<bool> checkpoint_pending_{false};
-  // Relaxed so a live /metrics scrape may read them off the owner thread.
-  stats::RelaxedU64 syncs_;
-  stats::RelaxedU64 synced_bytes_;
+  // Relaxed atomics so a live /metrics scrape may read them off the owner
+  // thread.
+  stats::Counter syncs_;
+  stats::Counter synced_bytes_;
   std::uint64_t replay_torn_bytes_ = 0;
 };
 

@@ -93,8 +93,8 @@ TEST_F(CureServerTest, GetHidesUnstableRemoteVersion) {
   // ...and the read is both old and unmerged (§V-B definitions).
   EXPECT_EQ(replies[0].second.item.fresher_versions, 1u);
   EXPECT_EQ(replies[0].second.item.unmerged_versions, 1u);
-  EXPECT_EQ(server_.staleness_stats().old_reads, 1u);
-  EXPECT_EQ(server_.staleness_stats().unmerged_reads, 1u);
+  EXPECT_EQ(ctx_.series("pocc_engine_old_reads_total"), 1u);
+  EXPECT_EQ(ctx_.series("pocc_engine_unmerged_reads_total"), 1u);
 }
 
 TEST_F(CureServerTest, GetExposesVersionOnceStable) {

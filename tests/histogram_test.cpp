@@ -102,6 +102,44 @@ TEST(Histogram, ResetClears) {
   EXPECT_DOUBLE_EQ(h.mean(), 0.0);
 }
 
+TEST(Histogram, SubtractLeavesTheWindow) {
+  // A measurement window read off a monotone histogram: the cumulative
+  // end state minus the copy taken at the window's start.
+  Histogram cumulative;
+  for (const std::int64_t v : {3, 700, 90'000}) cumulative.record(v);
+  const Histogram start = cumulative;
+  Histogram window;
+  for (const std::int64_t v : {1, 40, 5'000, 5'100, 200'000}) {
+    cumulative.record(v);
+    window.record(v);
+  }
+  Histogram diff = cumulative;
+  diff.subtract(start);
+  EXPECT_EQ(diff.count(), window.count());
+  EXPECT_DOUBLE_EQ(diff.sum(), window.sum());
+  // Both extremes are new, so min and max are exact too.
+  EXPECT_EQ(diff.min(), 1);
+  EXPECT_EQ(diff.max(), 200'000);
+  for (const double p : {0.0, 25.0, 50.0, 99.0, 100.0}) {
+    EXPECT_EQ(diff.percentile(p), window.percentile(p)) << p;
+  }
+
+  // Extremes the window did not move are bounded by its edge buckets.
+  Histogram inner = cumulative;
+  inner.record(5'050);
+  inner.subtract(cumulative);
+  EXPECT_EQ(inner.count(), 1u);
+  EXPECT_LE(inner.min(), 5'050);
+  EXPECT_GE(inner.max(), 5'050);
+  EXPECT_GT(inner.min(), 4'000);
+  EXPECT_LT(inner.max(), 6'000);
+
+  const Histogram same = diff;
+  diff.subtract(same);
+  EXPECT_EQ(diff.count(), 0u);
+  EXPECT_EQ(diff.max(), 0);
+}
+
 TEST(Histogram, PercentilesAreMonotone) {
   Histogram h;
   std::uint64_t x = 88172645463325252ULL;

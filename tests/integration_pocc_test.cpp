@@ -91,8 +91,8 @@ TEST(IntegrationPocc, PoccGetsAreNeverStale) {
   cluster.begin_measurement();
   cluster.run_for(300'000);
   const ClusterMetrics m = cluster.end_measurement();
-  EXPECT_EQ(m.staleness.old_reads, 0u);
-  EXPECT_EQ(m.staleness.unmerged_reads, 0u);
+  EXPECT_EQ(m.pct_old, 0.0);
+  EXPECT_EQ(m.pct_unmerged, 0.0);
   cluster.stop_clients();
   cluster.run_for(1'000'000);
 }

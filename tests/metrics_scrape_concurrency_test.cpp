@@ -179,7 +179,10 @@ TEST(MetricsScrapeConcurrency, TightScrapeLoopUnderLoad) {
       const std::string body = body_of(metrics);
       if (!is_200(metrics) ||
           body.find("pocc_engine_puts_total") == std::string::npos ||
-          body.find("pocc_engine_blocked_us_total{part=\"0\"}") ==
+          body.find(
+              "pocc_engine_blocked_us_bucket{part=\"0\",le=\"+Inf\"}") ==
+              std::string::npos ||
+          body.find("pocc_engine_blocked_us_sum{part=\"0\"}") ==
               std::string::npos ||
           body.find("pocc_engine_heartbeats_total{part=\"0\",kind="
                     "\"timer\"}") == std::string::npos ||
@@ -199,7 +202,8 @@ TEST(MetricsScrapeConcurrency, TightScrapeLoopUnderLoad) {
     const auto got = session.get(key);
     ASSERT_TRUE(got.ok);
     ASSERT_TRUE(got.found);
-    // Slices record into the engines' BlockingStats while they are scraped.
+    // Slices that park record into the engines' blocked-time histogram
+    // cells while the scrape merges them.
     const std::string other = "scrape:" + std::to_string((i + 5) % 17);
     ASSERT_TRUE(session.ro_tx({key, other}).ok);
   }
@@ -219,7 +223,7 @@ TEST(MetricsScrapeConcurrency, TightScrapeLoopUnderLoad) {
       << "put latency histogram never recorded";
   EXPECT_EQ(body.find("pocc_host_client_requests_total 0\n"),
             std::string::npos);
-  EXPECT_NE(body.find("# TYPE pocc_engine_blocked_us_total counter"),
+  EXPECT_NE(body.find("# TYPE pocc_engine_blocked_us histogram"),
             std::string::npos);
   EXPECT_NE(body.find("# TYPE pocc_engine_heartbeats_total counter"),
             std::string::npos);

@@ -1,130 +1,13 @@
-// Blocking/staleness/op statistics: probabilities, percentages, merge and
-// reset semantics used by the benchmark aggregation — plus the unified
-// stats registry (shard merging, Prometheus/human renders, escaping).
-#include "stats/metrics.hpp"
+// The unified stats registry: shard merging, get-or-create gauges, snapshot
+// lookups, Prometheus/human renders, escaping.
+#include "stats/registry.hpp"
 
 #include <gtest/gtest.h>
 
 #include <string>
 
-#include "stats/registry.hpp"
-
 namespace pocc::stats {
 namespace {
-
-TEST(BlockingStats, ProbabilityAndTime) {
-  BlockingStats b;
-  b.record_op(0);
-  b.record_op(0);
-  b.record_op(100);
-  b.record_op(300);
-  EXPECT_EQ(b.operations, 4u);
-  EXPECT_EQ(b.blocked, 2u);
-  EXPECT_DOUBLE_EQ(b.blocking_probability(), 0.5);
-  EXPECT_DOUBLE_EQ(b.avg_blocking_time_us(), 200.0);
-}
-
-TEST(BlockingStats, EmptyIsZero) {
-  BlockingStats b;
-  EXPECT_DOUBLE_EQ(b.blocking_probability(), 0.0);
-  EXPECT_DOUBLE_EQ(b.avg_blocking_time_us(), 0.0);
-}
-
-TEST(BlockingStats, MergeAccumulates) {
-  BlockingStats a;
-  BlockingStats b;
-  a.record_op(0);
-  b.record_op(50);
-  a.merge(b);
-  EXPECT_EQ(a.operations, 2u);
-  EXPECT_EQ(a.blocked, 1u);
-}
-
-TEST(BlockingStats, ResetClears) {
-  BlockingStats a;
-  a.record_op(10);
-  a.reset();
-  EXPECT_EQ(a.operations, 0u);
-  EXPECT_EQ(a.blocked, 0u);
-}
-
-TEST(BlockingStats, BlockedTimeSumTracksTheHistogram) {
-  // pocc_engine_blocked_us_total reads this relaxed sum from the scrape
-  // thread; the histogram beside it belongs to the engine thread.
-  BlockingStats a;
-  a.record_op(0);
-  a.record_op(100);
-  a.record_op(300);
-  EXPECT_EQ(a.blocked_us_total, 400u);
-  EXPECT_DOUBLE_EQ(a.blocked_time_us.sum(), 400.0);
-  BlockingStats b;
-  b.record_op(50);
-  a.merge(b);
-  EXPECT_EQ(a.blocked_us_total, 450u);
-  a.reset();
-  EXPECT_EQ(a.blocked_us_total, 0u);
-}
-
-TEST(StalenessStats, OldAndUnmergedPercentages) {
-  StalenessStats s;
-  s.record_read(0, 0);  // fresh
-  s.record_read(2, 3);  // old and unmerged
-  s.record_read(0, 1);  // fresh but unmerged
-  s.record_read(1, 1);  // old and unmerged
-  EXPECT_EQ(s.reads, 4u);
-  EXPECT_EQ(s.old_reads, 2u);
-  EXPECT_EQ(s.unmerged_reads, 3u);
-  EXPECT_DOUBLE_EQ(s.pct_old(), 50.0);
-  EXPECT_DOUBLE_EQ(s.pct_unmerged(), 75.0);
-  EXPECT_DOUBLE_EQ(s.avg_fresher_versions(), 1.5);   // (2+1)/2
-  EXPECT_DOUBLE_EQ(s.avg_unmerged_versions(), 5.0 / 3.0);
-}
-
-TEST(StalenessStats, EmptyIsZero) {
-  StalenessStats s;
-  EXPECT_DOUBLE_EQ(s.pct_old(), 0.0);
-  EXPECT_DOUBLE_EQ(s.pct_unmerged(), 0.0);
-  EXPECT_DOUBLE_EQ(s.avg_fresher_versions(), 0.0);
-}
-
-TEST(StalenessStats, MergeAccumulates) {
-  StalenessStats a;
-  StalenessStats b;
-  a.record_read(1, 0);
-  b.record_read(0, 2);
-  a.merge(b);
-  EXPECT_EQ(a.reads, 2u);
-  EXPECT_EQ(a.old_reads, 1u);
-  EXPECT_EQ(a.unmerged_reads, 1u);
-}
-
-TEST(OpStats, TotalsAndAverage) {
-  OpStats o;
-  ++o.gets;
-  o.get_latency_us.record(100);
-  ++o.puts;
-  o.put_latency_us.record(300);
-  EXPECT_EQ(o.total_ops(), 2u);
-  EXPECT_DOUBLE_EQ(o.avg_latency_us(), 200.0);
-}
-
-TEST(OpStats, MergeAndReset) {
-  OpStats a;
-  OpStats b;
-  ++a.gets;
-  a.get_latency_us.record(10);
-  ++b.ro_txs;
-  b.tx_latency_us.record(50);
-  a.merge(b);
-  EXPECT_EQ(a.total_ops(), 2u);
-  a.reset();
-  EXPECT_EQ(a.total_ops(), 0u);
-}
-
-TEST(FormatDouble, Formats) {
-  EXPECT_EQ(format_double(0.5), "0.5");
-  EXPECT_EQ(format_double(123456.0, 4), "1.235e+05");
-}
 
 // ---------------------------------------------------------------------------
 // Registry: shard merging, scrape-time callbacks, and both renders.
@@ -168,6 +51,40 @@ TEST(Registry, GaugeAndCallbacks) {
   EXPECT_DOUBLE_EQ(snap.samples[2].value, -7.0);
 }
 
+TEST(Registry, RepeatedGaugeIsTheSameGauge) {
+  // A restarted engine re-registers its gauges: it must take the series
+  // over, not add a second value the snapshot would sum.
+  Registry r;
+  Gauge* first = r.gauge("pocc_floor", {{"part", "0"}});
+  first->set(100);
+  Gauge* again = r.gauge("pocc_floor", {{"part", "0"}});
+  EXPECT_EQ(again, first);
+  again->set(7);
+  EXPECT_NE(r.gauge("pocc_floor", {{"part", "1"}}), first);
+  const Snapshot snap = r.snapshot();
+  ASSERT_EQ(snap.samples.size(), 2u);
+  EXPECT_DOUBLE_EQ(snap.samples[0].value, 7.0);
+}
+
+TEST(Snapshot, ValueAndHistogramSumTheMatchingLabelSets) {
+  Registry r;
+  r.counter("pocc_hb_total", {{"part", "0"}, {"kind", "timer"}})->inc(1);
+  r.counter("pocc_hb_total", {{"part", "0"}, {"kind", "pass"}})->inc(2);
+  r.counter("pocc_hb_total", {{"part", "1"}, {"kind", "pass"}})->inc(4);
+  r.counter("pocc_other_total")->inc(8);
+  r.histogram("pocc_wait_us", {{"part", "0"}})->record(10);
+  r.histogram("pocc_wait_us", {{"part", "1"}})->record(30);
+  const Snapshot snap = r.snapshot();
+  EXPECT_DOUBLE_EQ(snap.value("pocc_hb_total"), 7.0);
+  EXPECT_DOUBLE_EQ(snap.value("pocc_hb_total", {{"kind", "pass"}}), 6.0);
+  EXPECT_DOUBLE_EQ(
+      snap.value("pocc_hb_total", {{"part", "0"}, {"kind", "pass"}}), 2.0);
+  EXPECT_DOUBLE_EQ(snap.value("pocc_missing_total"), 0.0);
+  EXPECT_EQ(snap.histogram("pocc_wait_us").count(), 2u);
+  EXPECT_DOUBLE_EQ(snap.histogram("pocc_wait_us", {{"part", "1"}}).sum(),
+                   30.0);
+}
+
 TEST(Registry, CallbackShardsSumLikeInstruments) {
   // Split counters (e.g. per-shard transport stats) fold into one series.
   Registry r;
@@ -187,8 +104,8 @@ TEST(Registry, HistogramShardsMerge) {
   b->record(300);
   const Snapshot snap = r.snapshot();
   ASSERT_EQ(snap.samples.size(), 1u);
-  EXPECT_EQ(snap.samples[0].hist.count(), 3u);
-  EXPECT_DOUBLE_EQ(snap.samples[0].hist.sum(), 600.0);
+  EXPECT_EQ(snap.samples[0].hist->count(), 3u);
+  EXPECT_DOUBLE_EQ(snap.samples[0].hist->sum(), 600.0);
 }
 
 TEST(RenderPrometheus, TypeOncePerFamilyAndCumulativeBuckets) {

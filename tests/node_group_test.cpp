@@ -148,12 +148,14 @@ TopologyConfig one_dc_topology() {
   return TopologyConfig{1, kParts, PartitionScheme::kHash};
 }
 
-std::unique_ptr<NodeGroup> make_group(Router& router, WorkerDriver& driver,
+std::unique_ptr<NodeGroup> make_group(stats::Registry& registry,
+                                      Router& router, WorkerDriver& driver,
                                       std::uint32_t threads) {
   NodeGroup::Options opt;
   opt.threads = threads;
   opt.seed = 7;
   opt.wake = driver.wake();
+  opt.registry = &registry;
   auto group = std::make_unique<NodeGroup>(
       /*dc=*/0, std::vector<PartitionId>{0, 1, 2, 3}, router, opt);
   group->install_engines([](NodeId id, server::Context& ctx) {
@@ -162,6 +164,13 @@ std::unique_ptr<NodeGroup> make_group(Router& router, WorkerDriver& driver,
                                         ctx);
   });
   return group;
+}
+
+/// Current value of the engines' series `name` (summed over the label sets
+/// that include `match`).
+std::uint64_t series(const stats::Registry& registry, const std::string& name,
+                     const stats::Labels& match = {}) {
+  return static_cast<std::uint64_t>(registry.snapshot().value(name, match));
 }
 
 PartitionId part_of(KeyId key) {
@@ -183,7 +192,8 @@ proto::PutReq put_req(ClientId client, KeyId key, const std::string& value,
 TEST(NodeGroup, ServesEveryPartitionAcrossFewerWorkers) {
   RecordingRouter router;
   WorkerDriver driver;
-  auto group = make_group(router, driver, /*threads=*/2);
+  stats::Registry registry;
+  auto group = make_group(registry, router, driver, /*threads=*/2);
   EXPECT_EQ(group->threads(), 2u);
   EXPECT_TRUE(group->hosts(NodeId{0, 3}));
   EXPECT_FALSE(group->hosts(NodeId{0, kParts}));
@@ -214,8 +224,7 @@ TEST(NodeGroup, ServesEveryPartitionAcrossFewerWorkers) {
   for (const auto& [client, m] : replies) {
     EXPECT_TRUE(std::holds_alternative<proto::PutReply>(m));
   }
-  const NodeGroupStats stats = group->stats();
-  EXPECT_EQ(stats.puts, kParts);
+  EXPECT_EQ(series(registry, "pocc_engine_puts_total"), kParts);
   EXPECT_EQ(router.external_routes(), 0u)
       << "a 1-DC group must never route outside the process";
 }
@@ -223,7 +232,8 @@ TEST(NodeGroup, ServesEveryPartitionAcrossFewerWorkers) {
 TEST(NodeGroup, CrossPartitionTxIsAnInProcessQueuePush) {
   RecordingRouter router;
   WorkerDriver driver;
-  auto group = make_group(router, driver, /*threads=*/2);
+  stats::Registry registry;
+  auto group = make_group(registry, router, driver, /*threads=*/2);
   group->start();
   driver.start(*group);
 
@@ -266,15 +276,16 @@ TEST(NodeGroup, CrossPartitionTxIsAnInProcessQueuePush) {
   EXPECT_GT(group->local_deliveries(), 0u)
       << "slice traffic must use the in-process path";
   EXPECT_EQ(router.external_routes(), 0u);
-  const NodeGroupStats stats = group->stats();
-  EXPECT_GT(stats.slices, 0u);
+  EXPECT_GT(series(registry, "pocc_engine_slices_total"), 0u);
 }
 
 TEST(NodeGroup, WorkerCountClampsToPartitions) {
   RecordingRouter router;
+  stats::Registry registry;
   NodeGroup::Options opt;
   opt.threads = 64;
   opt.wake = [](std::uint32_t) {};
+  opt.registry = &registry;
   NodeGroup group(/*dc=*/2, std::vector<PartitionId>{1, 3}, router, opt);
   EXPECT_EQ(group.threads(), 2u);
   EXPECT_TRUE(group.hosts(NodeId{2, 1}));
@@ -285,6 +296,7 @@ TEST(NodeGroup, WorkerCountClampsToPartitions) {
   NodeGroup::Options one;
   one.threads = 0;  // 0 = one worker per partition
   one.wake = [](std::uint32_t) {};
+  one.registry = &registry;
   NodeGroup per_part(/*dc=*/0, std::vector<PartitionId>{0, 1, 2}, router,
                      one);
   EXPECT_EQ(per_part.threads(), 3u);
@@ -297,7 +309,8 @@ TEST(NodeGroup, TimersFirePerPartition) {
   // in-process).
   RecordingRouter router;
   WorkerDriver driver;
-  auto group = make_group(router, driver, /*threads=*/1);
+  stats::Registry registry;
+  auto group = make_group(registry, router, driver, /*threads=*/1);
   group->start();
   driver.start(*group);
   const auto deadline =
@@ -318,11 +331,13 @@ TEST(NodeGroup, TimersFirePerPartition) {
 TEST(NodeGroup, BoundedAdmissionRefusesOnlyDroppableWork) {
   RecordingRouter router;
   WorkerDriver driver;
+  stats::Registry registry;
   NodeGroup::Options opt;
   opt.threads = 1;
   opt.seed = 7;
   opt.max_inbox_messages = 4;
   opt.wake = driver.wake();
+  opt.registry = &registry;
   NodeGroup group(/*dc=*/0, std::vector<PartitionId>{0, 1, 2, 3}, router,
                   opt);
   group.install_engines([](NodeId id, server::Context& ctx) {
@@ -369,6 +384,7 @@ TEST(NodeGroup, ServiceRunsWorkersOnlyOnTheCallersThread) {
   RecordingRouter router;
   std::mutex wake_mu;
   std::vector<std::uint32_t> wakes;
+  stats::Registry registry;
   NodeGroup::Options opt;
   opt.threads = 2;
   opt.seed = 7;
@@ -376,6 +392,7 @@ TEST(NodeGroup, ServiceRunsWorkersOnlyOnTheCallersThread) {
     std::lock_guard lk(wake_mu);
     wakes.push_back(w);
   };
+  opt.registry = &registry;
   NodeGroup group(/*dc=*/0, std::vector<PartitionId>{0, 1, 2, 3}, router,
                   opt);
   group.install_engines([](NodeId id, server::Context& ctx) {
@@ -469,13 +486,15 @@ TopologyConfig three_dc_topology() {
 /// DC 0's partitions 0 and 1 on ONE worker, driven by the test thread
 /// through service(0). The heartbeat timer is far out, so every heartbeat
 /// a pass routes is a pass promise.
-std::unique_ptr<NodeGroup> make_dc0_group(Router& router,
+std::unique_ptr<NodeGroup> make_dc0_group(stats::Registry& registry,
+                                          Router& router,
                                           wal::WalManager* wal = nullptr) {
   NodeGroup::Options opt;
   opt.threads = 1;
   opt.seed = 7;
   opt.wal = wal;
   opt.wake = [](std::uint32_t) {};
+  opt.registry = &registry;
   auto group = std::make_unique<NodeGroup>(
       /*dc=*/0, std::vector<PartitionId>{0, 1}, router, opt);
   group->install_engines([](NodeId id, server::Context& ctx) {
@@ -486,6 +505,13 @@ std::unique_ptr<NodeGroup> make_dc0_group(Router& router,
   });
   group->start();
   return group;
+}
+
+/// Pass promises partition `part` has sent so far.
+std::uint64_t pass_heartbeats(const stats::Registry& registry,
+                              PartitionId part) {
+  return series(registry, "pocc_engine_heartbeats_total",
+                {{"part", std::to_string(part)}, {"kind", "pass"}});
 }
 
 /// A key partition `part` of the 3-DC topology owns.
@@ -523,7 +549,8 @@ std::vector<proto::Heartbeat> heartbeats_from(
 
 TEST(NodeGroupPromise, SiblingHeartbeatFollowsThePassReplicates) {
   CapturingRouter router;
-  auto group = make_dc0_group(router);
+  stats::Registry registry;
+  auto group = make_dc0_group(registry, router);
   group->service(0);  // start the engines: nothing to drain, nothing sent
   EXPECT_TRUE(router.take_routed().empty()) << "an idle pass sent something";
 
@@ -564,7 +591,7 @@ TEST(NodeGroupPromise, SiblingHeartbeatFollowsThePassReplicates) {
   EXPECT_TRUE(heartbeats_from(routed, 0).empty())
       << "the partition that set T has nothing to promise";
   EXPECT_EQ(group->engine(1).version_vector()[0], t);
-  EXPECT_EQ(group->engine(1).pass_heartbeats(), 1u);
+  EXPECT_EQ(pass_heartbeats(registry, 1), 1u);
 
   group->service(0);
   EXPECT_TRUE(router.take_routed().empty()) << "an idle pass sent something";
@@ -573,7 +600,8 @@ TEST(NodeGroupPromise, SiblingHeartbeatFollowsThePassReplicates) {
 
 TEST(NodeGroupPromise, PassWithOnlyInProcessSendsPromisesNothing) {
   CapturingRouter router;
-  auto group = make_dc0_group(router);
+  stats::Registry registry;
+  auto group = make_dc0_group(registry, router);
   // Partition 0's VV[0] ahead of partition 1's, as a WAL replay leaves it.
   const Timestamp restored = steady_now_us();
   group->engine(0).restore_vv(VersionVector{restored, 0, 0});
@@ -594,13 +622,14 @@ TEST(NodeGroupPromise, PassWithOnlyInProcessSendsPromisesNothing) {
   EXPECT_EQ(reply->blocked_us, 0);
   EXPECT_TRUE(router.take_routed().empty());
   EXPECT_EQ(group->engine(1).version_vector()[0], 0);
-  EXPECT_EQ(group->engine(1).pass_heartbeats(), 0u);
+  EXPECT_EQ(pass_heartbeats(registry, 1), 0u);
   group->stop();
 }
 
 TEST(NodeGroupPromise, RecoveryMuteSuppressesThePromise) {
   CapturingRouter router;
-  auto group = make_dc0_group(router);
+  stats::Registry registry;
+  auto group = make_dc0_group(registry, router);
   group->service(0);
   group->engine(1).begin_peer_recovery(/*gate_us=*/60'000'000);
   router.take_routed();  // the RecoveryReqs
@@ -613,7 +642,7 @@ TEST(NodeGroupPromise, RecoveryMuteSuppressesThePromise) {
   EXPECT_FALSE(routed.empty()) << "the PUT's Replicates";
   EXPECT_TRUE(heartbeats_from(routed, 1).empty())
       << "a recovering partition promised before its RecoveryDones";
-  EXPECT_EQ(group->engine(1).pass_heartbeats(), 0u);
+  EXPECT_EQ(pass_heartbeats(registry, 1), 0u);
   group->stop();
 }
 
@@ -626,7 +655,8 @@ TEST(NodeGroupPromise, WithAWalOnlyPartitionsThatSyncAnywayPromise) {
   {
     wal::WalManager wal(dir.string());
     CapturingRouter router;
-    auto group = make_dc0_group(router, &wal);
+    stats::Registry registry;
+    auto group = make_dc0_group(registry, router, &wal);
     group->service(0);
     const std::uint64_t syncs0 = wal.wal_for(0).syncs();
     const std::uint64_t syncs1 = wal.wal_for(1).syncs();
@@ -659,7 +689,8 @@ const proto::PutReply* only_put_reply(
 
 TEST(NodeGroupRetry, CopyOfACompletedPutGetsTheIdenticalReply) {
   CapturingRouter router;
-  auto group = make_dc0_group(router);
+  stats::Registry registry;
+  auto group = make_dc0_group(registry, router);
   const proto::PutReq put = dc0_put(1, key_on(0, "dup:"), 1);
   group->enqueue(NodeId{0, 0}, NodeId{0, 0}, proto::Message{put});
   group->service(0);
@@ -678,7 +709,7 @@ TEST(NodeGroupRetry, CopyOfACompletedPutGetsTheIdenticalReply) {
   EXPECT_EQ(resent->key, original->key);
   EXPECT_EQ(resent->ut, original->ut);
   EXPECT_EQ(resent->sr, original->sr);
-  EXPECT_EQ(group->engine(0).puts_served(), 1u);
+  EXPECT_EQ(series(registry, "pocc_engine_puts_total"), 1u);
   EXPECT_EQ(group->deduped_requests(), 1u);
   EXPECT_TRUE(router.take_routed().empty()) << "the copy replicated again";
   group->stop();
@@ -686,7 +717,8 @@ TEST(NodeGroupRetry, CopyOfACompletedPutGetsTheIdenticalReply) {
 
 TEST(NodeGroupRetry, CopyOfAParkedOpWaitsForTheOriginalsReply) {
   CapturingRouter router;
-  auto group = make_dc0_group(router);
+  stats::Registry registry;
+  auto group = make_dc0_group(registry, router);
   // DC 1 has not yet reached the session's read dependency: the GET parks.
   proto::GetReq get;
   get.client = 2;
@@ -708,13 +740,14 @@ TEST(NodeGroupRetry, CopyOfAParkedOpWaitsForTheOriginalsReply) {
   const auto* reply = std::get_if<proto::GetReply>(&replies[0].second);
   ASSERT_NE(reply, nullptr);
   EXPECT_EQ(reply->op_id, 1u);
-  EXPECT_EQ(group->engine(0).gets_served(), 1u);
+  EXPECT_EQ(series(registry, "pocc_engine_gets_total"), 1u);
   group->stop();
 }
 
 TEST(NodeGroupRetry, CopyOfAnOlderOpIsDropped) {
   CapturingRouter router;
-  auto group = make_dc0_group(router);
+  stats::Registry registry;
+  auto group = make_dc0_group(registry, router);
   const KeyId key = key_on(0, "old:");
   group->enqueue(NodeId{0, 0}, NodeId{0, 0},
                  proto::Message{dc0_put(3, key, 1)});
@@ -728,20 +761,21 @@ TEST(NodeGroupRetry, CopyOfAnOlderOpIsDropped) {
   group->service(0);
   EXPECT_TRUE(router.take_replies().empty());
   EXPECT_EQ(group->deduped_requests(), 1u);
-  EXPECT_EQ(group->engine(0).puts_served(), 2u);
+  EXPECT_EQ(series(registry, "pocc_engine_puts_total"), 2u);
   group->stop();
 }
 
 TEST(NodeGroupRetry, OpIdZeroIsNeverCached) {
   CapturingRouter router;
-  auto group = make_dc0_group(router);
+  stats::Registry registry;
+  auto group = make_dc0_group(registry, router);
   const proto::PutReq put = dc0_put(4, key_on(0, "zero:"), 0);
   for (int i = 0; i < 2; ++i) {
     group->enqueue(NodeId{0, 0}, NodeId{0, 0}, proto::Message{put});
     group->service(0);
   }
   EXPECT_EQ(router.take_replies().size(), 2u);
-  EXPECT_EQ(group->engine(0).puts_served(), 2u);
+  EXPECT_EQ(series(registry, "pocc_engine_puts_total"), 2u);
   EXPECT_EQ(group->deduped_requests(), 0u);
   group->stop();
 }
@@ -769,7 +803,8 @@ TEST(NodeGroupRetry, WithAWalACopyInTheSameBatchGetsOneReplyAfterTheSync) {
     wal::WalManager wal(dir.string());
     SyncStampingRouter router;
     router.wal = &wal.wal_for(0);
-    auto group = make_dc0_group(router, &wal);
+    stats::Registry registry;
+    auto group = make_dc0_group(registry, router, &wal);
     group->service(0);
     const std::uint64_t syncs0 = wal.wal_for(0).syncs();
 
@@ -781,7 +816,7 @@ TEST(NodeGroupRetry, WithAWalACopyInTheSameBatchGetsOneReplyAfterTheSync) {
     EXPECT_EQ(router.reply_syncs[0], syncs0 + 1)
         << "the reply left before its covering fdatasync";
     EXPECT_EQ(group->deduped_requests(), 1u);
-    EXPECT_EQ(group->engine(0).puts_served(), 1u);
+    EXPECT_EQ(series(registry, "pocc_engine_puts_total"), 1u);
     group->stop();
     wal.stop();
   }

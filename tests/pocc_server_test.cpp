@@ -68,7 +68,7 @@ TEST_F(PoccServerTest, PutCreatesVersionAndReplies) {
   EXPECT_EQ(replies[0].second.sr, 0u);
   // The version vector's local entry advanced to the new timestamp.
   EXPECT_EQ(server_.version_vector()[0], replies[0].second.ut);
-  EXPECT_EQ(server_.puts_served(), 1u);
+  EXPECT_EQ(ctx_.series("pocc_engine_puts_total"), 1u);
 }
 
 TEST_F(PoccServerTest, PutReplicatesToSiblingReplicasOnly) {
@@ -164,7 +164,7 @@ TEST_F(PoccServerTest, GetBlocksOnMissingRemoteDependency) {
   const auto replies = ctx_.replies_of<proto::GetReply>();
   ASSERT_EQ(replies.size(), 1u);
   EXPECT_GT(replies[0].second.blocked_us, 0);
-  EXPECT_EQ(server_.blocking_stats().blocked, 1u);
+  EXPECT_EQ(ctx_.series("pocc_engine_blocked_total"), 1u);
 }
 
 TEST_F(PoccServerTest, GetIgnoresLocalEntryOfRdv) {
@@ -201,7 +201,8 @@ TEST_F(PoccServerTest, HeartbeatTimerBroadcastsWhenIdle) {
   EXPECT_GT(hbs[0].second.ts, 0);
   // VV[m] advanced to the broadcast clock value.
   EXPECT_EQ(server_.version_vector()[0], hbs[0].second.ts);
-  EXPECT_EQ(server_.timer_heartbeats(), 1u);
+  EXPECT_EQ(
+      ctx_.series("pocc_engine_heartbeats_total", {{"kind", "timer"}}), 1u);
 }
 
 TEST_F(PoccServerTest, HeartbeatSuppressedAfterRecentPut) {
@@ -344,8 +345,10 @@ TEST_F(PoccServerTest, PromiseHeartbeatSendsTheSharedTimestamp) {
   EXPECT_EQ(hbs[0].second.src_dc, 0u);
   EXPECT_EQ(hbs[0].second.ts, ts);
   EXPECT_EQ(server_.version_vector()[0], ts);
-  EXPECT_EQ(server_.pass_heartbeats(), 1u);
-  EXPECT_EQ(server_.timer_heartbeats(), 0u);
+  EXPECT_EQ(ctx_.series("pocc_engine_heartbeats_total", {{"kind", "pass"}}),
+            1u);
+  EXPECT_EQ(
+      ctx_.series("pocc_engine_heartbeats_total", {{"kind", "timer"}}), 0u);
 
   // VV[0] already covers ts: nothing more to promise.
   ctx_.clear_traffic();
@@ -380,8 +383,8 @@ TEST_F(PoccServerTest, SliceVisibilityFiltersBySnapshot) {
 TEST_F(PoccServerTest, BlockingStatsCountAllOperations) {
   server_.handle_message(NodeId{0, 1}, get_req(1, "1:a"));
   server_.handle_message(NodeId{0, 1}, put_req(1, "1:b", "v"));
-  EXPECT_EQ(server_.blocking_stats().operations, 2u);
-  EXPECT_EQ(server_.blocking_stats().blocked, 0u);
+  EXPECT_EQ(ctx_.series("pocc_engine_blocking_ops_total"), 2u);
+  EXPECT_EQ(ctx_.series("pocc_engine_blocked_total"), 0u);
 }
 
 TEST_F(PoccServerTest, VersionObserverFiresOnPut) {

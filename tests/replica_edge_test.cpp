@@ -147,11 +147,11 @@ TEST_F(ReplicaEdgeTest, ParkedGetCountsExactlyOncePerOperation) {
         r.rdv = VersionVector{0, 900'000, 0};
         return r;
       }());
-  EXPECT_EQ(server_.blocking_stats().operations, 0u);  // not served yet
+  EXPECT_EQ(ctx_.series("pocc_engine_blocking_ops_total"), 0u);  // parked
   ctx_.now += 1'000;
   server_.handle_message(NodeId{1, 1}, proto::Heartbeat{1, 900'000});
-  EXPECT_EQ(server_.blocking_stats().operations, 1u);
-  EXPECT_EQ(server_.blocking_stats().blocked, 1u);
+  EXPECT_EQ(ctx_.series("pocc_engine_blocking_ops_total"), 1u);
+  EXPECT_EQ(ctx_.series("pocc_engine_blocked_total"), 1u);
 }
 
 TEST_F(ReplicaEdgeTest, MultipleParkedRequestsResumeFifoOnOneEvent) {
@@ -171,19 +171,6 @@ TEST_F(ReplicaEdgeTest, MultipleParkedRequestsResumeFifoOnOneEvent) {
   EXPECT_EQ(replies[2].first, 3u);
 }
 
-TEST_F(ReplicaEdgeTest, ResetStatsClearsBlockingAndStaleness) {
-  proto::PutReq put;
-  put.client = 1;
-  put.key = K("1:a");
-  put.value = "v";
-  put.dv = VersionVector(3);
-  server_.handle_message(NodeId{0, 1}, put);
-  EXPECT_GT(server_.blocking_stats().operations, 0u);
-  server_.reset_stats();
-  EXPECT_EQ(server_.blocking_stats().operations, 0u);
-  EXPECT_EQ(server_.staleness_stats().reads, 0u);
-}
-
 TEST_F(ReplicaEdgeTest, CureGetOnEmptyChainCountsNoStaleness) {
   MockContext cure_ctx;
   cure_ctx.now = 1'000'000;
@@ -194,9 +181,9 @@ TEST_F(ReplicaEdgeTest, CureGetOnEmptyChainCountsNoStaleness) {
   req.key = K("0:nothing");
   req.rdv = VersionVector(3);
   cure.handle_message(NodeId{0, 0}, req);
-  EXPECT_EQ(cure.staleness_stats().reads, 1u);
-  EXPECT_EQ(cure.staleness_stats().old_reads, 0u);
-  EXPECT_EQ(cure.staleness_stats().unmerged_reads, 0u);
+  EXPECT_EQ(cure_ctx.series("pocc_engine_reads_total"), 1u);
+  EXPECT_EQ(cure_ctx.series("pocc_engine_old_reads_total"), 0u);
+  EXPECT_EQ(cure_ctx.series("pocc_engine_unmerged_reads_total"), 0u);
 }
 
 // ------------------------------------------------------------------------
@@ -458,11 +445,12 @@ TEST_F(ReplicaEdgeTest, HeartbeatsMuteDuringPeerRecoveryAndResumeAfter) {
   server_.handle_message(
       NodeId{2, 1}, proto::RecoveryDone{NodeId{2, 1}, VersionVector(3)});
   EXPECT_FALSE(server_.recovering());
-  EXPECT_FALSE(server_.recovery_gate_expired());
+  EXPECT_EQ(ctx_.series("pocc_engine_recovery_gate_expired"), 0u);
   expect_client_work_answered(ctx_);
-  // The hold is not POCC blocking: every op ran unparked once released.
-  EXPECT_EQ(server_.blocking_stats().operations, 4u);  // GET, PUT, 2 slices
-  EXPECT_EQ(server_.blocking_stats().blocked, 0u);
+  // The hold is not POCC blocking: every op (GET, PUT, 2 slices) ran
+  // unparked once released.
+  EXPECT_EQ(ctx_.series("pocc_engine_blocking_ops_total"), 4u);
+  EXPECT_EQ(ctx_.series("pocc_engine_blocked_total"), 0u);
   ctx_.clear_traffic();
   ctx_.now += 10'000;
   server_.on_timer(server::kTimerHeartbeat);
@@ -497,9 +485,9 @@ TEST_F(ReplicaEdgeTest, HeartbeatGateExpiresSoADeadPeerCannotMuteForever) {
   EXPECT_TRUE(ctx_.replies.empty());
   server_.on_timer(server::kTimerHeartbeat);
   EXPECT_FALSE(server_.recovering());
-  EXPECT_TRUE(server_.recovery_gate_expired());
+  EXPECT_EQ(ctx_.series("pocc_engine_recovery_gate_expired"), 1u);
   expect_client_work_answered(ctx_);
-  EXPECT_EQ(server_.blocking_stats().blocked, 0u);
+  EXPECT_EQ(ctx_.series("pocc_engine_blocked_total"), 0u);
   // The released PUT just moved VV[m]; the next idle Δ heartbeats again.
   ctx_.clear_traffic();
   ctx_.now += 10'000;

@@ -1,14 +1,18 @@
 // The production runtime host end to end, per engine: the HA-POCC and Cure*
-// engines, a missing key, monotonic put timestamps and a double stop() on the
-// TCP deployment fixture (tcp_deployment.hpp) — multi-partition TcpNodeHosts
-// over localhost sockets, driven by TcpClientPool sessions.
+// engines, a missing key, monotonic put timestamps, a double stop() and the
+// engine series' parity with the simulator on the TCP deployment fixture
+// (tcp_deployment.hpp) — multi-partition TcpNodeHosts over localhost
+// sockets, driven by TcpClientPool sessions.
 //
 // Timing assertions are deliberately generous — this suite runs on loaded CI
 // machines.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
+#include <utility>
 
+#include "cluster/sim_cluster.hpp"
 #include "net/chaos.hpp"
 #include "net/tcp_client.hpp"
 #include "tcp_deployment.hpp"
@@ -19,6 +23,33 @@ namespace {
 using testutil::Deployment;
 using testutil::eventually;
 using testutil::expect_clean_replay;
+
+/// (name, labels) of every pocc_engine_* series in `r`.
+std::set<std::pair<std::string, stats::Labels>> engine_series(
+    const stats::Registry& r) {
+  std::set<std::pair<std::string, stats::Labels>> out;
+  for (const auto& s : r.snapshot().samples) {
+    if (s.name.rfind("pocc_engine_", 0) == 0) out.emplace(s.name, s.labels);
+  }
+  return out;
+}
+
+TEST(Runtime, EngineSeriesAreTheSimulatorsPerEngine) {
+  // Same series under the same definitions: a poccd process and a simulated
+  // data center hold one set of pocc_engine_* series, whichever engine runs.
+  for (const SystemKind system :
+       {SystemKind::kPocc, SystemKind::kCure, SystemKind::kHaPocc,
+        SystemKind::kScalarPocc}) {
+    Deployment deployment(system);
+    cluster::SimClusterConfig cfg;
+    cfg.topology = deployment.layout().topology;
+    cfg.system = system;
+    cluster::SimCluster sim(cfg);
+    const auto tcp = engine_series(deployment.host(0).registry());
+    EXPECT_FALSE(tcp.empty()) << system_name(system);
+    EXPECT_EQ(engine_series(sim.registry(0)), tcp) << system_name(system);
+  }
+}
 
 TEST(Runtime, UnwrittenKeyIsNotFound) {
   Deployment cluster(SystemKind::kPocc);

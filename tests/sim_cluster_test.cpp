@@ -166,8 +166,8 @@ TEST(SimCluster, WorkloadRunProducesThroughputAndConverges) {
   const ClusterMetrics m = cluster.end_measurement();
   EXPECT_GT(m.completed_ops, 0u);
   EXPECT_GT(m.throughput_ops_per_sec, 0.0);
-  EXPECT_GT(m.client_ops.gets, m.client_ops.puts);
-  EXPECT_LE(m.blocking.blocking_probability(), 1.0);
+  EXPECT_GT(m.get_latency_us.count(), m.put_latency_us.count());
+  EXPECT_LE(m.blocking_probability, 1.0);
 
   cluster.stop_clients();
   cluster.run_for(3'000'000);  // drain replication
@@ -193,6 +193,40 @@ TEST(SimCluster, MetricsWindowIsolatesCounts) {
   EXPECT_GT(m.completed_ops, 0u);
   EXPECT_EQ(m.window_us, 200'000);
   cluster.stop_clients();
+}
+
+TEST(SimCluster, RestartInsideAWindowKeepsCountsAndTakesOverGauges) {
+  SimClusterConfig cfg = small_config(SystemKind::kPocc);
+  cfg.clock = ClockConfig::perfect();  // GC floors stay below virtual time
+  SimCluster cluster(cfg);
+  auto& client = cluster.create_manual_client(0, /*home=*/1);
+  cluster.run_for(200'000);  // several GC rounds: the floors are set
+  const NodeId node{0, 1};
+  const stats::Labels part = {{"part", "1"}};
+  ASSERT_GT(cluster.registry(0).snapshot().value("pocc_engine_gc_floor_us",
+                                                 part),
+            10'000.0);
+
+  cluster.begin_measurement();
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(client.put("1:k", "v" + std::to_string(i)).ok);
+  }
+  cluster.crash_node(node);
+  cluster.run_for(20'000);
+  cluster.restart_node(node);
+  ASSERT_TRUE(client.get("1:k").ok);
+  cluster.run_for(200'000);
+  const ClusterMetrics m = cluster.end_measurement();
+  // The ops served before the crash count: the dead incarnation's counter
+  // shards stay in the registry.
+  EXPECT_EQ(m.blocking_ops, 4u);
+
+  // The restarted engine took its partition's gauge over instead of adding
+  // a second one next to its predecessor's.
+  const double floor =
+      cluster.registry(0).snapshot().value("pocc_engine_gc_floor_us", part);
+  EXPECT_GT(floor, 0.0);
+  EXPECT_LE(floor, static_cast<double>(cluster.simulator().now() + 1'000));
 }
 
 TEST(SimCluster, SystemNames) {

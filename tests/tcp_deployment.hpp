@@ -112,6 +112,7 @@ class Deployment {
   }
 
   const ClusterLayout& layout() const { return layout_; }
+  TcpNodeHost& host(DcId dc) { return *hosts_[dc]; }
 
   std::uint64_t dropped_frames() const {
     std::uint64_t n = 0;

@@ -2,12 +2,15 @@
 // outbound traffic and lets tests control the clock directly.
 #pragma once
 
+#include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "common/config.hpp"
 #include "proto/messages.hpp"
 #include "server/context.hpp"
+#include "stats/registry.hpp"
 
 namespace pocc::testutil {
 
@@ -38,6 +41,12 @@ class MockContext : public server::Context {
   }
   void set_timer(Duration delay, std::uint64_t timer_id) override {
     timers.emplace_back(now + delay, timer_id);
+  }
+  /// Current value of the engine's counter or gauge `name` (summed over
+  /// its label sets that include `match`).
+  std::uint64_t series(const std::string& name,
+                       const stats::Labels& match = {}) {
+    return static_cast<std::uint64_t>(registry().snapshot().value(name, match));
   }
 
   /// All sent messages of type T, with destinations.

@@ -224,7 +224,7 @@ bool parse_args(int argc, char** argv, Args* args) {
 
 Duration now_us() { return rt::steady_now_us(); }
 
-struct OpStats {
+struct OpCounts {
   std::atomic<std::uint64_t> gets{0};
   std::atomic<std::uint64_t> puts{0};
   std::atomic<std::uint64_t> txs{0};
@@ -251,7 +251,7 @@ struct ThreadLatencies {
 
 void run_client(net::TcpSession& session, const workload::WorkloadConfig& wl,
                 std::uint32_t partitions, std::uint64_t seed,
-                Duration deadline, Duration op_deadline_us, OpStats& ops,
+                Duration deadline, Duration op_deadline_us, OpCounts& ops,
                 ThreadLatencies& lat) {
   workload::Generator gen(wl, partitions, seed);
   while (now_us() < deadline) {
@@ -313,7 +313,7 @@ struct PipelinedClient {
 /// the grace period).
 void run_pipelined(std::vector<PipelinedClient>& clients,
                    const workload::WorkloadConfig& wl, Duration deadline,
-                   Duration op_deadline_us, OpStats& ops) {
+                   Duration op_deadline_us, OpCounts& ops) {
   while (true) {
     bool progress = false;
     bool any_active = false;
@@ -464,7 +464,7 @@ int run_load(const Args& args, const net::ClusterLayout& layout) {
     }
   }
 
-  OpStats ops;
+  OpCounts ops;
   std::vector<ThreadLatencies> lats(dcs.size() * args.clients_per_dc);
   std::vector<std::thread> threads;
   ClientId next_client = args.client_base;
