@@ -1,7 +1,8 @@
 #include "net/tcp_client.hpp"
 
+#include <algorithm>
 #include <chrono>
-#include <thread>
+#include <limits>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -63,10 +64,9 @@ void TcpSession::block_until_done() {
     } else if (async_.sent) {
       until = std::min(until, async_.attempt_deadline);
     }
-    std::unique_lock lk(mu_);
-    cv_.wait_until(lk, until,
-                   [this] { return reply_.has_value() || closed_signal_; });
+    pool_.await(*this, until);
   }
+  pool_.release_lead(*this);
 }
 
 TcpSession::GetResult TcpSession::get(const std::string& key,
@@ -243,6 +243,7 @@ bool TcpSession::start_ro_tx_ids(std::vector<KeyId> keys,
 bool TcpSession::pump() {
   using Clock = std::chrono::steady_clock;
   if (async_.kind == OpKind::kNone || async_.done) return true;
+  pool_.poll(&seen_gen_);
 
   bool overloaded = false;
   bool closed = false;
@@ -471,7 +472,6 @@ void TcpClientPool::start() {
       transport_.set_greeting(conn_by_part_[1][p], std::move(hello));
     }
   }
-  transport_.start();
 }
 
 void TcpClientPool::stop() {
@@ -496,8 +496,90 @@ bool TcpClientPool::wait_connected(Duration timeout_us) {
     }
     if (all_up) return true;
     if (std::chrono::steady_clock::now() >= deadline) return false;
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    if (!drive(/*timeout_ms=*/2)) return false;  // stopped
   }
+}
+
+bool TcpClientPool::drive(int timeout_ms) {
+  if (!transport_.drive(timeout_ms)) return false;
+  poll_gen_.fetch_add(1, std::memory_order_relaxed);
+  return true;
+}
+
+void TcpClientPool::poll(std::uint64_t* seen_gen) {
+  // A pass since this caller's last poll already read what it could read:
+  // the next pass is the next driver pass's job.
+  if (poll_gen_.load(std::memory_order_relaxed) == *seen_gen) drive(0);
+  *seen_gen = poll_gen_.load(std::memory_order_relaxed);
+}
+
+void TcpClientPool::await(TcpSession& s, Clock::time_point until) {
+  bool lead = false;
+  {
+    std::lock_guard lk(lead_mu_);
+    if (leader_ == nullptr) leader_ = &s;
+    lead = leader_ == &s;
+    if (!lead) waiters_.push_back(&s);
+  }
+  if (lead) {
+    const auto us =
+        std::chrono::duration_cast<std::chrono::microseconds>(until -
+                                                              Clock::now())
+            .count();
+    if (us <= 0) return;  // the instant is due: the caller's pump acts on it
+    const int ms = static_cast<int>(std::min<std::int64_t>(
+        (us + 999) / 1000, std::numeric_limits<int>::max()));
+    if (!drive(ms)) {
+      // Stopped pool: no pass will run; sleep out the instant.
+      std::unique_lock lk(s.mu_);
+      s.cv_.wait_until(lk, until, [&s] {
+        return s.reply_.has_value() || s.closed_signal_;
+      });
+    }
+    return;
+  }
+  bool woken = false;
+  {
+    std::unique_lock lk(s.mu_);
+    woken = s.cv_.wait_until(lk, until, [&s] {
+      return s.reply_.has_value() || s.closed_signal_ || s.promoted_;
+    });
+  }
+  std::lock_guard lk(lead_mu_);
+  {
+    std::lock_guard mlk(s.mu_);
+    s.promoted_ = false;
+  }
+  if (leader_ == &s) {
+    ++drive_stats_.handoffs;  // it leads from its next await on
+    return;
+  }
+  waiters_.erase(std::find(waiters_.begin(), waiters_.end(), &s));
+  if (!woken) ++drive_stats_.timer_expiries;
+}
+
+void TcpClientPool::release_lead(TcpSession& s) {
+  std::lock_guard lk(lead_mu_);
+  if (leader_ != &s) return;
+  if (waiters_.empty()) {
+    leader_ = nullptr;
+    return;
+  }
+  // Without a leader, nobody would read the waiters' replies: wake the
+  // oldest to take the pass over.
+  TcpSession* next = waiters_.front();
+  waiters_.pop_front();
+  leader_ = next;
+  {
+    std::lock_guard mlk(next->mu_);
+    next->promoted_ = true;
+  }
+  next->cv_.notify_all();
+}
+
+ClientDriveStats TcpClientPool::drive_stats() const {
+  std::lock_guard lk(lead_mu_);
+  return drive_stats_;
 }
 
 TcpSession& TcpClientPool::connect(ClientId id) {

@@ -8,14 +8,29 @@
 // so a finished run can be replayed through the HistoryChecker
 // (checker/client_history.hpp) to verify the deployment end to end.
 //
+// The pool has no thread of its own: its sessions drive its sockets. The
+// pool's transport runs in driven mode (net/tcp_transport.hpp), and every
+// pump() of a session with an op in flight runs at most one non-blocking
+// transport pass per driver pass — the first pump after any pass reads,
+// decodes and delivers every reply that has arrived and flushes the frames
+// queued since, the later ones only check their own mailbox. A pipelined
+// driver thread thereby reads its replies itself, with no thread hop.
+// Blocking calls share the sockets leader/follower: one waiting session
+// (the leader) blocks in the transport's wait up to its next instant and
+// delivers whatever arrives; the others sleep on their own mailbox. A
+// leader that leaves hands the pass to one waiting session by waking it,
+// so no follower depends on a timer to take over.
+//
 // Client ids must be unique across the WHOLE deployment (all loadgen
 // processes), and each session must be driven by a single thread.
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -75,6 +90,13 @@ struct ClientResilienceStats {
     deadline_exhausted += o.deadline_exhausted;
     return *this;
   }
+};
+
+/// How a pool's blocking sessions shared its sockets: waits that ended with
+/// the pass handed over, and waits that ended on their own timer.
+struct ClientDriveStats {
+  std::uint64_t handoffs = 0;        // a leaving leader woke this waiter
+  std::uint64_t timer_expiries = 0;  // a waiter's own instant passed first
 };
 
 /// Client session over TCP (sticky to the pool's DC): blocking calls, and
@@ -139,8 +161,9 @@ class TcpSession {
   // Sequence: start_*() once, then pump() until it returns true, then the
   // matching finish_*(). pump() never blocks; it runs the session's
   // deadline/retry/backoff/breaker machinery (including the non-resilient
-  // single-attempt mode). The driving thread must be the session's only
-  // one.
+  // single-attempt mode) and, first, the pool's transport (one pass per
+  // driver pass, see the file comment). The driving thread must be the
+  // session's only one.
 
   /// False when an operation is already in flight.
   bool start_get(const std::string& key, Duration timeout_us = 10'000'000);
@@ -154,8 +177,9 @@ class TcpSession {
   bool start_ro_tx_ids(std::vector<KeyId> keys,
                        Duration timeout_us = 10'000'000);
 
-  /// Advance the in-flight operation without blocking. True when there is
-  /// nothing left to drive (op completed or none in flight).
+  /// Advance the in-flight operation without blocking: the pool's sockets
+  /// first, then the op. True when there is nothing left to drive (op
+  /// completed or none in flight).
   bool pump();
 
   /// True while a started operation has not been finish_*()ed yet.
@@ -188,8 +212,8 @@ class TcpSession {
 
   void deliver(proto::Message m);
   /// Block until pump() reports the in-flight op done: each wait is one
-  /// condition-variable wait, woken by a delivered reply or by the op's
-  /// next attempt, backoff or deadline instant.
+  /// TcpClientPool::await up to the op's next attempt, backoff or deadline
+  /// instant.
   void block_until_done();
   void record_session_closed();
 
@@ -240,10 +264,17 @@ class TcpSession {
   /// retry_after_us, honored across ops when resilience is off.
   std::chrono::steady_clock::time_point not_before_{};
 
+  /// The pool's poll generation at this session's last pump.
+  std::uint64_t seen_gen_ = 0;
+
+  // Mailbox, filled by whichever thread runs the pool's pass.
   std::mutex mu_;
   std::condition_variable cv_;
   std::optional<proto::Message> reply_;
   bool closed_signal_ = false;
+  /// Set (under the pool's lead_mu_ too) when a leaving leader hands this
+  /// waiting session the pass.
+  bool promoted_ = false;
 };
 
 class TcpClientPool {
@@ -261,7 +292,8 @@ class TcpClientPool {
   void start();
   void stop();
 
-  /// Block until every partition link is up (false = timed out).
+  /// Block until every partition link is up (false = timed out), driving
+  /// the dials on the calling thread.
   bool wait_connected(Duration timeout_us);
 
   /// Resilience policy copied into every session opened AFTER this call.
@@ -283,6 +315,7 @@ class TcpClientPool {
   }
   /// Sum over every session (call when the driving threads are quiescent).
   [[nodiscard]] ClientResilienceStats resilience_stats() const;
+  [[nodiscard]] ClientDriveStats drive_stats() const;
 
   /// Chaos hooks (campaign/tests): the transport and the per-partition
   /// connection ids, so callers can arm ChaosLinks on client links.
@@ -291,7 +324,20 @@ class TcpClientPool {
 
  private:
   friend class TcpSession;
+  using Clock = std::chrono::steady_clock;
   void on_frame(ConnId conn, proto::Frame frame);
+  /// One transport pass (see TcpTransport::drive); advances the poll
+  /// generation when it ran.
+  bool drive(int timeout_ms);
+  /// Non-blocking pass unless one already ran since `*seen_gen` (the
+  /// caller's last poll) — or is running now.
+  void poll(std::uint64_t* seen_gen);
+  /// One wait of blocking session `s` until `until`: as the leader, a pass
+  /// blocked in the transport's wait; as a follower, a wait on its mailbox
+  /// that a reply, a hand-off or `until` ends.
+  void await(TcpSession& s, Clock::time_point until);
+  /// Hand the pass on to the oldest waiter if `s` leads.
+  void release_lead(TcpSession& s);
   /// False when the transport refused the frame (link down / over cap).
   bool send_to_partition(PartitionId part, const proto::Message& m,
                          unsigned replica = 0);
@@ -311,6 +357,15 @@ class TcpClientPool {
   std::vector<std::unique_ptr<TcpSession>> sessions_;
   std::unordered_map<ClientId, TcpSession*> session_index_;
   bool started_ = false;
+
+  /// Transport passes run so far.
+  std::atomic<std::uint64_t> poll_gen_{0};
+  // Leader/follower state of the blocking sessions (lock order: lead_mu_,
+  // then a session's mu_).
+  mutable std::mutex lead_mu_;
+  TcpSession* leader_ = nullptr;
+  std::deque<TcpSession*> waiters_;
+  ClientDriveStats drive_stats_;
 };
 
 }  // namespace pocc::net

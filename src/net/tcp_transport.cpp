@@ -59,6 +59,7 @@ TcpTransport::TcpTransport(Callbacks callbacks, Options options)
     POCC_ASSERT(::pipe(s->wake_pipe) == 0);
     set_nonblocking(s->wake_pipe[0]);
     set_nonblocking(s->wake_pipe[1]);
+    s->loop->watch(s->wake_pipe[0], true, false);
     s->backoff_rng = Rng(opt_.seed ^ (0x9e3779b97f4a7c15ULL * (i + 1)));
     shards_.push_back(std::move(s));
   }
@@ -111,6 +112,7 @@ std::uint16_t TcpTransport::listen(std::uint16_t port) {
     POCC_ASSERT(::getsockname(s.listen_fd, reinterpret_cast<sockaddr*>(&addr),
                               &len) == 0);
     set_nonblocking(s.listen_fd);
+    s.loop->watch(s.listen_fd, true, false);
     bound = ntohs(addr.sin_port);
   }
   listen_port_ = bound;
@@ -139,10 +141,10 @@ ConnId TcpTransport::connect_peer(std::string host, std::uint16_t port,
   conn->outbound = true;
   conn->host = std::move(host);
   conn->port = port;
-  conn->retry_at = 0;  // dial on the next loop iteration
+  conn->retry_at = 0;  // dial on the next pass
   const ConnId id = conn->id;
   s.conns.emplace(id, std::move(conn));
-  if (started_.load(std::memory_order_relaxed)) wake(s);
+  wake(s);
   return id;
 }
 
@@ -155,15 +157,34 @@ void TcpTransport::start() {
 
 void TcpTransport::stop() {
   for (auto& s : shards_) {
-    {
-      std::lock_guard lk(s->mu);
-      s->stopping = true;  // idempotent: a second stop only re-joins
-    }
+    std::lock_guard lk(s->mu);
+    s->stopping = true;  // idempotent: a second stop only re-joins
     wake(*s);
   }
+  const bool threaded = started_.load(std::memory_order_relaxed);
   for (auto& s : shards_) {
-    if (s->thread.joinable()) s->thread.join();
+    if (threaded) {
+      if (s->thread.joinable()) s->thread.join();
+      continue;
+    }
+    // Driven: the pass lock waits out a driver that is still inside one.
+    std::lock_guard pass_lk(s->pass_mu);
+    final_drain(*s);
   }
+}
+
+bool TcpTransport::drive(int timeout_ms) {
+  POCC_ASSERT_MSG(!started_.load(std::memory_order_relaxed) &&
+                      shards_.size() == 1,
+                  "drive() needs a one-shard transport that is never started");
+  Shard& s = *shards_[0];
+  std::unique_lock lk(s.pass_mu, std::defer_lock);
+  if (timeout_ms == 0) {
+    if (!lk.try_lock()) return false;  // that pass serves this caller too
+  } else {
+    lk.lock();
+  }
+  return pass(s, timeout_ms);
 }
 
 void TcpTransport::wake(Shard& s) {
@@ -174,6 +195,10 @@ void TcpTransport::wake(Shard& s) {
     s.self_woken = true;
     return;
   }
+  // A driven shard (and a threaded one before start) only needs the byte
+  // while a driver is blocked in its wait: any later pass finds the work
+  // itself. The caller holds s.mu, which guards blocking_wait.
+  if (!started_.load(std::memory_order_relaxed) && !s.blocking_wait) return;
   // One byte per wait is enough: the loop clears wake_pending when it
   // drains the pipe and only then looks for work, so a wake that finds it
   // set is covered by the byte already on its way.
@@ -339,7 +364,7 @@ void TcpTransport::set_chaos(ConnId conn, std::shared_ptr<ChaosLink> link) {
   auto it = sp->conns.find(conn);
   if (it == sp->conns.end()) return;
   it->second->chaos = std::move(link);
-  if (started_.load(std::memory_order_relaxed)) wake(*sp);
+  wake(*sp);
 }
 
 void TcpTransport::set_greeting(ConnId conn, std::vector<std::uint8_t> frame) {
@@ -579,277 +604,271 @@ void TcpTransport::accept_ready(Shard& s) {
   }
 }
 
-void TcpTransport::run(Shard& s) {
-  std::vector<EventLoop::Event> events;
-
-  // Deferred callback work collected under the lock, invoked outside it so
-  // handlers may call back into send()/connect_peer().
-  struct Delivery {
-    ConnId conn;
-    proto::Frame frame;
-  };
-  std::vector<ConnId> went_up;
-  std::vector<ConnId> went_down;
-  std::vector<Delivery> deliveries;
-  std::vector<ConnId> to_erase;
-  // Accepted connections placed on another shard: (target, conn).
-  std::vector<std::pair<std::uint32_t, ConnId>> to_place;
-  std::vector<std::pair<std::uint32_t, std::unique_ptr<Conn>>> leaving;
-
-  // Cut a connection's inbox into decoded frames (under s.mu). A connection
-  // awaiting placement hands its first frame to Callbacks::place; placed on
-  // another shard, it stops here with its inbox untouched and is queued in
-  // to_place. No frame is delivered before its connection is announced.
-  auto decode_inbox = [&](Conn& c) {
-    std::size_t off = 0;
-    while (c.up && off < c.inbox.size()) {
-      proto::DecodeResult res =
-          proto::decode_frame(c.inbox.data() + off, c.inbox.size() - off);
-      if (res.status == proto::DecodeResult::Status::kOk) {
-        if (!c.placed) {
-          c.placed = true;
-          const std::int32_t target = cb_.place(res.frame);
-          if (target >= 0 && static_cast<std::size_t>(target) < shards_.size() &&
-              static_cast<std::uint32_t>(target) != s.index) {
-            to_place.emplace_back(static_cast<std::uint32_t>(target), c.id);
-            break;
-          }
-        }
-        if (!c.announced) {
-          c.announced = true;
-          went_up.push_back(c.id);
-        }
-        ++s.stats.frames_in;
-        deliveries.push_back(Delivery{c.id, std::move(res.frame)});
-        off += res.consumed;
-        continue;
-      }
-      if (res.status == proto::DecodeResult::Status::kNeedMore) break;
-      ++s.stats.decode_errors;
-      close_socket(s, c);
-      break;
-    }
-    if (off > 0 && c.fd >= 0) {
-      c.inbox.erase(c.inbox.begin(),
-                    c.inbox.begin() + static_cast<std::ptrdiff_t>(off));
-    }
-  };
-
-  t_loop_shard = &s;
-  s.loop->watch(s.wake_pipe[0], true, false);
-  if (s.listen_fd >= 0) s.loop->watch(s.listen_fd, true, false);
-
-  while (true) {
-    int timeout_ms = -1;
-    {
-      std::lock_guard lk(s.mu);
-      if (s.stopping) break;
-      const Timestamp now = now_us();
-      Timestamp next_timer = 0;
-      for (auto& [id, cp] : s.conns) {
-        Conn& c = *cp;
-        if (c.fd < 0) {
-          if (!c.outbound) continue;
-          if (c.chaos != nullptr && c.chaos->blocked(now)) {
-            // Partition window: don't redial; recheck shortly.
-            c.retry_at = now + 5'000;
-          } else if (c.retry_at <= now) {
-            dial(s, c, now);
-          }
-        }
-        if (!c.chaos_hold.empty() &&
-            (next_timer == 0 || c.chaos_hold.front().release_at < next_timer)) {
-          next_timer = c.chaos_hold.front().release_at;
-        }
-        if (c.fd >= 0) {
-          // Interest delta only — EventLoop::watch no-ops when unchanged,
-          // so the scan costs one epoll_ctl per actual transition.
-          s.loop->watch(c.fd, true, c.connecting || c.outbox_bytes > 0);
-        } else if (c.retry_at > 0 &&
-                   (next_timer == 0 || c.retry_at < next_timer)) {
-          next_timer = c.retry_at;
-        }
-      }
-      if (next_timer > 0) {
-        const Timestamp now2 = now_us();
-        timeout_ms = next_timer <= now2
-                         ? 0
-                         : static_cast<int>((next_timer - now2) / 1000 + 1);
-      }
-      // A dial that completed synchronously still needs its on_connected
-      // announcement (made in the post-wait section): don't block for it.
-      for (auto& [id, cp] : s.conns) {
-        if (cp->up && cp->placed && !cp->announced) {
-          timeout_ms = 0;
+void TcpTransport::decode_inbox(Shard& s, Conn& c) {
+  // A connection awaiting placement hands its first frame to
+  // Callbacks::place; placed on another shard, it stops here with its inbox
+  // untouched and is queued in to_place. No frame is delivered before its
+  // connection is announced.
+  std::size_t off = 0;
+  while (c.up && off < c.inbox.size()) {
+    proto::DecodeResult res =
+        proto::decode_frame(c.inbox.data() + off, c.inbox.size() - off);
+    if (res.status == proto::DecodeResult::Status::kOk) {
+      if (!c.placed) {
+        c.placed = true;
+        const std::int32_t target = cb_.place(res.frame);
+        if (target >= 0 && static_cast<std::size_t>(target) < shards_.size() &&
+            static_cast<std::uint32_t>(target) != s.index) {
+          s.to_place.emplace_back(static_cast<std::uint32_t>(target), c.id);
           break;
         }
       }
-    }
-
-    // NodeGroup pass (outside the shard lock): service the NodeGroup
-    // worker this loop owns; the host's next deadline bounds the sleep.
-    if (cb_.on_loop_pass) {
-      const Timestamp pass_deadline = cb_.on_loop_pass(s.index);
-      if (pass_deadline > 0) {
-        const Timestamp now2 = now_us();
-        const int ms =
-            pass_deadline <= now2
-                ? 0
-                : static_cast<int>((pass_deadline - now2) / 1000 + 1);
-        if (timeout_ms < 0 || ms < timeout_ms) timeout_ms = ms;
+      if (!c.announced) {
+        c.announced = true;
+        s.went_up.push_back(c.id);
       }
+      ++s.stats.frames_in;
+      s.deliveries.push_back(Delivery{c.id, std::move(res.frame)});
+      off += res.consumed;
+      continue;
     }
-    // Work this thread queued for itself — frames the pass (or the last
-    // round of callbacks) sent on this shard — is drained after the wait:
-    // poll, don't sleep.
-    if (s.self_woken) {
-      s.self_woken = false;
-      timeout_ms = 0;
-    }
-
-    s.loop->wait(timeout_ms, events);
-
-    went_up.clear();
-    went_down.clear();
-    deliveries.clear();
-    to_erase.clear();
-    to_place.clear();
-    {
-      std::lock_guard lk(s.mu);
-      if (s.stopping) break;
-      ++s.waits;
-      chaos_pass(s, now_us(), went_down);
-      bool accept_pending = false;
-      for (const EventLoop::Event& ev : events) {
-        if (ev.fd == s.wake_pipe[0]) {
-          char buf[256];
-          while (true) {
-            const ssize_t n = ::read(s.wake_pipe[0], buf, sizeof(buf));
-            if (n > 0) continue;
-            if (n < 0 && errno == EINTR) continue;  // drain fully, then stop
-            break;  // EAGAIN: pipe empty
-          }
-          s.wake_pending.store(false);
-          continue;
-        }
-        if (ev.fd == s.listen_fd) {
-          // Accept after the connection events: a recycled fd number can
-          // then never receive a stale event meant for its predecessor.
-          accept_pending = true;
-          continue;
-        }
-        const ConnId cid = s.conn_at_fd(ev.fd);
-        if (cid == kInvalidConn) continue;  // closed earlier this pass
-        auto it = s.conns.find(cid);
-        if (it == s.conns.end()) continue;
-        Conn& c = *it->second;
-        if (c.fd != ev.fd) continue;
-        if (c.connecting && (ev.writable || ev.error)) {
-          int err = 0;
-          socklen_t len = sizeof(err);
-          ::getsockopt(c.fd, SOL_SOCKET, SO_ERROR, &err, &len);
-          if (err == 0 && !ev.error) {
-            mark_established(s, c);
-          } else {
-            close_socket(s, c);
-          }
-          continue;
-        }
-        const bool was_up = c.up;
-        if (ev.error && !ev.readable) {
-          close_socket(s, c);
-        } else {
-          if (ev.readable) read_ready(s, c);
-          if (c.up && ev.writable) drain_outbox(s, c);
-        }
-
-        decode_inbox(c);
-        // A connection that died unplaced was never announced.
-        if (was_up && !c.up && c.placed) went_down.push_back(c.id);
-      }
-      // Hand placed connections over: off this shard's loop, to their
-      // target's adoption queue once s.mu is released.
-      for (const auto& [target, id] : to_place) {
-        auto it = s.conns.find(id);
-        Conn& c = *it->second;
-        s.loop->unwatch(c.fd);
-        s.unmap_fd(c.fd);
-        ++s.stats.migrations;
-        leaving.emplace_back(target, std::move(it->second));
-        s.conns.erase(it);
-      }
-      // Adopt connections other shards placed here. Their carried bytes
-      // are decoded now: no readable event may ever come for them.
-      for (auto& cp : s.adopted) {
-        Conn& c = *cp;
-        s.map_fd(c.fd, c.id);
-        s.conns.emplace(c.id, std::move(cp));
-        decode_inbox(c);
-        if (!c.up) went_down.push_back(c.id);
-      }
-      s.adopted.clear();
-      if (accept_pending) accept_ready(s);
-      // Optimistic flush: drain every queued outbox now instead of waiting
-      // for the next writable event, so write interest only ever means
-      // "kernel buffer filled up". This saves one loop pass of latency per
-      // reply burst.
-      for (auto& [id, cp] : s.conns) {
-        Conn& c = *cp;
-        if (c.fd < 0 || !c.up || c.outbox_bytes == 0) continue;
-        const bool was_up = c.up;
-        drain_outbox(s, c);
-        if (was_up && !c.up) went_down.push_back(c.id);
-      }
-      // Announce newly established sockets (accepted, connected or
-      // reconnected — close_socket resets `announced`) and reap dead
-      // inbound connections (the remote owns their recovery).
-      for (auto& [id, cp] : s.conns) {
-        Conn& c = *cp;
-        if (c.up && c.placed && !c.announced) {
-          c.announced = true;
-          went_up.push_back(c.id);
-        }
-        if (!c.outbound && !c.up) to_erase.push_back(id);
-      }
-      for (const ConnId id : to_erase) {
-        auto dead = s.conns.find(id);
-        if (dead == s.conns.end()) continue;
-        recycle_conn(s, *dead->second);
-        s.conns.erase(dead);
-      }
-    }
-    // A placed connection gets its one ConnId on its target shard.
-    for (auto& [target, cp] : leaving) {
-      Shard& t = *shards_[target];
-      {
-        std::lock_guard lk(t.mu);
-        cp->id = (static_cast<ConnId>(t.index) << kShardShift) | t.next_seq++;
-        t.adopted.push_back(std::move(cp));
-      }
-      wake(t);
-    }
-    leaving.clear();
-
-    for (const ConnId id : went_up) {
-      if (cb_.on_connected) cb_.on_connected(id);
-    }
-    for (Delivery& d : deliveries) {
-      if (cb_.on_frame) cb_.on_frame(d.conn, std::move(d.frame));
-    }
-    for (const ConnId id : went_down) {
-      if (cb_.on_disconnected) cb_.on_disconnected(id);
-    }
+    if (res.status == proto::DecodeResult::Status::kNeedMore) break;
+    ++s.stats.decode_errors;
+    close_socket(s, c);
+    break;
   }
+  if (off > 0 && c.fd >= 0) {
+    c.inbox.erase(c.inbox.begin(),
+                  c.inbox.begin() + static_cast<std::ptrdiff_t>(off));
+  }
+}
 
-  // Best-effort final drain: push out what shutdown staged (a host flushes
-  // its batchers right before stop()) without blocking — anything the
-  // kernel won't take now dies with the process, as before.
+void TcpTransport::run(Shard& s) {
+  t_loop_shard = &s;
+  while (pass(s, -1)) {
+  }
+  final_drain(s);
+}
+
+void TcpTransport::final_drain(Shard& s) {
+  // Push out what shutdown staged (a host flushes its batchers right before
+  // stop()) without blocking — anything the kernel won't take now dies
+  // with the process, as before.
+  std::lock_guard lk(s.mu);
+  for (auto& [id, cp] : s.conns) {
+    if (cp->fd >= 0 && cp->up) drain_outbox(s, *cp);
+  }
+}
+
+bool TcpTransport::pass(Shard& s, int max_wait_ms) {
+  int timeout_ms = -1;
   {
     std::lock_guard lk(s.mu);
+    if (s.stopping) return false;
+    const Timestamp now = now_us();
+    Timestamp next_timer = 0;
     for (auto& [id, cp] : s.conns) {
-      if (cp->fd >= 0 && cp->up) drain_outbox(s, *cp);
+      Conn& c = *cp;
+      if (c.fd < 0) {
+        if (!c.outbound) continue;
+        if (c.chaos != nullptr && c.chaos->blocked(now)) {
+          // Partition window: don't redial; recheck shortly.
+          c.retry_at = now + 5'000;
+        } else if (c.retry_at <= now) {
+          dial(s, c, now);
+        }
+      }
+      if (!c.chaos_hold.empty() &&
+          (next_timer == 0 || c.chaos_hold.front().release_at < next_timer)) {
+        next_timer = c.chaos_hold.front().release_at;
+      }
+      if (c.fd >= 0) {
+        // Interest delta only — EventLoop::watch no-ops when unchanged,
+        // so the scan costs one epoll_ctl per actual transition.
+        s.loop->watch(c.fd, true, c.connecting || c.outbox_bytes > 0);
+      } else if (c.retry_at > 0 &&
+                 (next_timer == 0 || c.retry_at < next_timer)) {
+        next_timer = c.retry_at;
+      }
+    }
+    if (next_timer > 0) {
+      const Timestamp now2 = now_us();
+      timeout_ms = next_timer <= now2
+                       ? 0
+                       : static_cast<int>((next_timer - now2) / 1000 + 1);
+    }
+    // A dial that completed synchronously still needs its on_connected
+    // announcement (made in the post-wait section): don't block for it.
+    for (auto& [id, cp] : s.conns) {
+      if (cp->up && cp->placed && !cp->announced) {
+        timeout_ms = 0;
+        break;
+      }
+    }
+    if (max_wait_ms >= 0 && (timeout_ms < 0 || timeout_ms > max_wait_ms)) {
+      timeout_ms = max_wait_ms;
+    }
+    // Set under mu with the interest above: a frame queued before this
+    // point already makes the wait return (write interest), one queued
+    // after it sees the flag and writes the pipe.
+    s.blocking_wait = timeout_ms != 0;
+  }
+
+  // NodeGroup pass (outside the shard lock): service the NodeGroup
+  // worker this loop owns; the host's next deadline bounds the sleep.
+  if (cb_.on_loop_pass) {
+    const Timestamp pass_deadline = cb_.on_loop_pass(s.index);
+    if (pass_deadline > 0) {
+      const Timestamp now2 = now_us();
+      const int ms =
+          pass_deadline <= now2
+              ? 0
+              : static_cast<int>((pass_deadline - now2) / 1000 + 1);
+      if (timeout_ms < 0 || ms < timeout_ms) timeout_ms = ms;
     }
   }
+  // Work this thread queued for itself — frames the pass (or the last
+  // round of callbacks) sent on this shard — is drained after the wait:
+  // poll, don't sleep.
+  if (s.self_woken) {
+    s.self_woken = false;
+    timeout_ms = 0;
+  }
+
+  s.loop->wait(timeout_ms, s.events);
+
+  s.went_up.clear();
+  s.went_down.clear();
+  s.deliveries.clear();
+  s.to_erase.clear();
+  s.to_place.clear();
+  {
+    std::lock_guard lk(s.mu);
+    s.blocking_wait = false;
+    if (s.stopping) return false;
+    ++s.waits;
+    chaos_pass(s, now_us(), s.went_down);
+    bool accept_pending = false;
+    for (const EventLoop::Event& ev : s.events) {
+      if (ev.fd == s.wake_pipe[0]) {
+        char buf[256];
+        while (true) {
+          const ssize_t n = ::read(s.wake_pipe[0], buf, sizeof(buf));
+          if (n > 0) continue;
+          if (n < 0 && errno == EINTR) continue;  // drain fully, then stop
+          break;  // EAGAIN: pipe empty
+        }
+        s.wake_pending.store(false);
+        continue;
+      }
+      if (ev.fd == s.listen_fd) {
+        // Accept after the connection events: a recycled fd number can
+        // then never receive a stale event meant for its predecessor.
+        accept_pending = true;
+        continue;
+      }
+      const ConnId cid = s.conn_at_fd(ev.fd);
+      if (cid == kInvalidConn) continue;  // closed earlier this pass
+      auto it = s.conns.find(cid);
+      if (it == s.conns.end()) continue;
+      Conn& c = *it->second;
+      if (c.fd != ev.fd) continue;
+      if (c.connecting && (ev.writable || ev.error)) {
+        int err = 0;
+        socklen_t len = sizeof(err);
+        ::getsockopt(c.fd, SOL_SOCKET, SO_ERROR, &err, &len);
+        if (err == 0 && !ev.error) {
+          mark_established(s, c);
+        } else {
+          close_socket(s, c);
+        }
+        continue;
+      }
+      const bool was_up = c.up;
+      if (ev.error && !ev.readable) {
+        close_socket(s, c);
+      } else {
+        if (ev.readable) read_ready(s, c);
+        if (c.up && ev.writable) drain_outbox(s, c);
+      }
+
+      decode_inbox(s, c);
+      // A connection that died unplaced was never announced.
+      if (was_up && !c.up && c.placed) s.went_down.push_back(c.id);
+    }
+    // Hand placed connections over: off this shard's loop, to their
+    // target's adoption queue once s.mu is released.
+    for (const auto& [target, id] : s.to_place) {
+      auto it = s.conns.find(id);
+      Conn& c = *it->second;
+      s.loop->unwatch(c.fd);
+      s.unmap_fd(c.fd);
+      ++s.stats.migrations;
+      s.leaving.emplace_back(target, std::move(it->second));
+      s.conns.erase(it);
+    }
+    // Adopt connections other shards placed here. Their carried bytes
+    // are decoded now: no readable event may ever come for them.
+    for (auto& cp : s.adopted) {
+      Conn& c = *cp;
+      s.map_fd(c.fd, c.id);
+      s.conns.emplace(c.id, std::move(cp));
+      decode_inbox(s, c);
+      if (!c.up) s.went_down.push_back(c.id);
+    }
+    s.adopted.clear();
+    if (accept_pending) accept_ready(s);
+    // Optimistic flush: drain every queued outbox now instead of waiting
+    // for the next writable event, so write interest only ever means
+    // "kernel buffer filled up". This saves one loop pass of latency per
+    // reply burst.
+    for (auto& [id, cp] : s.conns) {
+      Conn& c = *cp;
+      if (c.fd < 0 || !c.up || c.outbox_bytes == 0) continue;
+      const bool was_up = c.up;
+      drain_outbox(s, c);
+      if (was_up && !c.up) s.went_down.push_back(c.id);
+    }
+    // Announce newly established sockets (accepted, connected or
+    // reconnected — close_socket resets `announced`) and reap dead
+    // inbound connections (the remote owns their recovery).
+    for (auto& [id, cp] : s.conns) {
+      Conn& c = *cp;
+      if (c.up && c.placed && !c.announced) {
+        c.announced = true;
+        s.went_up.push_back(c.id);
+      }
+      if (!c.outbound && !c.up) s.to_erase.push_back(id);
+    }
+    for (const ConnId id : s.to_erase) {
+      auto dead = s.conns.find(id);
+      if (dead == s.conns.end()) continue;
+      recycle_conn(s, *dead->second);
+      s.conns.erase(dead);
+    }
+  }
+  // A placed connection gets its one ConnId on its target shard.
+  for (auto& [target, cp] : s.leaving) {
+    Shard& t = *shards_[target];
+    {
+      std::lock_guard lk(t.mu);
+      cp->id = (static_cast<ConnId>(t.index) << kShardShift) | t.next_seq++;
+      t.adopted.push_back(std::move(cp));
+    }
+    wake(t);
+  }
+  s.leaving.clear();
+
+  for (const ConnId id : s.went_up) {
+    if (cb_.on_connected) cb_.on_connected(id);
+  }
+  for (Delivery& d : s.deliveries) {
+    if (cb_.on_frame) cb_.on_frame(d.conn, std::move(d.frame));
+  }
+  for (const ConnId id : s.went_down) {
+    if (cb_.on_disconnected) cb_.on_disconnected(id);
+  }
+  return true;
 }
 
 // ------------------------------------------------------------ LinkBatcher ---

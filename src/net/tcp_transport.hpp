@@ -4,12 +4,25 @@
 // The transport runs Options::num_loops event-loop shards (default 1 — the
 // original single-threaded shape). Each shard owns one net::EventLoop
 // (epoll), one wake pipe, one SO_REUSEPORT listening socket, and a disjoint
-// set of connections; a connection's socket is read, watched and closed
-// only by its shard's thread, other threads interact through the
-// thread-safe send()/connect_peer() and the callbacks (invoked on the
-// owning shard's thread). The one exception is the write side: a send from
-// another thread onto an idle connection writes the socket itself, under
-// the shard lock, once per thread per loop wait (see send).
+// set of connections. All of a shard's socket work happens in its passes
+// (pass(): dial due links, wait for readiness, read, decode, deliver, flush),
+// and there are two ways to run them:
+//
+//   * threaded — start() gives every shard one loop thread that runs its
+//                passes back to back (servers: poccd, TcpNodeHost). A
+//                connection's socket is read, watched and closed only by
+//                its shard's thread; callbacks run there,
+//   * driven   — a transport that is never start()ed has no thread: its
+//                callers run one pass at a time through drive() (the client
+//                pool, whose sessions drive their own sockets). One caller
+//                holds the pass at a time; callbacks run on whichever
+//                thread drives it.
+//
+// Other threads interact through the thread-safe send()/connect_peer(). The
+// one exception to "passes touch sockets" is the write side: a send from a
+// thread that is not running the pass onto an idle connection writes the
+// socket itself, under the shard lock, once per thread per pass (see send);
+// the rest of its burst waits for the next pass's single flush.
 // Responsibilities:
 //
 //   * framing      — inbound bytes are cut into frames by proto::decode_frame
@@ -180,9 +193,9 @@ class BufferArena {
 class TcpTransport {
  public:
   struct Callbacks {
-    /// One decoded frame arrived on `conn`. Owning-shard-thread context:
-    /// keep it short (enqueue and return) unless the host deliberately
-    /// drives engine work here (the NodeGroup seam).
+    /// One decoded frame arrived on `conn`. Runs on the thread running the
+    /// owning shard's pass: keep it short (enqueue and return) unless the
+    /// host deliberately drives engine work here (the NodeGroup seam).
     std::function<void(ConnId, proto::Frame)> on_frame;
     /// Outbound link established (first connect or reconnect), or inbound
     /// connection accepted.
@@ -262,8 +275,20 @@ class TcpTransport {
   /// nullptr disarms. Thread-safe.
   void set_chaos(ConnId conn, std::shared_ptr<ChaosLink> link);
 
+  /// Threaded mode: one loop thread per shard runs its passes.
   void start();
+  /// Stops the loop threads (threaded) or ends every later drive()
+  /// (driven), after a best-effort flush of what is queued.
   void stop();
+
+  /// Driven mode: run one pass on the calling thread — dial due links,
+  /// wait for readiness at most `timeout_ms` (0 polls, -1 waits for an
+  /// event or the next timer), read, decode, deliver through the callbacks,
+  /// flush queued frames. Only for a one-shard transport that is never
+  /// start()ed. One thread holds the pass at a time: with timeout_ms 0 a
+  /// pass another thread holds is not waited for. False when no pass ran
+  /// (held elsewhere, or stop() was called).
+  bool drive(int timeout_ms);
 
   /// Queue one already-encoded frame. Thread-safe. Returns false when the
   /// connection is unknown/dead-inbound or its queue is over the cap that
@@ -309,9 +334,12 @@ class TcpTransport {
   /// on that loop's own thread it writes no pipe: the loop is awake, and
   /// its next wait only polls. From other threads at most one pipe write
   /// is outstanding per wait (stats().wake_writes counts the pipe writes).
+  /// A driven transport's pipe is written only while a driver is blocked
+  /// in its wait.
   void wake_loop(std::uint32_t loop);
   /// Native handles of the running loop threads (signal-storm tests aim
-  /// pthread_kill at them). Valid between start() and stop().
+  /// pthread_kill at them). Valid between start() and stop(); empty for a
+  /// driven transport.
   [[nodiscard]] std::vector<std::thread::native_handle_type>
   loop_thread_handles();
 
@@ -356,9 +384,15 @@ class TcpTransport {
     bool chaos_reset_pending = false;  // tear down on the next loop pass
   };
 
+  /// A decoded frame collected under the shard lock, delivered after it.
+  struct Delivery {
+    ConnId conn;
+    proto::Frame frame;
+  };
+
   /// One event-loop shard: thread, readiness set, wake pipe, listener and
   /// the connections it owns. A shard's conns/by_fd/stats are guarded by
-  /// its mu; the loop thread is the only closer of its sockets.
+  /// its mu; the thread running its pass is the only closer of its sockets.
   struct Shard {
     std::uint32_t index = 0;
     std::unique_ptr<EventLoop> loop;
@@ -406,10 +440,35 @@ class TcpTransport {
     std::uint64_t waits = 0;
     /// Pipe writes into wake_pipe (TransportStats::wake_writes).
     std::atomic<std::uint64_t> wake_writes{0};
+    /// Driven mode: a driver is in (or entering) this shard's wait with a
+    /// non-zero timeout, so a wake must write the pipe (guarded by mu).
+    bool blocking_wait = false;
+    /// Held by the thread running a driven shard's pass.
+    std::mutex pass_mu;
     std::thread thread;
+
+    // Per-pass scratch: touched only by the thread running the pass.
+    // Deferred callback work is collected under mu and invoked outside it,
+    // so handlers may call back into send()/connect_peer().
+    std::vector<EventLoop::Event> events;
+    std::vector<ConnId> went_up;
+    std::vector<ConnId> went_down;
+    std::vector<Delivery> deliveries;
+    std::vector<ConnId> to_erase;
+    /// Accepted connections placed on another shard: (target, conn).
+    std::vector<std::pair<std::uint32_t, ConnId>> to_place;
+    std::vector<std::pair<std::uint32_t, std::unique_ptr<Conn>>> leaving;
   };
 
+  /// Loop-thread body: passes until stop(), then the final flush.
   void run(Shard& s);
+  /// One loop iteration of `s`, waiting at most `max_wait_ms` (-1: up to
+  /// the next timer). False once the shard is stopping.
+  bool pass(Shard& s, int max_wait_ms);
+  /// Cut a connection's inbox into decoded frames (under s.mu).
+  void decode_inbox(Shard& s, Conn& c);
+  /// Best-effort flush of every queued outbox at shutdown (never blocks).
+  void final_drain(Shard& s);
   void wake(Shard& s);
   void dial(Shard& s, Conn& c, Timestamp now);
   void mark_established(Shard& s, Conn& c);

@@ -1,6 +1,10 @@
 #include "store/key_space.hpp"
 
+#include <algorithm>
 #include <charconv>
+#include <cstdlib>
+#include <memory>
+#include <new>
 
 #include "common/assert.hpp"
 #include "common/hash.hpp"
@@ -8,10 +12,8 @@
 namespace pocc::store {
 
 KeySpace::KeySpace()
-    : chunks_(new std::atomic<Entry*>[kMaxChunks]) {
-  for (std::size_t i = 0; i < kMaxChunks; ++i) {
-    chunks_[i].store(nullptr, std::memory_order_relaxed);
-  }
+    : chunks_(static_cast<Entry**>(std::calloc(kMaxChunks, sizeof(Entry*)))) {
+  POCC_ASSERT(chunks_ != nullptr);
   // Id 0 is always the empty key, so default-constructed messages and
   // versions (key = 0) are valid and charge zero key bytes on the wire.
   intern(std::string_view{});
@@ -20,15 +22,18 @@ KeySpace::KeySpace()
 KeySpace::~KeySpace() {
   const std::size_t n = count_.load(std::memory_order_acquire);
   for (std::size_t c = 0; c * kChunkSize < n; ++c) {
-    delete[] chunks_[c].load(std::memory_order_relaxed);
+    Entry* entries = chunk(c, std::memory_order_relaxed);
+    std::destroy_n(entries, std::min(kChunkSize, n - c * kChunkSize));
+    ::operator delete(entries);
   }
+  std::free(chunks_);
 }
 
 const KeySpace::Entry& KeySpace::entry(KeyId id) const {
   POCC_ASSERT_MSG(id < count_.load(std::memory_order_acquire),
                   "KeyId was never interned");
-  Entry* chunk = chunks_[id >> kChunkShift].load(std::memory_order_acquire);
-  return chunk[id & (kChunkSize - 1)];
+  return chunk(id >> kChunkShift,
+               std::memory_order_acquire)[id & (kChunkSize - 1)];
 }
 
 void KeySpace::rehash_locked(std::size_t buckets) {
@@ -36,9 +41,8 @@ void KeySpace::rehash_locked(std::size_t buckets) {
   mask_ = buckets - 1;
   const std::size_t n = count_.load(std::memory_order_relaxed);
   for (std::size_t id = 0; id < n; ++id) {
-    const Entry& e =
-        chunks_[id >> kChunkShift].load(std::memory_order_relaxed)
-               [id & (kChunkSize - 1)];
+    const Entry& e = chunk(id >> kChunkShift,
+                           std::memory_order_relaxed)[id & (kChunkSize - 1)];
     std::size_t i = e.hash & mask_;
     while (table_[i] != 0) i = (i + 1) & mask_;
     table_[i] = static_cast<std::uint32_t>(id) + 1;
@@ -54,25 +58,24 @@ KeyId KeySpace::insert_locked(std::string_view key, std::uint64_t h) {
   std::size_t i = h & mask_;
   while (table_[i] != 0) {
     const KeyId id = table_[i] - 1;
-    const Entry& e =
-        chunks_[id >> kChunkShift].load(std::memory_order_relaxed)
-               [id & (kChunkSize - 1)];
+    const Entry& e = chunk(id >> kChunkShift,
+                           std::memory_order_relaxed)[id & (kChunkSize - 1)];
     if (e.hash == h && e.key == key) return id;  // idempotent intern
     i = (i + 1) & mask_;
   }
   POCC_ASSERT_MSG(n < kMaxChunks * kChunkSize, "key space exhausted");
   const std::size_t chunk_idx = n >> kChunkShift;
-  Entry* chunk = chunks_[chunk_idx].load(std::memory_order_relaxed);
-  if (chunk == nullptr) {
-    chunk = new Entry[kChunkSize];
-    chunks_[chunk_idx].store(chunk, std::memory_order_release);
+  Entry* entries = chunk(chunk_idx, std::memory_order_relaxed);
+  if (entries == nullptr) {
+    // Raw storage: an entry's pages are touched when it is interned.
+    entries = static_cast<Entry*>(::operator new(kChunkSize * sizeof(Entry)));
+    std::atomic_ref<Entry*>(chunks_[chunk_idx])
+        .store(entries, std::memory_order_release);
   }
-  Entry& e = chunk[n & (kChunkSize - 1)];
-  e.key.assign(key.data(), key.size());
-  e.hash = h;
   std::uint32_t prefix = 0;
-  e.prefix_part =
-      parse_partition_prefix(key, &prefix) ? prefix : kNoPrefix;
+  ::new (entries + (n & (kChunkSize - 1))) Entry{
+      std::string(key), h,
+      parse_partition_prefix(key, &prefix) ? prefix : kNoPrefix};
   table_[i] = static_cast<std::uint32_t>(n) + 1;
   count_.store(n + 1, std::memory_order_release);
   return static_cast<KeyId>(n);
@@ -102,9 +105,8 @@ KeyId KeySpace::find(std::string_view key) const {
   std::size_t i = h & mask_;
   while (table_[i] != 0) {
     const KeyId id = table_[i] - 1;
-    const Entry& e =
-        chunks_[id >> kChunkShift].load(std::memory_order_relaxed)
-               [id & (kChunkSize - 1)];
+    const Entry& e = chunk(id >> kChunkShift,
+                           std::memory_order_relaxed)[id & (kChunkSize - 1)];
     if (e.hash == h && e.key == key) return id;
     i = (i + 1) & mask_;
   }

@@ -12,13 +12,18 @@
 //
 // Concurrency: `intern` (and the string-keyed `find`) serialize on a mutex.
 // Callers span threads freely — the workload/client boundary, the TCP
-// transport thread (codec re-interning on decode) and every rt::NodeGroup
+// transport passes (codec re-interning on decode) and every rt::NodeGroup
 // worker. Per-id lookups (`name`, `hash_of`, `partition`) are lock-free:
 // entries live in fixed-size chunks whose pointers are published with
 // release semantics before the entry count is (release-)advanced, so any
 // thread that obtained an id — through a queue, a lock, or directly from
 // intern() — observes the fully-constructed entry. Stressed under TSan by
 // tests/store_concurrency_test.cpp.
+//
+// Memory: an interner costs what it interned. Chunks are raw storage whose
+// entries are constructed one by one as keys are interned (and only those
+// are destroyed), and the chunk table comes zeroed from calloc, so neither
+// is touched — nor resident — beyond the pages the interned keys use.
 #pragma once
 
 #include <atomic>
@@ -102,6 +107,10 @@ class KeySpace {
   static constexpr std::size_t kChunkSize = std::size_t{1} << kChunkShift;
   static constexpr std::size_t kMaxChunks = 1 << 15;  // ~2.1B keys
 
+  /// Chunk `c`'s published pointer (null until its first key is interned).
+  [[nodiscard]] Entry* chunk(std::size_t c, std::memory_order order) const {
+    return std::atomic_ref<Entry*>(chunks_[c]).load(order);
+  }
   [[nodiscard]] const Entry& entry(KeyId id) const;
   KeyId insert_locked(std::string_view key, std::uint64_t hash);
   void rehash_locked(std::size_t buckets);
@@ -111,7 +120,9 @@ class KeySpace {
   std::vector<std::uint32_t> table_;
   std::size_t mask_ = 0;
   std::atomic<std::size_t> count_{0};
-  std::unique_ptr<std::atomic<Entry*>[]> chunks_;
+  /// kMaxChunks chunk pointers from calloc, read and published through
+  /// std::atomic_ref.
+  Entry** chunks_ = nullptr;
 };
 
 /// Shorthand for interning against the global KeySpace (tests, examples).

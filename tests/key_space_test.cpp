@@ -1,10 +1,14 @@
 // KeySpace interner: dense idempotent ids, by-id round trips, partition
-// placement parity with the string-hashing path, and the empty-key-zero
-// invariant that keeps default-constructed messages valid.
+// placement parity with the string-hashing path, the empty-key-zero
+// invariant that keeps default-constructed messages valid, and an interner
+// whose memory is what it interned.
 #include "store/key_space.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstring>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -100,6 +104,44 @@ TEST(KeySpace, SurvivesTableGrowth) {
   for (int i = 0; i < 5000; ++i) {
     EXPECT_EQ(intern_key("ks-grow-" + std::to_string(i)), ids[i]);
   }
+}
+
+/// RssAnon of this process in kB (-1 when /proc/self/status lacks it).
+long rss_anon_kb() {
+  std::FILE* f = std::fopen("/proc/self/status", "r");
+  if (f == nullptr) return -1;
+  char line[256];
+  long kb = -1;
+  while (std::fgets(line, sizeof(line), f) != nullptr) {
+    if (std::strncmp(line, "RssAnon:", 8) == 0) {
+      kb = std::strtol(line + 8, nullptr, 10);
+      break;
+    }
+  }
+  std::fclose(f);
+  return kb;
+}
+
+TEST(KeySpace, FreshInternerTouchesOnlyWhatItInterns) {
+  // A chunk holds 65,536 entries and the chunk table 32,768 pointers; an
+  // interner that constructed them all would carry ~3.3 MB for 10 keys.
+  // Destroying it must destroy exactly the interned entries: a destructor
+  // run on never-constructed storage frees a wild pointer (ASan job).
+  const long before = rss_anon_kb();
+  if (before < 0) GTEST_SKIP() << "no RssAnon in /proc/self/status";
+  auto ks = std::make_unique<KeySpace>();
+  std::vector<KeyId> ids;
+  for (int i = 0; i < 10; ++i) {
+    ids.push_back(ks->intern("ks-fresh-" + std::to_string(i)));
+  }
+  const long grown = rss_anon_kb() - before;
+  EXPECT_LT(grown, 1024) << "RssAnon grew " << grown << " kB for 10 keys";
+  EXPECT_EQ(ks->size(), 11u);  // the empty key, then ours
+  for (int i = 0; i < 10; ++i) {
+    EXPECT_EQ(ks->name(ids[static_cast<std::size_t>(i)]),
+              "ks-fresh-" + std::to_string(i));
+  }
+  ks.reset();
 }
 
 TEST(KeySpace, ConcurrentInternIsConsistent) {

@@ -64,9 +64,10 @@ struct Args {
   std::string mode = "load";
   long dc = -1;  // -1 = all DCs
   std::uint32_t clients_per_dc = 4;
-  /// TcpClientPools (transport threads / socket sets) per DC. One pool's
-  /// single transport thread saturates long before a multi-threaded server
-  /// does; sessions round-robin across the pools.
+  /// TcpClientPools (socket sets: one connection per partition) per DC;
+  /// sessions round-robin across the pools. A pool has no thread of its
+  /// own — the threads driving its sessions drive its sockets — so more
+  /// pools spread the sockets, not the CPU.
   std::uint32_t connections_per_dc = 1;
   double duration_s = 5.0;
   /// Sessions interleaved per driver thread (pipelined mode). 1 = the
@@ -110,7 +111,7 @@ int usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s --config FILE [--mode load|smoke] [--dc N]\n"
-      "          [--threads N] [--connections N]\n"
+      "          [--threads N] [--connections N (pools per DC)]\n"
       "          [--pipeline W] [--duration-s S] [--pattern getput|txput]\n"
       "          [--gets-per-put N] [--tx-partitions N] [--think-us N]\n"
       "          [--value-size N] [--value-size-max N]\n"
@@ -384,6 +385,32 @@ void run_pipelined(std::vector<PipelinedClient>& clients,
   }
 }
 
+/// The "model name" line of /proc/cpuinfo ("unknown" when absent): a
+/// baseline names the machine it was measured on.
+std::string cpu_model() {
+  std::FILE* f = std::fopen("/proc/cpuinfo", "r");
+  if (f == nullptr) return "unknown";
+  char line[512];
+  std::string model = "unknown";
+  while (std::fgets(line, sizeof(line), f) != nullptr) {
+    if (std::strncmp(line, "model name", 10) != 0) continue;
+    const char* colon = std::strchr(line, ':');
+    if (colon == nullptr) break;
+    model = colon + 1;
+    const auto first = model.find_first_not_of(" \t");
+    const auto last = model.find_last_not_of(" \t\n");
+    model = first == std::string::npos ? "unknown"
+                                       : model.substr(first, last - first + 1);
+    break;
+  }
+  std::fclose(f);
+  // Kept JSON-safe without escaping.
+  for (char& c : model) {
+    if (c == '"' || c == '\\') c = ' ';
+  }
+  return model;
+}
+
 /// Peak resident set size of this process so far (VmHWM), in MB.
 double peak_rss_mb() {
   rusage usage{};
@@ -442,8 +469,9 @@ int run_load(const Args& args, const net::ClusterLayout& layout) {
     for (DcId dc = 0; dc < topo.num_dcs; ++dc) dcs.push_back(dc);
   }
 
-  // --connections pools per DC: one pool = one transport thread + one socket
-  // per partition; client sessions round-robin across their DC's pools.
+  // --connections pools per DC: one pool = one socket per partition, driven
+  // by the threads of the sessions on it; client sessions round-robin
+  // across their DC's pools.
   std::vector<std::unique_ptr<net::TcpClientPool>> pools;
   for (const DcId dc : dcs) {
     for (std::uint32_t c = 0; c < args.connections_per_dc; ++c) {
@@ -559,7 +587,7 @@ int run_load(const Args& args, const net::ClusterLayout& layout) {
   const std::string lat_json = stats::latency_json_fields("get", get_us) +
                                "," + stats::latency_json_fields("put", put_us) +
                                "," + stats::latency_json_fields("tx", tx_us);
-  char json[2048];
+  char json[4096];
   std::snprintf(
       json, sizeof(json),
       "{\"bench\":\"tcp_loadgen\",\"mode\":\"load\",\"system\":\"%s\","
@@ -576,7 +604,7 @@ int run_load(const Args& args, const net::ClusterLayout& layout) {
       "\"op_timeouts\":%llu,\"op_retries\":%llu,\"op_failovers\":%llu,"
       "\"op_overloaded\":%llu,\"breaker_opens\":%llu,"
       "\"deadline_exhausted\":%llu,\"reconnects\":%llu,"
-      "\"failure_rate\":%.6f}",
+      "\"failure_rate\":%.6f,\"nproc\":%u,\"cpu_model\":\"%s\"}",
       system_flag(layout.system),
       topo.num_dcs, topo.partitions_per_dc,
       args.clients_per_dc, args.connections_per_dc, args.pipeline,
@@ -602,7 +630,8 @@ int run_load(const Args& args, const net::ClusterLayout& layout) {
       static_cast<unsigned long long>(rstats.overloaded),
       static_cast<unsigned long long>(rstats.breaker_opens),
       static_cast<unsigned long long>(rstats.deadline_exhausted),
-      static_cast<unsigned long long>(reconnects), failure_rate);
+      static_cast<unsigned long long>(reconnects), failure_rate,
+      std::thread::hardware_concurrency(), cpu_model().c_str());
   std::printf("%s\n", json);
   if (args.out_path != nullptr) {
     std::FILE* f = std::fopen(args.out_path, "w");
