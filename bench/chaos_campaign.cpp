@@ -276,15 +276,11 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "chaos_campaign: pool %u never connected\n", dc);
       return 1;
     }
-    for (PartitionId p = 0; p < topo.partitions_per_dc; ++p) {
-      for (unsigned replica = 0; replica < 2; ++replica) {
-        const net::ConnId conn = pools.back()->conn_of(p, replica);
-        if (conn == net::kInvalidConn) continue;
-        pools.back()->transport().set_chaos(
-            conn, std::make_shared<net::ChaosLink>(
-                      opt.seed ^ (0xc11e47'0000ULL + ++client_link_n),
-                      client_profile()));
-      }
+    for (const net::ConnId conn : pools.back()->connections()) {
+      pools.back()->transport().set_chaos(
+          conn, std::make_shared<net::ChaosLink>(
+                    opt.seed ^ (0xc11e47'0000ULL + ++client_link_n),
+                    client_profile()));
     }
   }
 

@@ -58,8 +58,9 @@ struct ClusterLayout {
   SystemKind system = SystemKind::kPocc;
   ProtocolConfig protocol;
   /// Per-node dial addresses (derived from `processes` when parsing; group
-  /// members share their process's address). Kept because clients dial per
-  /// partition.
+  /// members share their process's address). Clients look up the address
+  /// of the partition a worker's socket is dialed for (the worker's lowest;
+  /// see net/tcp_client.hpp), and tests override it with ephemeral ports.
   std::vector<NodeAddress> nodes;
   /// Per-process hosting specs — the deployment's unit of launch.
   std::vector<ProcessSpec> processes;

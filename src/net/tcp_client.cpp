@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/assert.hpp"
+#include "runtime/placement.hpp"
 #include "store/key_space.hpp"
 
 namespace pocc::net {
@@ -446,6 +447,13 @@ void TcpClientPool::start() {
   conn_by_part_[0].resize(layout_.topology.partitions_per_dc, kInvalidConn);
   conn_by_part_[1].resize(layout_.topology.partitions_per_dc, kInvalidConn);
   for (PartitionId p = 0; p < layout_.topology.partitions_per_dc; ++p) {
+    // One connection per (process, worker): a partition whose worker's
+    // lowest partition was dialed already shares that socket.
+    const PartitionId lead = worker_lead(p);
+    if (lead != p) {
+      for (auto& conns : conn_by_part_) conns[p] = conns[lead];
+      continue;
+    }
     const NodeAddress* addr = nullptr;
     for (const NodeAddress& a : addresses_) {
       if (a.node == NodeId{dc_, p}) {
@@ -454,24 +462,36 @@ void TcpClientPool::start() {
       }
     }
     POCC_ASSERT_MSG(addr != nullptr, "no address for a partition of this DC");
-    // Greet each connection with the partition it was dialed for (client 0:
-    // the pool speaks for many sessions), so a sharded server can pin the
-    // socket to the event loop owning that partition's worker. The
-    // transport replays the greeting on every reconnect — a fresh socket
-    // lands on an arbitrary accept loop and is placed again.
+    // Greet each connection with the lowest partition of its worker (client
+    // 0: the pool speaks for many sessions), so a sharded server can pin the
+    // socket to the event loop owning that worker. The transport replays
+    // the greeting on every reconnect — a fresh socket lands on an
+    // arbitrary accept loop and is placed again.
     std::vector<std::uint8_t> hello;
     proto::encode(proto::ClientHello{0, p}, hello);
     conn_by_part_[0][p] = transport_.connect_peer(addr->host, addr->port);
     transport_.set_greeting(conn_by_part_[0][p], hello);
     if (resilience_.enabled) {
       // Sibling (failover) connection: a second TCP stream to the same
-      // DC-local endpoint. A mid-frame reset or a wedged primary stream
-      // does not strand the session — it retries on the sibling (replies
-      // demux by client id, so either connection can carry them).
+      // worker. A mid-frame reset or a wedged primary stream does not
+      // strand the session — it retries on the sibling (replies demux by
+      // client id, so either connection can carry them).
       conn_by_part_[1][p] = transport_.connect_peer(addr->host, addr->port);
       transport_.set_greeting(conn_by_part_[1][p], std::move(hello));
     }
   }
+}
+
+PartitionId TcpClientPool::worker_lead(PartitionId part) const {
+  const ProcessSpec* spec = layout_.process_for(NodeId{dc_, part});
+  if (spec == nullptr) return part;  // hosting unknown: a process of its own
+  for (const auto& hosted : rt::place_partitions(spec->parts, spec->threads)) {
+    if (std::find(hosted.begin(), hosted.end(), part) != hosted.end()) {
+      return hosted.front();
+    }
+  }
+  POCC_ASSERT_MSG(false, "a process spec that does not place its partition");
+  return part;
 }
 
 void TcpClientPool::stop() {
@@ -488,7 +508,7 @@ bool TcpClientPool::wait_connected(Duration timeout_us) {
                         std::chrono::microseconds(timeout_us);
   while (true) {
     bool all_up = true;
-    for (const ConnId c : conn_by_part_[0]) {
+    for (const ConnId c : connections()) {
       if (!transport_.connected(c)) {
         all_up = false;
         break;
@@ -609,6 +629,20 @@ ClientResilienceStats TcpClientPool::resilience_stats() const {
 ConnId TcpClientPool::conn_of(PartitionId part, unsigned replica) const {
   POCC_ASSERT(replica < 2 && part < conn_by_part_[replica].size());
   return conn_by_part_[replica][part];
+}
+
+std::vector<ConnId> TcpClientPool::connections() const {
+  std::vector<ConnId> out;
+  for (PartitionId p = 0; p < conn_by_part_[0].size(); ++p) {
+    for (const auto& conns : conn_by_part_) {
+      const ConnId c = conns[p];
+      if (c != kInvalidConn &&
+          std::find(out.begin(), out.end(), c) == out.end()) {
+        out.push_back(c);
+      }
+    }
+  }
+  return out;
 }
 
 PartitionId TcpClientPool::partition_of(KeyId key) const {

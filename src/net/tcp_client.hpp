@@ -1,6 +1,10 @@
 // Client-side endpoint of the TCP deployment: one pool per (process, data
-// center) holding a connection to every partition node of that DC, demuxing
-// replies to sessions by client id. Used by pocc_loadgen and the e2e tests.
+// center) holding one connection per server worker of that DC — every
+// partition a poccd worker hosts shares that worker's socket, placed by the
+// same rule the server pins its engines by (runtime/placement.hpp) — and
+// demuxing replies to sessions by client id. Requests for all the
+// partitions of one worker can thereby share a sendmsg, and so can their
+// replies. Used by pocc_loadgen and the e2e tests.
 //
 // A session drives the protocol through client/client_engine.hpp (requests
 // go to the partition owning the key, RO-TXs to the collocated partition-0
@@ -155,7 +159,7 @@ class TcpSession {
   // is what keeps its causal guarantees (read-your-writes, monotonic
   // reads) and its checker history sound. Pipelining arises one level up:
   // a driver thread interleaves MANY sessions over the pool's shared
-  // per-partition connections, so each connection carries several
+  // per-worker connections, so each connection carries several
   // outstanding ops (distinct sessions) at once.
   //
   // Sequence: start_*() once, then pump() until it returns true, then the
@@ -292,13 +296,13 @@ class TcpClientPool {
   void start();
   void stop();
 
-  /// Block until every partition link is up (false = timed out), driving
+  /// Block until every connection() is up (false = timed out), driving
   /// the dials on the calling thread.
   bool wait_connected(Duration timeout_us);
 
   /// Resilience policy copied into every session opened AFTER this call.
   /// When enabled, start() also dials a sibling (failover) connection per
-  /// partition.
+  /// server worker.
   void set_resilience(const ClientResilience& r) { resilience_ = r; }
 
   /// Open a session. `id` must be unique across the whole deployment.
@@ -317,10 +321,14 @@ class TcpClientPool {
   [[nodiscard]] ClientResilienceStats resilience_stats() const;
   [[nodiscard]] ClientDriveStats drive_stats() const;
 
-  /// Chaos hooks (campaign/tests): the transport and the per-partition
-  /// connection ids, so callers can arm ChaosLinks on client links.
+  /// Chaos hooks (campaign/tests): the transport and the connection ids,
+  /// so callers can arm ChaosLinks on client links. conn_of is the
+  /// connection carrying `part` (shared by the partitions of one server
+  /// worker); connections() lists each dialed connection once, primary
+  /// and sibling, in partition order.
   TcpTransport& transport() { return transport_; }
   [[nodiscard]] ConnId conn_of(PartitionId part, unsigned replica = 0) const;
+  [[nodiscard]] std::vector<ConnId> connections() const;
 
  private:
   friend class TcpSession;
@@ -342,15 +350,20 @@ class TcpClientPool {
   bool send_to_partition(PartitionId part, const proto::Message& m,
                          unsigned replica = 0);
   [[nodiscard]] PartitionId partition_of(KeyId key) const;
+  /// The lowest partition hosted by `part`'s server worker — the one its
+  /// shared connection is dialed and greeted for. A partition the layout
+  /// names no process for is its own.
+  [[nodiscard]] PartitionId worker_lead(PartitionId part) const;
 
   ClusterLayout layout_;
   DcId dc_;
   std::vector<NodeAddress> addresses_;
   ClientResilience resilience_;
   TcpTransport transport_;
-  /// [replica 0] primary and [replica 1] sibling connection per partition;
-  /// the sibling is only dialed when resilience is enabled (kInvalidConn
-  /// otherwise — sends on it fail fast and the session falls back).
+  /// [replica 0] primary and [replica 1] sibling connection per partition,
+  /// the partitions of one server worker holding the same ids; the sibling
+  /// is only dialed when resilience is enabled (kInvalidConn otherwise —
+  /// sends on it fail fast and the session falls back).
   std::array<std::vector<ConnId>, 2> conn_by_part_;
 
   mutable std::mutex mu_;

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/assert.hpp"
+#include "runtime/placement.hpp"
 #include "store/key_space.hpp"
 
 namespace pocc::net {
@@ -45,12 +46,10 @@ TcpNodeHost::TcpNodeHost(ProcessSpec self, const ClusterLayout& layout,
           },
           [this] {
             TcpTransport::Options t;
-            // One event-loop shard per NodeGroup worker (same clamp the
-            // group applies), so every worker has exactly one owning loop.
-            const auto parts = static_cast<std::uint32_t>(self_.parts.size());
-            t.num_loops = std::max<std::uint32_t>(
-                1, self_.threads == 0 ? parts
-                                      : std::min(self_.threads, parts));
+            // One event-loop shard per NodeGroup worker (the group's own
+            // placement rule), so every worker has exactly one owning loop.
+            t.num_loops = static_cast<std::uint32_t>(
+                rt::place_partitions(self_.parts, self_.threads).size());
             return t;
           }()) {
   POCC_ASSERT_MSG(self_.dc < layout_.topology.num_dcs,
@@ -520,16 +519,25 @@ void TcpNodeHost::on_frame(ConnId conn, proto::Frame frame) {
 }
 
 std::int32_t TcpNodeHost::place(const proto::Frame& first) const {
-  // Pinning: the client pool greets each connection with the partition it
-  // dialed it for (re-sent on every reconnect), and the socket lives on the
-  // event loop driving that partition's worker, so its requests run
-  // socket → decode → engine on one thread. Loop i drives worker i.
+  // Pinning: the client pool dials one connection per worker and greets it
+  // with the lowest partition that worker hosts (re-sent on every
+  // reconnect), and the socket lives on the event loop driving that worker,
+  // so requests for every partition of the worker run socket → decode →
+  // engine on one thread. Loop i drives worker i.
   const auto* hello = std::get_if<proto::ClientHello>(&first);
   if (hello == nullptr || hello->preferred_part == proto::kNoPreferredPart ||
       !group_->hosts(NodeId{self_.dc, hello->preferred_part})) {
     return -1;
   }
   return static_cast<std::int32_t>(group_->worker_of(hello->preferred_part));
+}
+
+std::int32_t TcpNodeHost::client_loop(ClientId client) const {
+  std::lock_guard lk(mu_);
+  const auto it = client_conn_.find(client);
+  return it == client_conn_.end()
+             ? -1
+             : static_cast<std::int32_t>(TcpTransport::loop_of(it->second));
 }
 
 void TcpNodeHost::on_disconnected(ConnId conn) {

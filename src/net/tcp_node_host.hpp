@@ -170,6 +170,9 @@ class TcpNodeHost final : public rt::Router {
   [[nodiscard]] std::uint64_t client_requests() const {
     return client_requests_->value();
   }
+  /// The event loop (loop i drives worker i) whose connection carried
+  /// `client`'s latest request; -1 when none arrived or it disconnected.
+  [[nodiscard]] std::int32_t client_loop(ClientId client) const;
 
   // --- rt::Router (called from the worker threads) ---
   void route(NodeId from, NodeId to, proto::Message m) override;
@@ -229,7 +232,7 @@ class TcpNodeHost final : public rt::Router {
   std::vector<std::unique_ptr<Link>> links_;
   std::unordered_map<std::uint64_t, Link*> link_by_node_;
 
-  std::mutex mu_;  // guards conn_peer_ and client_conn_
+  mutable std::mutex mu_;  // guards conn_peer_ and client_conn_
   std::unordered_map<ConnId, NodeId> conn_peer_;  // inbound, via NodeHello
   std::unordered_map<ClientId, ConnId> client_conn_;
   // Registered in registry_, which is declared above them.

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/assert.hpp"
+#include "runtime/placement.hpp"
 #include "wal/wal_format.hpp"
 
 namespace pocc::rt {
@@ -41,19 +42,18 @@ NodeGroup::NodeGroup(DcId dc, std::vector<PartitionId> parts, Router& router,
       router_(router),
       opt_(options),
       rng_(options.seed ^ (0x9e3779b97f4a7c15ULL * (dc + 1))) {
-  POCC_ASSERT_MSG(!parts_.empty(), "a node group hosts at least one partition");
+  const auto placement = place_partitions(parts_, opt_.threads);
   std::sort(parts_.begin(), parts_.end());
-  POCC_ASSERT_MSG(
-      std::adjacent_find(parts_.begin(), parts_.end()) == parts_.end(),
-      "duplicate partition in the node group");
-
-  std::uint32_t threads = opt_.threads;
-  if (threads == 0) threads = static_cast<std::uint32_t>(parts_.size());
-  threads = std::min<std::uint32_t>(
-      threads, static_cast<std::uint32_t>(parts_.size()));
   POCC_ASSERT_MSG(opt_.wake != nullptr, "a node group needs a wake callback");
   POCC_ASSERT_MSG(opt_.registry != nullptr, "a node group needs a registry");
-  for (std::uint32_t w = 0; w < threads; ++w) {
+  by_part_.assign(parts_.back() + 1, nullptr);
+  for (const PartitionId p : parts_) {
+    auto slot = std::make_unique<Slot>(*this, NodeId{dc_, p}, opt_.clock, rng_);
+    if (opt_.wal != nullptr) slot->wal = &opt_.wal->wal_for(p);
+    by_part_[p] = slot.get();
+    slots_.push_back(std::move(slot));
+  }
+  for (std::uint32_t w = 0; w < placement.size(); ++w) {
     workers_.push_back(std::make_unique<Worker>());
     Worker& wk = *workers_.back();
     wk.index = w;
@@ -65,20 +65,12 @@ NodeGroup::NodeGroup(DcId dc, std::vector<PartitionId> parts, Router& router,
     wk.lat_put = opt_.registry->histogram("pocc_server_op_us", {{"op", "put"}});
     wk.lat_tx = opt_.registry->histogram("pocc_server_op_us",
                                          {{"op", "ro_tx"}});
-  }
-
-  by_part_.assign(parts_.back() + 1, nullptr);
-  for (std::size_t i = 0; i < parts_.size(); ++i) {
-    auto slot = std::make_unique<Slot>(*this, NodeId{dc_, parts_[i]},
-                                       opt_.clock, rng_);
-    // Thread affinity: partition i of the group always lives on worker
-    // i mod M — the engine is only ever touched by that worker.
-    Worker& w = *workers_[i % workers_.size()];
-    slot->worker = &w;
-    if (opt_.wal != nullptr) slot->wal = &opt_.wal->wal_for(parts_[i]);
-    w.slots.push_back(slot.get());
-    by_part_[parts_[i]] = slot.get();
-    slots_.push_back(std::move(slot));
+    // Thread affinity: a partition always lives on the worker the placement
+    // rule gives it — the engine is only ever touched by that worker.
+    for (const PartitionId p : placement[w]) {
+      by_part_[p]->worker = &wk;
+      wk.slots.push_back(by_part_[p]);
+    }
   }
 }
 

@@ -58,7 +58,8 @@ class NodeGroup {
  public:
   struct Options {
     /// Workers the partitions are pinned onto (clamped to the number of
-    /// partitions; 0 means one worker per partition).
+    /// partitions; 0 means one worker per partition), by the one placement
+    /// rule of runtime/placement.hpp.
     std::uint32_t threads = 1;
     ClockConfig clock = ClockConfig::perfect();
     std::uint64_t seed = 1;

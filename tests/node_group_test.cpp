@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "pocc/pocc_server.hpp"
+#include "runtime/placement.hpp"
 #include "store/key_space.hpp"
 
 namespace pocc::rt {
@@ -300,6 +301,47 @@ TEST(NodeGroup, WorkerCountClampsToPartitions) {
   NodeGroup per_part(/*dc=*/0, std::vector<PartitionId>{0, 1, 2}, router,
                      one);
   EXPECT_EQ(per_part.threads(), 3u);
+}
+
+TEST(Placement, SortedPartitionsRoundRobinOntoClampedWorkers) {
+  using Parts = std::vector<PartitionId>;
+  using ByWorker = std::vector<Parts>;
+  EXPECT_EQ(place_partitions({0, 1}, 1), (ByWorker{{0, 1}}));
+  EXPECT_EQ(place_partitions({0, 1}, 2), (ByWorker{{0}, {1}}));
+  EXPECT_EQ(place_partitions({0, 1, 2}, 0), (ByWorker{{0}, {1}, {2}}));
+  EXPECT_EQ(place_partitions({3, 1}, 64), (ByWorker{{1}, {3}}));
+  EXPECT_EQ(place_partitions({5}, 0), (ByWorker{{5}}));
+  EXPECT_EQ(place_partitions({4, 0, 3, 1, 2}, 2),
+            (ByWorker{{0, 2, 4}, {1, 3}}));
+  EXPECT_EQ(place_partitions({6, 2, 4}, 2), (ByWorker{{2, 6}, {4}}));
+}
+
+TEST(Placement, NodeGroupPinsByThePlacementRule) {
+  // Whatever the (parts, threads) combination, the group's worker count and
+  // every partition's worker are exactly what place_partitions says — the
+  // rule the TCP host sizes its loops by and client pools dial by.
+  RecordingRouter router;
+  stats::Registry registry;
+  const std::vector<std::vector<PartitionId>> part_sets = {
+      {0}, {0, 1}, {1, 3}, {0, 1, 2}, {4, 0, 3, 1, 2}};
+  for (const auto& parts : part_sets) {
+    for (const std::uint32_t threads : {0u, 1u, 2u, 3u, 8u}) {
+      NodeGroup::Options opt;
+      opt.threads = threads;
+      opt.wake = [](std::uint32_t) {};
+      opt.registry = &registry;
+      NodeGroup group(/*dc=*/0, parts, router, opt);
+      const auto placement = place_partitions(parts, threads);
+      ASSERT_EQ(group.threads(), placement.size())
+          << parts.size() << " partitions, threads=" << threads;
+      for (std::uint32_t w = 0; w < placement.size(); ++w) {
+        for (const PartitionId p : placement[w]) {
+          EXPECT_EQ(group.worker_of(p), w)
+              << "partition " << p << ", threads=" << threads;
+        }
+      }
+    }
+  }
 }
 
 TEST(NodeGroup, TimersFirePerPartition) {

@@ -3,11 +3,13 @@
 // blocking sessions sharing the sockets leader/follower (the pass handed on
 // by a wake, never left to a timer), one pipelining thread reading its own
 // replies with its sends still coalesced, and a server restart redialled by
-// pumps alone.
+// pumps alone — and the pool's one socket per server worker: the
+// partitions a worker hosts share its connection, placed on its loop.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -17,13 +19,174 @@
 #include "net/tcp_client.hpp"
 #include "net/tcp_transport.hpp"
 #include "proto/codec.hpp"
+#include "store/key_space.hpp"
 #include "tcp_deployment.hpp"
 
 namespace pocc::net {
 namespace {
 
 using testutil::Deployment;
+using testutil::eventually;
 using testutil::expect_clean_replay;
+using testutil::Shape;
+
+/// The `n`-th key with `prefix` that a 2-partition DC places on `part`.
+std::string key_on(PartitionId part, const std::string& prefix, int n = 0) {
+  for (int i = 0;; ++i) {
+    const std::string key = prefix + std::to_string(i);
+    if (store::KeySpace::global().partition(store::intern_key(key), 2,
+                                            PartitionScheme::kHash) == part &&
+        n-- == 0) {
+      return key;
+    }
+  }
+}
+
+/// Every inbound socket of dc's host but its peer processes' replication
+/// links (one from each other DC): the sockets its clients opened. The
+/// count settles before it is read — a wrong count must not hide behind an
+/// accept still in flight.
+std::uint64_t client_accepts(Deployment& cluster, DcId dc,
+                             std::uint64_t expected) {
+  const std::uint64_t peers = cluster.layout().topology.num_dcs - 1;
+  const auto count = [&] {
+    return cluster.host(dc).transport_stats().accepts - peers;
+  };
+  eventually(2'000'000, [&] { return count() >= expected; });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  return count();
+}
+
+/// A request answered on every partition of dc 0, and a dc-1 write read at
+/// dc 0: dc 0's host has accepted its peer's link and every primary client
+/// socket.
+void settle(Deployment& cluster) {
+  TcpSession& s = cluster.connect(0);
+  for (PartitionId p = 0; p < 2; ++p) {
+    ASSERT_TRUE(s.get(key_on(p, "client:settle:")).ok);
+  }
+  ASSERT_TRUE(cluster.connect(1).put("client:settle:geo", "v").ok);
+  ASSERT_TRUE(eventually(5'000'000, [&] {
+    return s.get("client:settle:geo").value == "v";
+  }));
+}
+
+/// One thread drives 16 sessions of dc 0 through start_*/pump/finish_*,
+/// 40 ops each (one in five a PUT); session i draws its keys from
+/// `key(i, rng)`. Returns the ops that failed.
+int pipeline_sessions(Deployment& cluster,
+                      const std::function<std::string(int, Rng&)>& key) {
+  constexpr int kSessions = 16;
+  constexpr int kOpsPerSession = 40;
+  struct Slot {
+    TcpSession* s = nullptr;
+    Rng rng{0};
+    int done = 0;
+    bool put = false;
+  };
+  std::vector<Slot> slots(kSessions);
+  for (int i = 0; i < kSessions; ++i) {
+    slots[i].s = &cluster.connect(0);
+    slots[i].rng = Rng(0x5107ULL + i);
+  }
+  int failures = 0;
+  for (bool all_done = false; !all_done;) {
+    all_done = true;
+    bool progress = false;
+    for (int i = 0; i < kSessions; ++i) {
+      Slot& sl = slots[i];
+      if (sl.done == kOpsPerSession) continue;
+      all_done = false;
+      if (!sl.s->op_pending()) {
+        const std::string k = key(i, sl.rng);
+        sl.put = sl.rng.uniform(5) == 0;
+        const bool started = sl.put
+                                 ? sl.s->start_put(k, std::to_string(sl.done))
+                                 : sl.s->start_get(k);
+        EXPECT_TRUE(started);
+        progress = true;
+      }
+      if (sl.s->pump()) {
+        const bool ok = sl.put ? sl.s->finish_put().ok : sl.s->finish_get().ok;
+        if (!ok) ++failures;
+        ++sl.done;
+        progress = true;
+      }
+    }
+    if (!progress) std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
+  return failures;
+}
+
+TEST(TcpClient, PoolOpensOneSocketPerServerWorker) {
+  // The benchmark shape: 2 DCs, both partitions of a DC on one worker. The
+  // pool dials that worker once, and both partitions ride the socket.
+  Deployment cluster(SystemKind::kPocc, /*resilience=*/nullptr,
+                     /*block_timeout_us=*/2'000'000, Shape{2, 1});
+  settle(cluster);
+  TcpClientPool& pool = cluster.pool(0);
+  EXPECT_EQ(pool.conn_of(0), pool.conn_of(1));
+  EXPECT_EQ(pool.connections(), std::vector<ConnId>{pool.conn_of(0)});
+  EXPECT_EQ(client_accepts(cluster, 0, 1), 1u);
+}
+
+TEST(TcpClient, ResilientPoolOpensOneSiblingPerServerWorker) {
+  ClientResilience res;
+  res.enabled = true;
+  Deployment cluster(SystemKind::kPocc, &res, /*block_timeout_us=*/2'000'000,
+                     Shape{2, 1});
+  settle(cluster);
+  TcpClientPool& pool = cluster.pool(0);
+  EXPECT_EQ(pool.conn_of(1, 1), pool.conn_of(0, 1));
+  EXPECT_EQ(pool.connections(),
+            (std::vector<ConnId>{pool.conn_of(0, 0), pool.conn_of(0, 1)}));
+  EXPECT_EQ(client_accepts(cluster, 0, 2), 2u);
+}
+
+TEST(TcpClient, PoolDialsEachWorkerOfAShardedHostOnItsLoop) {
+  // Two workers per host: one socket per worker, each greeted for its
+  // worker's partition and so placed on the loop that drives it.
+  Deployment cluster(SystemKind::kPocc, /*resilience=*/nullptr,
+                     /*block_timeout_us=*/2'000'000, Shape{2, 2});
+  settle(cluster);
+  TcpClientPool& pool = cluster.pool(0);
+  EXPECT_NE(pool.conn_of(0), pool.conn_of(1));
+  EXPECT_EQ(pool.connections().size(), 2u);
+  EXPECT_EQ(client_accepts(cluster, 0, 2), 2u);
+  TcpNodeHost& host = cluster.host(0);
+  for (PartitionId p = 0; p < 2; ++p) {
+    TcpSession& s = cluster.connect(0);
+    ASSERT_TRUE(s.put(key_on(p, "client:loop:"), "v").ok);
+    EXPECT_EQ(host.client_loop(s.id()),
+              static_cast<std::int32_t>(host.group().worker_of(p)))
+        << "partition " << p;
+  }
+  EXPECT_NE(host.group().worker_of(0), host.group().worker_of(1));
+}
+
+TEST(TcpClient, PipelinedSessionsOverBothPartitionsShareServerSendmsgs) {
+  // Half the sessions on each partition, pipelined over the one socket of a
+  // one-worker host: the host answers both partitions on that socket, so
+  // its replies leave several to a sendmsg.
+  Deployment cluster(SystemKind::kPocc, /*resilience=*/nullptr,
+                     /*block_timeout_us=*/2'000'000, Shape{2, 1});
+  const TransportStats before = cluster.host(0).transport_stats();
+  EXPECT_EQ(pipeline_sessions(cluster,
+                              [](int session, Rng& rng) {
+                                return key_on(
+                                    static_cast<PartitionId>(session % 2),
+                                    "client:share:",
+                                    static_cast<int>(rng.uniform(8)));
+                              }),
+            0);
+  expect_clean_replay(cluster);
+  const TransportStats after = cluster.host(0).transport_stats();
+  const auto calls = after.sendmsg_calls - before.sendmsg_calls;
+  const auto frames = after.sendmsg_frames - before.sendmsg_frames;
+  ASSERT_GT(calls, 0u);
+  EXPECT_GT(static_cast<double>(frames) / static_cast<double>(calls), 1.0)
+      << frames << " frames in " << calls << " sendmsg calls";
+}
 
 TEST(TcpClient, StartedPoolHasNoLoopThreads) {
   Deployment cluster(SystemKind::kPocc);
@@ -76,45 +239,13 @@ TEST(TcpClient, OnePipeliningThreadCoalescesWithoutWakes) {
   // wake-pipe byte is ever written; and its sends still leave in bursts
   // (one direct write per pass, the rest flushed together by the next).
   Deployment cluster(SystemKind::kPocc);
-  constexpr int kSessions = 16;
-  constexpr int kOpsPerSession = 40;
-  struct Slot {
-    TcpSession* s = nullptr;
-    Rng rng{0};
-    int done = 0;
-    bool put = false;
-  };
-  std::vector<Slot> slots(kSessions);
-  for (int i = 0; i < kSessions; ++i) {
-    slots[i].s = &cluster.connect(0);
-    slots[i].rng = Rng(0x5107ULL + i);
-  }
   const TransportStats before = cluster.pool(0).transport_stats();
-  int failures = 0;
-  for (bool all_done = false; !all_done;) {
-    all_done = true;
-    bool progress = false;
-    for (Slot& sl : slots) {
-      if (sl.done == kOpsPerSession) continue;
-      all_done = false;
-      if (!sl.s->op_pending()) {
-        const std::string key =
-            "client:pipe:" + std::to_string(sl.rng.uniform(16));
-        sl.put = sl.rng.uniform(5) == 0;
-        ASSERT_TRUE(sl.put ? sl.s->start_put(key, std::to_string(sl.done))
-                           : sl.s->start_get(key));
-        progress = true;
-      }
-      if (sl.s->pump()) {
-        const bool ok = sl.put ? sl.s->finish_put().ok : sl.s->finish_get().ok;
-        if (!ok) ++failures;
-        ++sl.done;
-        progress = true;
-      }
-    }
-    if (!progress) std::this_thread::sleep_for(std::chrono::microseconds(50));
-  }
-  EXPECT_EQ(failures, 0);
+  EXPECT_EQ(pipeline_sessions(cluster,
+                              [](int /*session*/, Rng& rng) {
+                                return "client:pipe:" +
+                                       std::to_string(rng.uniform(16));
+                              }),
+            0);
   expect_clean_replay(cluster);
   const TransportStats after = cluster.pool(0).transport_stats();
   EXPECT_EQ(after.wake_writes, 0u);

@@ -183,19 +183,15 @@ class Deployment {
   }
 
   /// Arm every dialed client connection (both replicas when resilience
-  /// dialed siblings) with an unscheduled ChaosLink — client links may
+  /// dialed siblings) once with an unscheduled ChaosLink — client links may
   /// carry dup/reset chaos because each partition's op_id entries absorb it.
   void arm_client_chaos(std::uint64_t seed, const ChaosProfile& profile) {
     std::uint64_t n = 0;
     for (auto& pool : pools_) {
-      for (PartitionId p = 0; p < layout_.topology.partitions_per_dc; ++p) {
-        for (unsigned replica = 0; replica < 2; ++replica) {
-          const ConnId conn = pool->conn_of(p, replica);
-          if (conn == kInvalidConn) continue;
-          pool->transport().set_chaos(
-              conn, std::make_shared<ChaosLink>(
-                        seed ^ (0x9e3779b97f4a7c15ULL * ++n), profile));
-        }
+      for (const ConnId conn : pool->connections()) {
+        pool->transport().set_chaos(
+            conn, std::make_shared<ChaosLink>(
+                      seed ^ (0x9e3779b97f4a7c15ULL * ++n), profile));
       }
     }
   }

@@ -64,7 +64,7 @@ struct Args {
   std::string mode = "load";
   long dc = -1;  // -1 = all DCs
   std::uint32_t clients_per_dc = 4;
-  /// TcpClientPools (socket sets: one connection per partition) per DC;
+  /// TcpClientPools (socket sets: one connection per server worker) per DC;
   /// sessions round-robin across the pools. A pool has no thread of its
   /// own — the threads driving its sessions drive its sockets — so more
   /// pools spread the sockets, not the CPU.
@@ -111,7 +111,9 @@ int usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s --config FILE [--mode load|smoke] [--dc N]\n"
-      "          [--threads N] [--connections N (pools per DC)]\n"
+      "          [--threads N]\n"
+      "          [--connections N (pools per DC; a pool = a socket per "
+      "server worker)]\n"
       "          [--pipeline W] [--duration-s S] [--pattern getput|txput]\n"
       "          [--gets-per-put N] [--tx-partitions N] [--think-us N]\n"
       "          [--value-size N] [--value-size-max N]\n"
@@ -469,9 +471,9 @@ int run_load(const Args& args, const net::ClusterLayout& layout) {
     for (DcId dc = 0; dc < topo.num_dcs; ++dc) dcs.push_back(dc);
   }
 
-  // --connections pools per DC: one pool = one socket per partition, driven
-  // by the threads of the sessions on it; client sessions round-robin
-  // across their DC's pools.
+  // --connections pools per DC: one pool = one socket per server worker
+  // (the partitions a worker hosts share it), driven by the threads of the
+  // sessions on it; client sessions round-robin across their DC's pools.
   std::vector<std::unique_ptr<net::TcpClientPool>> pools;
   for (const DcId dc : dcs) {
     for (std::uint32_t c = 0; c < args.connections_per_dc; ++c) {
@@ -561,13 +563,23 @@ int run_load(const Args& args, const net::ClusterLayout& layout) {
 
   std::vector<checker::SessionHistory> histories;
   net::ClientResilienceStats rstats;
-  std::uint64_t reconnects = 0;
+  // The pools' own sockets: how many they dialed, and how many frames each
+  // of their sendmsg calls carried (requests to several partitions of one
+  // server worker share a socket, so they can share a call).
+  net::TransportStats client_net;
+  std::size_t client_connections = 0;
   for (const auto& pool : pools) {
     auto h = pool->histories();
     histories.insert(histories.end(), h.begin(), h.end());
     rstats += pool->resilience_stats();
-    reconnects += pool->transport_stats().reconnects;
+    client_net += pool->transport_stats();
+    client_connections += pool->connections().size();
   }
+  const double client_frames_per_call =
+      client_net.sendmsg_calls > 0
+          ? static_cast<double>(client_net.sendmsg_frames) /
+                static_cast<double>(client_net.sendmsg_calls)
+          : 0.0;
   for (auto& pool : pools) pool->stop();
 
   CheckOutcome verdict;
@@ -604,6 +616,7 @@ int run_load(const Args& args, const net::ClusterLayout& layout) {
       "\"op_timeouts\":%llu,\"op_retries\":%llu,\"op_failovers\":%llu,"
       "\"op_overloaded\":%llu,\"breaker_opens\":%llu,"
       "\"deadline_exhausted\":%llu,\"reconnects\":%llu,"
+      "\"client_connections\":%zu,\"client_sendmsg_frames_per_call\":%.3f,"
       "\"failure_rate\":%.6f,\"nproc\":%u,\"cpu_model\":\"%s\"}",
       system_flag(layout.system),
       topo.num_dcs, topo.partitions_per_dc,
@@ -630,7 +643,9 @@ int run_load(const Args& args, const net::ClusterLayout& layout) {
       static_cast<unsigned long long>(rstats.overloaded),
       static_cast<unsigned long long>(rstats.breaker_opens),
       static_cast<unsigned long long>(rstats.deadline_exhausted),
-      static_cast<unsigned long long>(reconnects), failure_rate,
+      static_cast<unsigned long long>(client_net.reconnects),
+      client_connections,
+      client_frames_per_call, failure_rate,
       std::thread::hardware_concurrency(), cpu_model().c_str());
   std::printf("%s\n", json);
   if (args.out_path != nullptr) {
